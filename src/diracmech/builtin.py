@@ -27,11 +27,14 @@ def harmonic_oscillator(h: float, lam: float = 1.0) -> DiscreteSystem:
         d = (qp[0] - q[0]) / h
         return h * (0.5 * d * d - 0.5 * lam * q[0] * q[0])
 
+    # gradients work on Python floats: a stepper calls them several times a
+    # step, and numpy scalar arithmetic costs several times more
     def d1(q, qp):
-        return np.array([-(qp[0] - q[0]) / h - h * lam * q[0]])
+        q0 = float(q[0])
+        return np.array([-(float(qp[0]) - q0) / h - h * lam * q0])
 
     def d2(q, qp):
-        return np.array([(qp[0] - q[0]) / h])
+        return np.array([(float(qp[0]) - float(q[0])) / h])
 
     lag = DiscreteLagrangian(1, Ld, d1, d2)
     return DiscreteSystem.from_lagrangian(lag, label="harmonic_oscillator")
@@ -46,10 +49,10 @@ def harmonic_oscillator_hamiltonian(h: float, lam: float = 1.0) -> DiscreteSyste
         return q[0] * pp[0] + 0.5 * h * pp[0] * pp[0] + 0.5 * h * lam * q[0] * q[0]
 
     def dq(q, pp):
-        return np.array([pp[0] + h * lam * q[0]])
+        return np.array([float(pp[0]) + h * lam * float(q[0])])
 
     def dp(q, pp):
-        return np.array([q[0] + h * pp[0]])
+        return np.array([float(q[0]) + h * float(pp[0])])
 
     ham = DiscreteHamiltonian(1, Hd, dq, dp)
     return DiscreteSystem.from_hamiltonian(ham, label="harmonic_oscillator_hamiltonian")

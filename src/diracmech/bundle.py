@@ -237,10 +237,13 @@ def check_admissibility(curve: DiscreteCurve, tol: float = 1e-12) -> Optional[in
     """
     if len(curve) == 0:
         raise DimensionMismatchError("empty curve")
-    if len(curve) == 1:
+    pts = curve.points
+    # a pair sharing one array (as stepped curves do) has gap zero
+    idx = [k for k in range(len(pts) - 1) if pts[k].qplus is not pts[k + 1].q or tol < 0.0]
+    if not idx:
         return None
-    ahead = np.stack([pt.qplus for pt in curve.points[:-1]])
-    there = np.stack([pt.q for pt in curve.points[1:]])
+    ahead = np.stack([pts[k].qplus for k in idx])
+    there = np.stack([pts[k + 1].q for k in idx])
     gaps = np.abs(ahead - there).max(axis=1)
     bad = np.nonzero(gaps > tol)[0]
-    return int(bad[0]) if bad.size else None
+    return idx[int(bad[0])] if bad.size else None

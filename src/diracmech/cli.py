@@ -56,6 +56,14 @@ class RunSummary:
     max_inclusion_residual: float
     max_constraint_residual: float
     wall_time: float
+    total_iterations: int = 0
+    total_jacobian_assemblies: int = 0
+
+    @classmethod
+    def of(cls, trajectory: Trajectory, wall_time: float) -> "RunSummary":
+        return cls(trajectory.steps, trajectory.max_residual, trajectory.max_inclusion_residual,
+                   trajectory.max_constraint_residual, wall_time, trajectory.total_iterations,
+                   trajectory.total_jacobian_assemblies)
 
     def lines(self):
         return [
@@ -259,6 +267,8 @@ def _write_json(path: Path, columns, rows, metadata, summary: Optional[RunSummar
             "max_inclusion_residual": summary.max_inclusion_residual,
             "max_constraint_residual": summary.max_constraint_residual,
             "wall_time": summary.wall_time,
+            "total_iterations": summary.total_iterations,
+            "total_jacobian_assemblies": summary.total_jacobian_assemblies,
         },
     }
     with open(path, "w") as fh:
@@ -304,17 +314,12 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     except StepFailureError as exc:
         wall = time.perf_counter() - start
         if exc.trajectory is not None:
-            partial = RunSummary(exc.trajectory.steps, exc.trajectory.max_residual,
-                                 exc.trajectory.max_inclusion_residual,
-                                 exc.trajectory.max_constraint_residual, wall)
-            _emit(config, system, exc.trajectory, partial)
+            _emit(config, system, exc.trajectory, RunSummary.of(exc.trajectory, wall))
         print(str(exc), file=sys.stderr)
         raise
     wall = time.perf_counter() - start
 
-    summary = RunSummary(trajectory.steps, trajectory.max_residual,
-                         trajectory.max_inclusion_residual,
-                         trajectory.max_constraint_residual, wall)
+    summary = RunSummary.of(trajectory, wall)
     _emit(config, system, trajectory, summary)
     if not quiet:
         for line in summary.lines():

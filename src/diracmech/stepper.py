@@ -22,12 +22,12 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     DiracMechError,
+    EvaluationError,
     SingularJacobianError,
     StepFailureError,
     UnsupportedOperationError,
 )
 from .systems import (
-    FD_SCALE,
     HAMILTONIAN,
     LAGRANGIAN,
     DiscreteSystem,
@@ -40,6 +40,11 @@ _PREDICTORS = ("extrapolate", "hold")
 # Condition estimate above which the Hamiltonian cross-derivative block
 # triggers a regularity warning.
 CROSS_BLOCK_COND_LIMIT = 1e12
+
+# A held Newton matrix keeps contracting while a full step cuts the residual
+# to at most this fraction of the current one (chord-method monitoring, as in
+# Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
+CONTRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -84,14 +89,19 @@ class StepResult:
     inclusion_residual: float
     constraint_residual: float
     p_next: np.ndarray
+    jacobian_assemblies: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepDiagnostics:
+    """Per-step record; ``jacobian_assemblies`` is 0 on steps solved on a held matrix."""
+
     residual: float
     inclusion_residual: float
     constraint_residual: float
     multipliers: np.ndarray
+    iterations: int = 0
+    jacobian_assemblies: int = 0
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,8 @@ class Trajectory:
 
     For Hamiltonian runs the curve holds the N completed points and
     ``final_state`` carries the (q_N, p_N) pair left over after the last
-    step; Lagrangian runs store seed plus N points and leave it None.
+    step; Lagrangian runs store seed plus N points and leave it None. The
+    ``max_*`` aggregates are NaN as soon as any step's value is NaN.
     """
 
     curve: DiscreteCurve
@@ -119,18 +130,34 @@ class Trajectory:
 
     @property
     def max_residual(self) -> float:
-        return max((d.residual for d in self.diagnostics), default=0.0)
+        return _worst(d.residual for d in self.diagnostics)
 
     @property
     def max_inclusion_residual(self) -> float:
-        return max((d.inclusion_residual for d in self.diagnostics), default=0.0)
+        return _worst(d.inclusion_residual for d in self.diagnostics)
 
     @property
     def max_constraint_residual(self) -> float:
-        return max((d.constraint_residual for d in self.diagnostics), default=0.0)
+        return _worst(d.constraint_residual for d in self.diagnostics)
+
+    @property
+    def total_iterations(self) -> int:
+        return sum(d.iterations for d in self.diagnostics)
+
+    @property
+    def total_jacobian_assemblies(self) -> int:
+        return sum(d.jacobian_assemblies for d in self.diagnostics)
+
+
+def _worst(values) -> float:
+    return float(np.max(np.fromiter(values, float), initial=0.0))
 
 
 _F64 = np.dtype(float)
+
+# Vectors up to this length take the pure-Python paths of _norm_inf and
+# _all_finite.
+_SMALL = 8
 
 
 def _as_f64(x) -> np.ndarray:
@@ -140,9 +167,22 @@ def _as_f64(x) -> np.ndarray:
 
 
 def _norm_inf(v: np.ndarray) -> float:
-    if v.shape[0] == 1:
-        return abs(float(v[0]))
-    return float(np.abs(v).max()) if v.size else 0.0
+    if v.shape[0] <= _SMALL:
+        # a Python loop beats two ufunc calls on a few entries; a NaN
+        # entry sticks, as it does in np.max
+        worst = 0.0
+        for t in v.tolist():
+            t = abs(t)
+            if t > worst or t != t:
+                worst = t
+        return worst
+    return float(np.abs(v).max())
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    if x.shape[0] <= _SMALL:
+        return all(map(math.isfinite, x.tolist()))
+    return bool(np.isfinite(x).all())
 
 
 def _state_block(x, n: int, name: str) -> np.ndarray:
@@ -150,106 +190,118 @@ def _state_block(x, n: int, name: str) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (n,):
             raise DimensionMismatchError("%s has shape %r, expected (%d,)" % (name, x.shape, n))
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError("%s entries must all be finite" % name)
     return x
 
 
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                scale: float = FD_SCALE) -> np.ndarray:
-    """Central-difference Jacobian of f at x."""
-    return jacobian_columns(f, x, scale)
-
-
-def _solve_linear(jm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """The solution of jm @ step = -fx; 1x1 and 2x2 systems solve in Python floats."""
     if jm.shape == (1, 1):
         pivot = float(jm[0, 0])
-        if pivot == 0.0 or not math.isfinite(pivot):
-            raise SingularJacobianError(
-                "Newton Jacobian is singular (condition estimate inf)", condition=float("inf")
-            )
-        step = rhs / pivot
-        if math.isfinite(float(step[0])):
-            return step
-        raise SingularJacobianError(
-            "Newton step is not finite (condition estimate inf)", condition=float("inf")
-        )
-    if jm.shape == (2, 2):
+        if pivot != 0.0 and math.isfinite(pivot):
+            s0 = -float(fx[0]) / pivot
+            if math.isfinite(s0):
+                return np.array([s0])
+    elif jm.shape == (2, 2):
         a, b = float(jm[0, 0]), float(jm[0, 1])
         c, d = float(jm[1, 0]), float(jm[1, 1])
         det = a * d - b * c
         if det != 0.0 and math.isfinite(det):
-            r0, r1 = float(rhs[0]), float(rhs[1])
+            r0, r1 = -float(fx[0]), -float(fx[1])
             s0 = (d * r0 - b * r1) / det
             s1 = (a * r1 - c * r0) / det
             if math.isfinite(s0) and math.isfinite(s1):
                 return np.array([s0, s1])
-        cond = float(np.linalg.cond(jm))
-        raise SingularJacobianError(
-            "Newton Jacobian is singular (condition estimate %.3e)" % cond, condition=cond
-        )
-    try:
-        step = np.linalg.solve(jm, rhs)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(jm))
-        raise SingularJacobianError(
-            "Newton Jacobian is singular (condition estimate %.3e)" % cond, condition=cond
-        ) from exc
-    if not np.all(np.isfinite(step)):
-        cond = float(np.linalg.cond(jm))
-        raise SingularJacobianError(
-            "Newton step is not finite (condition estimate %.3e)" % cond, condition=cond
-        )
-    return step
+    else:
+        try:
+            step = np.linalg.solve(jm, -fx)
+            if np.all(np.isfinite(step)):
+                return step
+        except np.linalg.LinAlgError:
+            pass
+    # the SVD behind cond() fails on non-finite entries
+    finite = jm.shape != (1, 1) and np.isfinite(jm).all()
+    cond = float(np.linalg.cond(jm)) if finite else float("inf")
+    raise SingularJacobianError(
+        "Newton Jacobian is singular or gives a non-finite step (condition estimate %.3e)"
+        % cond, condition=cond,
+    )
 
 
 def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                  jac: Optional[Callable[[np.ndarray], np.ndarray]],
                  x0: np.ndarray,
-                 opts: Optional[SolverOptions] = None) -> Tuple[np.ndarray, int, float]:
-    """Damped Newton iteration for f(x) = 0.
+                 opts: Optional[SolverOptions] = None,
+                 jacobian_cache: Optional[list] = None) -> Tuple[np.ndarray, int, float]:
+    """Damped Newton, or chord Newton on one held matrix, for f(x) = 0.
 
-    ``jac`` may be None, in which case a central-difference Jacobian is used.
-    Convergence is ||f(x)||_inf <= opts.tol; damping halves the step until the
-    residual decreases (down to opts.min_step). Returns (root, iterations,
-    final residual).
+    The iteration matrix comes from ``jac`` (a central-difference Jacobian of
+    f when None). Without ``jacobian_cache`` it is assembled at every
+    iterate. ``jacobian_cache`` is a one-slot list that holds the matrix
+    across iterations and calls: a matrix in it is used from the start, and
+    every assembly is stored back into it. A held matrix is reassembled at
+    the current iterate only when it stops contracting there: a full step
+    leaves a residual above CONTRACTION times the current one, or the solve
+    with it is singular. Such a step is kept if it still lowered the
+    residual and discarded otherwise. The damped line search (halving down
+    to opts.min_step) runs only on a freshly assembled matrix.
+
+    Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
+    fails on NaN. Returns (root, iterations, final residual).
     """
     opts = opts if opts is not None else SolverOptions()
     x = np.asarray(x0, dtype=float).copy()
     fx = _as_f64(f(x))
     res = _norm_inf(fx)
+    held = jacobian_cache[0] if jacobian_cache else None
     iters = 0
-    while res > opts.tol:
+    while not (res <= opts.tol):
+        if not math.isfinite(res):
+            raise ConvergenceError("residual is not finite (%r)" % res,
+                                   residual=res, iterations=iters)
         if iters >= opts.max_iter:
             raise ConvergenceError(
                 "no convergence in %d iterations (residual %.3e, tol %.1e)"
                 % (opts.max_iter, res, opts.tol),
                 residual=res, iterations=iters,
             )
-        jm = np.asarray(jac(x), dtype=float) if jac is not None else fd_jacobian(f, x)
-        step = _solve_linear(jm, -fx)
-        if opts.damping:
+        fresh = held is None
+        if fresh:
+            held = np.asarray(jac(x), dtype=float) if jac is not None else jacobian_columns(f, x)
+            if jacobian_cache is not None:
+                jacobian_cache[:] = [held]
+        try:
+            step = _newton_step(held, fx)
+        except SingularJacobianError:
+            if fresh:
+                raise
+            held = None
+            continue
+        xt = x + step
+        ft = _as_f64(f(xt))
+        rt = _norm_inf(ft)
+        if not fresh:
+            if not (rt <= CONTRACTION * res or rt <= opts.tol):
+                held = None  # stopped contracting: reassemble on the next pass
+                if not (rt < res):
+                    continue
+        elif opts.damping:
             alpha = 1.0
-            accepted = False
-            while alpha >= opts.min_step:
+            while not (rt < res or rt <= opts.tol):
+                alpha *= 0.5
+                if alpha < opts.min_step:
+                    raise ConvergenceError(
+                        "line search stalled at residual %.3e (tol %.1e)" % (res, opts.tol),
+                        residual=res, iterations=iters + 1,
+                    )
                 xt = x + alpha * step
                 ft = _as_f64(f(xt))
                 rt = _norm_inf(ft)
-                if rt < res or rt <= opts.tol:
-                    x, fx, res = xt, ft, rt
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                raise ConvergenceError(
-                    "line search stalled at residual %.3e (tol %.1e)" % (res, opts.tol),
-                    residual=res, iterations=iters + 1,
-                )
-        else:
-            x = x + step
-            fx = _as_f64(f(x))
-            res = _norm_inf(fx)
+        x, fx, res = xt, ft, rt
         iters += 1
+        if jacobian_cache is None:
+            held = None
     return x, iters, res
 
 
@@ -271,38 +323,21 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
     return float(np.linalg.norm(system.dist.project_ker(x0.q, g)))
 
 
+def _certify(inclusion: float, opts: SolverOptions) -> None:
+    if not (inclusion <= 10.0 * opts.tol):
+        raise CertificationError(
+            "accepted step fails the inclusion residual gate (%.3e > 10 * %.1e)"
+            % (inclusion, opts.tol),
+            inclusion_residual=inclusion,
+        )
+
+
 def _maybe_cross_check(f, jac_assembled, z0):
-    gap = np.max(np.abs(jac_assembled - fd_jacobian(f, z0)))
+    gap = np.max(np.abs(jac_assembled - jacobian_columns(f, z0)))
     scale = max(1.0, float(np.max(np.abs(jac_assembled))))
     if gap / scale > 1e-4:
         warnings.warn("assembled Jacobian deviates from finite differences by %.3e (relative)"
                       % (gap / scale), RuntimeWarning, stacklevel=3)
-
-
-def _solve_with_reuse(residual_fn, jacobian_fn, z0, opts, cache):
-    """Newton solve that can start from a previously assembled iteration matrix.
-
-    ``cache`` is a one-slot list owned by the caller. A stale matrix from the
-    previous step usually still contracts (it changes slowly along a
-    trajectory); when it does not, the solve falls back to fresh assemblies.
-    Residual acceptance is exact either way.
-    """
-    def assemble(z):
-        jm = jacobian_fn(z)
-        if cache is not None:
-            cache[:] = [jm]
-        return jm
-
-    if cache:
-        frozen = cache[0]
-        try:
-            z, iters, res = newton_solve(residual_fn, lambda _z: frozen, z0, opts)
-            if iters > 2:
-                cache.clear()  # stale matrix is dragging; reassemble next step
-            return z, iters, res
-        except (ConvergenceError, SingularJacobianError):
-            pass
-    return newton_solve(residual_fn, assemble, z0, opts)
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
@@ -315,9 +350,9 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     Solves, for (qnew, lambda), the carried momentum d2 L(q, q+) balancing
     d1 L(q+, qnew) against A(q+)^T lambda together with phi(q+, qnew) = 0,
     then certifies the accepted update with the inclusion residual
-    (raising CertificationError above 10 * tol). ``jacobian_cache`` is a
-    one-slot list for reusing the iteration matrix across the steps of one
-    trajectory.
+    (raising CertificationError unless it is at most 10 * tol).
+    ``jacobian_cache`` is the one-slot list of ``newton_solve``, holding the
+    iteration matrix across the steps of one trajectory.
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
@@ -346,22 +381,24 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
             qnew = z[:n]
             r1 = p1 + d1(q1, qnew) - a1.T @ z[n:]
             return np.concatenate([r1, system.constraint.value(q1, qnew)])
-
-        def jacobian_fn(z):
-            qnew = z[:n]
-            j11 = jacobian_columns(lambda qn: d1(q1, qn), qnew, lag.provider.fd_scale)
-            top = np.hstack([j11, -a1.T])
-            bottom = np.hstack([system.constraint.jacobian2(q1, qnew), np.zeros((m, m))])
-            return np.vstack([top, bottom])
     else:
         def residual_fn(qnew):
             return p1 + d1(q1, qnew)
 
-        def jacobian_fn(qnew):
-            return jacobian_columns(lambda qn: d1(q1, qn), qnew, lag.provider.fd_scale)
+    assemblies = [0]
+
+    def jacobian_fn(z):
+        assemblies[0] += 1
+        qnew = z[:n]
+        j11 = jacobian_columns(lambda qn: d1(q1, qn), qnew, lag.provider.fd_scale)
+        if not m:
+            return j11
+        top = np.hstack([j11, -a1.T])
+        bottom = np.hstack([system.constraint.jacobian2(q1, qnew), np.zeros((m, m))])
+        return np.vstack([top, bottom])
 
     if opts.predictor == "extrapolate":
-        qnew0 = 2.0 * q1 - x.q
+        qnew0 = (q1 + q1) - x.q  # q1 + q1 is 2 q1 exactly, without a scalar multiply
     else:
         qnew0 = q1.copy()
     lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
@@ -372,7 +409,8 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     if opts.cross_check:
         _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
 
-    z, iters, res = _solve_with_reuse(residual_fn, jacobian_fn, z0, opts, jacobian_cache)
+    z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
+                                 jacobian_cache=jacobian_cache)
     qnew, lam = (z[:n], z[n:]) if m else (z, lam0)
 
     # q1 aliases x.qplus, so admissibility holds exactly; p1 and qnew are
@@ -381,13 +419,8 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     p_next = lag.d2(q1, qnew)
     cres = float(np.max(np.abs(system.constraint.value(q1, qnew)))) if m else 0.0
     inclusion = dirac_inclusion_residual(system, nxt, p_next)
-    if inclusion > 10.0 * opts.tol:
-        raise CertificationError(
-            "accepted step fails the inclusion residual gate (%.3e > 10 * %.1e)"
-            % (inclusion, opts.tol),
-            inclusion_residual=inclusion,
-        )
-    return StepResult(nxt, lam, iters, res, inclusion, cres, p_next)
+    _certify(inclusion, opts)
+    return StepResult(nxt, lam, iters, res, inclusion, cres, p_next, assemblies[0])
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
@@ -398,11 +431,14 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
 
     Solves, for (pnew, qnew, lambda), momentum balance p - dH/dq(q, pnew)
     against A(q)^T lambda, the configuration update qnew = dH/dp(q, pnew), and
-    phi(q, qnew) = 0. Returns the completed point (q, p, qnew) with the
-    carried momentum pnew in ``p_next``. Warns when the cross-derivative
-    block of H is close to singular, since the update map may then fail to
-    exist (on cached-matrix steps the check happened at the last fresh
-    assembly).
+    phi(q, qnew) = 0. Without constraints the update is explicit in pnew, so
+    Newton runs on momentum balance alone (its matrix is minus the
+    cross-derivative block) and qnew is evaluated once at the root. Returns
+    the completed point (q, p, qnew) with the carried momentum pnew in
+    ``p_next``. Warns when the cross-derivative block of H is close to
+    singular, since the update map may then fail to exist. The check runs
+    on each assembly of the iteration matrix, so a step solved on a matrix
+    held in ``jacobian_cache`` skips it.
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
@@ -411,28 +447,13 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     n, m = system.n, system.m
     q = _state_block(q, n, "q")
     p = _state_block(p, n, "p")
-    a0 = system.dist.matrix(q)
     dq_grad = ham.dq
     dp_grad = ham.dp
-
-    def residual_fn(z):
-        pnew, qnew = z[:n], z[n:2 * n]
-        r1 = p - dq_grad(q, pnew)
-        if m:
-            r1 = r1 - a0.T @ z[2 * n:]
-            return np.concatenate([r1, qnew - dp_grad(q, pnew),
-                                   system.constraint.value(q, qnew)])
-        return np.concatenate([r1, qnew - dp_grad(q, pnew)])
-
-    regularity_checked = [False]
 
     def cross_block(pnew):
         return jacobian_columns(lambda pn: dq_grad(q, pn), pnew, ham.provider.fd_scale)
 
     def check_regularity(cross):
-        if regularity_checked[0]:
-            return
-        regularity_checked[0] = True
         if n == 1:
             cond = 1.0 if cross[0, 0] != 0.0 else float("inf")
         else:
@@ -444,50 +465,70 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
                 % cond, RuntimeWarning, stacklevel=3,
             )
 
-    # constant Jacobian blocks are filled once; the solver never keeps a reference
-    jm0 = np.zeros((2 * n + m, 2 * n + m))
-    jm0[n:2 * n, n:2 * n] = np.eye(n)
-    if m:
-        jm0[:n, 2 * n:] = -a0.T
-
-    def jacobian_fn(z):
-        pnew = z[:n]
-        cross = cross_block(pnew)
-        check_regularity(cross)
-        jm0[:n, :n] = -cross
-        jm0[n:2 * n, :n] = -jacobian_columns(lambda pn: dp_grad(q, pn), pnew,
-                                             ham.provider.fd_scale)
-        if m:
-            jm0[2 * n:, n:2 * n] = system.constraint.jacobian2(q, z[n:2 * n])
-        return jm0
-
-    pnew0 = p.copy()
-    qnew0 = dp_grad(q, pnew0)
+    assemblies = [0]
     lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
     if lam0.shape != (m,):
         raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
                                      % (lam0.shape, m))
-    z0 = np.concatenate([pnew0, qnew0, lam0])
+
+    if m:
+        a0 = system.dist.matrix(q)
+
+        def residual_fn(z):
+            pnew, qnew = z[:n], z[n:2 * n]
+            return np.concatenate([p - dq_grad(q, pnew) - a0.T @ z[2 * n:],
+                                   qnew - dp_grad(q, pnew),
+                                   system.constraint.value(q, qnew)])
+
+        def jacobian_fn(z):
+            assemblies[0] += 1
+            pnew = z[:n]
+            cross = cross_block(pnew)
+            check_regularity(cross)
+            jm = np.zeros((2 * n + m, 2 * n + m))
+            jm[:n, :n] = -cross
+            jm[n:2 * n, :n] = -jacobian_columns(lambda pn: dp_grad(q, pn), pnew,
+                                                ham.provider.fd_scale)
+            jm[n:2 * n, n:2 * n] = np.eye(n)
+            jm[:n, 2 * n:] = -a0.T
+            jm[2 * n:, n:2 * n] = system.constraint.jacobian2(q, z[n:2 * n])
+            return jm
+
+        z0 = np.concatenate([p, dp_grad(q, p), lam0])
+    else:
+        def residual_fn(pnew):
+            return p - dq_grad(q, pnew)
+
+        def jacobian_fn(pnew):
+            assemblies[0] += 1
+            cross = cross_block(pnew)
+            check_regularity(cross)
+            return -cross
+
+        z0 = p.copy()
     if opts.cross_check:
         _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
 
-    z, iters, res = _solve_with_reuse(residual_fn, jacobian_fn, z0, opts, jacobian_cache)
-    pnew, qnew, lam = z[:n], z[n:2 * n], z[2 * n:]
-    if jacobian_cache is None and not regularity_checked[0]:
+    z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
+                                 jacobian_cache=jacobian_cache)
+    if m:
+        pnew, qnew, lam = z[:n], z[n:2 * n], z[2 * n:]
+    else:
+        pnew, qnew, lam = z, dp_grad(q, z), lam0
+        if not _all_finite(qnew):
+            raise EvaluationError("configuration update dH/dp is not finite "
+                                  "at the solved momentum")
+    if jacobian_cache is None and not assemblies[0]:
         # Newton converged at the predictor; still report degenerate updates
         check_regularity(cross_block(pnew))
 
     # q and p were validated on entry; qnew is finite by Newton acceptance
+    # or by the check above
     nxt = PontryaginPoint._trusted(q, p, qnew)
     cres = float(np.max(np.abs(system.constraint.value(q, qnew)))) if m else 0.0
     inclusion = dirac_inclusion_residual(system, nxt, pnew)
-    if inclusion > 10.0 * opts.tol:
-        raise CertificationError(
-            "accepted step fails the inclusion residual gate (%.3e > 10 * %.1e)"
-            % (inclusion, opts.tol),
-            inclusion_residual=inclusion,
-        )
-    return StepResult(nxt, lam, iters, res, inclusion, cres, pnew)
+    _certify(inclusion, opts)
+    return StepResult(nxt, lam, iters, res, inclusion, cres, pnew, assemblies[0])
 
 
 def run_trajectory(system: DiscreteSystem, seed, steps: int,
@@ -499,15 +540,18 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
     is raised carrying the failing index and the partial trajectory.
 
-    The Newton iteration matrix is reused across steps (reassembled whenever
-    it stops contracting); convergence is still judged on exact residuals and
-    every step is certified individually.
+    Unconstrained runs hold one Newton iteration matrix for the whole
+    trajectory and reassemble it only where it stops contracting (see
+    ``newton_solve``); constrained runs start every step from a fresh
+    assembly. Convergence is still judged on exact residuals and every step
+    is certified individually. Each diagnostic records the step's Newton
+    iterations and matrix assemblies.
     """
     opts = opts if opts is not None else SolverOptions()
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-
-    if system.kind == LAGRANGIAN:
+    lagrangian = system.kind == LAGRANGIAN
+    if lagrangian:
         if not isinstance(seed, PontryaginPoint):
             raise UnsupportedOperationError("Lagrangian trajectories start from a PontryaginPoint")
         r0 = check_initial_data(system, seed)
@@ -515,55 +559,43 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
             warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
                           RuntimeWarning, stacklevel=2)
         points = [seed]
-        diags = []
-        lam_prev = None
-        # constrained systems reassemble every step: their constraint blocks
-        # move with the base point, and the sharp quadratic convergence tail
-        # is what keeps the per-step constraint residual far below tol
-        jac_cache = [] if system.m == 0 else None
-        for k in range(steps):
-            try:
-                result = step_lagrangian(system, points[-1], opts,
-                                         multiplier_guess=lam_prev, check_consistency=False,
-                                         jacobian_cache=jac_cache)
-            except DiracMechError as exc:
-                partial = Trajectory(DiscreteCurve(points), tuple(diags), system.label,
-                                     len(diags), opts)
-                raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
-            points.append(result.next)
-            diags.append(StepDiagnostics(result.residual, result.inclusion_residual,
-                                         result.constraint_residual, result.multipliers))
-            lam_prev = result.multipliers
-        return Trajectory(DiscreteCurve(points), tuple(diags), system.label, steps, opts)
-
-    # Hamiltonian kind: seed is (q0, p0)
-    try:
-        q, p = seed
-    except (TypeError, ValueError):
-        raise UnsupportedOperationError("Hamiltonian trajectories start from a (q0, p0) pair")
-    if steps == 0:
-        raise ValueError("a Hamiltonian trajectory needs at least one step; "
-                         "no complete bundle point exists before the first solve")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    points = []
+    else:
+        try:
+            q, p = seed
+        except (TypeError, ValueError):
+            raise UnsupportedOperationError("Hamiltonian trajectories start from a (q0, p0) pair")
+        if steps == 0:
+            raise ValueError("a Hamiltonian trajectory needs at least one step; "
+                             "no complete bundle point exists before the first solve")
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        points = []
     diags = []
     lam_prev = None
+    # constrained systems reassemble every step: their constraint blocks
+    # move with the base point, and the sharp quadratic convergence tail
+    # is what keeps the per-step constraint residual far below tol
     jac_cache = [] if system.m == 0 else None
     for k in range(steps):
         try:
-            result = step_hamiltonian(system, q, p, opts, multiplier_guess=lam_prev,
-                                      jacobian_cache=jac_cache)
+            if lagrangian:
+                result = step_lagrangian(system, points[-1], opts, multiplier_guess=lam_prev,
+                                         check_consistency=False, jacobian_cache=jac_cache)
+            else:
+                result = step_hamiltonian(system, q, p, opts, multiplier_guess=lam_prev,
+                                          jacobian_cache=jac_cache)
         except DiracMechError as exc:
             partial = None
             if points:
                 partial = Trajectory(DiscreteCurve(points), tuple(diags), system.label,
-                                     len(diags), opts, final_state=(q, p))
+                                     len(diags), opts, None if lagrangian else (q, p))
             raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
         points.append(result.next)
         diags.append(StepDiagnostics(result.residual, result.inclusion_residual,
-                                     result.constraint_residual, result.multipliers))
+                                     result.constraint_residual, result.multipliers,
+                                     result.iterations, result.jacobian_assemblies))
         lam_prev = result.multipliers
-        q, p = result.next.qplus, result.p_next
+        if not lagrangian:
+            q, p = result.next.qplus, result.p_next
     return Trajectory(DiscreteCurve(points), tuple(diags), system.label, steps, opts,
-                      final_state=(q, p))
+                      None if lagrangian else (q, p))

@@ -366,6 +366,13 @@ def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
     return DiscreteConstraint(dist.n, dist.m, phi, jac2)
 
 
+def _sq_norm(v: np.ndarray) -> float:
+    if v.shape[0] == 1:
+        t = float(v[0])
+        return t * t
+    return float(v @ v)
+
+
 def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
                              p_next: np.ndarray) -> float:
     """Membership residual of the per-step inclusion at (x, p_next).
@@ -388,12 +395,12 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     if system.kind == LAGRANGIAN:
         bq, bqplus = _lagrangian_blocks(system.lagrangian, x, p_next)
         beta_q = bq - x.p
-        sq = float(bqplus @ bqplus)
+        sq = _sq_norm(bqplus)
     else:
         bq, bp = _hamiltonian_blocks(system.hamiltonian, x, p_next)
         beta_q = bq - x.p
-        sq = float(bp @ bp)
+        sq = _sq_norm(bp)
     if system.m:
         rows = orthonormal_columns(system.dist.matrix(x.q).T)
         beta_q = beta_q - rows @ (rows.T @ beta_q)
-    return math.sqrt(float(beta_q @ beta_q) + sq)
+    return math.sqrt(_sq_norm(beta_q) + sq)

@@ -190,6 +190,17 @@ class TestAdmissibility:
         assert check_admissibility(curve, tol=1e-12) is None
         assert check_admissibility(curve, tol=1e-14) == 0
 
+    def test_shared_arrays_have_zero_gap(self):
+        # stepped curves hand x_k.qplus on as x_{k+1}.q, the same array
+        shared = np.array([0.1])
+        x0 = PontryaginPoint._trusted(np.array([0.0]), np.array([1.0]), shared)
+        x1 = PontryaginPoint._trusted(shared, np.array([1.0]), np.array([0.3]))
+        x2 = PontryaginPoint([0.5], [1.0], [0.6])
+        curve = DiscreteCurve([x0, x1, x2])
+        assert check_admissibility(curve, tol=0.0) == 1
+        assert check_admissibility(DiscreteCurve([x0, x1]), tol=0.0) is None
+        assert check_admissibility(DiscreteCurve([x0, x1]), tol=-1.0) == 0
+
     def test_empty_curve_is_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DiscreteCurve([])

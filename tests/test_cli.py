@@ -150,6 +150,9 @@ class TestRun:
         assert len(doc["rows"]) == 4
         assert doc["rows"][1][1] == pytest.approx(0.1, abs=1e-12)
         assert doc["summary"]["steps_completed"] == 3
+        # the linear oscillator solves each step in one iteration on one held matrix
+        assert doc["summary"]["total_iterations"] == 3
+        assert doc["summary"]["total_jacobian_assemblies"] == 1
 
     def test_nonholonomic_constraint_column(self, tmp_path):
         out = tmp_path / "nh.csv"

@@ -9,6 +9,7 @@ from diracmech import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
     DiscreteSystem,
+    EvaluationError,
     PontryaginPoint,
     SingularJacobianError,
     SolverOptions,
@@ -31,6 +32,19 @@ LAM = 1.0
 def oscillator_seed():
     system = builtin.harmonic_oscillator(H, LAM)
     return system, builtin.lagrangian_seed(system, [0.0], [0.1])
+
+
+def quartic_hamiltonian(n, h, seed=3):
+    """A right Hamiltonian with no analytic partials, nonlinear in p+."""
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(0.5, 1.0, n)
+    k = np.diag(rng.uniform(0.5, 1.5, n))
+
+    def hd(q, pp):
+        return float(q @ pp + h * (0.5 * pp @ pp + 0.25 * e @ pp ** 4 + 0.5 * q @ k @ q
+                                   + 0.5 * e @ (q * pp) ** 2))
+
+    return DiscreteSystem.from_hamiltonian(DiscreteHamiltonian(n, hd))
 
 
 def nonholonomic_seed():
@@ -97,6 +111,30 @@ class TestNewton:
             newton_solve(f, jac, np.ones(2))
         assert info.value.condition is not None
 
+    def test_non_finite_jacobian_is_singular(self):
+        for n in (1, 2, 3):
+            with pytest.raises(SingularJacobianError) as info:
+                newton_solve(lambda x: x - 1.0, lambda x: np.full((n, n), np.nan), np.zeros(n))
+            assert info.value.condition == np.inf
+
+    def test_nan_in_any_residual_entry_is_not_converged(self):
+        # the infinity norm must see a NaN wherever it sits, on the short
+        # vectors as well as the long ones
+        for n in (2, 5, 12):
+            for bad in (0, n - 1):
+                def f(x, bad=bad):
+                    r = x - 1.0
+                    r[bad] = np.nan
+                    return r
+                with pytest.raises(ConvergenceError, match="not finite"):
+                    newton_solve(f, lambda x: np.eye(x.shape[0]), np.zeros(n))
+
+    def test_step_hamiltonian_rejects_non_finite_state(self):
+        system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
+        for q, p in (([np.inf], [0.0]), ([0.0], [np.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                step_hamiltonian(system, q, p)
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tol=0.0)
@@ -104,6 +142,88 @@ class TestNewton:
             SolverOptions(max_iter=0)
         with pytest.raises(ValueError):
             SolverOptions(predictor="psychic")
+
+
+def recorded_square_root_problem():
+    """f(x) = x^2 - 4 and its Jacobian, recording every point it is assembled at."""
+    calls = []
+
+    def jac(x):
+        calls.append(x[0])
+        return np.array([[2.0 * x[0]]])
+
+    return (lambda x: np.array([x[0] ** 2 - 4.0])), jac, calls
+
+
+class TestJacobianReuse:
+    def test_contracting_cache_is_used_without_assembly(self):
+        f, jac, calls = recorded_square_root_problem()
+        cache = [np.array([[4.4]])]
+        x, _, res = newton_solve(f, jac, np.array([2.2]), jacobian_cache=cache)
+        assert x[0] == pytest.approx(2.0, abs=1e-10)
+        assert res <= 1e-10
+        assert calls == []
+        assert cache[0][0, 0] == 4.4
+
+    def test_non_contracting_cache_is_reassembled(self):
+        # near x = 3, a held slope of 20 leaves about 1 - 6/20 = 0.7 of the
+        # residual of x^2 - 4 after each step, above CONTRACTION
+        f, jac, calls = recorded_square_root_problem()
+        cache = [np.array([[20.0]])]
+        x, _, res = newton_solve(f, jac, np.array([3.0]), jacobian_cache=cache)
+        assert x[0] == pytest.approx(2.0, abs=1e-10)
+        assert res <= 1e-10
+        # the held step to 2.75 still lowered the residual, so it is kept and
+        # the reassembly continues from there rather than from x0
+        assert calls[0] == 2.75
+        assert cache[0][0, 0] == 2.0 * calls[-1]
+
+    def test_singular_cache_is_replaced(self):
+        c = np.array([2.0, -3.0])
+        cache = [np.zeros((2, 2))]
+        x, iters, res = newton_solve(lambda x: x - c, lambda x: np.eye(2), np.zeros(2),
+                                     jacobian_cache=cache)
+        assert np.allclose(x, c, atol=1e-14)
+        assert iters == 1
+        assert np.array_equal(cache[0], np.eye(2))
+
+    def test_fd_hamiltonian_trajectory_assembles_once(self):
+        system = quartic_hamiltonian(4, H)
+        rng = np.random.default_rng(5)
+        q0, p0 = 0.5 * rng.uniform(-1.0, 1.0, 4), 0.5 * rng.uniform(-1.0, 1.0, 4)
+        traj = run_trajectory(system, (q0, p0), 8)
+        assert traj.total_jacobian_assemblies == 1
+        assert [d.jacobian_assemblies for d in traj.diagnostics] == [1] + [0] * 7
+        assert traj.total_iterations == sum(d.iterations for d in traj.diagnostics)
+        assert all(d.iterations >= 1 for d in traj.diagnostics)
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        ham = system.hamiltonian
+        q, p = q0, p0
+        for k in range(8):
+            def update(z, q=q, p=p):
+                return np.concatenate([p - ham.dq(q, z[:4]), z[4:] - ham.dp(q, z[:4])])
+
+            sol = root(update, np.concatenate([p, q]), tol=1e-13)
+            assert np.max(np.abs(update(sol.x))) < 1e-10
+            q, p = traj.curve[k].qplus, (traj.final_state[1] if k == 7 else traj.curve[k + 1].p)
+            assert np.allclose(p, sol.x[:4], rtol=0.0, atol=1e-9)
+            assert np.allclose(q, sol.x[4:], rtol=0.0, atol=1e-9)
+
+    def test_stiff_fd_hamiltonian_reassembles_and_certifies(self):
+        system = quartic_hamiltonian(4, 0.25)
+        rng = np.random.default_rng(5)
+        q0, p0 = 1.4 * rng.uniform(-1.0, 1.0, 4), 1.4 * rng.uniform(-1.0, 1.0, 4)
+        traj = run_trajectory(system, (q0, p0), 8)
+        assert traj.total_jacobian_assemblies > 1
+        for d in traj.diagnostics:
+            assert d.residual <= SolverOptions().tol
+            assert d.inclusion_residual <= 10.0 * SolverOptions().tol
+
+    def test_constrained_steps_assemble_every_iteration(self):
+        system, x0 = nonholonomic_seed()
+        traj = run_trajectory(system, x0, 5)
+        for d in traj.diagnostics:
+            assert d.jacobian_assemblies == d.iterations >= 1
 
 
 class TestInitialData:
@@ -269,6 +389,27 @@ class TestHamiltonianStep:
             assert result.next.qplus[0] == pytest.approx(q1, abs=1e-9)
             assert np.array_equal(result.next.q, [q])
             assert np.array_equal(result.next.p, [p])
+
+    def test_unconstrained_update_is_evaluated_at_the_root(self):
+        # Newton solves momentum balance alone; q+ is dH/dp at the root exactly
+        system = quartic_hamiltonian(3, H)
+        rng = np.random.default_rng(8)
+        q, p = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+        result = step_hamiltonian(system, q, p)
+        ham = system.hamiltonian
+        assert np.array_equal(result.next.qplus, ham.dp(q, result.p_next))
+        assert np.max(np.abs(p - ham.dq(q, result.p_next))) <= SolverOptions().tol
+        assert result.multipliers.shape == (0,)
+
+    def test_non_finite_configuration_update_fails_the_step(self):
+        ham = DiscreteHamiltonian(1, lambda q, pp: float(q @ pp + 0.05 * pp @ pp),
+                                  dq=lambda q, pp: pp.copy(),
+                                  dp=lambda q, pp: np.full(1, np.nan), validate=False)
+        system = DiscreteSystem.from_hamiltonian(ham)
+        with pytest.raises(EvaluationError, match="not finite"):
+            step_hamiltonian(system, [0.1], [1.0])
+        with pytest.raises(StepFailureError):
+            run_trajectory(system, ([0.1], [1.0]), 3)
 
     def test_zero_hamiltonian_collapse(self):
         # the degenerate cross block also fires the regularity warning
@@ -440,6 +581,41 @@ class TestRunTrajectory:
         assert err.trajectory is not None
         assert len(err.trajectory.curve) == 3  # seed plus two good steps
         assert err.trajectory.curve[2].qplus[0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_nan_residual_fails_the_step(self):
+        # sqrt(1 - q) is NaN once q passes 1: the step that leaves the domain
+        # must fail, not be accepted and certified with a NaN residual
+        lag = DiscreteLagrangian(
+            1, lambda q, qp: H * (0.5 * ((qp[0] - q[0]) / H) ** 2 - np.sqrt(1.0 - q[0])))
+        system = DiscreteSystem.from_lagrangian(lag)
+        q0, q1 = np.array([0.5]), np.array([0.6])
+        x0 = PontryaginPoint(q0, -lag.d1(q0, q1), q1)
+        with np.errstate(invalid="ignore"), pytest.raises(StepFailureError) as info:
+            run_trajectory(system, x0, 20)
+        err = info.value
+        assert isinstance(err.__cause__, ConvergenceError)
+        assert err.step_index == 4
+        partial = err.trajectory
+        assert partial.steps == 4
+        assert partial.curve[-1].qplus[0] > 1.0  # the next step starts outside the domain
+        for pt in partial.curve:
+            assert np.isfinite(np.concatenate([pt.q, pt.p, pt.qplus])).all()
+        assert np.isfinite(partial.max_residual)
+        assert partial.max_inclusion_residual <= 10.0 * SolverOptions().tol
+
+    def test_max_aggregates_propagate_nan(self):
+        import dataclasses
+
+        system, x0 = oscillator_seed()
+        traj = run_trajectory(system, x0, 3)
+        diags = list(traj.diagnostics)
+        diags[1] = dataclasses.replace(diags[1], residual=np.nan, inclusion_residual=np.nan,
+                                       constraint_residual=np.nan)
+        for order in (diags, diags[::-1]):
+            bad = dataclasses.replace(traj, diagnostics=tuple(order))
+            assert np.isnan(bad.max_residual)
+            assert np.isnan(bad.max_inclusion_residual)
+            assert np.isnan(bad.max_constraint_residual)
 
     def test_long_run_boundedness(self):
         system, x0 = oscillator_seed()
