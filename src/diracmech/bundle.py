@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateConstraintError, DimensionMismatchError
+from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
 from .linalg import RANK_CUTOFF, orthonormal_columns
 
 
@@ -149,9 +149,14 @@ class DiscreteCurve:
 class KinematicDistribution:
     """A velocity-constraint distribution given by its annihilator rows.
 
-    ``annihilator(q)`` must return an m x n matrix of full row rank whose rows
-    span the annihilator of the allowed velocities at q. m = 0 means no
-    constraint.
+    ``annihilator(q)`` must be a pure function of q returning an m x n matrix
+    of full row rank whose rows span the annihilator of the allowed
+    velocities at q. m = 0 means no constraint.
+
+    A(q) is evaluated and validated once per base point: the last validated
+    q (by value), its A(q) and the orthonormal basis of its rows are kept in
+    a one-slot memo that ``matrix``, ``project_ker`` and the inclusion
+    certificate share. Both arrays are private read-only copies.
     """
 
     n: int
@@ -165,33 +170,56 @@ class KinematicDistribution:
         if self.m > 0 and self.annihilator is None:
             raise ValueError("an annihilator function is required when m > 0")
         object.__setattr__(self, "_empty", np.zeros((0, self.n)))
+        # (q bytes, A(q), row basis); replaced as one tuple, so a concurrent
+        # reader sees either the old entry or the new one, never a mix
+        object.__setattr__(self, "_memo", None)
 
     @classmethod
     def unconstrained(cls, n: int) -> "KinematicDistribution":
         return cls(n, 0, None)
 
-    def matrix(self, q: np.ndarray) -> np.ndarray:
-        """A(q), validated for shape and row rank."""
-        if self.m == 0:
-            return self._empty
-        a = np.atleast_2d(np.asarray(self.annihilator(q), dtype=float))
+    def _validated(self, q) -> tuple:
+        """The memo entry for q, evaluating and validating A(q) on a miss."""
+        q = np.asarray(q, dtype=float)
+        key = q.tobytes()
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo
+        a = np.array(self.annihilator(q), dtype=float, ndmin=2)
         if a.shape != (self.m, self.n):
             raise DimensionMismatchError(
                 "annihilator returned shape %r, expected (%d, %d)" % (a.shape, self.m, self.n)
             )
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= RANK_CUTOFF * s[0]:
+        if not np.isfinite(a).all():
+            raise EvaluationError("annihilator returned non-finite entries at q=%s"
+                                  % np.array2string(q))
+        # the rank of the row basis is the count of singular values above
+        # RANK_CUTOFF relative to the largest, so rank < m is exactly
+        # s[0] == 0 or s[-1] <= RANK_CUTOFF * s[0]
+        rows = orthonormal_columns(a.T, RANK_CUTOFF)
+        if rows.shape[1] < self.m:
+            s = np.linalg.svd(a, compute_uv=False)
             raise DegenerateConstraintError(
                 "annihilator loses row rank at q=%s (singular values %s)"
-                % (np.array2string(np.asarray(q, dtype=float)), np.array2string(s))
+                % (np.array2string(q), np.array2string(s))
             )
-        return a
+        a.flags.writeable = False
+        rows.flags.writeable = False
+        memo = (key, a, rows)
+        object.__setattr__(self, "_memo", memo)
+        return memo
+
+    def matrix(self, q: np.ndarray) -> np.ndarray:
+        """A(q), validated for shape, finiteness and row rank; read-only."""
+        if self.m == 0:
+            return self._empty
+        return self._validated(q)[1]
 
     def project_ker(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Orthogonal projection of the covector ``w`` onto ker A(q)."""
         if self.m == 0:
             return np.asarray(w, dtype=float)
-        rows = orthonormal_columns(self.matrix(q).T)
+        rows = self._validated(q)[2]
         return w - rows @ (rows.T @ w)
 
 

@@ -46,6 +46,12 @@ CROSS_BLOCK_COND_LIMIT = 1e12
 # Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
 CONTRACTION = 0.5
 
+# A damped line search that stalls at a residual within this factor of the
+# round-off floor eps * ||J||_inf * ||x||_inf is reported as a tolerance the
+# arithmetic cannot reach, not as a failed search.
+ROUNDOFF_MARGIN = 10.0
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -245,7 +251,9 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     leaves a residual above CONTRACTION times the current one, or the solve
     with it is singular. Such a step is kept if it still lowered the
     residual and discarded otherwise. The damped line search (halving down
-    to opts.min_step) runs only on a freshly assembled matrix.
+    to opts.min_step) runs only on a freshly assembled matrix; when it
+    stalls near the round-off floor (see ROUNDOFF_MARGIN) the error says
+    that opts.tol is below that floor and gives its value.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
@@ -291,10 +299,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
             while not (rt < res or rt <= opts.tol):
                 alpha *= 0.5
                 if alpha < opts.min_step:
-                    raise ConvergenceError(
-                        "line search stalled at residual %.3e (tol %.1e)" % (res, opts.tol),
-                        residual=res, iterations=iters + 1,
-                    )
+                    raise _stall_error(held, x, res, opts, iters + 1)
                 xt = x + alpha * step
                 ft = _as_f64(f(xt))
                 rt = _norm_inf(ft)
@@ -303,6 +308,33 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
         if jacobian_cache is None:
             held = None
     return x, iters, res
+
+
+def _stall_error(jm: np.ndarray, x: np.ndarray, res: float, opts: SolverOptions,
+                 iters: int) -> ConvergenceError:
+    floor = _EPS * float(np.abs(jm).sum(axis=1).max()) * _norm_inf(x)
+    if res <= ROUNDOFF_MARGIN * floor:
+        message = ("tol %.1e is below the round-off floor of this solve: the line search "
+                   "stalled at residual %.3e, round-off floor eps*||J||*||x|| = %.3e"
+                   % (opts.tol, res, floor))
+    else:
+        message = "line search stalled at residual %.3e (tol %.1e)" % (res, opts.tol)
+    return ConvergenceError(message, residual=res, iterations=iters)
+
+
+def _hold_constraint_blocks(jacobian_cache: list, a: np.ndarray, cjac: np.ndarray) -> None:
+    """Swap the held matrix for a copy carrying this step's constraint blocks.
+
+    -A^T goes in the first n rows of the last m (multiplier) columns, and
+    ``cjac`` in the last m (constraint) rows of the n configuration columns
+    before them. The finite-difference block of L or H is kept as held.
+    """
+    m, n = a.shape
+    jm = jacobian_cache[0].copy()
+    k = jm.shape[0] - m
+    jm[:n, k:] = -a.T
+    jm[k:, k - n:k] = cjac
+    jacobian_cache[0] = jm
 
 
 def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
@@ -352,7 +384,9 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     then certifies the accepted update with the inclusion residual
     (raising CertificationError unless it is at most 10 * tol).
     ``jacobian_cache`` is the one-slot list of ``newton_solve``, holding the
-    iteration matrix across the steps of one trajectory.
+    iteration matrix across the steps of one trajectory; on a constrained
+    step its -A^T and constraint-Jacobian blocks are replaced by this
+    step's, evaluated at the predictor.
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
@@ -406,6 +440,8 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
         raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
                                      % (lam0.shape, m))
     z0 = np.concatenate([qnew0, lam0]) if m else qnew0
+    if m and jacobian_cache:
+        _hold_constraint_blocks(jacobian_cache, a1, system.constraint.jacobian2(q1, qnew0))
     if opts.cross_check:
         _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
 
@@ -438,7 +474,9 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     ``p_next``. Warns when the cross-derivative block of H is close to
     singular, since the update map may then fail to exist. The check runs
     on each assembly of the iteration matrix, so a step solved on a matrix
-    held in ``jacobian_cache`` skips it.
+    held in ``jacobian_cache`` skips it, constrained or not; a held
+    constrained matrix gets this step's -A^T and constraint-Jacobian blocks
+    at the predictor.
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
@@ -495,6 +533,9 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
             return jm
 
         z0 = np.concatenate([p, dp_grad(q, p), lam0])
+        if jacobian_cache:
+            _hold_constraint_blocks(jacobian_cache, a0,
+                                    system.constraint.jacobian2(q, z0[n:2 * n]))
     else:
         def residual_fn(pnew):
             return p - dq_grad(q, pnew)
@@ -540,12 +581,15 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
     is raised carrying the failing index and the partial trajectory.
 
-    Unconstrained runs hold one Newton iteration matrix for the whole
-    trajectory and reassemble it only where it stops contracting (see
-    ``newton_solve``); constrained runs start every step from a fresh
-    assembly. Convergence is still judged on exact residuals and every step
-    is certified individually. Each diagnostic records the step's Newton
-    iterations and matrix assemblies.
+    Every run holds one Newton iteration matrix for the whole trajectory
+    and reassembles it only where it stops contracting (see
+    ``newton_solve``). On constrained runs each step first replaces the
+    matrix's -A^T and constraint-Jacobian blocks, which are exact and cheap,
+    by its own at the predictor, and keeps the finite-difference block of L
+    or H; that block is rebuilt only by a reassembly. Convergence is still
+    judged on exact residuals and every step is certified individually.
+    Each diagnostic records the step's Newton iterations and matrix
+    assemblies.
     """
     opts = opts if opts is not None else SolverOptions()
     if steps < 0:
@@ -572,10 +616,7 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         points = []
     diags = []
     lam_prev = None
-    # constrained systems reassemble every step: their constraint blocks
-    # move with the base point, and the sharp quadratic convergence tail
-    # is what keeps the per-step constraint residual far below tol
-    jac_cache = [] if system.m == 0 else None
+    jac_cache = []
     for k in range(steps):
         try:
             if lagrangian:

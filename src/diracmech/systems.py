@@ -18,7 +18,9 @@ import numpy as np
 
 from .bundle import CotangentPd, KinematicDistribution, PontryaginPoint
 from .errors import DimensionMismatchError, EvaluationError
-from .linalg import orthonormal_columns
+# not called here since the certificate projects through the distribution's
+# memo; bench/tracing.py still wraps this module attribute by name
+from .linalg import orthonormal_columns  # noqa: F401
 
 # Standard central-difference step base for first derivatives.
 FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -401,6 +403,5 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
         beta_q = bq - x.p
         sq = _sq_norm(bp)
     if system.m:
-        rows = orthonormal_columns(system.dist.matrix(x.q).T)
-        beta_q = beta_q - rows @ (rows.T @ beta_q)
+        beta_q = system.dist.project_ker(x.q, beta_q)
     return math.sqrt(_sq_norm(beta_q) + sq)

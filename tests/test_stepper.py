@@ -1,5 +1,7 @@
 """Implicit steppers: Newton, initial data, both lanes, trajectory running."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import root
@@ -10,6 +12,7 @@ from diracmech import (
     DiscreteLagrangian,
     DiscreteSystem,
     EvaluationError,
+    KinematicDistribution,
     PontryaginPoint,
     SingularJacobianError,
     SolverOptions,
@@ -19,11 +22,13 @@ from diracmech import (
     check_initial_data,
     dirac_inclusion_residual,
     newton_solve,
+    retraction_constraint,
     run_trajectory,
     step_hamiltonian,
     step_lagrangian,
 )
 from diracmech import builtin
+from diracmech.stepper import ROUNDOFF_MARGIN
 
 H = 0.1
 LAM = 1.0
@@ -53,6 +58,30 @@ def nonholonomic_seed():
     v = np.array([1.0, 0.2, 0.5])  # satisfies A(q0) v = 0
     q1 = q0 + H * v
     return system, builtin.lagrangian_seed(system, q0, q1)
+
+
+def sphere_quartic_seed(h=0.1):
+    """FD-only Lagrangian, quartic in velocity plus a cosine potential,
+    constrained to velocities tangent to the sphere through q (A(q) = q^T)."""
+    def ld(q, qp):
+        d = (qp - q) / h
+        return float(h * (0.5 * d @ d + 0.25 * np.sum(d ** 4) + np.sum(np.cos(q))))
+
+    dist = KinematicDistribution(3, 1, lambda q: q.reshape(1, 3))
+    system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(3, ld), dist,
+                                            retraction_constraint(dist))
+    q0 = np.array([1.0, 0.2, -0.3])
+    v = np.array([0.3, 1.0, 0.4])
+    v -= (q0 @ v) / (q0 @ q0) * q0
+    return system, builtin.lagrangian_seed(system, q0, q0 + h * v)
+
+
+def nonholonomic_hamiltonian():
+    """The nonholonomic particle on the Hamiltonian side: same distribution and
+    retraction pair constraint, H the free-particle transform."""
+    nh = builtin.nonholonomic_particle(H)
+    free = builtin.free_particle_hamiltonian(H, 3)
+    return DiscreteSystem.from_hamiltonian(free.hamiltonian, nh.dist, nh.constraint)
 
 
 class TestNewton:
@@ -219,11 +248,48 @@ class TestJacobianReuse:
             assert d.residual <= SolverOptions().tol
             assert d.inclusion_residual <= 10.0 * SolverOptions().tol
 
-    def test_constrained_steps_assemble_every_iteration(self):
+    def test_nonholonomic_run_holds_one_matrix(self):
+        # the Lagrangian block of the free particle is constant and the
+        # constraint blocks are replaced exactly at every step, so the held
+        # matrix is the exact Jacobian of each step's linear system
         system, x0 = nonholonomic_seed()
-        traj = run_trajectory(system, x0, 5)
+        tol = SolverOptions().tol
+        traj = run_trajectory(system, x0, 2000)
+        assert traj.total_jacobian_assemblies == 1
+        assert all(d.iterations == 1 for d in traj.diagnostics)
+        assert traj.max_constraint_residual <= tol
+        assert traj.max_inclusion_residual <= 10.0 * tol
+
+    def test_nonlinear_fd_constrained_run_reassembles_and_matches_direct_steps(self):
+        system, x0 = sphere_quartic_seed()
+        tol = SolverOptions().tol
+        traj = run_trajectory(system, x0, 30)
+        assert traj.total_jacobian_assemblies > 1
         for d in traj.diagnostics:
-            assert d.jacobian_assemblies == d.iterations >= 1
+            assert d.residual <= tol
+            assert d.inclusion_residual <= 10.0 * tol
+            assert d.constraint_residual <= tol
+        lam = None
+        for k in range(30):
+            direct = step_lagrangian(system, traj.curve[k], multiplier_guess=lam,
+                                     check_consistency=False, jacobian_cache=None)
+            assert np.max(np.abs(direct.next.qplus - traj.curve[k + 1].qplus)) <= 1e-8
+            assert np.max(np.abs(direct.multipliers - traj.diagnostics[k].multipliers)) <= 1e-8
+            lam = traj.diagnostics[k].multipliers
+
+    def test_constrained_hamiltonian_run_holds_the_matrix(self):
+        system = nonholonomic_hamiltonian()
+        q, p = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.2, 0.3])
+        traj = run_trajectory(system, (q, p), 40)
+        assert traj.total_jacobian_assemblies == 1
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        lam = None
+        for k in range(40):
+            direct = step_hamiltonian(system, q, p, multiplier_guess=lam)
+            q, p = traj.curve[k].qplus, (traj.curve[k + 1].p if k < 39 else traj.final_state[1])
+            assert np.max(np.abs(direct.next.qplus - q)) <= 1e-9
+            assert np.max(np.abs(direct.p_next - p)) <= 1e-9
+            lam = traj.diagnostics[k].multipliers
 
 
 class TestInitialData:
@@ -438,15 +504,8 @@ class TestHamiltonianStep:
         assert np.allclose(result.next.qplus, q + H * p / np.array([1.0, 2.0]), atol=1e-12)
 
     def test_constrained_hamiltonian_against_dense_root_finder(self):
-        # nonholonomic particle on the Hamiltonian side: same distribution and
-        # retraction pair constraint, H from the free-particle transform
-        from diracmech import DiscreteSystem, KinematicDistribution, retraction_constraint
-
-        dist = KinematicDistribution(3, 1, lambda q: np.array([[-q[1], 0.0, 1.0]]))
-        free = builtin.free_particle_hamiltonian(H, 3)
-        system = DiscreteSystem.from_hamiltonian(free.hamiltonian, dist,
-                                                 retraction_constraint(dist))
-        ham, con = system.hamiltonian, system.constraint
+        system = nonholonomic_hamiltonian()
+        ham, con, dist = system.hamiltonian, system.constraint, system.dist
         q = np.array([0.0, 0.5, 0.0])
         p = np.array([1.0, 0.2, 0.3])
         for _ in range(5):
@@ -602,6 +661,30 @@ class TestRunTrajectory:
             assert np.isfinite(np.concatenate([pt.q, pt.p, pt.qplus])).all()
         assert np.isfinite(partial.max_residual)
         assert partial.max_inclusion_residual <= 10.0 * SolverOptions().tol
+
+    def test_round_off_floor_is_named(self):
+        # amplitude 1e6 puts one ulp of the solved configuration at about
+        # 1e-9 in momentum units, so tol = 1e-10 cannot be reached
+        oscillator = builtin.harmonic_oscillator(H, LAM)
+        nh = builtin.nonholonomic_particle(H)
+        q0 = np.array([1e6, 0.5, 0.2])
+        v = np.array([1e4, 0.3, 5e3])  # satisfies A(q0) v = 0
+        cases = ((oscillator, builtin.lagrangian_seed(oscillator, [1e6], [1e6 + 1e4]), 3),
+                 (nh, builtin.lagrangian_seed(nh, q0, q0 + H * v), 0))
+        for system, seed, failing in cases:
+            with pytest.raises(StepFailureError) as info:
+                run_trajectory(system, seed, 10)
+            assert info.value.step_index == failing
+            cause = info.value.__cause__
+            assert isinstance(cause, ConvergenceError)
+            match = re.search(r"below the round-off floor.*eps\*\|\|J\|\|\*\|\|x\|\| = (\S+)",
+                              str(cause))
+            assert match is not None, str(cause)
+            floor = float(match.group(1))
+            assert SolverOptions().tol < cause.residual <= ROUNDOFF_MARGIN * floor
+            partial = info.value.trajectory
+            assert partial.steps == failing
+            assert partial.max_inclusion_residual <= 10.0 * SolverOptions().tol
 
     def test_max_aggregates_propagate_nan(self):
         import dataclasses
