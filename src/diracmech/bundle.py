@@ -20,13 +20,15 @@ from .linalg import RANK_CUTOFF, orthonormal_columns
 _F64 = np.dtype(float)
 
 
-def _block(x, name: str) -> np.ndarray:
-    if type(x) is np.ndarray and x.dtype == _F64 and x.ndim == 1:
-        return x.copy()
+def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
+    """``x`` as a float64 vector (of length ``n`` when given); ``x`` itself if it is one."""
+    if type(x) is np.ndarray and x.dtype == _F64 and x.ndim == 1 and (n is None or x.shape[0] == n):
+        return x
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise DimensionMismatchError("%s must be a 1-d vector, got shape %r" % (name, arr.shape))
-    return arr.copy()
+    if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
+        raise DimensionMismatchError("%s has shape %r, expected %s"
+                                     % (name, arr.shape, "a 1-d vector" if n is None else (n,)))
+    return arr
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,9 @@ class PontryaginPoint:
     qplus: np.ndarray
 
     def __post_init__(self):
-        q = _block(self.q, "q")
-        p = _block(self.p, "p")
-        qplus = _block(self.qplus, "qplus")
+        q = _vector(self.q, "q").copy()
+        p = _vector(self.p, "p").copy()
+        qplus = _vector(self.qplus, "qplus").copy()
         if not (q.shape == p.shape == qplus.shape):
             raise DimensionMismatchError(
                 "blocks must share one dimension, got %d / %d / %d"
@@ -77,9 +79,9 @@ class TangentPd:
     dqplus: np.ndarray
 
     def __post_init__(self):
-        dq = _block(self.dq, "dq")
-        dp = _block(self.dp, "dp")
-        dqplus = _block(self.dqplus, "dqplus")
+        dq = _vector(self.dq, "dq").copy()
+        dp = _vector(self.dp, "dp").copy()
+        dqplus = _vector(self.dqplus, "dqplus").copy()
         if not (dq.shape == dp.shape == dqplus.shape):
             raise DimensionMismatchError("tangent blocks must share one dimension")
         object.__setattr__(self, "dq", dq)
@@ -100,9 +102,9 @@ class CotangentPd:
     bqplus: np.ndarray
 
     def __post_init__(self):
-        bq = _block(self.bq, "bq")
-        bp = _block(self.bp, "bp")
-        bqplus = _block(self.bqplus, "bqplus")
+        bq = _vector(self.bq, "bq").copy()
+        bp = _vector(self.bp, "bp").copy()
+        bqplus = _vector(self.bqplus, "bqplus").copy()
         if not (bq.shape == bp.shape == bqplus.shape):
             raise DimensionMismatchError("cotangent blocks must share one dimension")
         object.__setattr__(self, "bq", bq)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -78,7 +79,12 @@ class RunSummary:
 def _require_number(value, name: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("field %r must be a number, got %r" % (name, value), field=name)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError("field %r must be finite, got %r" % (name, value), field=name)
     if positive and value <= 0.0:
         raise ConfigError("field %r must be positive, got %g" % (name, value), field=name)
     return value

@@ -3,8 +3,9 @@
 One Lagrangian step advances a complete bundle point (q_k, p_k, q_{k+1}) to
 (q_{k+1}, p_{k+1}, q_{k+2}) by solving force balance plus the pair constraint
 for (q_{k+2}, lambda). One Hamiltonian step maps (q_k, p_k) to (p_{k+1},
-q_{k+1}, lambda). Both run damped Newton on a square system and certify the
-accepted update against the abstract inclusion residual before returning.
+q_{k+1}, lambda). Both go through one solve path: damped Newton on a square
+system, then a certificate of the accepted update against the abstract
+inclusion residual before returning.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bundle import DiscreteCurve, PontryaginPoint, check_admissibility
+from .bundle import DiscreteCurve, PontryaginPoint, _vector, check_admissibility
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -37,8 +38,8 @@ from .systems import (
 
 _PREDICTORS = ("extrapolate", "hold")
 
-# Condition estimate above which the Hamiltonian cross-derivative block
-# triggers a regularity warning.
+# Condition estimate above which the cross-derivative block (D2 D1 L, or the
+# q-p+ block of H) triggers a regularity warning.
 CROSS_BLOCK_COND_LIMIT = 1e12
 
 # A held Newton matrix keeps contracting while a full step cuts the residual
@@ -50,6 +51,9 @@ CONTRACTION = 0.5
 # round-off floor eps * ||J||_inf * ||x||_inf is reported as a tolerance the
 # arithmetic cannot reach, not as a failed search.
 ROUNDOFF_MARGIN = 10.0
+
+# The damped line search gives up when its step factor falls below this.
+MIN_STEP = 2.0 ** -20
 _EPS = float(np.finfo(float).eps)
 
 
@@ -57,9 +61,11 @@ _EPS = float(np.finfo(float).eps)
 class SolverOptions:
     """Knobs for the damped Newton iteration.
 
-    ``predictor`` picks the initial guess for the new configuration:
-    "extrapolate" continues at constant velocity, "hold" reuses the current
-    one. ``cross_check`` compares the assembled Jacobian against a full
+    ``tol`` must be positive and finite. ``predictor`` picks the initial
+    guess for the new configuration of a Lagrangian step: "extrapolate"
+    continues at constant velocity, "hold" reuses the current one. It does
+    not apply to Hamiltonian steps, which start from the carried momentum.
+    ``cross_check`` compares the assembled Jacobian against a full
     finite-difference Jacobian at the predictor and warns on disagreement.
     """
 
@@ -67,12 +73,11 @@ class SolverOptions:
     max_iter: int = 50
     damping: bool = True
     predictor: str = "extrapolate"
-    min_step: float = 2.0 ** -20
     cross_check: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.predictor not in _PREDICTORS:
@@ -159,17 +164,9 @@ def _worst(values) -> float:
     return float(np.max(np.fromiter(values, float), initial=0.0))
 
 
-_F64 = np.dtype(float)
-
 # Vectors up to this length take the pure-Python paths of _norm_inf and
 # _all_finite.
 _SMALL = 8
-
-
-def _as_f64(x) -> np.ndarray:
-    if type(x) is np.ndarray and x.dtype == _F64:
-        return x
-    return np.asarray(x, dtype=float)
 
 
 def _norm_inf(v: np.ndarray) -> float:
@@ -191,14 +188,12 @@ def _all_finite(x: np.ndarray) -> bool:
     return bool(np.isfinite(x).all())
 
 
-def _state_block(x, n: int, name: str) -> np.ndarray:
-    if not (type(x) is np.ndarray and x.dtype == _F64 and x.shape == (n,)):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (n,):
-            raise DimensionMismatchError("%s has shape %r, expected (%d,)" % (name, x.shape, n))
-    if not _all_finite(x):
-        raise ValueError("%s entries must all be finite" % name)
-    return x
+def _phase_state(q, p, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Validated float64 copies of a Hamiltonian state (q, p)."""
+    q, p = _vector(q, "q", n).copy(), _vector(p, "p", n).copy()
+    if not (_all_finite(q) and _all_finite(p)):
+        raise ValueError("q and p entries must all be finite")
+    return q, p
 
 
 def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -251,7 +246,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     leaves a residual above CONTRACTION times the current one, or the solve
     with it is singular. Such a step is kept if it still lowered the
     residual and discarded otherwise. The damped line search (halving down
-    to opts.min_step) runs only on a freshly assembled matrix; when it
+    to MIN_STEP) runs only on a freshly assembled matrix; when it
     stalls near the round-off floor (see ROUNDOFF_MARGIN) the error says
     that opts.tol is below that floor and gives its value.
 
@@ -260,7 +255,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     """
     opts = opts if opts is not None else SolverOptions()
     x = np.asarray(x0, dtype=float).copy()
-    fx = _as_f64(f(x))
+    fx = _vector(f(x), "residual")
     res = _norm_inf(fx)
     held = jacobian_cache[0] if jacobian_cache else None
     iters = 0
@@ -287,7 +282,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
             held = None
             continue
         xt = x + step
-        ft = _as_f64(f(xt))
+        ft = _vector(f(xt), "residual")
         rt = _norm_inf(ft)
         if not fresh:
             if not (rt <= CONTRACTION * res or rt <= opts.tol):
@@ -298,10 +293,10 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
             alpha = 1.0
             while not (rt < res or rt <= opts.tol):
                 alpha *= 0.5
-                if alpha < opts.min_step:
+                if alpha < MIN_STEP:
                     raise _stall_error(held, x, res, opts, iters + 1)
                 xt = x + alpha * step
-                ft = _as_f64(f(xt))
+                ft = _vector(f(xt), "residual")
                 rt = _norm_inf(ft)
         x, fx, res = xt, ft, rt
         iters += 1
@@ -320,21 +315,6 @@ def _stall_error(jm: np.ndarray, x: np.ndarray, res: float, opts: SolverOptions,
     else:
         message = "line search stalled at residual %.3e (tol %.1e)" % (res, opts.tol)
     return ConvergenceError(message, residual=res, iterations=iters)
-
-
-def _hold_constraint_blocks(jacobian_cache: list, a: np.ndarray, cjac: np.ndarray) -> None:
-    """Swap the held matrix for a copy carrying this step's constraint blocks.
-
-    -A^T goes in the first n rows of the last m (multiplier) columns, and
-    ``cjac`` in the last m (constraint) rows of the n configuration columns
-    before them. The finite-difference block of L or H is kept as held.
-    """
-    m, n = a.shape
-    jm = jacobian_cache[0].copy()
-    k = jm.shape[0] - m
-    jm[:n, k:] = -a.T
-    jm[k:, k - n:k] = cjac
-    jacobian_cache[0] = jm
 
 
 def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
@@ -372,6 +352,129 @@ def _maybe_cross_check(f, jac_assembled, z0):
                       % (gap / scale), RuntimeWarning, stacklevel=3)
 
 
+def _check_regularity(cross: np.ndarray, kind: str) -> None:
+    if cross.shape == (1, 1):
+        cond = 1.0 if cross[0, 0] != 0.0 else float("inf")
+    elif np.isfinite(cross).all():
+        cond = float(np.linalg.cond(cross))
+    else:
+        return  # the Newton solve reports a non-finite matrix as singular
+    if cond > CROSS_BLOCK_COND_LIMIT:
+        warnings.warn(
+            "cross-derivative block of the %s is near singular (condition estimate %.3e); "
+            "the implicit update may not be well defined" % (kind.capitalize(), cond),
+            RuntimeWarning, stacklevel=3,
+        )
+
+
+def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.ndarray,
+                opts: SolverOptions, multiplier_guess: Optional[np.ndarray],
+                jacobian_cache: Optional[list]) -> StepResult:
+    """Solve and certify one step of either kind from base point q and carried momentum p.
+
+    The unknown y is q+ for a Lagrangian step and p+ for a Hamiltonian one;
+    momentum balance is p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T lambda
+    when constrained. A constrained step adds phi(q, q+) = 0; a constrained
+    Hamiltonian step also keeps q+ among its unknowns, with the update
+    q+ - dH/dp(q, y) = 0. The step completes with q+ = y, p+ = d2 L(q, y)
+    (Lagrangian) or q+ = dH/dp(q, y), p+ = y (Hamiltonian), and is certified
+    with the inclusion residual at (q, p, q+) and p+. Every assembly of the
+    Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
+    block of H, for regularity.
+    """
+    lagrangian = system.kind == LAGRANGIAN
+    n, m = system.n, system.m
+    if lagrangian:
+        gen = system.lagrangian
+        grad, complete = gen.d1, gen.d2
+
+        def balance(y):
+            return p + grad(q, y)
+    else:
+        gen = system.hamiltonian
+        grad, complete = gen.dq, gen.dp
+
+        def balance(y):
+            return p - grad(q, y)
+    scale = gen.provider.fd_scale
+    lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
+    if lam0.shape != (m,):
+        raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
+                                     % (lam0.shape, m))
+    # unknowns z = (y, q+ of a constrained Hamiltonian step, lambda); q+ is z[k - n:k]
+    k = 2 * n if m and not lagrangian else n
+    if m:
+        a = system.dist.matrix(q)
+
+        def residual_fn(z):
+            y = z[:n]
+            r = balance(y) - a.T @ z[k:]
+            if lagrangian:
+                return np.concatenate([r, system.constraint.value(q, y)])
+            return np.concatenate([r, z[n:k] - complete(q, y),
+                                   system.constraint.value(q, z[n:k])])
+
+        def with_constraint_blocks(jm, qplus):
+            # -A^T in the multiplier columns of the balance rows, the
+            # constraint Jacobian in the q+ columns of the constraint rows
+            jm[:n, k:] = -a.T
+            jm[k:, k - n:k] = system.constraint.jacobian2(q, qplus)
+            return jm
+
+        z0 = np.concatenate([y0, lam0] if lagrangian else [y0, complete(q, y0), lam0])
+        if jacobian_cache:
+            # a held matrix keeps its finite-difference block of L or H and
+            # takes this step's constraint blocks at the predictor
+            jacobian_cache[0] = with_constraint_blocks(jacobian_cache[0].copy(), z0[k - n:k])
+    else:
+        residual_fn, z0 = balance, y0
+    assemblies = 0
+
+    def cross_block(y):
+        return jacobian_columns(lambda v: grad(q, v), y, scale)
+
+    def jacobian_fn(z):
+        nonlocal assemblies
+        assemblies += 1
+        y = z[:n]
+        cross = cross_block(y)
+        _check_regularity(cross, system.kind)
+        top = cross if lagrangian else -cross
+        if not m:
+            return top
+        jm = np.zeros((k + m, k + m))
+        jm[:n, :n] = top
+        if not lagrangian:
+            jm[n:k, :n] = -jacobian_columns(lambda v: complete(q, v), y, scale)
+            jm[n:k, n:k] = np.eye(n)
+        return with_constraint_blocks(jm, z[k - n:k])
+
+    if opts.cross_check:
+        _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
+
+    z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
+                                 jacobian_cache=jacobian_cache)
+    y, lam = (z[:n], z[k:]) if m else (z, lam0)
+    if lagrangian:
+        qplus, p_next = y, complete(q, y)
+    else:
+        qplus, p_next = z[n:k] if m else complete(q, y), y
+        if not _all_finite(qplus):
+            raise EvaluationError("configuration update dH/dp is not finite "
+                                  "at the solved momentum")
+    if jacobian_cache is None and not assemblies:
+        # Newton converged at the predictor; still report degenerate updates
+        _check_regularity(cross_block(y), system.kind)
+
+    # q and p come validated from the entry points, and q+ is finite by
+    # Newton acceptance or by the check above
+    nxt = PontryaginPoint._trusted(q, p, qplus)
+    cres = float(np.max(np.abs(system.constraint.value(q, qplus)))) if m else 0.0
+    inclusion = dirac_inclusion_residual(system, nxt, p_next)
+    _certify(inclusion, opts)
+    return StepResult(nxt, lam, iters, res, inclusion, cres, p_next, assemblies)
+
+
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
                     opts: Optional[SolverOptions] = None,
                     multiplier_guess: Optional[np.ndarray] = None,
@@ -382,7 +485,8 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     Solves, for (qnew, lambda), the carried momentum d2 L(q, q+) balancing
     d1 L(q+, qnew) against A(q+)^T lambda together with phi(q+, qnew) = 0,
     then certifies the accepted update with the inclusion residual
-    (raising CertificationError unless it is at most 10 * tol).
+    (raising CertificationError unless it is at most 10 * tol). Warns when
+    the cross-derivative block D2 D1 L is close to singular.
     ``jacobian_cache`` is the one-slot list of ``newton_solve``, holding the
     iteration matrix across the steps of one trajectory; on a constrained
     step its -A^T and constraint-Jacobian blocks are replaced by this
@@ -401,62 +505,11 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
                 "the step still solves the inclusion at the next index" % r0,
                 RuntimeWarning, stacklevel=2,
             )
-
-    lag = system.lagrangian
-    n, m = system.n, system.m
     q1 = x.qplus
-    d1 = lag.d1
-    p1 = lag.d2(x.q, x.qplus)
-
-    if m:
-        a1 = system.dist.matrix(q1)
-
-        def residual_fn(z):
-            qnew = z[:n]
-            r1 = p1 + d1(q1, qnew) - a1.T @ z[n:]
-            return np.concatenate([r1, system.constraint.value(q1, qnew)])
-    else:
-        def residual_fn(qnew):
-            return p1 + d1(q1, qnew)
-
-    assemblies = [0]
-
-    def jacobian_fn(z):
-        assemblies[0] += 1
-        qnew = z[:n]
-        j11 = jacobian_columns(lambda qn: d1(q1, qn), qnew, lag.provider.fd_scale)
-        if not m:
-            return j11
-        top = np.hstack([j11, -a1.T])
-        bottom = np.hstack([system.constraint.jacobian2(q1, qnew), np.zeros((m, m))])
-        return np.vstack([top, bottom])
-
-    if opts.predictor == "extrapolate":
-        qnew0 = (q1 + q1) - x.q  # q1 + q1 is 2 q1 exactly, without a scalar multiply
-    else:
-        qnew0 = q1.copy()
-    lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
-    if lam0.shape != (m,):
-        raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
-                                     % (lam0.shape, m))
-    z0 = np.concatenate([qnew0, lam0]) if m else qnew0
-    if m and jacobian_cache:
-        _hold_constraint_blocks(jacobian_cache, a1, system.constraint.jacobian2(q1, qnew0))
-    if opts.cross_check:
-        _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
-
-    z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
-                                 jacobian_cache=jacobian_cache)
-    qnew, lam = (z[:n], z[n:]) if m else (z, lam0)
-
-    # q1 aliases x.qplus, so admissibility holds exactly; p1 and qnew are
-    # freshly computed and finite (the accepted Newton residual was finite)
-    nxt = PontryaginPoint._trusted(q1, p1, qnew)
-    p_next = lag.d2(q1, qnew)
-    cres = float(np.max(np.abs(system.constraint.value(q1, qnew)))) if m else 0.0
-    inclusion = dirac_inclusion_residual(system, nxt, p_next)
-    _certify(inclusion, opts)
-    return StepResult(nxt, lam, iters, res, inclusion, cres, p_next, assemblies[0])
+    # q1 + q1 is 2 q1 exactly, without a scalar multiply
+    qnew0 = (q1 + q1) - x.q if opts.predictor == "extrapolate" else q1
+    return _solve_step(system, q1, system.lagrangian.d2(x.q, q1), qnew0, opts,
+                       multiplier_guess, jacobian_cache)
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
@@ -470,106 +523,19 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     phi(q, qnew) = 0. Without constraints the update is explicit in pnew, so
     Newton runs on momentum balance alone (its matrix is minus the
     cross-derivative block) and qnew is evaluated once at the root. Returns
-    the completed point (q, p, qnew) with the carried momentum pnew in
-    ``p_next``. Warns when the cross-derivative block of H is close to
-    singular, since the update map may then fail to exist. The check runs
-    on each assembly of the iteration matrix, so a step solved on a matrix
-    held in ``jacobian_cache`` skips it, constrained or not; a held
-    constrained matrix gets this step's -A^T and constraint-Jacobian blocks
-    at the predictor.
+    the completed point (q, p, qnew), built on copies of q and p, with the
+    carried momentum pnew in ``p_next``. Warns when the cross-derivative
+    block of H is close to singular, since the update map may then fail to
+    exist. The check runs on each assembly of the iteration matrix, so a
+    step solved on a matrix held in ``jacobian_cache`` skips it, constrained
+    or not; a held constrained matrix gets this step's -A^T and
+    constraint-Jacobian blocks at the predictor.
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
     opts = opts if opts is not None else SolverOptions()
-    ham = system.hamiltonian
-    n, m = system.n, system.m
-    q = _state_block(q, n, "q")
-    p = _state_block(p, n, "p")
-    dq_grad = ham.dq
-    dp_grad = ham.dp
-
-    def cross_block(pnew):
-        return jacobian_columns(lambda pn: dq_grad(q, pn), pnew, ham.provider.fd_scale)
-
-    def check_regularity(cross):
-        if n == 1:
-            cond = 1.0 if cross[0, 0] != 0.0 else float("inf")
-        else:
-            cond = float(np.linalg.cond(cross))
-        if cond > CROSS_BLOCK_COND_LIMIT:
-            warnings.warn(
-                "cross-derivative block of the Hamiltonian is near singular "
-                "(condition estimate %.3e); the implicit update may not be well defined"
-                % cond, RuntimeWarning, stacklevel=3,
-            )
-
-    assemblies = [0]
-    lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
-    if lam0.shape != (m,):
-        raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
-                                     % (lam0.shape, m))
-
-    if m:
-        a0 = system.dist.matrix(q)
-
-        def residual_fn(z):
-            pnew, qnew = z[:n], z[n:2 * n]
-            return np.concatenate([p - dq_grad(q, pnew) - a0.T @ z[2 * n:],
-                                   qnew - dp_grad(q, pnew),
-                                   system.constraint.value(q, qnew)])
-
-        def jacobian_fn(z):
-            assemblies[0] += 1
-            pnew = z[:n]
-            cross = cross_block(pnew)
-            check_regularity(cross)
-            jm = np.zeros((2 * n + m, 2 * n + m))
-            jm[:n, :n] = -cross
-            jm[n:2 * n, :n] = -jacobian_columns(lambda pn: dp_grad(q, pn), pnew,
-                                                ham.provider.fd_scale)
-            jm[n:2 * n, n:2 * n] = np.eye(n)
-            jm[:n, 2 * n:] = -a0.T
-            jm[2 * n:, n:2 * n] = system.constraint.jacobian2(q, z[n:2 * n])
-            return jm
-
-        z0 = np.concatenate([p, dp_grad(q, p), lam0])
-        if jacobian_cache:
-            _hold_constraint_blocks(jacobian_cache, a0,
-                                    system.constraint.jacobian2(q, z0[n:2 * n]))
-    else:
-        def residual_fn(pnew):
-            return p - dq_grad(q, pnew)
-
-        def jacobian_fn(pnew):
-            assemblies[0] += 1
-            cross = cross_block(pnew)
-            check_regularity(cross)
-            return -cross
-
-        z0 = p.copy()
-    if opts.cross_check:
-        _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
-
-    z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
-                                 jacobian_cache=jacobian_cache)
-    if m:
-        pnew, qnew, lam = z[:n], z[n:2 * n], z[2 * n:]
-    else:
-        pnew, qnew, lam = z, dp_grad(q, z), lam0
-        if not _all_finite(qnew):
-            raise EvaluationError("configuration update dH/dp is not finite "
-                                  "at the solved momentum")
-    if jacobian_cache is None and not assemblies[0]:
-        # Newton converged at the predictor; still report degenerate updates
-        check_regularity(cross_block(pnew))
-
-    # q and p were validated on entry; qnew is finite by Newton acceptance
-    # or by the check above
-    nxt = PontryaginPoint._trusted(q, p, qnew)
-    cres = float(np.max(np.abs(system.constraint.value(q, qnew)))) if m else 0.0
-    inclusion = dirac_inclusion_residual(system, nxt, pnew)
-    _certify(inclusion, opts)
-    return StepResult(nxt, lam, iters, res, inclusion, cres, pnew, assemblies[0])
+    q, p = _phase_state(q, p, system.n)
+    return _solve_step(system, q, p, p, opts, multiplier_guess, jacobian_cache)
 
 
 def run_trajectory(system: DiscreteSystem, seed, steps: int,
@@ -611,8 +577,7 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         if steps == 0:
             raise ValueError("a Hamiltonian trajectory needs at least one step; "
                              "no complete bundle point exists before the first solve")
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
+        q, p = _phase_state(q, p, system.n)
         points = []
     diags = []
     lam_prev = None
@@ -631,7 +596,10 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                 partial = Trajectory(DiscreteCurve(points), tuple(diags), system.label,
                                      len(diags), opts, None if lagrangian else (q, p))
             raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
-        points.append(result.next)
+        # a Hamiltonian step returns its point on copies of q and p; the
+        # curve keeps the run's own arrays, so each q is the previous q+
+        points.append(result.next if lagrangian
+                      else PontryaginPoint._trusted(q, p, result.next.qplus))
         diags.append(StepDiagnostics(result.residual, result.inclusion_residual,
                                      result.constraint_residual, result.multipliers,
                                      result.iterations, result.jacobian_assemblies))

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bundle import CotangentPd, KinematicDistribution, PontryaginPoint
+from .bundle import CotangentPd, KinematicDistribution, PontryaginPoint, _vector
 from .errors import DimensionMismatchError, EvaluationError
 # not called here since the certificate projects through the distribution's
 # memo; bench/tracing.py still wraps this module attribute by name
@@ -27,18 +27,23 @@ FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 _F64 = np.dtype(float)
 
-
-def _covector(x, n: int, name: str) -> np.ndarray:
-    if type(x) is np.ndarray and x.dtype == _F64 and x.shape == (n,):
-        return x
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (n,):
-        raise DimensionMismatchError("%s has shape %r, expected (%d,)" % (name, arr.shape, n))
-    return arr
-
 _VALIDATION_SEED = 20240613
 _VALIDATION_PROBES = 4
 _VALIDATION_RTOL = 1e-5
+
+
+def _central_differences(fun: Callable[[np.ndarray], object], x: np.ndarray,
+                         scale: float) -> list:
+    """(fun(x + h e_i) - fun(x - h e_i)) / 2h for each i, with h = scale * max(1, |x_i|)."""
+    out = []
+    for i in range(x.shape[0]):
+        h = scale * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        out.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return out
 
 
 def central_difference(f: Callable[..., float], args: Sequence[np.ndarray], block: int,
@@ -48,42 +53,21 @@ def central_difference(f: Callable[..., float], args: Sequence[np.ndarray], bloc
     Step per component: scale * max(1, |component|).
     """
     work = [np.asarray(a, dtype=float) for a in args]
+
+    def along(xb):
+        work[block] = xb
+        return f(*work)
+
     x = work[block]
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        h = scale * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        work[block] = xp
-        fp = f(*work)
-        work[block] = xm
-        fm = f(*work)
-        grad[i] = (fp - fm) / (2.0 * h)
-    work[block] = x
-    return grad
+    return np.array(_central_differences(along, x, scale), dtype=float).reshape(x.shape)
 
 
 def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                      scale: float = FD_SCALE) -> np.ndarray:
     """Jacobian of a vector-valued function by central differences, one column per input."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] == 1:
-        h = scale * max(1.0, abs(float(x[0])))
-        col = (np.asarray(fun(x + h), dtype=float) - np.asarray(fun(x - h), dtype=float)) / (2.0 * h)
-        return col.reshape(-1, 1)
-    cols = []
-    for i in range(x.shape[0]):
-        h = scale * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
-    if not cols:
-        return np.zeros((0, 0))
-    return np.column_stack(cols)
+    cols = _central_differences(lambda v: np.asarray(fun(v), dtype=float),
+                                np.asarray(x, dtype=float), scale)
+    return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
 @dataclass
@@ -159,51 +143,58 @@ def _validate_provider(provider: DerivativeProvider, block_dims: Sequence[int], 
         )
 
 
-class DiscreteLagrangian:
+class _GeneratingFunction:
+    """A scalar function of (q, second slot) with one derivative per slot.
+
+    Each slot derivative is the analytic callable if one is given and central
+    finite differences of the function otherwise. Analytic ones are checked
+    against finite differences at construction unless ``validate`` is False.
+    """
+
+    def __init__(self, n: int, f: Callable[[np.ndarray, np.ndarray], float],
+                 grads: tuple, fd_scale: float, validate: bool):
+        if n < 1:
+            raise DimensionMismatchError("dimension must be positive")
+        self.n = int(n)
+        self.provider = DerivativeProvider(f, grads, fd_scale)
+        if validate:
+            _validate_provider(self.provider, (self.n, self.n), "the discrete " + self._what)
+
+    def value(self, q, second) -> float:
+        try:
+            return float(self.provider.f(np.asarray(q, dtype=float),
+                                         np.asarray(second, dtype=float)))
+        except Exception as exc:
+            raise EvaluationError("%s evaluation failed: %s" % (self._what, exc)) from exc
+
+
+class DiscreteLagrangian(_GeneratingFunction):
     """A two-point generating function L(q, q+) with slot derivatives d1, d2."""
+
+    _what = "Lagrangian"
 
     def __init__(self, n: int, Ld: Callable[[np.ndarray, np.ndarray], float],
                  d1: Optional[Callable] = None, d2: Optional[Callable] = None,
                  fd_scale: float = FD_SCALE, validate: bool = True):
-        if n < 1:
-            raise DimensionMismatchError("dimension must be positive")
-        self.n = int(n)
+        super().__init__(n, Ld, (d1, d2), fd_scale, validate)
         self.Ld = Ld
-        self.provider = DerivativeProvider(Ld, (d1, d2), fd_scale)
-        if validate:
-            _validate_provider(self.provider, (self.n, self.n), "the discrete Lagrangian")
         # bound per-slot gradients keep the per-call dispatch to one frame
         self.d1 = self.provider.bound(0)
         self.d2 = self.provider.bound(1)
 
-    def value(self, q, qplus) -> float:
-        try:
-            return float(self.Ld(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float)))
-        except Exception as exc:
-            raise EvaluationError("Lagrangian evaluation failed: %s" % exc) from exc
 
-
-class DiscreteHamiltonian:
+class DiscreteHamiltonian(_GeneratingFunction):
     """A right discrete Hamiltonian H(q, p+) with partials in q and p+."""
+
+    _what = "Hamiltonian"
 
     def __init__(self, n: int, Hd: Callable[[np.ndarray, np.ndarray], float],
                  dq: Optional[Callable] = None, dp: Optional[Callable] = None,
                  fd_scale: float = FD_SCALE, validate: bool = True):
-        if n < 1:
-            raise DimensionMismatchError("dimension must be positive")
-        self.n = int(n)
+        super().__init__(n, Hd, (dq, dp), fd_scale, validate)
         self.Hd = Hd
-        self.provider = DerivativeProvider(Hd, (dq, dp), fd_scale)
-        if validate:
-            _validate_provider(self.provider, (self.n, self.n), "the discrete Hamiltonian")
         self.dq = self.provider.bound(0)
         self.dp = self.provider.bound(1)
-
-    def value(self, q, pplus) -> float:
-        try:
-            return float(self.Hd(np.asarray(q, dtype=float), np.asarray(pplus, dtype=float)))
-        except Exception as exc:
-            raise EvaluationError("Hamiltonian evaluation failed: %s" % exc) from exc
 
 
 class DiscreteConstraint:
@@ -324,7 +315,7 @@ def _lagrangian_blocks(lag: DiscreteLagrangian, x: PontryaginPoint, p_next: np.n
     """(bq, bqplus) blocks of the Lagrangian one-form; its dp block is zero."""
     if x.dim != lag.n:
         raise DimensionMismatchError("point dimension %d, Lagrangian dimension %d" % (x.dim, lag.n))
-    p_next = _covector(p_next, lag.n, "p_next")
+    p_next = _vector(p_next, "p_next", lag.n)
     bq = -lag.d1(x.q, x.qplus)
     bqplus = p_next - lag.d2(x.q, x.qplus)
     return bq, bqplus
@@ -334,7 +325,7 @@ def _hamiltonian_blocks(ham: DiscreteHamiltonian, x: PontryaginPoint, p_next: np
     """(bq, bp) blocks of the Hamiltonian one-form; its dq+ block is zero."""
     if x.dim != ham.n:
         raise DimensionMismatchError("point dimension %d, Hamiltonian dimension %d" % (x.dim, ham.n))
-    p_next = _covector(p_next, ham.n, "p_next")
+    p_next = _vector(p_next, "p_next", ham.n)
     bq = ham.dq(x.q, p_next)
     bp = ham.dp(x.q, p_next) - x.qplus
     return bq, bp

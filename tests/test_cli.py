@@ -56,6 +56,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="h"):
             parse_config(json.dumps(dict(MINIMAL, h=0.0)))
 
+    def test_non_finite_numbers_rejected(self):
+        # 1e400 parses to inf, json also reads NaN and Infinity, and a repeated
+        # key overrides the one in MINIMAL
+        text = json.dumps(MINIMAL)[:-1]
+        for extra, field in ((', "h": 1e400}', "'h'"), (', "h": 1%s}' % ("0" * 400), "'h'"),
+                             (', "lambda": NaN}', "lambda"),
+                             (', "solver": {"tol": 1e400}}', "tol"),
+                             (', "solver": {"tol": NaN}}', "tol"),
+                             (', "solver": {"tol": Infinity}}', "tol")):
+            with pytest.raises(ConfigError, match=field):
+                parse_config(text + extra)
+
     def test_seed_length(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(json.dumps(dict(MINIMAL, seed=[0.0, 0.1, 0.2])))

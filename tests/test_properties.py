@@ -1,10 +1,12 @@
-"""Property suite for the constrained lane: every run is certified or fails typed.
+"""Property suite for every lane: each run is certified or fails typed.
 
-Each example is a random smooth discrete Lagrangian (finite-difference
-derivatives only) under a random annihilator A(q) that is affine in q, with
-the retraction pair constraint, optionally undefined (NaN) outside a ball.
-A run either certifies every step with finite values, or ends in a typed
-DiracMechError that carries the certified partial trajectory.
+Each example is a random smooth discrete Lagrangian or Hamiltonian
+(finite-difference derivatives only), unconstrained or under a random
+annihilator A(q) that is affine in q with the retraction pair constraint,
+optionally undefined (NaN) outside a ball. A run either certifies every step
+with finite values, or ends in a StepFailureError caused by a typed
+DiracMechError that carries the certified partial trajectory (for a
+Hamiltonian run, none when the first step fails).
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from diracmech import (  # noqa: E402
     DegenerateConstraintError,
     DiracMechError,
+    DiscreteHamiltonian,
     DiscreteLagrangian,
     DiscreteSystem,
     KinematicDistribution,
@@ -31,9 +34,10 @@ TOL = SolverOptions().tol
 
 
 @st.composite
-def constrained_runs(draw):
+def runs(draw, lagrangian, constrained):
+    """(system, seed, steps): a random run of one kind, with or without constraints."""
     n = draw(st.integers(2, 3))
-    m = draw(st.integers(1, n - 1))
+    m = draw(st.integers(1, n - 1)) if constrained else 0
     quartic = draw(st.sampled_from([0.0, 0.5, 2.0]))
     slope = draw(st.sampled_from([0.0, 0.3, 1.5]))
     speed = draw(st.sampled_from([0.2, 1.0, 3.0]))
@@ -47,12 +51,29 @@ def constrained_runs(draw):
     freq = rng.standard_normal((2, n))
     amp = 0.5 * rng.standard_normal(2)
 
-    def ld(q, qp):
-        if wall is not None and max(np.abs(q).max(), np.abs(qp).max()) > wall:
-            return float("nan")
-        d = (qp - q) / H
-        potential = 0.5 * q @ stiff @ q + amp @ np.cos(freq @ q)
-        return float(H * (0.5 * d @ mass @ d + 0.25 * quartic * np.sum(d ** 4) - potential))
+    def potential(q):
+        return 0.5 * q @ stiff @ q + amp @ np.cos(freq @ q)
+
+    def outside(a, b):
+        return wall is not None and max(np.abs(a).max(), np.abs(b).max()) > wall
+
+    if lagrangian:
+        def ld(q, qp):
+            if outside(q, qp):
+                return float("nan")
+            d = (qp - q) / H
+            return float(H * (0.5 * d @ mass @ d + 0.25 * quartic * np.sum(d ** 4)
+                              - potential(q)))
+        gen = DiscreteLagrangian(n, ld)
+    else:
+        inv_mass = np.linalg.inv(mass)
+
+        def hd(q, pp):
+            if outside(q, pp):
+                return float("nan")
+            return float(q @ pp + H * (0.5 * pp @ inv_mass @ pp + 0.25 * quartic * np.sum(pp ** 4)
+                                       + potential(q)))
+        gen = DiscreteHamiltonian(n, hd)
 
     a0 = rng.standard_normal((m, n))
     a1 = slope * rng.standard_normal((n, m, n))
@@ -60,9 +81,9 @@ def constrained_runs(draw):
     def annihilator(q):
         return a0 + np.tensordot(q, a1, axes=1)
 
-    dist = KinematicDistribution(n, m, annihilator)
-    system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(n, ld), dist,
-                                            retraction_constraint(dist))
+    dist = KinematicDistribution(n, m, annihilator if m else None)
+    build = DiscreteSystem.from_lagrangian if lagrangian else DiscreteSystem.from_hamiltonian
+    system = build(gen, dist, retraction_constraint(dist))
     q0 = 0.3 * rng.standard_normal(n)
     try:
         v = dist.project_ker(q0, rng.standard_normal(n))
@@ -70,8 +91,14 @@ def constrained_runs(draw):
         v = None
     assume(v is not None and np.linalg.norm(v) > 1e-3)
     v *= speed / np.linalg.norm(v)
-    seed = builtin.lagrangian_seed(system, q0, q0 + H * v)
-    assume(np.isfinite(seed.p).all())
+    if lagrangian:
+        try:
+            seed = builtin.lagrangian_seed(system, q0, q0 + H * v)
+        except ValueError:  # p0 = -d1 L(q0, q1) is NaN at the wall
+            seed = None
+        assume(seed is not None)
+    else:
+        seed = (q0, 0.3 * mass @ v)
     return system, seed, draw(st.integers(4, 12))
 
 
@@ -84,11 +111,11 @@ def assert_certified_and_finite(traj):
     for pt in traj.curve:
         assert np.isfinite(pt.q).all() and np.isfinite(pt.p).all()
         assert np.isfinite(pt.qplus).all()
+    if traj.final_state is not None:
+        assert all(np.isfinite(x).all() for x in traj.final_state)
 
 
-@settings(max_examples=60)
-@given(constrained_runs())
-def test_constrained_run_certifies_or_fails_typed(case):
+def check_lagrangian_run(case):
     system, seed, steps = case
     try:
         traj = run_trajectory(system, seed, steps)
@@ -101,4 +128,49 @@ def test_constrained_run_certifies_or_fails_typed(case):
         assert_certified_and_finite(partial)
     else:
         assert traj.steps == steps
+        assert len(traj.curve) == steps + 1
         assert_certified_and_finite(traj)
+
+
+def check_hamiltonian_run(case):
+    system, seed, steps = case
+    try:
+        traj = run_trajectory(system, seed, steps)
+    except StepFailureError as exc:
+        assert isinstance(exc.__cause__, DiracMechError)
+        partial = exc.trajectory
+        assert exc.step_index < steps
+        assert (partial is None) == (exc.step_index == 0)
+        if partial is not None:
+            assert partial.steps == exc.step_index
+            assert len(partial.curve) == exc.step_index
+            assert partial.final_state is not None
+            assert_certified_and_finite(partial)
+    else:
+        assert traj.steps == len(traj.curve) == steps
+        assert traj.final_state is not None
+        assert_certified_and_finite(traj)
+
+
+@settings(max_examples=60)
+@given(runs(lagrangian=True, constrained=True))
+def test_constrained_run_certifies_or_fails_typed(case):
+    check_lagrangian_run(case)
+
+
+@settings(max_examples=40)
+@given(runs(lagrangian=True, constrained=False))
+def test_unconstrained_lagrangian_run_certifies_or_fails_typed(case):
+    check_lagrangian_run(case)
+
+
+@settings(max_examples=40)
+@given(runs(lagrangian=False, constrained=False))
+def test_unconstrained_hamiltonian_run_certifies_or_fails_typed(case):
+    check_hamiltonian_run(case)
+
+
+@settings(max_examples=40)
+@given(runs(lagrangian=False, constrained=True))
+def test_constrained_hamiltonian_run_certifies_or_fails_typed(case):
+    check_hamiltonian_run(case)

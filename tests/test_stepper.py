@@ -8,6 +8,7 @@ from scipy.optimize import root
 
 from diracmech import (
     ConvergenceError,
+    DimensionMismatchError,
     DiscreteHamiltonian,
     DiscreteLagrangian,
     DiscreteSystem,
@@ -27,7 +28,7 @@ from diracmech import (
     step_hamiltonian,
     step_lagrangian,
 )
-from diracmech import builtin
+from diracmech import builtin, stepper, systems
 from diracmech.stepper import ROUNDOFF_MARGIN
 
 H = 0.1
@@ -165,8 +166,10 @@ class TestNewton:
                 step_hamiltonian(system, q, p)
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(tol=0.0)
+        # a non-finite tol would accept the predictor with no Newton iteration
+        for tol in (0.0, -1e-10, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                SolverOptions(tol=tol)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
         with pytest.raises(ValueError):
@@ -394,6 +397,16 @@ class TestLagrangianStep:
         # the solved step is driven by d2(q0, q1), not by the seed momentum
         assert result.next.qplus[0] == pytest.approx(0.199, abs=1e-12)
 
+    def test_regularity_warning_on_degenerate_cross_block(self):
+        # L(q, q+) = |q|^2 + |q+|^2 has D2 D1 L = 0: force balance does not
+        # depend on the new configuration
+        lag = DiscreteLagrangian(2, lambda q, qp: float(q @ q + qp @ qp))
+        system = DiscreteSystem.from_lagrangian(lag)
+        x = PontryaginPoint([0.1, 0.2], [1.0, 0.0], [0.2, 0.3])
+        with pytest.warns(RuntimeWarning, match="cross-derivative block of the Lagrangian"):
+            with pytest.raises(SingularJacobianError):
+                step_lagrangian(system, x, check_consistency=False)
+
     def test_wrong_kind_rejected(self):
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         with pytest.raises(UnsupportedOperationError):
@@ -543,6 +556,19 @@ class TestHamiltonianStep:
         with pytest.raises(UnsupportedOperationError):
             step_hamiltonian(system, [0.0], [1.0])
 
+    def test_returned_point_does_not_alias_the_inputs(self):
+        for system in (builtin.harmonic_oscillator_hamiltonian(H, LAM), nonholonomic_hamiltonian()):
+            n = system.n
+            q, p = np.linspace(0.1, 0.3, n), np.linspace(1.0, 0.5, n)
+            result = step_hamiltonian(system, q, p)
+            pt = result.next
+            assert not (np.shares_memory(pt.q, q) or np.shares_memory(pt.p, p))
+            before = pt.q.copy(), pt.p.copy()
+            q += 1.0
+            p += 1.0
+            assert np.array_equal(pt.q, before[0]) and np.array_equal(pt.p, before[1])
+            assert pt.q.flags.writeable and pt.p.flags.writeable
+
 
 class TestRunTrajectory:
     def test_oscillator_one_step_curve(self):
@@ -575,6 +601,20 @@ class TestRunTrajectory:
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         with pytest.raises(ValueError):
             run_trajectory(system, ([0.0], [1.0]), 0)
+
+    def test_hamiltonian_seed_is_validated_and_copied_up_front(self):
+        system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
+        with pytest.raises(DimensionMismatchError):
+            run_trajectory(system, ([0.0, 1.0], [1.0]), 3)
+        with pytest.raises(ValueError, match="finite"):
+            run_trajectory(system, ([0.0], [np.nan]), 3)
+        q0, p0 = np.array([0.0]), np.array([1.0])
+        traj = run_trajectory(system, (q0, p0), 3)
+        q0[0], p0[0] = 5.0, 5.0
+        assert traj.curve[0].q[0] == 0.0 and traj.curve[0].p[0] == 1.0
+        assert traj.curve[0].p.flags.writeable
+        # each point's q is the previous point's q+ itself, not a copy
+        assert all(a.qplus is b.q for a, b in zip(traj.curve, traj.curve[1:]))
 
     def test_hamiltonian_run_records_final_state(self):
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
@@ -755,3 +795,59 @@ class TestRunTrajectory:
                 for a, b in zip(traj.curve, serial.curve):
                     assert np.array_equal(a.q, b.q)
                     assert np.array_equal(a.qplus, b.qplus)
+
+
+class TestTracedDispatch:
+    """The benchmark's tracer (bench/tracing.py) wraps these module attributes;
+    the library must look them up at call time, one layer per name."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, counts):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("make", [
+        oscillator_seed,
+        nonholonomic_seed,
+        lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
+        lambda: (nonholonomic_hamiltonian(), ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3])),
+    ], ids=["lagrangian", "lagrangian-constrained", "hamiltonian", "hamiltonian-constrained"])
+    def test_each_wrapped_stepper_name_is_hit_once_per_step(self, monkeypatch, make):
+        system, seed = make()
+        counts = {}
+        for name in ("step_lagrangian", "step_hamiltonian", "newton_solve",
+                     "dirac_inclusion_residual"):
+            self.count_calls(monkeypatch, stepper, name, counts)
+        run_trajectory(system, seed, 7)
+        step = "step_lagrangian" if system.kind == "lagrangian" else "step_hamiltonian"
+        assert counts == {step: 7, "newton_solve": 7, "dirac_inclusion_residual": 7}
+
+    def test_finite_difference_gradients_do_not_enter_jacobian_columns(self, monkeypatch):
+        inside = []
+        gradient, columns = systems.central_difference, systems.jacobian_columns
+
+        def traced_gradient(*args):
+            inside.append(True)
+            try:
+                return gradient(*args)
+            finally:
+                inside.pop()
+
+        def traced_columns(*args):
+            assert not inside, "central_difference entered jacobian_columns"
+            return columns(*args)
+
+        monkeypatch.setattr(systems, "central_difference", traced_gradient)
+        monkeypatch.setattr(systems, "jacobian_columns", traced_columns)
+        monkeypatch.setattr(stepper, "jacobian_columns", traced_columns)
+        counts = {}
+        self.count_calls(monkeypatch, systems, "central_difference", counts)
+        self.count_calls(monkeypatch, stepper, "jacobian_columns", counts)
+        traj = run_trajectory(quartic_hamiltonian(3, H), (np.full(3, 0.2), np.full(3, 0.1)), 4)
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        assert counts["central_difference"] > 0 and counts["jacobian_columns"] > 0
