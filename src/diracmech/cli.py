@@ -4,7 +4,9 @@ A config names a built-in system, its parameters, the seed configurations
 [q0, q1] (the seed momentum is derived, p0 = -d1 L(q0, q1)), a step count and
 optional solver overrides. One table row is written per step after the seed
 row; floats are printed with 17 significant digits so files re-parse to the
-exact doubles that were computed.
+exact doubles that were computed. The table is gathered into one float64
+array and written in chunks of ``_CHUNK_ROWS`` rows through one row
+template, so the text held in memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +39,9 @@ _SYSTEM_PARAMS = {
 }
 _COMMON_KEYS = {"system", "seed", "steps", "solver", "output", "format", "diagnostics"}
 _SOLVER_KEYS = {"tol", "max_iter", "damping", "predictor"}
+# Rows formatted per write: one chunk's text is the largest transient object
+# of a CSV write, whatever the row count.
+_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -163,15 +169,12 @@ def parse_config(text: str) -> RunConfig:
     seed = raw.get("seed")
     if seed is None:
         raise ConfigError("missing required field 'seed'", field="seed")
-    try:
-        seed = np.asarray(seed, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
+    if not isinstance(seed, list):
         raise ConfigError("field 'seed' must be a flat list of numbers", field="seed")
+    seed = np.array([_require_number(x, "seed") for x in seed], dtype=float)
     if seed.shape != (2 * n,):
         raise ConfigError("seed for %r must hold [q0, q1], 2 * %d numbers, got %d"
                           % (system, n, seed.shape[0]), field="seed")
-    if not np.all(np.isfinite(seed)):
-        raise ConfigError("seed entries must be finite", field="seed")
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -224,10 +227,6 @@ def build_system(config: RunConfig) -> DiscreteSystem:
     return builtin.nonholonomic_particle(config.params["h"], config.params["mass"])
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _columns(n: int, m: int, diagnostics: bool):
     cols = ["k"]
     cols += ["q%d" % i for i in range(n)]
@@ -239,34 +238,44 @@ def _columns(n: int, m: int, diagnostics: bool):
     return cols
 
 
-def _rows(trajectory: Trajectory, m: int, diagnostics: bool):
-    rows = []
-    for k, point in enumerate(trajectory.curve):
-        row = [k]
-        row += list(point.q) + list(point.p) + list(point.qplus)
-        if diagnostics:
-            if k == 0:
-                row += [0.0, 0.0, 0.0] + [0.0] * m
-            else:
-                d = trajectory.diagnostics[k - 1]
-                row += [d.residual, d.inclusion_residual, d.constraint_residual]
-                row += list(d.multipliers)
-        rows.append(row)
-    return rows
+def _table(trajectory: Trajectory, n: int, m: int, diagnostics: bool) -> np.ndarray:
+    """The output table as one float64 array with the columns of ``_columns``.
+
+    Row k holds k (exact in float64), point k of the curve and, with
+    diagnostics, the record of the step that produced it; the seed row holds
+    zeros in the diagnostic columns.
+    """
+    points = trajectory.curve.points
+    rows = len(points)
+    table = np.zeros((rows, len(_columns(n, m, diagnostics))))
+    table[:, 0] = np.arange(rows)
+    table[:, 1:1 + n] = np.concatenate([pt.q for pt in points]).reshape(rows, n)
+    table[:, 1 + n:1 + 2 * n] = np.concatenate([pt.p for pt in points]).reshape(rows, n)
+    table[:, 1 + 2 * n:1 + 3 * n] = np.concatenate([pt.qplus for pt in points]).reshape(rows, n)
+    diags = trajectory.diagnostics
+    if diagnostics and diags:
+        col = 1 + 3 * n
+        for j, name in enumerate(("residual", "inclusion_residual", "constraint_residual")):
+            table[1:, col + j] = np.fromiter(map(attrgetter(name), diags), float, len(diags))
+        if m:
+            table[1:, col + 3:] = np.concatenate([d.multipliers for d in diags]).reshape(-1, m)
+    return table
 
 
-def _write_csv(path: Path, columns, rows):
+def _write_csv(path: Path, columns, table: np.ndarray):
+    row = "%d," + ",".join(["%.17g"] * (table.shape[1] - 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [str(row[0])] + [_fmt(x) for x in row[1:]]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            chunk = table[start:start + _CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _write_json(path: Path, columns, rows, metadata, summary: Optional[RunSummary]):
+def _write_json(path: Path, columns, table: np.ndarray, metadata,
+                summary: Optional[RunSummary]):
     doc = {
         "metadata": dict(metadata, columns=columns),
-        "rows": [[row[0]] + [float(x) for x in row[1:]] for row in rows],
+        "rows": [[k] + row[1:] for k, row in enumerate(table.tolist())],
         "summary": None if summary is None else {
             "steps_completed": summary.steps_completed,
             "max_residual": summary.max_residual,
@@ -285,7 +294,7 @@ def _write_json(path: Path, columns, rows, metadata, summary: Optional[RunSummar
 def _emit(config: RunConfig, system: DiscreteSystem, trajectory: Trajectory,
           summary: Optional[RunSummary]):
     columns = _columns(system.n, system.m, config.diagnostics)
-    rows = _rows(trajectory, system.m, config.diagnostics)
+    table = _table(trajectory, system.n, system.m, config.diagnostics)
     metadata = {
         "system": config.system,
         "params": config.params,
@@ -294,16 +303,17 @@ def _emit(config: RunConfig, system: DiscreteSystem, trajectory: Trajectory,
                    "damping": config.solver.damping, "predictor": config.solver.predictor},
     }
     if config.fmt == "csv":
-        _write_csv(config.output, columns, rows)
+        _write_csv(config.output, columns, table)
     else:
-        _write_json(config.output, columns, rows, metadata, summary)
+        _write_json(config.output, columns, table, metadata, summary)
 
 
 def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     """Run the configured trajectory and write the output table.
 
     On a failed step the partial table is still written before the
-    StepFailureError propagates.
+    StepFailureError propagates. An OSError from writing the table
+    propagates as is.
     """
     system = build_system(config)
     n = system.n
@@ -319,9 +329,9 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
         trajectory = run_trajectory(system, x0, config.steps, config.solver)
     except StepFailureError as exc:
         wall = time.perf_counter() - start
+        print(str(exc), file=sys.stderr)
         if exc.trajectory is not None:
             _emit(config, system, exc.trajectory, RunSummary.of(exc.trajectory, wall))
-        print(str(exc), file=sys.stderr)
         raise
     wall = time.perf_counter() - start
 
@@ -379,6 +389,9 @@ def main(argv=None) -> int:
     except DiracMechError as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 2
+    except OSError as exc:
+        print("cannot write output: %s" % exc, file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,13 +1,14 @@
 """Command line front end: config validation, emission formats, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diracmech import builtin, run_trajectory
-from diracmech.cli import main, parse_config, run
-from diracmech.errors import ConfigError
+from diracmech.cli import _CHUNK_ROWS, _write_csv, build_system, main, parse_config, run
+from diracmech.errors import ConfigError, StepFailureError
 
 MINIMAL = {"system": "harmonic_oscillator", "h": 0.1, "lambda": 1.0,
            "seed": [0, 0.1], "steps": 10}
@@ -112,6 +113,13 @@ class TestParseConfig:
     def test_seed_must_be_finite(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(json.dumps(dict(MINIMAL, seed=[0.0, None])))
+
+    @pytest.mark.parametrize("seed", [["0", "0.1"], [True, False], [[0], [0.1]], [0, [0.1]],
+                                      "0 0.1", 0.1, {"q0": 0, "q1": 0.1}, [0, 10 ** 400]])
+    def test_seed_must_be_a_flat_list_of_numbers(self, seed):
+        with pytest.raises(ConfigError, match="seed") as info:
+            parse_config(json.dumps(dict(MINIMAL, seed=seed)))
+        assert info.value.field == "seed"
 
 
 class TestRun:
@@ -229,6 +237,23 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert 2 <= len(lines) < 12  # header plus seed plus the completed steps
 
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        path, _ = write_config(tmp_path, output=str(out))
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "cannot write output" in captured.err and "missing" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_partial_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "partial.csv"
+        path, _ = write_config(tmp_path, solver={"tol": 1e-30}, output=str(out))
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line search" in err and "cannot write output" in err
+        assert not out.parent.exists()
+
     def test_steps_and_output_overrides(self, tmp_path):
         out = tmp_path / "override.csv"
         path, _ = write_config(tmp_path)
@@ -272,3 +297,127 @@ class TestMain:
         assert out.read_bytes() == first
         assert main([str(path), "--quiet"]) == 0  # in-process run matches too
         assert out.read_bytes() == first
+
+
+def reference_rows(trajectory, m, diagnostics=True):
+    """The table row by row, one Python value per cell, read point by point."""
+    rows = []
+    for k, point in enumerate(trajectory.curve):
+        row = [k] + [float(x) for x in (*point.q, *point.p, *point.qplus)]
+        if diagnostics:
+            if k == 0:
+                row += [0.0] * (3 + m)
+            else:
+                d = trajectory.diagnostics[k - 1]
+                row += [d.residual, d.inclusion_residual, d.constraint_residual]
+                row += [float(x) for x in d.multipliers]
+        rows.append(row)
+    return rows
+
+
+def reference_csv(trajectory, n, m, diagnostics=True):
+    """The CSV text formatted one cell at a time: str(k), then "%.17g" per float."""
+    header = ["k"] + ["%s%d" % (block, i) for block in ("q", "p", "qplus") for i in range(n)]
+    if diagnostics:
+        header += ["residual", "inclusion_residual", "constraint_residual"]
+        header += ["lambda%d" % i for i in range(m)]
+    lines = [",".join(header)]
+    for row in reference_rows(trajectory, m, diagnostics):
+        lines.append(",".join([str(row[0])] + ["%.17g" % x for x in row[1:]]))
+    return "\n".join(lines) + "\n"
+
+
+NONHOLONOMIC = {"system": "nonholonomic_particle", "h": 0.1,
+                "seed": [0.0, 0.5, 0.0, 0.1, 0.52, 0.05]}
+
+
+def reference_trajectory(doc):
+    """The system and the (possibly partial) trajectory a config describes."""
+    config = parse_config(json.dumps(doc))
+    system = build_system(config)
+    n = system.n
+    x0 = builtin.lagrangian_seed(system, config.seed[:n], config.seed[n:])
+    try:
+        return system, run_trajectory(system, x0, config.steps, config.solver)
+    except StepFailureError as exc:
+        return system, exc.trajectory
+
+
+class TestEmission:
+    """The chunked emitter against a cell-by-cell reference formatter."""
+
+    def _check_csv(self, tmp_path, doc, exit_code=0):
+        out = tmp_path / "out.csv"
+        doc = dict(doc, output=str(out))
+        system, trajectory = reference_trajectory(doc)
+        diagnostics = doc.get("diagnostics", True)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main([str(path), "--quiet"]) == exit_code
+        text = out.read_bytes().decode()
+        assert text == reference_csv(trajectory, system.n, system.m, diagnostics)
+        return text
+
+    @pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                      3 * _CHUNK_ROWS + 7])
+    def test_oscillator_across_chunk_boundaries(self, tmp_path, rows):
+        text = self._check_csv(tmp_path, dict(MINIMAL, steps=rows - 1))
+        assert text.count("\n") == rows + 1
+
+    def test_nonholonomic_multiplier_column(self, tmp_path):
+        self._check_csv(tmp_path, dict(NONHOLONOMIC, steps=300))
+
+    def test_free_particle_in_two_dimensions(self, tmp_path):
+        self._check_csv(tmp_path, {"system": "free_particle", "h": 0.05, "n": 2,
+                                   "mass": [1.0, 2.0], "seed": [0, 0, 0.1, 0.2], "steps": 40})
+
+    @pytest.mark.parametrize("steps", [0, 5, _CHUNK_ROWS])
+    def test_without_diagnostics(self, tmp_path, steps):
+        self._check_csv(tmp_path, dict(MINIMAL, steps=steps, diagnostics=False))
+        self._check_csv(tmp_path, dict(NONHOLONOMIC, steps=steps, diagnostics=False))
+
+    def test_seed_row_only(self, tmp_path):
+        text = self._check_csv(tmp_path, dict(NONHOLONOMIC, steps=0))
+        lines = text.splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[10:] == ["0"] * 4  # residuals and lambda0
+
+    def test_partial_table_on_step_failure(self, tmp_path):
+        doc = dict(MINIMAL, solver={"tol": 1e-30})
+        text = self._check_csv(tmp_path, doc, exit_code=2)
+        assert 2 <= text.count("\n") < 12
+
+    @pytest.mark.parametrize("doc", [dict(MINIMAL, steps=_CHUNK_ROWS + 3),
+                                     dict(NONHOLONOMIC, steps=50),
+                                     dict(NONHOLONOMIC, steps=7, diagnostics=False)])
+    def test_json_rows(self, tmp_path, doc):
+        out = tmp_path / "out.json"
+        doc = dict(doc, output=str(out), format="json")
+        system, trajectory = reference_trajectory(doc)
+        config = parse_config(json.dumps(doc))
+        run(config, quiet=True)
+        rows = json.loads(out.read_text())["rows"]
+        assert rows == reference_rows(trajectory, system.m, doc.get("diagnostics", True))
+        assert all(type(row[0]) is int for row in rows)
+
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+        # 20k rows of oscillator width; a whole-file join holds all of their
+        # text (and the Python floats behind it) at once
+        table = np.random.default_rng(5).standard_normal((20000, 7))
+        table[:, 0] = np.arange(len(table))
+        columns = ["k"] + ["c%d" % i for i in range(6)]
+        bound = 2 * 1024 * 1024
+
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "big.csv", columns, table)
+            chunked = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            template = "%d," + ",".join(["%.17g"] * 6) + "\n"
+            whole = (template * len(table)) % tuple(table.ravel().tolist())
+            joined = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").read_text().count("\n") == len(table) + 1
+        assert len(whole) > 0
+        assert chunked < bound < joined
