@@ -79,6 +79,8 @@ class RunSummary:
             "max_inclusion_residual: %.17g" % self.max_inclusion_residual,
             "max_constraint_residual: %.17g" % self.max_constraint_residual,
             "wall_time: %.6f s" % self.wall_time,
+            "total_iterations: %d" % self.total_iterations,
+            "total_jacobian_assemblies: %d" % self.total_jacobian_assemblies,
         ]
 
 

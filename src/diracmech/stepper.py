@@ -381,21 +381,33 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     with the inclusion residual at (q, p, q+) and p+. Every assembly of the
     Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
     block of H, for regularity.
+
+    The residual keeps the gradient, the dH/dp completion and phi of its
+    last call. When Newton returns the very array of that call, the
+    constraint residual and the certificate read those values instead of
+    evaluating them again; otherwise they are evaluated afresh.
     """
     lagrangian = system.kind == LAGRANGIAN
     n, m = system.n, system.m
+    # the argument of the residual's last call and its gradient, dH/dp
+    # completion (constrained Hamiltonian steps) and constraint value
+    last_z = last_g = last_c = last_phi = None
     if lagrangian:
         gen = system.lagrangian
         grad, complete = gen.d1, gen.d2
 
         def balance(y):
-            return p + grad(q, y)
+            nonlocal last_z, last_g
+            last_z, last_g = y, grad(q, y)
+            return p + last_g
     else:
         gen = system.hamiltonian
         grad, complete = gen.dq, gen.dp
 
         def balance(y):
-            return p - grad(q, y)
+            nonlocal last_z, last_g
+            last_z, last_g = y, grad(q, y)
+            return p - last_g
     scale = gen.provider.fd_scale
     lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
     if lam0.shape != (m,):
@@ -407,12 +419,16 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         a = system.dist.matrix(q)
 
         def residual_fn(z):
+            nonlocal last_z, last_c, last_phi
             y = z[:n]
             r = balance(y) - a.T @ z[k:]
+            last_z = z
             if lagrangian:
-                return np.concatenate([r, system.constraint.value(q, y)])
-            return np.concatenate([r, z[n:k] - complete(q, y),
-                                   system.constraint.value(q, z[n:k])])
+                last_phi = system.constraint.value(q, y)
+                return np.concatenate([r, last_phi])
+            last_c = complete(q, y)
+            last_phi = system.constraint.value(q, z[n:k])
+            return np.concatenate([r, z[n:k] - last_c, last_phi])
 
         def with_constraint_blocks(jm, qplus):
             # -A^T in the multiplier columns of the balance rows, the
@@ -454,9 +470,15 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
 
     z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
                                  jacobian_cache=jacobian_cache)
+    # the residual's last values belong to the returned root only if its
+    # last call was made on this very array
+    held = z is last_z
     y, lam = (z[:n], z[k:]) if m else (z, lam0)
     if lagrangian:
         qplus, p_next = y, complete(q, y)
+        if not _all_finite(p_next):
+            raise EvaluationError("momentum update d2 L is not finite "
+                                  "at the solved configuration")
     else:
         qplus, p_next = z[n:k] if m else complete(q, y), y
         if not _all_finite(qplus):
@@ -469,8 +491,12 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     # q and p come validated from the entry points, and q+ is finite by
     # Newton acceptance or by the check above
     nxt = PontryaginPoint._trusted(q, p, qplus)
-    cres = float(np.max(np.abs(system.constraint.value(q, qplus)))) if m else 0.0
-    inclusion = dirac_inclusion_residual(system, nxt, p_next)
+    if m:
+        cres = float(np.max(np.abs(last_phi if held else system.constraint.value(q, qplus))))
+    else:
+        cres = 0.0
+    inclusion = dirac_inclusion_residual(system, nxt, p_next,
+                                         _held=(last_g, last_c) if held else None)
     _certify(inclusion, opts)
     return StepResult(nxt, lam, iters, res, inclusion, cres, p_next, assemblies)
 
@@ -479,7 +505,8 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
                     opts: Optional[SolverOptions] = None,
                     multiplier_guess: Optional[np.ndarray] = None,
                     check_consistency: bool = True,
-                    jacobian_cache: Optional[list] = None) -> StepResult:
+                    jacobian_cache: Optional[list] = None, *,
+                    _carried: Optional[np.ndarray] = None) -> StepResult:
     """Advance a complete point one index.
 
     Solves, for (qnew, lambda), the carried momentum d2 L(q, q+) balancing
@@ -491,6 +518,14 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     iteration matrix across the steps of one trajectory; on a constrained
     step its -A^T and constraint-Jacobian blocks are replaced by this
     step's, evaluated at the predictor.
+
+    A step evaluates d1 L once per Newton residual and d2 L once, for the
+    new momentum p_next = d2 L(q+, qnew), which must be finite
+    (EvaluationError otherwise). The certificate reuses d1 L from Newton's
+    last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
+    construction. A direct call also evaluates the carried momentum
+    d2 L(q, q+); ``run_trajectory`` passes the previous step's ``p_next``,
+    which is that value, through the private ``_carried``.
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
@@ -499,7 +534,7 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     opts = opts if opts is not None else SolverOptions()
     if check_consistency:
         r0 = check_initial_data(system, x)
-        if r0 > opts.tol:
+        if not (r0 <= opts.tol):
             warnings.warn(
                 "seed point is inconsistent (initial-data residual %.3e); "
                 "the step still solves the inclusion at the next index" % r0,
@@ -508,14 +543,15 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     q1 = x.qplus
     # q1 + q1 is 2 q1 exactly, without a scalar multiply
     qnew0 = (q1 + q1) - x.q if opts.predictor == "extrapolate" else q1
-    return _solve_step(system, q1, system.lagrangian.d2(x.q, q1), qnew0, opts,
-                       multiplier_guess, jacobian_cache)
+    carried = system.lagrangian.d2(x.q, q1) if _carried is None else _carried
+    return _solve_step(system, q1, carried, qnew0, opts, multiplier_guess, jacobian_cache)
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
                      opts: Optional[SolverOptions] = None,
                      multiplier_guess: Optional[np.ndarray] = None,
-                     jacobian_cache: Optional[list] = None) -> StepResult:
+                     jacobian_cache: Optional[list] = None, *,
+                     _owned: bool = False) -> StepResult:
     """Advance a phase-space pair one index.
 
     Solves, for (pnew, qnew, lambda), momentum balance p - dH/dq(q, pnew)
@@ -530,11 +566,18 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     step solved on a matrix held in ``jacobian_cache`` skips it, constrained
     or not; a held constrained matrix gets this step's -A^T and
     constraint-Jacobian blocks at the predictor.
+
+    The certificate reuses dH/dq from Newton's last residual. Without
+    constraints its dp block dH/dp(q, pnew) - qnew is zero by construction;
+    with them it reads the dH/dp of that residual. ``run_trajectory`` hands
+    over its own validated arrays with the private ``_owned=True``; the step
+    then builds its point on them instead of on copies.
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
     opts = opts if opts is not None else SolverOptions()
-    q, p = _phase_state(q, p, system.n)
+    if not _owned:
+        q, p = _phase_state(q, p, system.n)
     return _solve_step(system, q, p, p, opts, multiplier_guess, jacobian_cache)
 
 
@@ -556,6 +599,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     judged on exact residuals and every step is certified individually.
     Each diagnostic records the step's Newton iterations and matrix
     assemblies.
+
+    Each step carries the previous step's ``p_next`` as its momentum, so a
+    Lagrangian step does not evaluate d2 L(q, q+) again, and a Hamiltonian
+    step works on the run's own arrays: each curve point's q is the previous
+    point's q+.
     """
     opts = opts if opts is not None else SolverOptions()
     if steps < 0:
@@ -565,10 +613,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         if not isinstance(seed, PontryaginPoint):
             raise UnsupportedOperationError("Lagrangian trajectories start from a PontryaginPoint")
         r0 = check_initial_data(system, seed)
-        if r0 > opts.tol:
+        if not (r0 <= opts.tol):
             warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
                           RuntimeWarning, stacklevel=2)
         points = [seed]
+        p = None  # the first step evaluates its carried momentum
     else:
         try:
             q, p = seed
@@ -586,25 +635,22 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         try:
             if lagrangian:
                 result = step_lagrangian(system, points[-1], opts, multiplier_guess=lam_prev,
-                                         check_consistency=False, jacobian_cache=jac_cache)
+                                         check_consistency=False, jacobian_cache=jac_cache,
+                                         _carried=p)
             else:
                 result = step_hamiltonian(system, q, p, opts, multiplier_guess=lam_prev,
-                                          jacobian_cache=jac_cache)
+                                          jacobian_cache=jac_cache, _owned=True)
         except DiracMechError as exc:
             partial = None
             if points:
                 partial = Trajectory(DiscreteCurve(points), tuple(diags), system.label,
                                      len(diags), opts, None if lagrangian else (q, p))
             raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
-        # a Hamiltonian step returns its point on copies of q and p; the
-        # curve keeps the run's own arrays, so each q is the previous q+
-        points.append(result.next if lagrangian
-                      else PontryaginPoint._trusted(q, p, result.next.qplus))
+        points.append(result.next)
         diags.append(StepDiagnostics(result.residual, result.inclusion_residual,
                                      result.constraint_residual, result.multipliers,
                                      result.iterations, result.jacobian_assemblies))
         lam_prev = result.multipliers
-        if not lagrangian:
-            q, p = result.next.qplus, result.p_next
+        q, p = result.next.qplus, result.p_next
     return Trajectory(DiscreteCurve(points), tuple(diags), system.label, steps, opts,
                       None if lagrangian else (q, p))

@@ -367,7 +367,7 @@ def _sq_norm(v: np.ndarray) -> float:
 
 
 def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
-                             p_next: np.ndarray) -> float:
+                             p_next: np.ndarray, *, _held: Optional[tuple] = None) -> float:
     """Membership residual of the per-step inclusion at (x, p_next).
 
     With v the vertical lift of x.p at x and psi the system's one-form, this
@@ -378,6 +378,14 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     dp and dq+ blocks of beta plus the part of its dq block lying in
     ker A(q). Zero exactly on pairs satisfying the discrete equations of
     motion; this is the step-acceptance oracle.
+
+    A stepper certifies from the values its step already holds through the
+    private ``_held = (g, c)``: g is d1 L(q, q+) or dH/dq(q, p_next) at
+    exactly these arrays, and c is dH/dp(q, p_next) of a constrained
+    Hamiltonian step, or None. With None the second block is zero by
+    construction and is not computed: a Lagrangian step's p_next is
+    d2 L(q, q+), and an unconstrained Hamiltonian step's q+ is
+    dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
     """
     if x.dim != system.n:
         raise DimensionMismatchError("point dimension %d, system dimension %d" % (x.dim, system.n))
@@ -385,14 +393,17 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     # so its projection off the lifted distribution is identically zero (part
     # (a) of the residual) and its interior product with the two-form is the
     # covector (p, 0, 0).
-    if system.kind == LAGRANGIAN:
-        bq, bqplus = _lagrangian_blocks(system.lagrangian, x, p_next)
-        beta_q = bq - x.p
-        sq = _sq_norm(bqplus)
+    lagrangian = system.kind == LAGRANGIAN
+    if _held is not None:
+        g, c = _held
+        bq = -g if lagrangian else g
+        second = None if c is None else c - x.qplus
+    elif lagrangian:
+        bq, second = _lagrangian_blocks(system.lagrangian, x, p_next)
     else:
-        bq, bp = _hamiltonian_blocks(system.hamiltonian, x, p_next)
-        beta_q = bq - x.p
-        sq = _sq_norm(bp)
+        bq, second = _hamiltonian_blocks(system.hamiltonian, x, p_next)
+    beta_q = bq - x.p
     if system.m:
         beta_q = system.dist.project_ker(x.q, beta_q)
-    return math.sqrt(_sq_norm(beta_q) + sq)
+    sq = _sq_norm(beta_q)
+    return math.sqrt(sq if second is None else sq + _sq_norm(second))

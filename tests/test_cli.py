@@ -214,6 +214,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert "steps_completed: 10" in captured.out
 
+    def test_summary_reports_solver_totals(self, tmp_path, capsys):
+        # the text summary carries the same solver totals as the JSON summary
+        path, _ = write_config(tmp_path, output=str(tmp_path / "t.csv"))
+        assert main([str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the linear oscillator solves each step in one iteration on one held matrix
+        assert "total_iterations: 10" in lines
+        assert "total_jacobian_assemblies: 1" in lines
+
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, output=str(tmp_path / "t.csv"))
         assert main([str(path), "--quiet"]) == 0

@@ -6,7 +6,9 @@ annihilator A(q) that is affine in q with the retraction pair constraint,
 optionally undefined (NaN) outside a ball. A run either certifies every step
 with finite values, or ends in a StepFailureError caused by a typed
 DiracMechError that carries the certified partial trajectory (for a
-Hamiltonian run, none when the first step fails).
+Hamiltonian run, none when the first step fails). Every recorded
+certificate also equals a fresh evaluation of the inclusion residual at the
+stored point and its p_next.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from diracmech import (  # noqa: E402
     KinematicDistribution,
     SolverOptions,
     StepFailureError,
+    dirac_inclusion_residual,
     retraction_constraint,
     run_trajectory,
 )
@@ -115,6 +118,26 @@ def assert_certified_and_finite(traj):
         assert all(np.isfinite(x).all() for x in traj.final_state)
 
 
+def assert_certificates_reproduce(system, traj):
+    """Every recorded certificate equals a fresh evaluation at the stored point.
+
+    A step certifies from values it already holds; this re-evaluates the
+    inclusion residual from the stored point and its p_next alone.
+    """
+    if system.kind == "lagrangian":
+        points = list(traj.curve)[1:]
+        # a step's p_next is the next point's carried momentum; the last one
+        # is d2 L at the last point, as the step computed it
+        last = [system.lagrangian.d2(points[-1].q, points[-1].qplus)] if points else []
+    else:
+        points = list(traj.curve)
+        last = [traj.final_state[1]] if points else []
+    carried = [pt.p for pt in points[1:]] + last
+    assert len(points) == len(carried) == len(traj.diagnostics)
+    for d, pt, p_next in zip(traj.diagnostics, points, carried):
+        assert d.inclusion_residual == dirac_inclusion_residual(system, pt, p_next)
+
+
 def check_lagrangian_run(case):
     system, seed, steps = case
     try:
@@ -126,10 +149,12 @@ def check_lagrangian_run(case):
         assert partial.steps == exc.step_index < steps
         assert len(partial.curve) == exc.step_index + 1
         assert_certified_and_finite(partial)
+        assert_certificates_reproduce(system, partial)
     else:
         assert traj.steps == steps
         assert len(traj.curve) == steps + 1
         assert_certified_and_finite(traj)
+        assert_certificates_reproduce(system, traj)
 
 
 def check_hamiltonian_run(case):
@@ -146,10 +171,12 @@ def check_hamiltonian_run(case):
             assert len(partial.curve) == exc.step_index
             assert partial.final_state is not None
             assert_certified_and_finite(partial)
+            assert_certificates_reproduce(system, partial)
     else:
         assert traj.steps == len(traj.curve) == steps
         assert traj.final_state is not None
         assert_certified_and_finite(traj)
+        assert_certificates_reproduce(system, traj)
 
 
 @settings(max_examples=60)

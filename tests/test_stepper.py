@@ -330,6 +330,24 @@ class TestInitialData:
         with pytest.raises(UnsupportedOperationError):
             check_initial_data(system, x)
 
+    def test_nan_initial_data_residual_warns(self):
+        # d1 is NaN only at the seed's base point, so the seed residual is NaN
+        # while every step solves at other points; a NaN must not pass the gate
+        osc = builtin.harmonic_oscillator(H, LAM).lagrangian
+
+        def d1(q, qp):
+            return np.array([np.nan]) if q[0] == 0.25 else osc.d1(q, qp)
+
+        lag = DiscreteLagrangian(1, osc.Ld, d1, osc.d2, validate=False)
+        system = DiscreteSystem.from_lagrangian(lag)
+        x0 = PontryaginPoint([0.25], [0.0], [0.3])
+        assert np.isnan(check_initial_data(system, x0))
+        with pytest.warns(RuntimeWarning, match="trajectory seed is inconsistent"):
+            traj = run_trajectory(system, x0, 5)
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        with pytest.warns(RuntimeWarning, match="seed point is inconsistent"):
+            step_lagrangian(system, x0)
+
 
 class TestLagrangianStep:
     def test_oscillator_known_values(self):
@@ -406,6 +424,24 @@ class TestLagrangianStep:
         with pytest.warns(RuntimeWarning, match="cross-derivative block of the Lagrangian"):
             with pytest.raises(SingularJacobianError):
                 step_lagrangian(system, x, check_consistency=False)
+
+    def test_non_finite_momentum_update_fails_the_step(self):
+        # d2 L is finite at the seed but NaN at the solved configuration: the
+        # certificate reads p_next - d2 L as zero by construction, so a
+        # non-finite p_next has to fail the step before it
+        def d2(q, qp):
+            return np.array([np.nan]) if qp[0] > 0.15 else (qp - q) / H
+
+        lag = DiscreteLagrangian(1, lambda q, qp: float((qp - q) @ (qp - q)) / (2.0 * H),
+                                 d1=lambda q, qp: -(qp - q) / H, d2=d2, validate=False)
+        system = DiscreteSystem.from_lagrangian(lag)
+        x0 = PontryaginPoint([0.0], [1.0], [0.1])
+        with pytest.raises(EvaluationError, match="momentum update d2 L is not finite"):
+            step_lagrangian(system, x0)
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, x0, 3)
+        assert isinstance(info.value.__cause__, EvaluationError)
+        assert info.value.step_index == 0
 
     def test_wrong_kind_rejected(self):
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
@@ -851,3 +887,96 @@ class TestTracedDispatch:
         traj = run_trajectory(quartic_hamiltonian(3, H), (np.full(3, 0.2), np.full(3, 0.1)), 4)
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
         assert counts["central_difference"] > 0 and counts["jacobian_columns"] > 0
+
+
+class TestEvaluationCounts:
+    """A step evaluates each user callable only where no held value serves: a
+    run carries the previous step's p_next as the next carried momentum, and
+    the certificate and the constraint residual read the values of Newton's
+    last residual."""
+
+    LANES = {
+        "lagrangian": oscillator_seed,
+        "hamiltonian": lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
+        "nonholonomic": nonholonomic_seed,
+    }
+
+    @staticmethod
+    def count(monkeypatch, system):
+        """Counting wrappers on the generating-function slots and on phi."""
+        lagrangian = system.kind == "lagrangian"
+        gen = system.lagrangian if lagrangian else system.hamiltonian
+        targets = [(gen, name) for name in (("d1", "d2") if lagrangian else ("dq", "dp"))]
+        if system.m:
+            targets.append((system.constraint, "phi"))
+        counts = {}
+        for obj, name in targets:
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=getattr(obj, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(obj, name, counted)
+        return counts
+
+    def per_step(self, monkeypatch, lane, steps=20):
+        # the difference of a run and one twice as long cancels the one-off
+        # evaluations: seed check, first carried momentum, first assembly
+        system, seed = self.LANES[lane]()
+        counts = self.count(monkeypatch, system)
+
+        def totals(n):
+            counts.update(dict.fromkeys(counts, 0))
+            run_trajectory(system, seed, n)
+            return dict(counts)
+
+        short, long = totals(steps), totals(2 * steps)
+        return {name: (long[name] - short[name]) / steps for name in counts}
+
+    @pytest.mark.parametrize("lane, expected", [
+        ("lagrangian", {"d1": 2, "d2": 1}),
+        ("hamiltonian", {"dq": 2, "dp": 1}),
+        ("nonholonomic", {"d1": 2, "d2": 1, "phi": 2}),
+    ])
+    def test_run_evaluates_each_callable_once_per_step(self, monkeypatch, lane, expected):
+        # one Newton iteration per step: two residuals (the predictor and the
+        # root), then one completion; nothing else is evaluated again
+        assert self.per_step(monkeypatch, lane) == expected
+
+    @pytest.mark.parametrize("lane, expected", [
+        ("lagrangian", {"d1": 3, "d2": 2}),
+        ("hamiltonian", {"dq": 3, "dp": 2}),
+        ("nonholonomic", {"d1": 3, "d2": 2, "phi": 3}),
+    ])
+    def test_root_off_the_residuals_array_is_evaluated_afresh(self, monkeypatch, lane,
+                                                             expected):
+        # Newton returning a copy of its root breaks the identity with the
+        # residual's last argument: the certificate and phi are evaluated again,
+        # with the same values
+        system, seed = self.LANES[lane]()
+        reference = run_trajectory(system, seed, 10)
+        solve = stepper.newton_solve
+
+        def copied(*args, **kwargs):
+            z, iters, res = solve(*args, **kwargs)
+            return z.copy(), iters, res
+
+        monkeypatch.setattr(stepper, "newton_solve", copied)
+        assert self.per_step(monkeypatch, lane) == expected
+        system, seed = self.LANES[lane]()
+        traj = run_trajectory(system, seed, 10)
+        for a, b in zip(traj.diagnostics, reference.diagnostics):
+            assert (a.residual, a.inclusion_residual, a.constraint_residual) \
+                == (b.residual, b.inclusion_residual, b.constraint_residual)
+            assert np.array_equal(a.multipliers, b.multipliers)
+        for a, b in zip(traj.curve, reference.curve):
+            for u, v in ((a.q, b.q), (a.p, b.p), (a.qplus, b.qplus)):
+                assert np.array_equal(u, v)
+
+    def test_direct_lagrangian_step_evaluates_its_carried_momentum(self, monkeypatch):
+        system, x0 = oscillator_seed()
+        counts = self.count(monkeypatch, system)
+        result = step_lagrangian(system, x0, check_consistency=False)
+        assert counts["d2"] == 2  # the carried d2 L(q0, q1) and the new momentum
+        assert result.next.p[0] == system.lagrangian.d2(x0.q, x0.qplus)[0]
