@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
-from .linalg import RANK_CUTOFF, orthonormal_columns
+from .linalg import orthonormal_columns
 
 
 _F64 = np.dtype(float)
@@ -198,7 +198,7 @@ class KinematicDistribution:
         # the rank of the row basis is the count of singular values above
         # RANK_CUTOFF relative to the largest, so rank < m is exactly
         # s[0] == 0 or s[-1] <= RANK_CUTOFF * s[0]
-        rows = orthonormal_columns(a.T, RANK_CUTOFF)
+        rows = orthonormal_columns(a.T)
         if rows.shape[1] < self.m:
             s = np.linalg.svd(a, compute_uv=False)
             raise DegenerateConstraintError(

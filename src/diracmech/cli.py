@@ -17,7 +17,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -31,14 +31,19 @@ from .systems import DiscreteSystem
 
 _FORMATS = ("csv", "json")
 
-# Per-system parameter schema: name -> (required, default).
-_SYSTEM_PARAMS = {
-    "harmonic_oscillator": {"h": (True, None), "lambda": (False, 1.0)},
-    "free_particle": {"h": (True, None), "n": (False, 1), "mass": (False, 1.0)},
-    "nonholonomic_particle": {"h": (True, None), "mass": (False, 1.0)},
+# The built-in systems: name -> (dimension of the parameters, builder, parameter
+# defaults in the builder's argument order, None marking a required one).
+_SYSTEMS = {
+    "harmonic_oscillator": (lambda params: 1, builtin.harmonic_oscillator,
+                            {"h": None, "lambda": 1.0}),
+    "free_particle": (lambda params: params["n"], builtin.free_particle,
+                      {"h": None, "n": 1, "mass": 1.0}),
+    "nonholonomic_particle": (lambda params: 3, builtin.nonholonomic_particle,
+                              {"h": None, "mass": 1.0}),
 }
 _COMMON_KEYS = {"system", "seed", "steps", "solver", "output", "format", "diagnostics"}
-_SOLVER_KEYS = {"tol", "max_iter", "damping", "predictor"}
+# in the order of the JSON metadata
+_SOLVER_KEYS = ("tol", "max_iter", "damping", "predictor")
 # Rows formatted per write: one chunk's text is the largest transient object
 # of a CSV write, whatever the row count.
 _CHUNK_ROWS = 1024
@@ -98,19 +103,28 @@ def _require_number(value, name: str, positive: bool = False) -> float:
     return value
 
 
-def system_dimension(system: str, params: dict) -> int:
-    if system == "harmonic_oscillator":
-        return 1
-    if system == "free_particle":
-        return int(params["n"])
-    return 3
+def _require_int(value, name: str, minimum: int, field: Optional[str] = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError("field %r must be a %s integer, got %r"
+                          % (name, "positive" if minimum else "nonnegative", value),
+                          field=field or name)
+    return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run config, applying defaults.
+def _require_bool(value, name: str, field: Optional[str] = None) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError("field %r must be a boolean" % name, field=field or name)
+    return value
 
-    Unknown keys are rejected; validation errors name the offending field.
-    """
+
+def _required(raw: dict, name: str):
+    value = raw.get(name)
+    if value is None:
+        raise ConfigError("missing required field %r" % name, field=name)
+    return value
+
+
+def _load(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -118,29 +132,33 @@ def parse_config(text: str) -> RunConfig:
                           % (exc.lineno, exc.colno, exc.msg)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
 
-    system = raw.get("system")
-    if system is None:
-        raise ConfigError("missing required field 'system'", field="system")
-    if system not in _SYSTEM_PARAMS:
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a JSON run config, applying defaults.
+
+    Unknown keys are rejected; validation errors name the offending field.
+    """
+    return _validate(_load(text))
+
+
+def _validate(raw: dict) -> RunConfig:
+    system = _required(raw, "system")
+    if not isinstance(system, str) or system not in _SYSTEMS:
         raise ConfigError("unknown system %r (built-ins: %s)"
-                          % (system, ", ".join(sorted(_SYSTEM_PARAMS))), field="system")
-
-    schema = _SYSTEM_PARAMS[system]
-    allowed = _COMMON_KEYS | set(schema)
-    unknown = set(raw) - allowed
+                          % (system, ", ".join(sorted(_SYSTEMS))), field="system")
+    dimension, _, defaults = _SYSTEMS[system]
+    unknown = set(raw) - _COMMON_KEYS - set(defaults)
     if unknown:
         raise ConfigError("unknown key %r for system %r" % (sorted(unknown)[0], system),
                           field=sorted(unknown)[0])
 
     params = {}
-    for name, (required, default) in schema.items():
-        if name in raw:
-            params[name] = raw[name]
-        elif required:
+    for name, default in defaults.items():
+        if default is None and name not in raw:
             raise ConfigError("system %r requires parameter %r" % (system, name), field=name)
-        else:
-            params[name] = default
+        params[name] = raw.get(name, default)
     params["h"] = _require_number(params["h"], "h", positive=True)
     if "lambda" in params:
         lam = _require_number(params["lambda"], "lambda")
@@ -148,29 +166,20 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("field 'lambda' must be nonnegative", field="lambda")
         params["lambda"] = lam
     if "n" in params:
-        if isinstance(params["n"], bool) or not isinstance(params["n"], int) or params["n"] < 1:
-            raise ConfigError("field 'n' must be a positive integer", field="n")
+        _require_int(params["n"], "n", 1)
+    n = dimension(params)
     if "mass" in params:
         if isinstance(params["mass"], list):
             entries = [_require_number(v, "mass", positive=True) for v in params["mass"]]
-            if len(entries) != system_dimension(system, params):
-                raise ConfigError("field 'mass' must have one entry per dimension (%d)"
-                                  % system_dimension(system, params), field="mass")
+            if len(entries) != n:
+                raise ConfigError("field 'mass' must have one entry per dimension (%d)" % n,
+                                  field="mass")
             params["mass"] = entries
         else:
             params["mass"] = _require_number(params["mass"], "mass", positive=True)
 
-    steps = raw.get("steps")
-    if steps is None:
-        raise ConfigError("missing required field 'steps'", field="steps")
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
-        raise ConfigError("field 'steps' must be a nonnegative integer, got %r" % (steps,),
-                          field="steps")
-
-    n = system_dimension(system, params)
-    seed = raw.get("seed")
-    if seed is None:
-        raise ConfigError("missing required field 'seed'", field="seed")
+    steps = _require_int(_required(raw, "steps"), "steps", 0)
+    seed = _required(raw, "seed")
     if not isinstance(seed, list):
         raise ConfigError("field 'seed' must be a flat list of numbers", field="seed")
     seed = np.array([_require_number(x, "seed") for x in seed], dtype=float)
@@ -181,24 +190,16 @@ def parse_config(text: str) -> RunConfig:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ConfigError("field 'solver' must be an object", field="solver")
-    unknown = set(solver_raw) - _SOLVER_KEYS
+    unknown = set(solver_raw) - set(_SOLVER_KEYS)
     if unknown:
         raise ConfigError("unknown solver key %r" % sorted(unknown)[0], field=sorted(unknown)[0])
-    kwargs = {}
-    if "tol" in solver_raw:
-        kwargs["tol"] = _require_number(solver_raw["tol"], "solver.tol", positive=True)
-    if "max_iter" in solver_raw:
-        mi = solver_raw["max_iter"]
-        if isinstance(mi, bool) or not isinstance(mi, int) or mi < 1:
-            raise ConfigError("field 'solver.max_iter' must be a positive integer",
-                              field="max_iter")
-        kwargs["max_iter"] = mi
-    if "damping" in solver_raw:
-        if not isinstance(solver_raw["damping"], bool):
-            raise ConfigError("field 'solver.damping' must be a boolean", field="damping")
-        kwargs["damping"] = solver_raw["damping"]
-    if "predictor" in solver_raw:
-        kwargs["predictor"] = solver_raw["predictor"]
+    kwargs = dict(solver_raw)
+    if "tol" in kwargs:
+        kwargs["tol"] = _require_number(kwargs["tol"], "solver.tol", positive=True)
+    if "max_iter" in kwargs:
+        _require_int(kwargs["max_iter"], "solver.max_iter", 1, field="max_iter")
+    if "damping" in kwargs:
+        _require_bool(kwargs["damping"], "solver.damping", field="damping")
     try:
         solver = SolverOptions(**kwargs)
     except ValueError as exc:
@@ -212,21 +213,13 @@ def parse_config(text: str) -> RunConfig:
         output = "%s_trajectory.%s" % (system, fmt)
     if not isinstance(output, (str, Path)):
         raise ConfigError("field 'output' must be a path string", field="output")
-
-    diagnostics = raw.get("diagnostics", True)
-    if not isinstance(diagnostics, bool):
-        raise ConfigError("field 'diagnostics' must be a boolean", field="diagnostics")
-
+    diagnostics = _require_bool(raw.get("diagnostics", True), "diagnostics")
     return RunConfig(system, params, seed, steps, solver, Path(output), fmt, diagnostics)
 
 
 def build_system(config: RunConfig) -> DiscreteSystem:
-    if config.system == "harmonic_oscillator":
-        return builtin.harmonic_oscillator(config.params["h"], config.params["lambda"])
-    if config.system == "free_particle":
-        return builtin.free_particle(config.params["h"], config.params["n"],
-                                     config.params["mass"])
-    return builtin.nonholonomic_particle(config.params["h"], config.params["mass"])
+    _, build, defaults = _SYSTEMS[config.system]
+    return build(*(config.params[name] for name in defaults))
 
 
 def _columns(n: int, m: int, diagnostics: bool):
@@ -278,15 +271,7 @@ def _write_json(path: Path, columns, table: np.ndarray, metadata,
     doc = {
         "metadata": dict(metadata, columns=columns),
         "rows": [[k] + row[1:] for k, row in enumerate(table.tolist())],
-        "summary": None if summary is None else {
-            "steps_completed": summary.steps_completed,
-            "max_residual": summary.max_residual,
-            "max_inclusion_residual": summary.max_inclusion_residual,
-            "max_constraint_residual": summary.max_constraint_residual,
-            "wall_time": summary.wall_time,
-            "total_iterations": summary.total_iterations,
-            "total_jacobian_assemblies": summary.total_jacobian_assemblies,
-        },
+        "summary": None if summary is None else asdict(summary),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -301,8 +286,7 @@ def _emit(config: RunConfig, system: DiscreteSystem, trajectory: Trajectory,
         "system": config.system,
         "params": config.params,
         "steps": trajectory.steps,
-        "solver": {"tol": config.solver.tol, "max_iter": config.solver.max_iter,
-                   "damping": config.solver.damping, "predictor": config.solver.predictor},
+        "solver": {key: getattr(config.solver, key) for key in _SOLVER_KEYS},
     }
     if config.fmt == "csv":
         _write_csv(config.output, columns, table)
@@ -313,10 +297,13 @@ def _emit(config: RunConfig, system: DiscreteSystem, trajectory: Trajectory,
 def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     """Run the configured trajectory and write the output table.
 
-    On a failed step the partial table is still written before the
-    StepFailureError propagates. An OSError from writing the table
-    propagates as is.
+    An output whose directory does not exist raises OSError before the
+    system is built, so no step runs and no file is created. On a failed
+    step the partial table is still written before the StepFailureError
+    propagates. An OSError from writing the table propagates as is.
     """
+    if not config.output.parent.is_dir():
+        raise OSError("output directory %s does not exist" % config.output.parent)
     system = build_system(config)
     n = system.n
     x0 = builtin.lagrangian_seed(system, config.seed[:n], config.seed[n:])
@@ -366,17 +353,14 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        config = parse_config(text)
-        if args.steps is not None:
-            if args.steps < 0:
-                raise ConfigError("--steps must be nonnegative", field="steps")
-            config.steps = args.steps
-        if args.format is not None:
-            if "output" not in json.loads(text) and args.output is None:
-                config.output = Path("%s_trajectory.%s" % (config.system, args.format))
-            config.fmt = args.format
-        if args.output is not None:
-            config.output = Path(args.output)
+        raw = _load(text)
+        # a flag replaces the config's field before validation, so the
+        # default output path follows the final format
+        for key, value in (("steps", args.steps), ("format", args.format),
+                           ("output", args.output)):
+            if value is not None:
+                raw[key] = value
+        config = _validate(raw)
     except ConfigError as exc:
         print("invalid config: %s" % exc, file=sys.stderr)
         return 1

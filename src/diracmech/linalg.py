@@ -19,7 +19,7 @@ from .errors import DimensionMismatchError, RankDeficiencyError
 RANK_CUTOFF = 1e-10
 
 
-def orthonormal_columns(mat: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of ``mat`` (may have zero columns)."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
@@ -29,21 +29,8 @@ def orthonormal_columns(mat: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndar
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return u[:, :rank]
-
-
-def kernel_basis(mat: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
-    """Orthonormal basis of ker(mat), columns of the returned matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1])
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > cutoff * s[0]))
-    return vh[rank:].T
 
 
 @dataclass(frozen=True)
@@ -175,7 +162,9 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     Returns a basis of D = {(v, a) : v in delta, (a - omega.flat(v)) kills
     delta}, computed as the kernel of the stacked linear map
     (v, a) -> (P_off v, B^T (a - omega.flat(v))) where P_off projects off
-    delta and B is an orthonormal delta-basis. The result always has
+    delta and B is an orthonormal delta-basis: the right singular vectors
+    past its rank. The map is never zero (P_off or B is not), so its largest
+    singular value sets the relative cutoff. The result always has
     dimension equal to the ambient dimension of V.
     """
     n = delta.ambient_dim
@@ -185,7 +174,8 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     p_off = np.eye(n) - b @ b.T
     rows_v = np.hstack([p_off, np.zeros((n, n))])
     rows_a = np.hstack([-(b.T @ omega.mat), b.T])
-    ker = kernel_basis(np.vstack([rows_v, rows_a]))
+    _, s, vh = np.linalg.svd(np.vstack([rows_v, rows_a]))
+    ker = vh[int(np.sum(s > RANK_CUTOFF * s[0])):].T
     if ker.shape[1] != n:
         raise RankDeficiencyError(
             "induced structure came out with dimension %d, expected %d" % (ker.shape[1], n)

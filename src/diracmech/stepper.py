@@ -32,6 +32,7 @@ from .systems import (
     HAMILTONIAN,
     LAGRANGIAN,
     DiscreteSystem,
+    _check_dim,
     dirac_inclusion_residual,
     jacobian_columns,
 )
@@ -329,8 +330,7 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
             "initial-data consistency is defined for the Lagrangian kind only; "
             "Hamiltonian initial data (q0, p0) is free and q1 is reported by step residuals"
         )
-    if x0.dim != system.n:
-        raise DimensionMismatchError("point dimension %d, system dimension %d" % (x0.dim, system.n))
+    _check_dim(x0, system.n)
     g = x0.p + system.lagrangian.d1(x0.q, x0.qplus)
     return float(np.linalg.norm(system.dist.project_ker(x0.q, g)))
 
@@ -389,26 +389,16 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     """
     lagrangian = system.kind == LAGRANGIAN
     n, m = system.n, system.m
+    grad, complete = system.slots
+    momentum_balance = system.balance
     # the argument of the residual's last call and its gradient, dH/dp
     # completion (constrained Hamiltonian steps) and constraint value
     last_z = last_g = last_c = last_phi = None
-    if lagrangian:
-        gen = system.lagrangian
-        grad, complete = gen.d1, gen.d2
 
-        def balance(y):
-            nonlocal last_z, last_g
-            last_z, last_g = y, grad(q, y)
-            return p + last_g
-    else:
-        gen = system.hamiltonian
-        grad, complete = gen.dq, gen.dp
-
-        def balance(y):
-            nonlocal last_z, last_g
-            last_z, last_g = y, grad(q, y)
-            return p - last_g
-    scale = gen.provider.fd_scale
+    def balance(y):
+        nonlocal last_z, last_g
+        last_z, last_g = y, grad(q, y)
+        return momentum_balance(p, last_g)
     lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
     if lam0.shape != (m,):
         raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
@@ -447,7 +437,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     assemblies = 0
 
     def cross_block(y):
-        return jacobian_columns(lambda v: grad(q, v), y, scale)
+        return jacobian_columns(lambda v: grad(q, v), y)
 
     def jacobian_fn(z):
         nonlocal assemblies
@@ -461,7 +451,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         jm = np.zeros((k + m, k + m))
         jm[:n, :n] = top
         if not lagrangian:
-            jm[n:k, :n] = -jacobian_columns(lambda v: complete(q, v), y, scale)
+            jm[n:k, :n] = -jacobian_columns(lambda v: complete(q, v), y)
             jm[n:k, n:k] = np.eye(n)
         return with_constraint_blocks(jm, z[k - n:k])
 
@@ -529,8 +519,7 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
-    if x.dim != system.n:
-        raise DimensionMismatchError("point dimension %d, system dimension %d" % (x.dim, system.n))
+    _check_dim(x, system.n)
     opts = opts if opts is not None else SolverOptions()
     if check_consistency:
         r0 = check_initial_data(system, x)

@@ -3,14 +3,17 @@
 A discrete Lagrangian is a two-point generating function L(q, q+); a discrete
 (right) Hamiltonian is H(q, p+). Slot derivatives come from user-supplied
 analytic gradients when available and central finite differences otherwise,
-with an optional consistency check at construction. The module also provides
-the two one-form families the steppers solve against and the membership
-residual of the per-step inclusion, which is the step-acceptance oracle.
+with an optional consistency check at construction. A system picks its step
+kind once, at construction: the momentum balance and the (balance,
+completion) slot gradients that the stepper solves with. The module also
+provides the two one-form families and the membership residual of the
+per-step inclusion, which is the step-acceptance oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -22,7 +25,8 @@ from .errors import DimensionMismatchError, EvaluationError
 # memo; bench/tracing.py still wraps this module attribute by name
 from .linalg import orthonormal_columns  # noqa: F401
 
-# Standard central-difference step base for first derivatives.
+# Central-difference step base for first derivatives: the step along
+# component i is FD_SCALE * max(1, |x_i|).
 FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 _F64 = np.dtype(float)
@@ -32,12 +36,11 @@ _VALIDATION_PROBES = 4
 _VALIDATION_RTOL = 1e-5
 
 
-def _central_differences(fun: Callable[[np.ndarray], object], x: np.ndarray,
-                         scale: float) -> list:
-    """(fun(x + h e_i) - fun(x - h e_i)) / 2h for each i, with h = scale * max(1, |x_i|)."""
+def _central_differences(fun: Callable[[np.ndarray], object], x: np.ndarray) -> list:
+    """(fun(x + h e_i) - fun(x - h e_i)) / 2h for each i, with h = FD_SCALE * max(1, |x_i|)."""
     out = []
     for i in range(x.shape[0]):
-        h = scale * max(1.0, abs(x[i]))
+        h = FD_SCALE * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -46,12 +49,9 @@ def _central_differences(fun: Callable[[np.ndarray], object], x: np.ndarray,
     return out
 
 
-def central_difference(f: Callable[..., float], args: Sequence[np.ndarray], block: int,
-                       scale: float = FD_SCALE) -> np.ndarray:
-    """Gradient of the scalar f with respect to args[block], central differences.
-
-    Step per component: scale * max(1, |component|).
-    """
+def central_difference(f: Callable[..., float], args: Sequence[np.ndarray],
+                       block: int) -> np.ndarray:
+    """Gradient of the scalar f with respect to args[block], central differences."""
     work = [np.asarray(a, dtype=float) for a in args]
 
     def along(xb):
@@ -59,14 +59,13 @@ def central_difference(f: Callable[..., float], args: Sequence[np.ndarray], bloc
         return f(*work)
 
     x = work[block]
-    return np.array(_central_differences(along, x, scale), dtype=float).reshape(x.shape)
+    return np.array(_central_differences(along, x), dtype=float).reshape(x.shape)
 
 
-def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                     scale: float = FD_SCALE) -> np.ndarray:
+def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Jacobian of a vector-valued function by central differences, one column per input."""
     cols = _central_differences(lambda v: np.asarray(fun(v), dtype=float),
-                                np.asarray(x, dtype=float), scale)
+                                np.asarray(x, dtype=float))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
@@ -80,7 +79,6 @@ class DerivativeProvider:
 
     f: Callable[..., float]
     grads: tuple
-    fd_scale: float = FD_SCALE
 
     def gradient(self, block: int, *args) -> np.ndarray:
         return self.bound(block)(*args)
@@ -106,7 +104,7 @@ class DerivativeProvider:
 
     def fd_gradient(self, block: int, *args) -> np.ndarray:
         try:
-            return central_difference(self.f, args, block, self.fd_scale)
+            return central_difference(self.f, args, block)
         except Exception as exc:
             raise EvaluationError("finite-difference gradient for block %d failed: %s"
                                   % (block, exc)) from exc
@@ -152,11 +150,11 @@ class _GeneratingFunction:
     """
 
     def __init__(self, n: int, f: Callable[[np.ndarray, np.ndarray], float],
-                 grads: tuple, fd_scale: float, validate: bool):
+                 grads: tuple, validate: bool):
         if n < 1:
             raise DimensionMismatchError("dimension must be positive")
         self.n = int(n)
-        self.provider = DerivativeProvider(f, grads, fd_scale)
+        self.provider = DerivativeProvider(f, grads)
         if validate:
             _validate_provider(self.provider, (self.n, self.n), "the discrete " + self._what)
 
@@ -175,8 +173,8 @@ class DiscreteLagrangian(_GeneratingFunction):
 
     def __init__(self, n: int, Ld: Callable[[np.ndarray, np.ndarray], float],
                  d1: Optional[Callable] = None, d2: Optional[Callable] = None,
-                 fd_scale: float = FD_SCALE, validate: bool = True):
-        super().__init__(n, Ld, (d1, d2), fd_scale, validate)
+                 validate: bool = True):
+        super().__init__(n, Ld, (d1, d2), validate)
         self.Ld = Ld
         # bound per-slot gradients keep the per-call dispatch to one frame
         self.d1 = self.provider.bound(0)
@@ -190,8 +188,8 @@ class DiscreteHamiltonian(_GeneratingFunction):
 
     def __init__(self, n: int, Hd: Callable[[np.ndarray, np.ndarray], float],
                  dq: Optional[Callable] = None, dp: Optional[Callable] = None,
-                 fd_scale: float = FD_SCALE, validate: bool = True):
-        super().__init__(n, Hd, (dq, dp), fd_scale, validate)
+                 validate: bool = True):
+        super().__init__(n, Hd, (dq, dp), validate)
         self.Hd = Hd
         self.dq = self.provider.bound(0)
         self.dp = self.provider.bound(1)
@@ -201,7 +199,7 @@ class DiscreteConstraint:
     """The pair submanifold as a zero set phi(q, q+) = 0 of codimension md."""
 
     def __init__(self, n: int, md: int, phi: Optional[Callable] = None,
-                 jac2: Optional[Callable] = None, fd_scale: float = FD_SCALE):
+                 jac2: Optional[Callable] = None):
         if n < 1 or md < 0 or md > n:
             raise DimensionMismatchError("need 0 <= md <= n with n >= 1, got md=%d n=%d" % (md, n))
         if md > 0 and phi is None:
@@ -210,7 +208,6 @@ class DiscreteConstraint:
         self.md = int(md)
         self.phi = phi
         self._jac2 = jac2
-        self.fd_scale = fd_scale
 
     @classmethod
     def unconstrained(cls, n: int) -> "DiscreteConstraint":
@@ -244,11 +241,20 @@ class DiscreteConstraint:
                                              % (out.shape, self.md, self.n))
             return out
         q = np.asarray(q, dtype=float)
-        return jacobian_columns(lambda qp: self.value(q, qp), qplus, self.fd_scale)
+        return jacobian_columns(lambda qp: self.value(q, qp), qplus)
 
 
 LAGRANGIAN = "lagrangian"
 HAMILTONIAN = "hamiltonian"
+
+# The step kinds: kind -> (momentum balance, getter of the generating
+# function's (balance, completion) slot gradients). A Lagrangian step balances
+# p + d1 L(q, q+) and completes q+ to p+ = d2 L(q, q+); a Hamiltonian step
+# balances p - dH/dq(q, p+) and completes p+ to q+ = dH/dp(q, p+).
+_KINDS = {
+    LAGRANGIAN: (operator.add, operator.attrgetter("d1", "d2")),
+    HAMILTONIAN: (operator.sub, operator.attrgetter("dq", "dp")),
+}
 
 
 class DiscreteSystem:
@@ -257,7 +263,8 @@ class DiscreteSystem:
     The kinematic distribution and the pair constraint are independent
     inputs, but their coranks must agree so each step solves a square
     system (n + m unknowns against n force-balance plus md constraint
-    equations).
+    equations). ``generator`` is the generating function of the kind and
+    ``balance(p, g)`` its momentum balance, p + g or p - g.
     """
 
     def __init__(self, kind: str, *, lagrangian: Optional[DiscreteLagrangian] = None,
@@ -265,22 +272,17 @@ class DiscreteSystem:
                  dist: Optional[KinematicDistribution] = None,
                  constraint: Optional[DiscreteConstraint] = None,
                  label: Optional[str] = None):
-        if kind not in (LAGRANGIAN, HAMILTONIAN):
+        if kind not in _KINDS:
             raise ValueError("kind must be %r or %r" % (LAGRANGIAN, HAMILTONIAN))
         self.kind = kind
-        if kind == LAGRANGIAN:
-            if lagrangian is None:
-                raise ValueError("a Lagrangian-kind system needs a DiscreteLagrangian")
-            self.lagrangian = lagrangian
-            self.hamiltonian = None
-            n = lagrangian.n
-        else:
-            if hamiltonian is None:
-                raise ValueError("a Hamiltonian-kind system needs a DiscreteHamiltonian")
-            self.hamiltonian = hamiltonian
-            self.lagrangian = None
-            n = hamiltonian.n
-        self.n = n
+        gen = lagrangian if kind == LAGRANGIAN else hamiltonian
+        if gen is None:
+            raise ValueError("a %s-kind system needs a Discrete%s"
+                             % (kind.capitalize(), kind.capitalize()))
+        self.lagrangian, self.hamiltonian = (gen, None) if kind == LAGRANGIAN else (None, gen)
+        self.generator = gen
+        self.balance, self._slots = _KINDS[kind]
+        self.n = n = gen.n
         self.dist = dist if dist is not None else KinematicDistribution.unconstrained(n)
         self.constraint = constraint if constraint is not None else DiscreteConstraint.unconstrained(n)
         if self.dist.n != n or self.constraint.n != n:
@@ -295,6 +297,15 @@ class DiscreteSystem:
             )
         self.m = self.dist.m
         self.label = label if label is not None else kind
+
+    @property
+    def slots(self) -> tuple:
+        """The (balance, completion) slot gradients: (d1 L, d2 L) or (dH/dq, dH/dp).
+
+        They are looked up on the generating function at each access, so a
+        wrapper installed on it after construction is called.
+        """
+        return self._slots(self.generator)
 
     @classmethod
     def from_lagrangian(cls, lagrangian: DiscreteLagrangian,
@@ -311,38 +322,25 @@ class DiscreteSystem:
         return cls(HAMILTONIAN, hamiltonian=hamiltonian, dist=dist, constraint=constraint, label=label)
 
 
-def _lagrangian_blocks(lag: DiscreteLagrangian, x: PontryaginPoint, p_next: np.ndarray):
-    """(bq, bqplus) blocks of the Lagrangian one-form; its dp block is zero."""
-    if x.dim != lag.n:
-        raise DimensionMismatchError("point dimension %d, Lagrangian dimension %d" % (x.dim, lag.n))
-    p_next = _vector(p_next, "p_next", lag.n)
-    bq = -lag.d1(x.q, x.qplus)
-    bqplus = p_next - lag.d2(x.q, x.qplus)
-    return bq, bqplus
-
-
-def _hamiltonian_blocks(ham: DiscreteHamiltonian, x: PontryaginPoint, p_next: np.ndarray):
-    """(bq, bp) blocks of the Hamiltonian one-form; its dq+ block is zero."""
-    if x.dim != ham.n:
-        raise DimensionMismatchError("point dimension %d, Hamiltonian dimension %d" % (x.dim, ham.n))
-    p_next = _vector(p_next, "p_next", ham.n)
-    bq = ham.dq(x.q, p_next)
-    bp = ham.dp(x.q, p_next) - x.qplus
-    return bq, bp
+def _check_dim(x: PontryaginPoint, n: int):
+    if x.dim != n:
+        raise DimensionMismatchError("point dimension %d, system dimension %d" % (x.dim, n))
 
 
 def lagrangian_one_form(lag: DiscreteLagrangian, x: PontryaginPoint,
                         p_next: np.ndarray) -> CotangentPd:
     """Blocks (-d1 L(q, q+), 0, p_next - d2 L(q, q+)); the dp block is always zero."""
-    bq, bqplus = _lagrangian_blocks(lag, x, p_next)
-    return CotangentPd(bq, np.zeros(lag.n), bqplus)
+    _check_dim(x, lag.n)
+    p_next = _vector(p_next, "p_next", lag.n)
+    return CotangentPd(-lag.d1(x.q, x.qplus), np.zeros(lag.n), p_next - lag.d2(x.q, x.qplus))
 
 
 def hamiltonian_one_form(ham: DiscreteHamiltonian, x: PontryaginPoint,
                          p_next: np.ndarray) -> CotangentPd:
     """Blocks (dH/dq(q, p+), dH/dp(q, p+) - q+, 0); the dq+ block is always zero."""
-    bq, bp = _hamiltonian_blocks(ham, x, p_next)
-    return CotangentPd(bq, bp, np.zeros(ham.n))
+    _check_dim(x, ham.n)
+    p_next = _vector(p_next, "p_next", ham.n)
+    return CotangentPd(ham.dq(x.q, p_next), ham.dp(x.q, p_next) - x.qplus, np.zeros(ham.n))
 
 
 def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
@@ -379,6 +377,12 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     ker A(q). Zero exactly on pairs satisfying the discrete equations of
     motion; this is the step-acceptance oracle.
 
+    Both kinds compute it the same way: with y the step's unknown (q+ or
+    p_next) and ``other`` the remaining one, the dq block is
+    -balance(p, grad(q, y)) and the second block is
+    ±(complete(q, y) - other), the q+ block of a Lagrangian one-form or the
+    dp block of a Hamiltonian one. Norms do not see the signs.
+
     A stepper certifies from the values its step already holds through the
     private ``_held = (g, c)``: g is d1 L(q, q+) or dH/dq(q, p_next) at
     exactly these arrays, and c is dH/dp(q, p_next) of a constrained
@@ -386,24 +390,24 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     construction and is not computed: a Lagrangian step's p_next is
     d2 L(q, q+), and an unconstrained Hamiltonian step's q+ is
     dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
+    The stepper builds x from arrays it has validated, so the held path
+    does not check dimensions again.
     """
-    if x.dim != system.n:
-        raise DimensionMismatchError("point dimension %d, system dimension %d" % (x.dim, system.n))
     # The lifted vector v is the vertical lift (0, p, 0): its dq block vanishes,
     # so its projection off the lifted distribution is identically zero (part
     # (a) of the residual) and its interior product with the two-form is the
     # covector (p, 0, 0).
-    lagrangian = system.kind == LAGRANGIAN
-    if _held is not None:
-        g, c = _held
-        bq = -g if lagrangian else g
-        second = None if c is None else c - x.qplus
-    elif lagrangian:
-        bq, second = _lagrangian_blocks(system.lagrangian, x, p_next)
+    if _held is None:
+        _check_dim(x, system.n)
+        p_next = _vector(p_next, "p_next", system.n)
+        y, other = (x.qplus, p_next) if system.kind == LAGRANGIAN else (p_next, x.qplus)
+        grad, complete = system.slots
+        g, c = grad(x.q, y), complete(x.q, y)
     else:
-        bq, second = _hamiltonian_blocks(system.hamiltonian, x, p_next)
-    beta_q = bq - x.p
+        g, c = _held
+        other = x.qplus
+    beta_q = system.balance(x.p, g)
     if system.m:
         beta_q = system.dist.project_ker(x.q, beta_q)
     sq = _sq_norm(beta_q)
-    return math.sqrt(sq if second is None else sq + _sq_norm(second))
+    return math.sqrt(sq if c is None else sq + _sq_norm(c - other))

@@ -1,12 +1,13 @@
 """Command line front end: config validation, emission formats, exit codes."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracmech import builtin, run_trajectory
+from diracmech import builtin, cli, run_trajectory
 from diracmech.cli import _CHUNK_ROWS, _write_csv, build_system, main, parse_config, run
 from diracmech.errors import ConfigError, StepFailureError
 
@@ -120,6 +121,83 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed") as info:
             parse_config(json.dumps(dict(MINIMAL, seed=seed)))
         assert info.value.field == "seed"
+
+
+FREE = {"system": "free_particle", "h": 0.05, "n": 2, "seed": [0, 0, 0.1, 0.2], "steps": 1}
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# (config, extra command-line arguments, ConfigError.field, message pattern)
+REJECTED = [
+    (without(MINIMAL, "system"), [], "system", "missing required field 'system'"),
+    (dict(MINIMAL, system="double_pendulum"), [], "system", "unknown system 'double_pendulum'"),
+    (dict(MINIMAL, frequency=2.0), [], "frequency", "unknown key 'frequency'"),
+    (dict(FREE, **{"lambda": 1.0}), [], "lambda", "unknown key 'lambda'"),
+    (without(MINIMAL, "h"), [], "h", "requires parameter 'h'"),
+    (dict(MINIMAL, h=0.0), [], "h", "'h' must be positive"),
+    (dict(MINIMAL, h="0.1"), [], "h", "'h' must be a number"),
+    (dict(MINIMAL, **{"lambda": -1.0}), [], "lambda", "'lambda' must be nonnegative"),
+    (dict(MINIMAL, **{"lambda": True}), [], "lambda", "'lambda' must be a number"),
+    (dict(FREE, n=0), [], "n", "'n' must be a positive integer"),
+    (dict(FREE, n=1.5), [], "n", "'n' must be a positive integer"),
+    (dict(FREE, n=True), [], "n", "'n' must be a positive integer"),
+    (dict(FREE, mass=[1.0, 2.0, 3.0]), [], "mass", r"one entry per dimension \(2\)"),
+    (dict(FREE, mass=-2.0), [], "mass", "'mass' must be positive"),
+    (dict(FREE, mass=[1.0, "heavy"]), [], "mass", "'mass' must be a number"),
+    (without(MINIMAL, "steps"), [], "steps", "missing required field 'steps'"),
+    (dict(MINIMAL, steps=-1), [], "steps", "'steps' must be a nonnegative integer"),
+    (dict(MINIMAL, steps=2.5), [], "steps", "'steps' must be a nonnegative integer"),
+    (dict(MINIMAL, steps=True), [], "steps", "'steps' must be a nonnegative integer"),
+    (without(MINIMAL, "seed"), [], "seed", "missing required field 'seed'"),
+    (dict(MINIMAL, seed=[0.0, 0.1, 0.2]), [], "seed", r"must hold \[q0, q1\]"),
+    (dict(MINIMAL, seed="0 0.1"), [], "seed", "must be a flat list of numbers"),
+    (dict(MINIMAL, solver=[]), [], "solver", "'solver' must be an object"),
+    (dict(MINIMAL, solver={"verbose": True}), [], "verbose", "unknown solver key 'verbose'"),
+    (dict(MINIMAL, solver={"tol": -1.0}), [], "solver.tol", "'solver.tol' must be positive"),
+    (dict(MINIMAL, solver={"tol": float("inf")}), [], "solver.tol",
+     "'solver.tol' must be finite"),
+    (dict(MINIMAL, solver={"max_iter": 0}), [], "max_iter",
+     "'solver.max_iter' must be a positive integer"),
+    (dict(MINIMAL, solver={"max_iter": True}), [], "max_iter",
+     "'solver.max_iter' must be a positive integer"),
+    (dict(MINIMAL, solver={"max_iter": 2.5}), [], "max_iter",
+     "'solver.max_iter' must be a positive integer"),
+    (dict(MINIMAL, solver={"damping": 1}), [], "damping", "'solver.damping' must be a boolean"),
+    (dict(MINIMAL, solver={"predictor": "newton"}), [], "solver",
+     "invalid solver options: predictor must be one of"),
+    (dict(MINIMAL, format="xml"), [], "format", "'format' must be one of"),
+    (dict(MINIMAL, output=5), [], "output", "'output' must be a path string"),
+    (dict(MINIMAL, diagnostics="yes"), [], "diagnostics", "'diagnostics' must be a boolean"),
+    (MINIMAL, ["--steps", "-1"], "steps", "nonnegative"),
+]
+
+
+@pytest.fixture
+def raised(monkeypatch):
+    """Every ConfigError the CLI raises, recorded as it is constructed."""
+    errors = []
+
+    class Recorded(ConfigError):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            errors.append(self)
+
+    monkeypatch.setattr(cli, "ConfigError", Recorded)
+    return errors
+
+
+@pytest.mark.parametrize("doc, argv, field, pattern", REJECTED)
+def test_rejected_input_names_its_field(tmp_path, capsys, raised, doc, argv, field, pattern):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)] + argv) == 1
+    assert len(raised) == 1
+    assert raised[0].field == field
+    assert re.search(pattern, str(raised[0]))
+    assert "invalid config: %s" % raised[0] in capsys.readouterr().err
 
 
 class TestRun:
@@ -260,7 +338,24 @@ class TestMain:
         path, _ = write_config(tmp_path, solver={"tol": 1e-30}, output=str(out))
         assert main([str(path)]) == 1
         err = capsys.readouterr().err
-        assert "line search" in err and "cannot write output" in err
+        # the missing directory is reported before the first step could fail
+        assert "cannot write output" in err and "line search" not in err
+        assert not out.parent.exists()
+
+    def test_missing_output_directory_fails_before_any_step(self, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_trajectory", counting)
+        out = tmp_path / "missing" / "t.csv"
+        path, _ = write_config(tmp_path, output=str(out))
+        assert main([str(path)]) == 1
+        assert calls == []
+        assert "cannot write output" in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_steps_and_output_overrides(self, tmp_path):
@@ -280,6 +375,20 @@ class TestMain:
                      str(tmp_path / "o.json"), "--quiet"]) == 0
         doc = json.loads((tmp_path / "o.json").read_text())
         assert "rows" in doc
+
+    def test_null_output_follows_the_format_override(self, tmp_path, monkeypatch):
+        # the default output path is derived from the final format
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_config(tmp_path, output=None)
+        assert main([str(path), "--format", "json", "--quiet"]) == 0
+        doc = json.loads((tmp_path / "harmonic_oscillator_trajectory.json").read_text())
+        assert len(doc["rows"]) == MINIMAL["steps"] + 1
+        assert not (tmp_path / "harmonic_oscillator_trajectory.csv").exists()
+
+    def test_non_string_system_is_a_config_error(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, system=["harmonic_oscillator"])
+        assert main([str(path)]) == 1
+        assert "unknown system" in capsys.readouterr().err
 
     def test_byte_stable_reruns(self, tmp_path):
         out = tmp_path / "stable.csv"
