@@ -389,7 +389,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     """
     lagrangian = system.kind == LAGRANGIAN
     n, m = system.n, system.m
-    grad, complete = system.slots
+    grad, complete = system.slots()
     momentum_balance = system.balance
     # the argument of the residual's last call and its gradient, dH/dp
     # completion (constrained Hamiltonian steps) and constraint value

@@ -12,6 +12,7 @@ per-step inclusion, which is the step-acceptance oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -250,10 +251,12 @@ HAMILTONIAN = "hamiltonian"
 # The step kinds: kind -> (momentum balance, getter of the generating
 # function's (balance, completion) slot gradients). A Lagrangian step balances
 # p + d1 L(q, q+) and completes q+ to p+ = d2 L(q, q+); a Hamiltonian step
-# balances p - dH/dq(q, p+) and completes p+ to q+ = dH/dp(q, p+).
+# balances p - dH/dq(q, p+) and completes p+ to q+ = dH/dp(q, p+). The
+# balance is the ufunc that p + g or p - g dispatches to, so calling it
+# costs no more than the operator.
 _KINDS = {
-    LAGRANGIAN: (operator.add, operator.attrgetter("d1", "d2")),
-    HAMILTONIAN: (operator.sub, operator.attrgetter("dq", "dp")),
+    LAGRANGIAN: (np.add, operator.attrgetter("d1", "d2")),
+    HAMILTONIAN: (np.subtract, operator.attrgetter("dq", "dp")),
 }
 
 
@@ -263,8 +266,10 @@ class DiscreteSystem:
     The kinematic distribution and the pair constraint are independent
     inputs, but their coranks must agree so each step solves a square
     system (n + m unknowns against n force-balance plus md constraint
-    equations). ``generator`` is the generating function of the kind and
-    ``balance(p, g)`` its momentum balance, p + g or p - g.
+    equations). ``balance(p, g)`` is the kind's momentum balance, p + g or
+    p - g. ``slots()`` returns its (balance, completion) slot gradients,
+    (d1 L, d2 L) or (dH/dq, dH/dp), looked up on the generating function at
+    each call, so a wrapper installed on it after construction is called.
     """
 
     def __init__(self, kind: str, *, lagrangian: Optional[DiscreteLagrangian] = None,
@@ -280,8 +285,8 @@ class DiscreteSystem:
             raise ValueError("a %s-kind system needs a Discrete%s"
                              % (kind.capitalize(), kind.capitalize()))
         self.lagrangian, self.hamiltonian = (gen, None) if kind == LAGRANGIAN else (None, gen)
-        self.generator = gen
-        self.balance, self._slots = _KINDS[kind]
+        self.balance, slots = _KINDS[kind]
+        self.slots = functools.partial(slots, gen)
         self.n = n = gen.n
         self.dist = dist if dist is not None else KinematicDistribution.unconstrained(n)
         self.constraint = constraint if constraint is not None else DiscreteConstraint.unconstrained(n)
@@ -297,15 +302,6 @@ class DiscreteSystem:
             )
         self.m = self.dist.m
         self.label = label if label is not None else kind
-
-    @property
-    def slots(self) -> tuple:
-        """The (balance, completion) slot gradients: (d1 L, d2 L) or (dH/dq, dH/dp).
-
-        They are looked up on the generating function at each access, so a
-        wrapper installed on it after construction is called.
-        """
-        return self._slots(self.generator)
 
     @classmethod
     def from_lagrangian(cls, lagrangian: DiscreteLagrangian,
@@ -401,7 +397,7 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
         _check_dim(x, system.n)
         p_next = _vector(p_next, "p_next", system.n)
         y, other = (x.qplus, p_next) if system.kind == LAGRANGIAN else (p_next, x.qplus)
-        grad, complete = system.slots
+        grad, complete = system.slots()
         g, c = grad(x.q, y), complete(x.q, y)
     else:
         g, c = _held

@@ -324,26 +324,7 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert 2 <= len(lines) < 12  # header plus seed plus the completed steps
 
-    def test_unwritable_output_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "t.csv"
-        path, _ = write_config(tmp_path, output=str(out))
-        assert main([str(path)]) == 1
-        captured = capsys.readouterr()
-        assert "cannot write output" in captured.err and "missing" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
-    def test_unwritable_partial_output_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "partial.csv"
-        path, _ = write_config(tmp_path, solver={"tol": 1e-30}, output=str(out))
-        assert main([str(path)]) == 1
-        err = capsys.readouterr().err
-        # the missing directory is reported before the first step could fail
-        assert "cannot write output" in err and "line search" not in err
-        assert not out.parent.exists()
-
-    def test_missing_output_directory_fails_before_any_step(self, tmp_path, capsys,
-                                                            monkeypatch):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -354,9 +335,35 @@ class TestMain:
         out = tmp_path / "missing" / "t.csv"
         path, _ = write_config(tmp_path, output=str(out))
         assert main([str(path)]) == 1
+        # a missing directory is found before any step runs
         assert calls == []
-        assert "cannot write output" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cannot write output" in captured.err and "missing" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert not out.parent.exists()
+
+    def test_unwritable_partial_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "partial.csv"
+        path, _ = write_config(tmp_path, solver={"tol": 1e-30}, output=str(out))
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        # the missing directory is reported before the first step could fail
+        assert "cannot write output" in err and "line search" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("solver, step_fails", [({}, False), ({"tol": 1e-30}, True)])
+    def test_write_failure_after_the_run_exit_code(self, tmp_path, capsys, solver, step_fails):
+        # an output that is itself a directory passes the early check and
+        # fails only when the table (full, or partial after a failed step)
+        # is written
+        path, _ = write_config(tmp_path, solver=solver, output=str(tmp_path))
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "cannot write output" in captured.err
+        assert ("line search" in captured.err) == step_fails
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_steps_and_output_overrides(self, tmp_path):
         out = tmp_path / "override.csv"

@@ -5,8 +5,7 @@ comment, a line break or indentation, and that is not part of a docstring
 (the leading string statement of a module, class or function body). Blank
 lines, comment-only lines and docstrings therefore do not count.
 
-Usage: python tools/count_lines.py [package directory]
-(default: src/diracmech next to this script's parent directory).
+Usage: python tools/count_lines.py
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from pathlib import Path
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 _BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "diracmech"
 
 
 def docstring_lines(tree: ast.AST) -> set:
@@ -41,11 +41,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "diracmech"
+def main() -> int:
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print("%6d  %s" % (count, path.name))
