@@ -297,13 +297,16 @@ def _emit(config: RunConfig, system: DiscreteSystem, trajectory: Trajectory,
 def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     """Run the configured trajectory and write the output table.
 
-    An output whose directory does not exist raises OSError before the
-    system is built, so no step runs and no file is created. On a failed
-    step the partial table is still written before the StepFailureError
-    propagates. An OSError from writing the table propagates as is.
+    An output whose directory does not exist, or that is itself a
+    directory, raises OSError before the system is built, so no step runs
+    and no file is created. On a failed step the partial table is still
+    written before the StepFailureError propagates. An OSError from writing
+    the table propagates as is.
     """
     if not config.output.parent.is_dir():
         raise OSError("output directory %s does not exist" % config.output.parent)
+    if config.output.is_dir():
+        raise IsADirectoryError("output %s is a directory" % config.output)
     system = build_system(config)
     n = system.n
     x0 = builtin.lagrangian_seed(system, config.seed[:n], config.seed[n:])
@@ -333,8 +336,16 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     return summary
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, the code of every other config error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracmech",
         description="Integrate a built-in constrained discrete mechanical system "
                     "and emit its trajectory with per-step certification data.",

@@ -10,6 +10,7 @@ inclusion residual before returning.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -238,7 +239,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                  jacobian_cache: Optional[list] = None) -> Tuple[np.ndarray, int, float]:
     """Damped Newton, or chord Newton on one held matrix, for f(x) = 0.
 
-    The iteration matrix comes from ``jac`` (a central-difference Jacobian of
+    The iteration matrix comes from ``jac`` (a forward-difference Jacobian of
     f when None). Without ``jacobian_cache`` it is assembled at every
     iterate. ``jacobian_cache`` is a one-slot list that holds the matrix
     across iterations and calls: a matrix in it is used from the start, and
@@ -367,6 +368,19 @@ def _check_regularity(cross: np.ndarray, kind: str) -> None:
         )
 
 
+def _matrix_slot(system: DiscreteSystem, block: int, slot: Callable) -> Callable:
+    """The slot gradient that a Newton matrix differentiates.
+
+    An analytic slot gradient is ``slot`` itself. A finite-difference one is
+    taken by forward differences instead (n + 1 evaluations of L or H, not
+    2n): the matrix only steers the iteration, so first order suffices.
+    """
+    provider = (system.lagrangian if system.kind == LAGRANGIAN else system.hamiltonian).provider
+    if provider.grads[block] is None:
+        return functools.partial(provider.forward_gradient, block)
+    return slot
+
+
 def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.ndarray,
                 opts: SolverOptions, multiplier_guess: Optional[np.ndarray],
                 jacobian_cache: Optional[list]) -> StepResult:
@@ -437,7 +451,8 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     assemblies = 0
 
     def cross_block(y):
-        return jacobian_columns(lambda v: grad(q, v), y)
+        slope = _matrix_slot(system, 0, grad)
+        return jacobian_columns(lambda v: slope(q, v), y)
 
     def jacobian_fn(z):
         nonlocal assemblies
@@ -451,7 +466,8 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         jm = np.zeros((k + m, k + m))
         jm[:n, :n] = top
         if not lagrangian:
-            jm[n:k, :n] = -jacobian_columns(lambda v: complete(q, v), y)
+            slope = _matrix_slot(system, 1, complete)
+            jm[n:k, :n] = -jacobian_columns(lambda v: slope(q, v), y)
             jm[n:k, n:k] = np.eye(n)
         return with_constraint_blocks(jm, z[k - n:k])
 

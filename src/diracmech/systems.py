@@ -3,7 +3,10 @@
 A discrete Lagrangian is a two-point generating function L(q, q+); a discrete
 (right) Hamiltonian is H(q, p+). Slot derivatives come from user-supplied
 analytic gradients when available and central finite differences otherwise,
-with an optional consistency check at construction. A system picks its step
+with an optional consistency check at construction. Newton iteration
+matrices are first-order: ``jacobian_columns`` and
+``DerivativeProvider.forward_gradient`` take forward differences, n + 1
+calls where central ones take 2n. A system picks its step
 kind once, at construction: the momentum balance and the (balance,
 completion) slot gradients that the stepper solves with. The module also
 provides the two one-form families and the membership residual of the
@@ -26,7 +29,7 @@ from .errors import DimensionMismatchError, EvaluationError
 # memo; bench/tracing.py still wraps this module attribute by name
 from .linalg import orthonormal_columns  # noqa: F401
 
-# Central-difference step base for first derivatives: the step along
+# Finite-difference step base, central and forward: the step along
 # component i is FD_SCALE * max(1, |x_i|).
 FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -37,8 +40,33 @@ _VALIDATION_PROBES = 4
 _VALIDATION_RTOL = 1e-5
 
 
-def _central_differences(fun: Callable[[np.ndarray], object], x: np.ndarray) -> list:
-    """(fun(x + h e_i) - fun(x - h e_i)) / 2h for each i, with h = FD_SCALE * max(1, |x_i|)."""
+def _forward_differences(fun: Callable[[np.ndarray], object], x: np.ndarray) -> list:
+    """(fun(x + h e_i) - fun(x)) / h for each i, with h = FD_SCALE * max(1, |x_i|): n + 1 calls.
+
+    A single component takes the central quotient instead: it costs the same
+    two calls and is second-order.
+    """
+    if x.shape[0] == 1:
+        h = FD_SCALE * max(1.0, abs(x[0]))
+        return [(fun(x + h) - fun(x - h)) / (2.0 * h)]
+    base = fun(x)
+    out = []
+    for i in range(x.shape[0]):
+        h = FD_SCALE * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] += h
+        out.append((fun(xp) - base) / h)
+    return out
+
+
+def central_difference(f: Callable[..., float], args: Sequence[np.ndarray],
+                       block: int) -> np.ndarray:
+    """Gradient of the scalar f with respect to args[block], central differences: 2n calls.
+
+    The step along component i is h = FD_SCALE * max(1, |x_i|).
+    """
+    work = [np.asarray(a, dtype=float) for a in args]
+    x = work[block]
     out = []
     for i in range(x.shape[0]):
         h = FD_SCALE * max(1.0, abs(x[i]))
@@ -46,26 +74,22 @@ def _central_differences(fun: Callable[[np.ndarray], object], x: np.ndarray) -> 
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        out.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return out
-
-
-def central_difference(f: Callable[..., float], args: Sequence[np.ndarray],
-                       block: int) -> np.ndarray:
-    """Gradient of the scalar f with respect to args[block], central differences."""
-    work = [np.asarray(a, dtype=float) for a in args]
-
-    def along(xb):
-        work[block] = xb
-        return f(*work)
-
-    x = work[block]
-    return np.array(_central_differences(along, x), dtype=float).reshape(x.shape)
+        work[block] = xp
+        fp = f(*work)
+        work[block] = xm
+        out.append((fp - f(*work)) / (2.0 * h))
+    return np.array(out, dtype=float).reshape(x.shape)
 
 
 def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Jacobian of a vector-valued function by central differences, one column per input."""
-    cols = _central_differences(lambda v: np.asarray(fun(v), dtype=float),
+    """Jacobian of a vector-valued function by forward differences, one column per input.
+
+    It is first-order (central for a single input, at the same cost) and
+    costs n + 1 calls of ``fun``. The stepper uses it only for Newton
+    iteration matrices, which steer the iteration but decide nothing:
+    acceptance and the certificate use true residuals.
+    """
+    cols = _forward_differences(lambda v: np.asarray(fun(v), dtype=float),
                                 np.asarray(x, dtype=float))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
@@ -106,6 +130,26 @@ class DerivativeProvider:
     def fd_gradient(self, block: int, *args) -> np.ndarray:
         try:
             return central_difference(self.f, args, block)
+        except Exception as exc:
+            raise EvaluationError("finite-difference gradient for block %d failed: %s"
+                                  % (block, exc)) from exc
+
+    def forward_gradient(self, block: int, *args) -> np.ndarray:
+        """One block's gradient of f by forward differences: n + 1 evaluations of f.
+
+        First-order, for Newton iteration matrices only; ``fd_gradient``
+        (central, 2n evaluations) serves everything that decides acceptance.
+        """
+        work = [np.asarray(a, dtype=float) for a in args]
+        x = work[block]
+        f = self.f
+
+        def along(xb):
+            work[block] = xb
+            return f(*work)
+
+        try:
+            return np.array(_forward_differences(along, x), dtype=float).reshape(x.shape)
         except Exception as exc:
             raise EvaluationError("finite-difference gradient for block %d failed: %s"
                                   % (block, exc)) from exc

@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +343,14 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.parent.exists()
+        # so is an output that is itself a directory
+        path, _ = write_config(tmp_path, output=str(tmp_path))
+        assert main([str(path)]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert "cannot write output" in captured.err and "is a directory" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_unwritable_partial_output_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "partial.csv"
@@ -352,18 +361,42 @@ class TestMain:
         assert "cannot write output" in err and "line search" not in err
         assert not out.parent.exists()
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("solver, step_fails", [({}, False), ({"tol": 1e-30}, True)])
     def test_write_failure_after_the_run_exit_code(self, tmp_path, capsys, solver, step_fails):
-        # an output that is itself a directory passes the early check and
-        # fails only when the table (full, or partial after a failed step)
-        # is written
-        path, _ = write_config(tmp_path, solver=solver, output=str(tmp_path))
+        # /dev/full passes the early check and opens, but every write fails
+        # (ENOSPC) once the table (full, or partial after a failed step) is
+        # written
+        path, _ = write_config(tmp_path, solver=solver, output="/dev/full")
         assert main([str(path)]) == 1
         captured = capsys.readouterr()
         assert "cannot write output" in captured.err
         assert ("line search" in captured.err) == step_fails
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "1e3"],
+        ["--format", "xml"],
+        ["--bogus"],
+        [],
+    ], ids=["bad-value", "bad-choice", "unknown-flag", "missing-config"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, flags):
+        # usage errors are config errors (1); 2 is reserved for a failed step
+        path, _ = write_config(tmp_path, output=str(tmp_path / "t.csv"))
+        with pytest.raises(SystemExit) as exc:
+            main(([str(path)] if flags else []) + flags)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "usage: diracmech" in captured.err and "error:" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: diracmech" in capsys.readouterr().out
 
     def test_steps_and_output_overrides(self, tmp_path):
         out = tmp_path / "override.csv"

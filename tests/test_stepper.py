@@ -77,6 +77,17 @@ def sphere_quartic_seed(h=0.1):
     return system, builtin.lagrangian_seed(system, q0, q0 + h * v)
 
 
+def quartic_lagrangian_seed(n, h=0.1):
+    """FD-only unconstrained Lagrangian, quartic in velocity plus a cosine potential."""
+    def ld(q, qp):
+        d = (qp - q) / h
+        return float(h * (0.5 * d @ d + 0.25 * np.sum(d ** 4) + np.sum(np.cos(q))))
+
+    system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(n, ld))
+    q0 = np.linspace(0.1, 0.4, n)
+    return system, builtin.lagrangian_seed(system, q0, q0 + h * np.linspace(1.0, 0.5, n))
+
+
 def nonholonomic_hamiltonian():
     """The nonholonomic particle on the Hamiltonian side: same distribution and
     retraction pair constraint, H the free-particle transform."""
@@ -973,6 +984,67 @@ class TestEvaluationCounts:
         for a, b in zip(traj.curve, reference.curve):
             for u, v in ((a.q, b.q), (a.p, b.p), (a.qplus, b.qplus)):
                 assert np.array_equal(u, v)
+
+    @staticmethod
+    def per_assembly(monkeypatch, targets, run):
+        """Calls of each (object, attribute) target inside each Newton-matrix
+        block that the stepper differences through ``jacobian_columns``."""
+        inside, blocks = [], []
+        for obj, name in targets:
+            def counted(*args, _name=name, _original=getattr(obj, name)):
+                if inside:
+                    inside[-1][_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(obj, name, counted)
+        columns = stepper.jacobian_columns
+
+        def traced(*args):
+            inside.append(dict.fromkeys((name for _, name in targets), 0))
+            try:
+                return columns(*args)
+            finally:
+                blocks.append(inside.pop())
+
+        monkeypatch.setattr(stepper, "jacobian_columns", traced)
+        run()
+        assert blocks
+        return blocks
+
+    @pytest.mark.parametrize("make", [
+        lambda: (quartic_hamiltonian(4, H), (np.full(4, 0.2), np.full(4, 0.1))),
+        lambda: quartic_lagrangian_seed(4),
+    ], ids=["hamiltonian", "lagrangian"])
+    def test_fd_cross_block_costs_n_plus_one_squared_evaluations(self, monkeypatch, make):
+        # a forward-difference Jacobian of a forward-difference gradient:
+        # (n + 1)^2 = 25 evaluations of L or H, not 4 n^2 = 64
+        system, seed = make()
+        gen = system.lagrangian or system.hamiltonian
+        blocks = self.per_assembly(monkeypatch, [(gen.provider, "f")],
+                                   lambda: run_trajectory(system, seed, 4))
+        assert blocks == [{"f": 25}] * len(blocks)
+
+    def test_fd_constrained_hamiltonian_completion_block(self, monkeypatch):
+        # the dH/dp completion block costs (n + 1)^2 = 16 evaluations of H, as
+        # does the cross block; the constraint blocks are exact
+        nh = nonholonomic_hamiltonian()
+        ham = DiscreteHamiltonian(3, nh.hamiltonian.Hd)
+        system = DiscreteSystem.from_hamiltonian(ham, nh.dist, nh.constraint)
+        seed = ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3])
+        blocks = self.per_assembly(monkeypatch, [(ham.provider, "f")],
+                                   lambda: run_trajectory(system, seed, 4))
+        assert len(blocks) % 2 == 0  # a cross block and a completion block per assembly
+        assert blocks == [{"f": 16}] * len(blocks)
+
+    def test_analytic_slot_gradients_cost_n_plus_one_calls(self, monkeypatch):
+        # each block differences one analytic slot gradient n + 1 = 4 times
+        # (2n = 6 by central differences); the other slot is not called
+        system = nonholonomic_hamiltonian()
+        gen = system.hamiltonian
+        blocks = self.per_assembly(monkeypatch, [(gen, "dq"), (gen, "dp")],
+                                   lambda: run_trajectory(system, ([0.0, 0.5, 0.0],
+                                                                   [1.0, 0.2, 0.3]), 4))
+        assert blocks == [{"dq": 4, "dp": 0}, {"dq": 0, "dp": 4}] * (len(blocks) // 2)
 
     def test_direct_lagrangian_step_evaluates_its_carried_momentum(self, monkeypatch):
         system, x0 = oscillator_seed()

@@ -21,8 +21,8 @@ from diracmech import (
     membership_residual,
     retraction_constraint,
 )
-from diracmech import builtin
-from diracmech.systems import central_difference
+from diracmech import builtin, systems
+from diracmech.systems import central_difference, jacobian_columns
 
 
 H = 0.1
@@ -42,6 +42,61 @@ class TestDerivatives:
         g1 = central_difference(f, (q, qp), 1)
         assert g0[0] == pytest.approx(np.cos(0.3) * 0.49, rel=1e-9)
         assert g1[0] == pytest.approx(np.sin(0.3) * 1.4, rel=1e-9)
+
+    @staticmethod
+    def smooth():
+        """A smooth map R^2 -> R^2 at a point, with its exact Jacobian there."""
+        x = np.array([0.3, 0.7])
+        fun = lambda v: np.array([np.sin(v[0]) * v[1], np.exp(v[1]) - v[0] ** 3])
+        exact = np.array([[np.cos(0.3) * 0.7, np.sin(0.3)], [-3 * 0.3 ** 2, np.exp(0.7)]])
+        return fun, x, exact
+
+    def test_jacobian_columns_makes_n_plus_one_calls(self):
+        fun, x, exact = self.smooth()
+        calls = []
+        jac = jacobian_columns(lambda v: calls.append(v.copy()) or fun(v), x)
+        assert len(calls) == 3
+        assert np.array_equal(calls[0], x)  # the base point, then one per column
+        assert np.allclose(jac, exact, atol=1e-4)
+
+    def test_jacobian_columns_is_first_order(self, monkeypatch):
+        # forward differences: the error shrinks in proportion to the step
+        # (a ratio of 10 for a tenth of the step; central ones give 100)
+        fun, x, exact = self.smooth()
+        errors = []
+        for scale in (1e-3, 1e-4):
+            monkeypatch.setattr(systems, "FD_SCALE", scale)
+            errors.append(float(np.max(np.abs(jacobian_columns(fun, x) - exact))))
+        assert 8.0 < errors[0] / errors[1] < 12.0
+
+    def test_single_input_takes_the_central_quotient(self):
+        # the same two calls as a forward difference, and second-order
+        calls = []
+        jac = jacobian_columns(lambda v: calls.append(float(v[0])) or np.sin(v), np.array([0.3]))
+        assert calls == [0.3 + systems.FD_SCALE, 0.3 - systems.FD_SCALE]
+        assert jac[0, 0] == pytest.approx(np.cos(0.3), abs=1e-9)
+
+    def test_forward_gradient_costs_n_plus_one_evaluations(self):
+        calls = []
+
+        def f(q, qp):
+            calls.append(None)
+            return float(np.sin(q[0]) * qp[0] ** 2 + q[1] * qp[1])
+
+        lag = DiscreteLagrangian(2, f)
+        q, qp = np.array([0.3, -0.2]), np.array([0.7, 0.4])
+        for block, exact in ((0, [np.cos(0.3) * 0.49, 0.4]), (1, [np.sin(0.3) * 1.4, -0.2])):
+            calls.clear()
+            g = lag.provider.forward_gradient(block, q, qp)
+            assert len(calls) == 3
+            assert np.allclose(g, exact, atol=1e-4)
+
+    def test_forward_gradient_errors_are_wrapped(self):
+        def exploding(q, qp):
+            raise RuntimeError("boom")
+        lag = DiscreteLagrangian(1, exploding)
+        with pytest.raises(EvaluationError, match="boom"):
+            lag.provider.forward_gradient(0, np.zeros(1), np.zeros(1))
 
     def test_wrong_analytic_partial_is_caught(self):
         Ld = lambda q, qp: float(q[0] ** 2 + qp[0] ** 2)
