@@ -9,7 +9,7 @@ the negated pullback of the canonical form of T*Q, in blocks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,9 +56,9 @@ class PontryaginPoint:
 
     @classmethod
     def _trusted(cls, q: np.ndarray, p: np.ndarray, qplus: np.ndarray) -> "PontryaginPoint":
-        # Internal fast path for freshly solved blocks: the caller guarantees
-        # float64 1-d arrays of one dimension, finite entries, and that the
-        # arrays are never mutated afterwards.
+        # Internal fast path for freshly solved blocks and curve rows: the
+        # caller guarantees float64 1-d arrays of one dimension, finite
+        # entries, and that the arrays are never mutated afterwards.
         self = object.__new__(cls)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
@@ -122,7 +122,14 @@ class CotangentPd:
 
 
 class DiscreteCurve:
-    """A finite sequence of bundle points with one common dimension."""
+    """A finite sequence of bundle points with one common dimension, stored as columns.
+
+    Point k is (q[k], p[k], qplus[k]), rows of three (len, n) float64
+    arrays. A stepped curve keeps its configurations in one (len + 1, n)
+    array, so its q+ column is the q column shifted by one row. Points are
+    built on demand over row views made once, on first access: in a stepped
+    curve x_k.qplus is x_{k+1}.q, one array.
+    """
 
     def __init__(self, points: Sequence[PontryaginPoint]):
         points = tuple(points)
@@ -134,14 +141,46 @@ class DiscreteCurve:
                 raise DimensionMismatchError(
                     "point %d has dimension %d, expected %d" % (k, pt.dim, n)
                 )
-        self.points = points
-        self.dim = n
+        self._init(np.array([pt.q for pt in points]), np.array([pt.p for pt in points]),
+                   np.array([pt.qplus for pt in points]), None)
+
+    @classmethod
+    def _stepped(cls, configurations: np.ndarray, momenta: np.ndarray) -> "DiscreteCurve":
+        # internal: point k is (configurations[k], momenta[k], configurations[k + 1]);
+        # the caller hands over float64 arrays of len(momenta) + 1 and len(momenta) rows
+        self = object.__new__(cls)
+        self._init(configurations[:-1], momenta, configurations[1:], configurations)
+        return self
+
+    def _init(self, q, p, qplus, chain):
+        self.q, self.p, self.qplus = q, p, qplus
+        self.dim = q.shape[1]
+        self._chain = chain
+        self._rows = None
+
+    def _row_views(self):
+        rows = self._rows
+        if rows is None:
+            if self._chain is None:
+                qs, plus = list(self.q), list(self.qplus)
+            else:
+                chain = list(self._chain)
+                qs, plus = chain[:-1], chain[1:]
+            rows = self._rows = (qs, list(self.p), plus)
+        return rows
+
+    @property
+    def points(self) -> Tuple[PontryaginPoint, ...]:
+        return self[:]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.p.shape[0]
 
     def __getitem__(self, k):
-        return self.points[k]
+        qs, ps, plus = self._row_views()
+        if isinstance(k, slice):
+            return tuple(map(PontryaginPoint._trusted, qs[k], ps[k], plus[k]))
+        return PontryaginPoint._trusted(qs[k], ps[k], plus[k])
 
     def __iter__(self):
         return iter(self.points)
@@ -267,13 +306,6 @@ def check_admissibility(curve: DiscreteCurve, tol: float = 1e-12) -> Optional[in
     """
     if len(curve) == 0:
         raise DimensionMismatchError("empty curve")
-    pts = curve.points
-    # a pair sharing one array (as stepped curves do) has gap zero
-    idx = [k for k in range(len(pts) - 1) if pts[k].qplus is not pts[k + 1].q or tol < 0.0]
-    if not idx:
-        return None
-    ahead = np.stack([pts[k].qplus for k in idx])
-    there = np.stack([pts[k + 1].q for k in idx])
-    gaps = np.abs(ahead - there).max(axis=1)
-    bad = np.nonzero(gaps > tol)[0]
-    return idx[int(bad[0])] if bad.size else None
+    gaps = np.abs(curve.qplus[:-1] - curve.q[1:]).max(axis=1)
+    bad = np.flatnonzero(gaps > tol)
+    return int(bad[0]) if bad.size else None

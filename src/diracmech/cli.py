@@ -4,8 +4,8 @@ A config names a built-in system, its parameters, the seed configurations
 [q0, q1] (the seed momentum is derived, p0 = -d1 L(q0, q1)), a step count and
 optional solver overrides. One table row is written per step after the seed
 row; floats are printed with 17 significant digits so files re-parse to the
-exact doubles that were computed. The table is gathered into one float64
-array and written in chunks of ``_CHUNK_ROWS`` rows through one row
+exact doubles that were computed. The trajectory's columns are copied into
+one float64 table, written in chunks of ``_CHUNK_ROWS`` rows through one row
 template, so the text held in memory does not grow with the step count.
 """
 
@@ -18,7 +18,6 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -240,20 +239,20 @@ def _table(trajectory: Trajectory, n: int, m: int, diagnostics: bool) -> np.ndar
     diagnostics, the record of the step that produced it; the seed row holds
     zeros in the diagnostic columns.
     """
-    points = trajectory.curve.points
-    rows = len(points)
+    curve = trajectory.curve
+    rows = len(curve)
     table = np.zeros((rows, len(_columns(n, m, diagnostics))))
     table[:, 0] = np.arange(rows)
-    table[:, 1:1 + n] = np.concatenate([pt.q for pt in points]).reshape(rows, n)
-    table[:, 1 + n:1 + 2 * n] = np.concatenate([pt.p for pt in points]).reshape(rows, n)
-    table[:, 1 + 2 * n:1 + 3 * n] = np.concatenate([pt.qplus for pt in points]).reshape(rows, n)
-    diags = trajectory.diagnostics
-    if diagnostics and diags:
+    table[:, 1:1 + n] = curve.q
+    table[:, 1 + n:1 + 2 * n] = curve.p
+    table[:, 1 + 2 * n:1 + 3 * n] = curve.qplus
+    if diagnostics:
+        diags = trajectory.diagnostics
         col = 1 + 3 * n
-        for j, name in enumerate(("residual", "inclusion_residual", "constraint_residual")):
-            table[1:, col + j] = np.fromiter(map(attrgetter(name), diags), float, len(diags))
-        if m:
-            table[1:, col + 3:] = np.concatenate([d.multipliers for d in diags]).reshape(-1, m)
+        table[1:, col] = diags.residual
+        table[1:, col + 1] = diags.inclusion_residual
+        table[1:, col + 2] = diags.constraint_residual
+        table[1:, col + 3:] = diags.multipliers
     return table
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -117,18 +118,61 @@ class StepDiagnostics:
     jacobian_assemblies: int = 0
 
 
+class DiagnosticColumns(Sequence):
+    """The per-step diagnostics of a run as columns, read as StepDiagnostics records.
+
+    Each field of StepDiagnostics is one column of the same name: a length-N
+    array, or (N, m) for ``multipliers``. Record k is built on access.
+    """
+
+    __slots__ = _FIELDS = ("residual", "inclusion_residual", "constraint_residual",
+                           "multipliers", "iterations", "jacobian_assemblies")
+
+    def __init__(self, *columns):
+        for name, column in zip(self._FIELDS, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def _stack(cls, records) -> "DiagnosticColumns":
+        records = tuple(records)
+        return cls(*(np.array([getattr(d, name) for d in records]) for name in cls._FIELDS))
+
+    def _head(self, steps: int) -> "DiagnosticColumns":
+        return DiagnosticColumns(*(getattr(self, name)[:steps] for name in self._FIELDS))
+
+    def __len__(self) -> int:
+        return self.residual.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        return StepDiagnostics(float(self.residual[k]), float(self.inclusion_residual[k]),
+                               float(self.constraint_residual[k]), self.multipliers[k],
+                               int(self.iterations[k]), int(self.jacobian_assemblies[k]))
+
+    def __eq__(self, other):
+        if isinstance(other, tuple) and all(isinstance(d, StepDiagnostics) for d in other):
+            other = DiagnosticColumns._stack(other)
+        if not isinstance(other, DiagnosticColumns):
+            return NotImplemented
+        return len(self) == len(other) and (not len(self) or all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self._FIELDS))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A solved discrete curve plus per-step diagnostics and run metadata.
 
     For Hamiltonian runs the curve holds the N completed points and
     ``final_state`` carries the (q_N, p_N) pair left over after the last
-    step; Lagrangian runs store seed plus N points and leave it None. The
-    ``max_*`` aggregates are NaN as soon as any step's value is NaN.
+    step; Lagrangian runs store seed plus N points and leave it None.
+    ``diagnostics`` may be given as any sequence of StepDiagnostics; it is
+    kept as DiagnosticColumns. The ``max_*`` aggregates are NaN as soon as
+    any step's value is NaN.
     """
 
     curve: DiscreteCurve
-    diagnostics: Tuple[StepDiagnostics, ...]
+    diagnostics: DiagnosticColumns
     system_label: str
     steps: int
     options: SolverOptions
@@ -137,33 +181,35 @@ class Trajectory:
     def __post_init__(self):
         if check_admissibility(self.curve, 0.0) is not None:
             raise ValueError("trajectory curve violates the second-order condition")
+        if not isinstance(self.diagnostics, DiagnosticColumns):
+            object.__setattr__(self, "diagnostics", DiagnosticColumns._stack(self.diagnostics))
         if len(self.diagnostics) != self.steps:
             raise ValueError("expected %d diagnostic records, got %d"
                              % (self.steps, len(self.diagnostics)))
 
     @property
     def max_residual(self) -> float:
-        return _worst(d.residual for d in self.diagnostics)
+        return _worst(self.diagnostics.residual)
 
     @property
     def max_inclusion_residual(self) -> float:
-        return _worst(d.inclusion_residual for d in self.diagnostics)
+        return _worst(self.diagnostics.inclusion_residual)
 
     @property
     def max_constraint_residual(self) -> float:
-        return _worst(d.constraint_residual for d in self.diagnostics)
+        return _worst(self.diagnostics.constraint_residual)
 
     @property
     def total_iterations(self) -> int:
-        return sum(d.iterations for d in self.diagnostics)
+        return int(self.diagnostics.iterations.sum())
 
     @property
     def total_jacobian_assemblies(self) -> int:
-        return sum(d.jacobian_assemblies for d in self.diagnostics)
+        return int(self.diagnostics.jacobian_assemblies.sum())
 
 
-def _worst(values) -> float:
-    return float(np.max(np.fromiter(values, float), initial=0.0))
+def _worst(column: np.ndarray) -> float:
+    return float(np.max(column, initial=0.0))
 
 
 # Vectors up to this length take the pure-Python paths of _norm_inf and
@@ -498,7 +544,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     # Newton acceptance or by the check above
     nxt = PontryaginPoint._trusted(q, p, qplus)
     if m:
-        cres = float(np.max(np.abs(last_phi if held else system.constraint.value(q, qplus))))
+        cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus))
     else:
         cres = 0.0
     inclusion = dirac_inclusion_residual(system, nxt, p_next,
@@ -607,13 +653,23 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
 
     Each step carries the previous step's ``p_next`` as its momentum, so a
     Lagrangian step does not evaluate d2 L(q, q+) again, and a Hamiltonian
-    step works on the run's own arrays: each curve point's q is the previous
-    point's q+.
+    step works on the arrays of the previous step's result.
+
+    The run stores what it accepts in columns allocated once: configurations
+    Q (N + 2 rows for a Lagrangian run, N + 1 for a Hamiltonian one), momenta
+    P (N + 1 rows) and the DiagnosticColumns. Each step writes one row of
+    each; point k of the curve is (Q[k], P[k], Q[k + 1]), and a Hamiltonian
+    ``final_state`` is (Q[N], P[N]).
     """
     opts = opts if opts is not None else SolverOptions()
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     lagrangian = system.kind == LAGRANGIAN
+    n, m = system.n, system.m
+    # rows of Q ahead of P: a Lagrangian run's seed point fills Q[1] too
+    ahead = 1 if lagrangian else 0
+    q_col = np.empty((steps + 1 + ahead, n))
+    p_col = np.empty((steps + 1, n))
     if lagrangian:
         if not isinstance(seed, PontryaginPoint):
             raise UnsupportedOperationError("Lagrangian trajectories start from a PontryaginPoint")
@@ -621,7 +677,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         if not (r0 <= opts.tol):
             warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
                           RuntimeWarning, stacklevel=2)
-        points = [seed]
+        x = seed
+        q_col[0], p_col[0], q_col[1] = seed.q, seed.p, seed.qplus
         p = None  # the first step evaluates its carried momentum
     else:
         try:
@@ -631,31 +688,44 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         if steps == 0:
             raise ValueError("a Hamiltonian trajectory needs at least one step; "
                              "no complete bundle point exists before the first solve")
-        q, p = _phase_state(q, p, system.n)
-        points = []
-    diags = []
+        q, p = _phase_state(q, p, n)
+        q_col[0], p_col[0] = q, p
+    diags = DiagnosticColumns(*np.empty((3, steps)), np.empty((steps, m)),
+                              *np.empty((2, steps), dtype=np.int64))
+    residual, inclusion, constraint = (diags.residual, diags.inclusion_residual,
+                                       diags.constraint_residual)
+    iterations, assemblies, lams = diags.iterations, diags.jacobian_assemblies, diags.multipliers
+
+    def trajectory(done: int) -> Trajectory:
+        points = done + ahead
+        final = None if lagrangian else (q_col[done], p_col[done])
+        return Trajectory(DiscreteCurve._stepped(q_col[:points + 1], p_col[:points]),
+                          diags._head(done), system.label, done, opts, final)
+
     lam_prev = None
     jac_cache = []
     for k in range(steps):
         try:
             if lagrangian:
-                result = step_lagrangian(system, points[-1], opts, multiplier_guess=lam_prev,
+                result = step_lagrangian(system, x, opts, multiplier_guess=lam_prev,
                                          check_consistency=False, jacobian_cache=jac_cache,
                                          _carried=p)
             else:
                 result = step_hamiltonian(system, q, p, opts, multiplier_guess=lam_prev,
                                           jacobian_cache=jac_cache, _owned=True)
         except DiracMechError as exc:
-            partial = None
-            if points:
-                partial = Trajectory(DiscreteCurve(points), tuple(diags), system.label,
-                                     len(diags), opts, None if lagrangian else (q, p))
+            partial = trajectory(k) if k + ahead else None
             raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
-        points.append(result.next)
-        diags.append(StepDiagnostics(result.residual, result.inclusion_residual,
-                                     result.constraint_residual, result.multipliers,
-                                     result.iterations, result.jacobian_assemblies))
+        x = result.next
+        q, p = x.qplus, result.p_next
+        q_col[k + 1 + ahead] = q
+        p_col[k + 1] = x.p if lagrangian else p
+        residual[k] = result.residual
+        inclusion[k] = result.inclusion_residual
+        constraint[k] = result.constraint_residual
+        iterations[k] = result.iterations
+        assemblies[k] = result.jacobian_assemblies
+        if m:
+            lams[k] = result.multipliers
         lam_prev = result.multipliers
-        q, p = result.next.qplus, result.p_next
-    return Trajectory(DiscreteCurve(points), tuple(diags), system.label, steps, opts,
-                      None if lagrangian else (q, p))
+    return trajectory(steps)

@@ -336,6 +336,24 @@ class TestAdmissibility:
         assert check_admissibility(DiscreteCurve([x0, x1]), tol=0.0) is None
         assert check_admissibility(DiscreteCurve([x0, x1]), tol=-1.0) == 0
 
+    def test_curve_of_points_reads_them_back(self):
+        # a curve built from points keeps its own q+ column, so gaps survive
+        # storage and each point reads back with its own values
+        pts = [PontryaginPoint([0.0, 1.0], [1.0, 2.0], [0.1, 1.1]),
+               PontryaginPoint([0.1, 1.1], [3.0, 4.0], [0.3, 1.3]),
+               PontryaginPoint([0.4, 1.3], [5.0, 6.0], [0.5, 1.5])]
+        curve = DiscreteCurve(pts)
+        assert len(curve) == 3 and curve.dim == 2
+        for got in (curve.points, list(curve), [curve[k] for k in (-3, -2, -1)], curve[0:3]):
+            for a, b in zip(got, pts, strict=True):
+                assert all(np.array_equal(u, v) for u, v in
+                           ((a.q, b.q), (a.p, b.p), (a.qplus, b.qplus)))
+        assert check_admissibility(curve, tol=0.0) == 1
+        assert check_admissibility(curve, tol=0.1 + 1e-12) is None
+        assert check_admissibility(DiscreteCurve(pts[:2]), tol=-1.0) == 0
+        with pytest.raises(IndexError):
+            curve[3]
+
     def test_empty_curve_is_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DiscreteCurve([])

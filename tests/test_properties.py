@@ -8,7 +8,8 @@ with finite values, or ends in a StepFailureError caused by a typed
 DiracMechError that carries the certified partial trajectory (for a
 Hamiltonian run, none when the first step fails). Every recorded
 certificate also equals a fresh evaluation of the inclusion residual at the
-stored point and its p_next.
+stored point and its p_next, and the trajectory reads exactly as the
+records of the same steps taken one by one.
 """
 
 import numpy as np
@@ -25,10 +26,13 @@ from diracmech import (  # noqa: E402
     DiscreteSystem,
     KinematicDistribution,
     SolverOptions,
+    StepDiagnostics,
     StepFailureError,
     dirac_inclusion_residual,
     retraction_constraint,
     run_trajectory,
+    step_hamiltonian,
+    step_lagrangian,
 )
 from diracmech import builtin  # noqa: E402
 
@@ -138,6 +142,77 @@ def assert_certificates_reproduce(system, traj):
         assert d.inclusion_residual == dirac_inclusion_residual(system, pt, p_next)
 
 
+def step_records(system, seed, steps):
+    """The run taken one step at a time, kept as one point and one record per step.
+
+    Returns (points, diagnostics, final_state) up to the first failing step:
+    the reference layout that a trajectory must read back exactly.
+    """
+    lagrangian = system.kind == "lagrangian"
+    points = [seed] if lagrangian else []
+    q, p = (None, None) if lagrangian else (np.array(x, dtype=float) for x in seed)
+    diagnostics, lam, cache, carried = [], None, [], None
+    for _ in range(steps):
+        try:
+            if lagrangian:
+                r = step_lagrangian(system, points[-1], multiplier_guess=lam,
+                                    check_consistency=False, jacobian_cache=cache,
+                                    _carried=carried)
+            else:
+                r = step_hamiltonian(system, q, p, multiplier_guess=lam, jacobian_cache=cache)
+        except DiracMechError:
+            break
+        points.append(r.next)
+        diagnostics.append(StepDiagnostics(r.residual, r.inclusion_residual,
+                                           r.constraint_residual, r.multipliers,
+                                           r.iterations, r.jacobian_assemblies))
+        lam, q, p, carried = r.multipliers, r.next.qplus, r.p_next, r.p_next
+    return points, diagnostics, None if lagrangian else (q, p)
+
+
+def assert_reads_as_records(system, seed, steps, traj):
+    """Points, slices, records, final state and aggregates equal the step records."""
+    points, records, final = step_records(system, seed, steps)
+    if traj is None:
+        assert points == []
+        return
+    curve = traj.curve
+
+    def assert_points(got, want):
+        got, want = list(got), list(want)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for u, v in ((a.q, b.q), (a.p, b.p), (a.qplus, b.qplus)):
+                assert u.shape == v.shape and np.array_equal(u, v)
+
+    assert_points(curve.points, points)
+    assert_points(curve, points)
+    assert_points([curve[k] for k in range(-len(curve), len(curve))], points + points)
+    for cut in (slice(1, -1), slice(None, None, 2), slice(-2, None)):
+        assert_points(curve[cut], points[cut])
+    assert all(a.qplus is b.q for a, b in zip(curve, curve[1:]))
+    assert len(traj.diagnostics) == len(records) == traj.steps
+    for k, want in enumerate(records):
+        got = traj.diagnostics[k]
+        assert type(got.residual) is float and type(got.iterations) is int
+        assert (got.residual, got.inclusion_residual, got.constraint_residual,
+                got.iterations, got.jacobian_assemblies) \
+            == (want.residual, want.inclusion_residual, want.constraint_residual,
+                want.iterations, want.jacobian_assemblies)
+        assert np.array_equal(got.multipliers, want.multipliers)
+    if final is None:
+        assert traj.final_state is None
+    else:
+        assert all(np.array_equal(u, v) for u, v in zip(traj.final_state, final))
+    assert traj.max_residual == max([d.residual for d in records], default=0.0)
+    assert traj.max_inclusion_residual == max([d.inclusion_residual for d in records],
+                                              default=0.0)
+    assert traj.max_constraint_residual == max([d.constraint_residual for d in records],
+                                               default=0.0)
+    assert traj.total_iterations == sum(d.iterations for d in records)
+    assert traj.total_jacobian_assemblies == sum(d.jacobian_assemblies for d in records)
+
+
 def check_lagrangian_run(case):
     system, seed, steps = case
     try:
@@ -150,11 +225,13 @@ def check_lagrangian_run(case):
         assert len(partial.curve) == exc.step_index + 1
         assert_certified_and_finite(partial)
         assert_certificates_reproduce(system, partial)
+        assert_reads_as_records(system, seed, steps, partial)
     else:
         assert traj.steps == steps
         assert len(traj.curve) == steps + 1
         assert_certified_and_finite(traj)
         assert_certificates_reproduce(system, traj)
+        assert_reads_as_records(system, seed, steps, traj)
 
 
 def check_hamiltonian_run(case):
@@ -172,11 +249,13 @@ def check_hamiltonian_run(case):
             assert partial.final_state is not None
             assert_certified_and_finite(partial)
             assert_certificates_reproduce(system, partial)
+        assert_reads_as_records(system, seed, steps, partial)
     else:
         assert traj.steps == len(traj.curve) == steps
         assert traj.final_state is not None
         assert_certified_and_finite(traj)
         assert_certificates_reproduce(system, traj)
+        assert_reads_as_records(system, seed, steps, traj)
 
 
 @settings(max_examples=60)
@@ -201,3 +280,48 @@ def test_unconstrained_hamiltonian_run_certifies_or_fails_typed(case):
 @given(runs(lagrangian=False, constrained=True))
 def test_constrained_hamiltonian_run_certifies_or_fails_typed(case):
     check_hamiltonian_run(case)
+
+
+def walled(lagrangian, constrained, wall=0.45):
+    """A free particle in R^3 whose L or H is NaN once |q|_inf passes ``wall``,
+    optionally under the nonholonomic distribution; a run moving outward fails
+    at the wall after some certified steps."""
+    def ld(q, qp):
+        if max(np.abs(q).max(), np.abs(qp).max()) > wall:
+            return float("nan")
+        return float((qp - q) @ (qp - q)) / (2.0 * H)
+
+    def hd(q, pp):
+        return float("nan") if np.abs(q).max() > wall else float(q @ pp + 0.5 * H * pp @ pp)
+
+    nh = builtin.nonholonomic_particle(H)
+    dist, constraint = (nh.dist, nh.constraint) if constrained else (None, None)
+    if lagrangian:
+        system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(3, ld), dist, constraint)
+    else:
+        system = DiscreteSystem.from_hamiltonian(DiscreteHamiltonian(3, hd), dist, constraint)
+    q0 = np.array([0.0, 0.5 * wall, 0.0])
+    v = np.array([1.0, 0.2, q0[1]])  # A(q0) v = 0
+    seed = builtin.lagrangian_seed(system, q0, q0 + H * v) if lagrangian else (q0, v)
+    return system, seed
+
+
+LANES = [(lagrangian, constrained) for lagrangian in (True, False) for constrained in (False, True)]
+
+
+@pytest.mark.parametrize("lagrangian, constrained", LANES)
+@pytest.mark.parametrize("steps", [1, 3, 12])
+def test_each_lane_reads_as_step_records(lagrangian, constrained, steps):
+    # 12 steps reach the wall in every lane; the partial run reads as the
+    # records of the steps before the failure
+    system, seed = walled(lagrangian, constrained)
+    if steps < 12:
+        traj = run_trajectory(system, seed, steps)
+    else:
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, seed, steps)
+        assert info.value.step_index >= 3
+        traj = info.value.trajectory
+    assert_reads_as_records(system, seed, steps, traj)
+    if lagrangian and steps == 1:
+        assert_reads_as_records(system, seed, 0, run_trajectory(system, seed, 0))

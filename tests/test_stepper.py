@@ -1,6 +1,10 @@
 """Implicit steppers: Newton, initial data, both lanes, trajectory running."""
 
+import dataclasses
+import gc
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from diracmech import (
     step_hamiltonian,
     step_lagrangian,
 )
-from diracmech import builtin, stepper, systems
+from diracmech import builtin, cli, stepper, systems
 from diracmech.stepper import ROUNDOFF_MARGIN
 
 H = 0.1
@@ -634,6 +638,17 @@ class TestRunTrajectory:
         assert len(traj.curve) == 1
         assert traj.diagnostics == ()
 
+    def test_diagnostics_compare_by_value(self):
+        system, x0 = nonholonomic_seed()
+        traj = run_trajectory(system, x0, 3)
+        records = tuple(traj.diagnostics)
+        assert traj.diagnostics == records
+        assert traj.diagnostics == run_trajectory(system, x0, 3).diagnostics
+        assert traj.diagnostics != records[:2]
+        assert traj.diagnostics != records[:2] + (
+            dataclasses.replace(records[2], iterations=records[2].iterations + 1),)
+        assert traj.diagnostics[1:] == records[1:]
+
     def test_structural_admissibility(self):
         system, x0 = oscillator_seed()
         traj = run_trajectory(system, x0, 25)
@@ -842,6 +857,46 @@ class TestRunTrajectory:
                 for a, b in zip(traj.curve, serial.curve):
                     assert np.array_equal(a.q, b.q)
                     assert np.array_equal(a.qplus, b.qplus)
+
+
+class TestTrajectoryMemory:
+    """A run stores each step as one row of preallocated columns: at n = 1 a
+    configuration, a momentum and five diagnostic numbers, 56 bytes. A point
+    plus a diagnostics record per step retained about 480 bytes."""
+
+    STEPS = 10000
+
+    @staticmethod
+    def traced(fn):
+        """(result of fn(), bytes it left allocated, peak bytes while it ran)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, current - before, peak - before
+
+    def test_trajectory_retains_under_100_bytes_per_step(self):
+        system, x0 = oscillator_seed()
+        run_trajectory(system, x0, 10)
+        traj, retained, _ = self.traced(lambda: run_trajectory(system, x0, self.STEPS))
+        assert traj.steps == self.STEPS
+        assert retained <= 100 * self.STEPS
+
+    def test_cli_run_peak_under_300_bytes_per_step(self, tmp_path):
+        # the table is 56 bytes per step and the columns as much again; one
+        # chunk of CSV text is bounded by the chunk size, not the step count
+        config = cli.parse_config(json.dumps({
+            "system": "harmonic_oscillator", "h": H, "seed": [0.0, 0.1],
+            "steps": self.STEPS, "output": str(tmp_path / "out.csv")}))
+        cli.run(dataclasses.replace(config, steps=10), quiet=True)
+        summary, _, peak = self.traced(lambda: cli.run(config, quiet=True))
+        assert summary.steps_completed == self.STEPS
+        assert peak <= 300 * self.STEPS
 
 
 class TestTracedDispatch:
