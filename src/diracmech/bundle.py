@@ -14,21 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
-from .linalg import orthonormal_columns
-
-
-_F64 = np.dtype(float)
-
-
-def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
-    """``x`` as a float64 vector (of length ``n`` when given); ``x`` itself if it is one."""
-    if type(x) is np.ndarray and x.dtype == _F64 and x.ndim == 1 and (n is None or x.shape[0] == n):
-        return x
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
-        raise DimensionMismatchError("%s has shape %r, expected %s"
-                                     % (name, arr.shape, "a 1-d vector" if n is None else (n,)))
-    return arr
+from .linalg import _blocks, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -40,19 +26,8 @@ class PontryaginPoint:
     qplus: np.ndarray
 
     def __post_init__(self):
-        q = _vector(self.q, "q").copy()
-        p = _vector(self.p, "p").copy()
-        qplus = _vector(self.qplus, "qplus").copy()
-        if not (q.shape == p.shape == qplus.shape):
-            raise DimensionMismatchError(
-                "blocks must share one dimension, got %d / %d / %d"
-                % (q.shape[0], p.shape[0], qplus.shape[0])
-            )
-        if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(qplus).all()):
+        if not all(np.isfinite(b).all() for b in _blocks(self, ("q", "p", "qplus"))):
             raise ValueError("point entries must all be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "qplus", qplus)
 
     @classmethod
     def _trusted(cls, q: np.ndarray, p: np.ndarray, qplus: np.ndarray) -> "PontryaginPoint":
@@ -79,14 +54,7 @@ class TangentPd:
     dqplus: np.ndarray
 
     def __post_init__(self):
-        dq = _vector(self.dq, "dq").copy()
-        dp = _vector(self.dp, "dp").copy()
-        dqplus = _vector(self.dqplus, "dqplus").copy()
-        if not (dq.shape == dp.shape == dqplus.shape):
-            raise DimensionMismatchError("tangent blocks must share one dimension")
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "dqplus", dqplus)
+        _blocks(self, ("dq", "dp", "dqplus"))
 
     @property
     def dim(self) -> int:
@@ -102,14 +70,7 @@ class CotangentPd:
     bqplus: np.ndarray
 
     def __post_init__(self):
-        bq = _vector(self.bq, "bq").copy()
-        bp = _vector(self.bp, "bp").copy()
-        bqplus = _vector(self.bqplus, "bqplus").copy()
-        if not (bq.shape == bp.shape == bqplus.shape):
-            raise DimensionMismatchError("cotangent blocks must share one dimension")
-        object.__setattr__(self, "bq", bq)
-        object.__setattr__(self, "bp", bp)
-        object.__setattr__(self, "bqplus", bqplus)
+        _blocks(self, ("bq", "bp", "bqplus"))
 
     @property
     def dim(self) -> int:
@@ -226,7 +187,11 @@ class KinematicDistribution:
         memo = self._memo
         if memo is not None and memo[0] == key:
             return memo
-        a = np.array(self.annihilator(q), dtype=float, ndmin=2)
+        try:
+            a = np.array(self.annihilator(q), dtype=float, ndmin=2)
+        except Exception as exc:
+            raise EvaluationError("annihilator evaluation failed at q=%s: %s"
+                                  % (np.array2string(q), exc)) from exc
         if a.shape != (self.m, self.n):
             raise DimensionMismatchError(
                 "annihilator returned shape %r, expected (%d, %d)" % (a.shape, self.m, self.n)

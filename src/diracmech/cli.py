@@ -298,9 +298,10 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
 
     An output whose directory does not exist, or that is itself a
     directory, raises OSError before the system is built, so no step runs
-    and no file is created. On a failed step the partial table is still
-    written before the StepFailureError propagates. An OSError from writing
-    the table propagates as is.
+    and no file is created. A seed whose derived momentum is not finite
+    raises ConfigError, also before any step. On a failed step the partial
+    table is still written before the StepFailureError propagates. An
+    OSError from writing the table propagates as is.
     """
     if not config.output.parent.is_dir():
         raise OSError("output directory %s does not exist" % config.output.parent)
@@ -308,7 +309,11 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
         raise IsADirectoryError("output %s is a directory" % config.output)
     system = build_system(config)
     n = system.n
-    x0 = builtin.lagrangian_seed(system, config.seed[:n], config.seed[n:])
+    try:
+        x0 = builtin.lagrangian_seed(system, config.seed[:n], config.seed[n:])
+    except ValueError as exc:  # q0 and q1 are finite, so p0 = -d1 L(q0, q1) is not
+        raise ConfigError("field 'seed' derives a non-finite momentum p0 = -d1 L(q0, q1): %s"
+                          % exc, field="seed") from exc
     if system.m:
         gap = float(np.max(np.abs(system.constraint.value(x0.q, x0.qplus))))
         if gap > config.solver.tol:

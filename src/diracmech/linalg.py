@@ -10,6 +10,7 @@ form is value(v, w) = (mat @ v) . w.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,6 +18,35 @@ from .errors import DimensionMismatchError, RankDeficiencyError
 
 # Relative singular-value threshold shared by all rank decisions.
 RANK_CUTOFF = 1e-10
+
+_F64 = np.dtype(float)
+
+
+def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
+    """``x`` as a float64 vector (of length ``n`` when given); ``x`` itself if it is one."""
+    if type(x) is np.ndarray and x.dtype == _F64 and x.ndim == 1 and (n is None or x.shape[0] == n):
+        return x
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
+        raise DimensionMismatchError("%s has shape %r, expected %s"
+                                     % (name, arr.shape, "a 1-d vector" if n is None else (n,)))
+    return arr
+
+
+def _blocks(obj, names: Sequence[str]) -> list:
+    """Replace the named fields of a frozen dataclass by float64 vector copies of one length.
+
+    Returns the copies; raises DimensionMismatchError when they are not
+    1-d or their lengths differ.
+    """
+    blocks = [_vector(getattr(obj, name), name).copy() for name in names]
+    if len({b.shape[0] for b in blocks}) > 1:
+        raise DimensionMismatchError("blocks %s must share one dimension, got %s"
+                                     % (" / ".join(names),
+                                        " / ".join(str(b.shape[0]) for b in blocks)))
+    for name, b in zip(names, blocks):
+        object.__setattr__(obj, name, b)
+    return blocks
 
 
 def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
@@ -37,9 +67,9 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
 class LinSubspace:
     """A linear subspace stored as a basis matrix whose columns span it.
 
-    The basis must have full column rank (smallest singular value above
-    RANK_CUTOFF relative to the largest); an orthonormalized copy is kept in
-    ``onb`` for projections.
+    The basis must have full column rank, as ``orthonormal_columns`` decides
+    it (smallest singular value above RANK_CUTOFF relative to the largest);
+    that orthonormalized copy is kept in ``onb`` for projections.
     """
 
     ambient_dim: int
@@ -57,19 +87,14 @@ class LinSubspace:
                 "basis shape %r does not match ambient dimension %d"
                 % (basis.shape, self.ambient_dim)
             )
-        if basis.shape[1] > self.ambient_dim:
-            raise RankDeficiencyError(
-                "%d basis vectors cannot be independent in dimension %d"
-                % (basis.shape[1], self.ambient_dim)
-            )
-        if basis.shape[1] > 0:
-            s = np.linalg.svd(basis, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= RANK_CUTOFF * s[0]:
-                raise RankDeficiencyError(
-                    "basis is rank deficient (singular values %s)" % np.array2string(s)
-                )
+        onb = orthonormal_columns(basis)
+        if onb.shape[1] < basis.shape[1]:
+            raise RankDeficiencyError("basis of %d vectors in dimension %d is rank deficient "
+                                      "(singular values %s)"
+                                      % (basis.shape[1], self.ambient_dim,
+                                         np.array2string(np.linalg.svd(basis, compute_uv=False))))
         object.__setattr__(self, "basis", basis.copy())
-        object.__setattr__(self, "onb", orthonormal_columns(basis))
+        object.__setattr__(self, "onb", onb)
 
     @property
     def dim(self) -> int:
@@ -83,14 +108,6 @@ class LinSubspace:
     def trivial(cls, n: int) -> "LinSubspace":
         return cls(n, np.zeros((n, 0)))
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``v`` onto the subspace."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatchError("vector has shape %r, ambient dim is %d"
-                                         % (v.shape, self.ambient_dim))
-        return self.onb @ (self.onb.T @ v)
-
 
 @dataclass(frozen=True)
 class PairedVector:
@@ -100,22 +117,11 @@ class PairedVector:
     a: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if v.ndim != 1 or a.ndim != 1 or v.shape != a.shape:
-            raise DimensionMismatchError(
-                "vector and covector parts must be 1-d and equal length, got %r / %r"
-                % (v.shape, a.shape)
-            )
-        object.__setattr__(self, "v", v.copy())
-        object.__setattr__(self, "a", a.copy())
+        _blocks(self, ("v", "a"))
 
     @property
     def dim(self) -> int:
         return self.v.shape[0]
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.v, self.a])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bundle import DiscreteCurve, PontryaginPoint, _vector, check_admissibility
+from .bundle import DiscreteCurve, PontryaginPoint, check_admissibility
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -30,6 +31,7 @@ from .errors import (
     StepFailureError,
     UnsupportedOperationError,
 )
+from .linalg import _vector
 from .systems import (
     HAMILTONIAN,
     LAGRANGIAN,
@@ -64,7 +66,8 @@ _EPS = float(np.finfo(float).eps)
 class SolverOptions:
     """Knobs for the damped Newton iteration.
 
-    ``tol`` must be positive and finite. ``predictor`` picks the initial
+    ``tol`` must be positive and finite, ``max_iter`` an integer of at least
+    1 (a NumPy integer will do). ``predictor`` picks the initial
     guess for the new configuration of a Lagrangian step: "extrapolate"
     continues at constant velocity, "hold" reuses the current one. It does
     not apply to Hamiltonian steps, which start from the carried momentum.
@@ -81,8 +84,10 @@ class SolverOptions:
     def __post_init__(self):
         if not (0.0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        # a float bound such as nan would never end the iteration
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer of at least 1, got %r" % (self.max_iter,))
         if self.predictor not in _PREDICTORS:
             raise ValueError("predictor must be one of %r" % (_PREDICTORS,))
 
@@ -245,23 +250,13 @@ def _phase_state(q, p, n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """The solution of jm @ step = -fx; 1x1 and 2x2 systems solve in Python floats."""
+    """The solution of jm @ step = -fx; a 1x1 system solves in Python floats."""
     if jm.shape == (1, 1):
         pivot = float(jm[0, 0])
         if pivot != 0.0 and math.isfinite(pivot):
             s0 = -float(fx[0]) / pivot
             if math.isfinite(s0):
                 return np.array([s0])
-    elif jm.shape == (2, 2):
-        a, b = float(jm[0, 0]), float(jm[0, 1])
-        c, d = float(jm[1, 0]), float(jm[1, 1])
-        det = a * d - b * c
-        if det != 0.0 and math.isfinite(det):
-            r0, r1 = -float(fx[0]), -float(fx[1])
-            s0 = (d * r0 - b * r1) / det
-            s1 = (a * r1 - c * r0) / det
-            if math.isfinite(s0) and math.isfinite(s1):
-                return np.array([s0, s1])
     else:
         try:
             step = np.linalg.solve(jm, -fx)

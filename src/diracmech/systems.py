@@ -3,10 +3,11 @@
 A discrete Lagrangian is a two-point generating function L(q, q+); a discrete
 (right) Hamiltonian is H(q, p+). Slot derivatives come from user-supplied
 analytic gradients when available and central finite differences otherwise,
-with an optional consistency check at construction. Newton iteration
-matrices are first-order: ``jacobian_columns`` and
-``DerivativeProvider.forward_gradient`` take forward differences, n + 1
-calls where central ones take 2n. A system picks its step
+with an optional consistency check at construction. One difference loop
+serves every finite difference: central quotients (2n calls) for gradients,
+which residuals and the certificate use, and forward ones (n + 1 calls) for
+Newton iteration matrices, through ``jacobian_columns`` and
+``DerivativeProvider.forward_gradient``. A system picks its step
 kind once, at construction: the momentum balance and the (balance,
 completion) slot gradients that the stepper solves with. The module also
 provides the two one-form families and the membership residual of the
@@ -23,62 +24,65 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bundle import CotangentPd, KinematicDistribution, PontryaginPoint, _vector
+from .bundle import CotangentPd, KinematicDistribution, PontryaginPoint
 from .errors import DimensionMismatchError, EvaluationError
-# not called here since the certificate projects through the distribution's
-# memo; bench/tracing.py still wraps this module attribute by name
-from .linalg import orthonormal_columns  # noqa: F401
+# orthonormal_columns is not called here since the certificate projects
+# through the distribution's memo; bench/tracing.py still wraps this module
+# attribute by name
+from .linalg import _F64, _vector, orthonormal_columns  # noqa: F401
 
 # Finite-difference step base, central and forward: the step along
 # component i is FD_SCALE * max(1, |x_i|).
 FD_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-_F64 = np.dtype(float)
 
 _VALIDATION_SEED = 20240613
 _VALIDATION_PROBES = 4
 _VALIDATION_RTOL = 1e-5
 
 
-def _forward_differences(fun: Callable[[np.ndarray], object], x: np.ndarray) -> list:
-    """(fun(x + h e_i) - fun(x)) / h for each i, with h = FD_SCALE * max(1, |x_i|): n + 1 calls.
+def _differences(fun: Callable[[np.ndarray], object], x: np.ndarray,
+                 central: bool = False) -> list:
+    """Difference quotients of ``fun`` along each component of x, in order.
 
-    A single component takes the central quotient instead: it costs the same
-    two calls and is second-order.
+    The step along component i is h = FD_SCALE * max(1, |x_i|). Central
+    quotients (fun(x + h e_i) - fun(x - h e_i)) / 2h cost 2n calls; forward
+    ones (fun(x + h e_i) - fun(x)) / h cost n + 1. A single component always
+    takes the central quotient: it costs the same two calls and is
+    second-order.
     """
-    if x.shape[0] == 1:
-        h = FD_SCALE * max(1.0, abs(x[0]))
-        return [(fun(x + h) - fun(x - h)) / (2.0 * h)]
-    base = fun(x)
+    central = central or x.shape[0] == 1
+    base = None if central else fun(x)
     out = []
     for i in range(x.shape[0]):
         h = FD_SCALE * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += h
-        out.append((fun(xp) - base) / h)
+        if central:
+            xm = x.copy()
+            xm[i] -= h
+            out.append((fun(xp) - fun(xm)) / (2.0 * h))
+        else:
+            out.append((fun(xp) - base) / h)
     return out
+
+
+def _block_gradient(f: Callable[..., float], args: Sequence[np.ndarray], block: int,
+                    central: bool) -> np.ndarray:
+    """Gradient of the scalar f with respect to args[block], the other blocks held."""
+    work = [np.asarray(a, dtype=float) for a in args]
+    x = work[block]
+
+    def along(xb):
+        work[block] = xb
+        return f(*work)
+
+    return np.array(_differences(along, x, central), dtype=float).reshape(x.shape)
 
 
 def central_difference(f: Callable[..., float], args: Sequence[np.ndarray],
                        block: int) -> np.ndarray:
-    """Gradient of the scalar f with respect to args[block], central differences: 2n calls.
-
-    The step along component i is h = FD_SCALE * max(1, |x_i|).
-    """
-    work = [np.asarray(a, dtype=float) for a in args]
-    x = work[block]
-    out = []
-    for i in range(x.shape[0]):
-        h = FD_SCALE * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        work[block] = xp
-        fp = f(*work)
-        work[block] = xm
-        out.append((fp - f(*work)) / (2.0 * h))
-    return np.array(out, dtype=float).reshape(x.shape)
+    """Gradient of the scalar f with respect to args[block], central differences: 2n calls."""
+    return _block_gradient(f, args, block, True)
 
 
 def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -89,8 +93,7 @@ def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     iteration matrices, which steer the iteration but decide nothing:
     acceptance and the certificate use true residuals.
     """
-    cols = _forward_differences(lambda v: np.asarray(fun(v), dtype=float),
-                                np.asarray(x, dtype=float))
+    cols = _differences(lambda v: np.asarray(fun(v), dtype=float), np.asarray(x, dtype=float))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
@@ -105,11 +108,12 @@ class DerivativeProvider:
     f: Callable[..., float]
     grads: tuple
 
-    def gradient(self, block: int, *args) -> np.ndarray:
-        return self.bound(block)(*args)
-
     def bound(self, block: int) -> Callable[..., np.ndarray]:
-        """A single-frame callable for one block's gradient (analytic or FD)."""
+        """A single-frame callable for one block's gradient (analytic or FD).
+
+        An analytic gradient must return one entry per component of its
+        block's argument (DimensionMismatchError otherwise).
+        """
         g = self.grads[block]
         if g is None:
             fd_gradient = self.fd_gradient
@@ -121,18 +125,15 @@ class DerivativeProvider:
             except Exception as exc:
                 raise EvaluationError("analytic gradient for block %d failed: %s"
                                       % (block, exc)) from exc
-            if type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 1:
+            if (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 1
+                    and len(out) == len(args[block])):
                 return out
-            return np.atleast_1d(np.asarray(out, dtype=float))
+            return _vector(out, "analytic gradient for block %d" % block, np.size(args[block]))
 
         return call
 
     def fd_gradient(self, block: int, *args) -> np.ndarray:
-        try:
-            return central_difference(self.f, args, block)
-        except Exception as exc:
-            raise EvaluationError("finite-difference gradient for block %d failed: %s"
-                                  % (block, exc)) from exc
+        return self._differenced(block, args, True)
 
     def forward_gradient(self, block: int, *args) -> np.ndarray:
         """One block's gradient of f by forward differences: n + 1 evaluations of f.
@@ -140,16 +141,13 @@ class DerivativeProvider:
         First-order, for Newton iteration matrices only; ``fd_gradient``
         (central, 2n evaluations) serves everything that decides acceptance.
         """
-        work = [np.asarray(a, dtype=float) for a in args]
-        x = work[block]
-        f = self.f
+        return self._differenced(block, args, False)
 
-        def along(xb):
-            work[block] = xb
-            return f(*work)
-
+    def _differenced(self, block: int, args, central: bool) -> np.ndarray:
         try:
-            return np.array(_forward_differences(along, x), dtype=float).reshape(x.shape)
+            if central:  # through the module attribute, which bench/tracing.py wraps
+                return central_difference(self.f, args, block)
+            return _block_gradient(self.f, args, block, False)
         except Exception as exc:
             raise EvaluationError("finite-difference gradient for block %d failed: %s"
                                   % (block, exc)) from exc
@@ -161,7 +159,7 @@ class DerivativeProvider:
             for block, g in enumerate(self.grads):
                 if g is None:
                     continue
-                ana = self.gradient(block, *args)
+                ana = self.bound(block)(*args)
                 num = self.fd_gradient(block, *args)
                 scale = max(1.0, float(np.max(np.abs(num))) if num.size else 0.0)
                 gap = float(np.max(np.abs(ana - num))) / scale if ana.size else 0.0
@@ -202,13 +200,6 @@ class _GeneratingFunction:
         self.provider = DerivativeProvider(f, grads)
         if validate:
             _validate_provider(self.provider, (self.n, self.n), "the discrete " + self._what)
-
-    def value(self, q, second) -> float:
-        try:
-            return float(self.provider.f(np.asarray(q, dtype=float),
-                                         np.asarray(second, dtype=float)))
-        except Exception as exc:
-            raise EvaluationError("%s evaluation failed: %s" % (self._what, exc)) from exc
 
 
 class DiscreteLagrangian(_GeneratingFunction):
@@ -273,8 +264,6 @@ class DiscreteConstraint:
 
     def jacobian2(self, q, qplus) -> np.ndarray:
         """md x n Jacobian of phi in its second slot."""
-        if self.md == 0:
-            return np.zeros((0, self.n))
         if self._jac2 is not None:
             try:
                 out = np.atleast_2d(np.asarray(self._jac2(np.asarray(q, dtype=float),

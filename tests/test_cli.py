@@ -173,6 +173,8 @@ REJECTED = [
     (dict(MINIMAL, output=5), [], "output", "'output' must be a path string"),
     (dict(MINIMAL, diagnostics="yes"), [], "diagnostics", "'diagnostics' must be a boolean"),
     (MINIMAL, ["--steps", "-1"], "steps", "nonnegative"),
+    # a finite seed whose derived momentum p0 = -d1 L(q0, q1) overflows
+    (dict(MINIMAL, seed=[0, 1e308]), [], "seed", "non-finite momentum p0"),
 ]
 
 
@@ -268,6 +270,12 @@ class TestRun:
         assert lam_col == len(header) - 1
         for line in lines[2:]:
             assert float(line.split(",")[con_col]) < 1e-10
+        # the documented "hold" predictor certifies every step of the same run
+        default = np.loadtxt(out, delimiter=",", skiprows=1)
+        run(parse_config(json.dumps(dict(doc, solver={"predictor": "hold"}))), quiet=True)
+        held = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.all(held[:, header.index("inclusion_residual")] <= 10.0 * 1e-10)
+        assert np.max(np.abs(held[:, 1:10] - default[:, 1:10])) <= 1e-9
 
     def test_diagnostics_toggle(self, tmp_path):
         out = tmp_path / "plain.csv"

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import root
 
 from diracmech import (
+    CertificationError,
     ConvergenceError,
     DimensionMismatchError,
     DiscreteHamiltonian,
@@ -187,6 +188,12 @@ class TestNewton:
                 SolverOptions(tol=tol)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
+        # a non-integer bound: iters >= nan is never true, so a nan bound
+        # would never end the iteration
+        for max_iter in (np.nan, np.inf, 2.5, True):
+            with pytest.raises(ValueError, match="max_iter"):
+                SolverOptions(max_iter=max_iter)
+        assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
         with pytest.raises(ValueError):
             SolverOptions(predictor="psychic")
 
@@ -743,6 +750,57 @@ class TestRunTrajectory:
         assert len(err.trajectory.curve) == 3  # seed plus two good steps
         assert err.trajectory.curve[2].qplus[0] == pytest.approx(0.3, abs=1e-12)
 
+    def test_analytic_gradient_of_the_wrong_length_fails_the_step(self):
+        # d1 drops an entry of its n = 2 result past q+ = 0.25: p + d1 would
+        # broadcast silently
+        def ld(q, qp):
+            return float((qp - q) @ (qp - q)) / (2.0 * H)
+
+        def d1(q, qp):
+            g = -(qp - q) / H
+            return g[:1] if qp[0] > 0.25 else g
+
+        with pytest.raises(DimensionMismatchError, match="analytic gradient for block 0"):
+            DiscreteLagrangian(2, ld, d1=lambda q, qp: -(qp[:1] - q[:1]) / H)
+        lag = DiscreteLagrangian(2, ld, d1=d1, validate=False)
+        system = DiscreteSystem.from_lagrangian(lag)
+        x0 = PontryaginPoint([0.0, 0.0], [1.0, 1.0], [0.1, 0.1])
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, x0, 5)
+        err = info.value
+        assert isinstance(err.__cause__, DimensionMismatchError)
+        assert err.step_index == 1  # the predictor of step 1 is q+ = 0.3
+        assert len(err.trajectory.curve) == 2  # seed plus one certified step
+        # short at the seed already, it fails the seed check before any step
+        with pytest.raises(DimensionMismatchError):
+            run_trajectory(system, PontryaginPoint([0.3, 0.0], [1.0, 1.0], [0.4, 0.1]), 5)
+
+    def test_raising_annihilator_fails_the_step(self):
+        # A(q) is evaluated once per base point: q0 (the seed check), then
+        # the base point q_{k+1} of step k, so the fourth evaluation is step 2's
+        calls = []
+
+        def annihilator(q):
+            calls.append(q)
+            if len(calls) == 4:
+                raise RuntimeError("chart singularity")
+            return np.array([[-q[1], 0.0, 1.0]])
+
+        free = builtin.free_particle_lagrangian(H, 3)
+        dist = KinematicDistribution(3, 1, annihilator)
+        system = DiscreteSystem.from_lagrangian(free, dist, retraction_constraint(dist))
+        q0 = np.array([0.0, 0.5, 0.0])
+        x0 = builtin.lagrangian_seed(system, q0, q0 + H * np.array([1.0, 0.2, 0.5]))
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, x0, 5)
+        err = info.value
+        assert isinstance(err.__cause__, EvaluationError)
+        assert isinstance(err.__cause__.__cause__, RuntimeError)
+        assert err.step_index == 2
+        assert err.trajectory.steps == 2
+        assert err.trajectory.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        assert len(err.trajectory.curve) == 3  # seed plus two certified steps
+
     def test_nan_residual_fails_the_step(self):
         # sqrt(1 - q) is NaN once q passes 1: the step that leaves the domain
         # must fail, not be accepted and certified with a NaN residual
@@ -857,6 +915,54 @@ class TestRunTrajectory:
                 for a, b in zip(traj.curve, serial.curve):
                     assert np.array_equal(a.q, b.q)
                     assert np.array_equal(a.qplus, b.qplus)
+
+
+class TestCertificateGate:
+    """An accepted Newton root whose inclusion residual is above 10 * tol, or
+    NaN, fails the step with the residual it got."""
+
+    @pytest.fixture(params=[11.0, np.nan], ids=["above-gate", "nan"])
+    def gated(self, request, monkeypatch):
+        """Patch the certificate to report the parameter times tol on each call
+        after the first ``start``; ``install`` returns that value."""
+        certify = stepper.dirac_inclusion_residual
+        calls = []
+
+        def install(start=0):
+            def patched(*args, **kwargs):
+                calls.append(None)
+                if len(calls) > start:
+                    return request.param * SolverOptions().tol
+                return certify(*args, **kwargs)
+            monkeypatch.setattr(stepper, "dirac_inclusion_residual", patched)
+            return request.param * SolverOptions().tol
+
+        return install
+
+    def test_single_steps_raise(self, gated):
+        bad = gated()
+        lag_system, x0 = oscillator_seed()
+        ham_system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
+        for step in (lambda: step_lagrangian(lag_system, x0),
+                     lambda: step_hamiltonian(ham_system, [0.0], [1.0])):
+            with pytest.raises(CertificationError, match="inclusion residual gate") as info:
+                step()
+            assert np.array_equal(info.value.inclusion_residual, bad, equal_nan=True)
+
+    @pytest.mark.parametrize("make", [
+        oscillator_seed,
+        lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
+    ], ids=["lagrangian", "hamiltonian"])
+    def test_run_keeps_the_steps_before(self, gated, make):
+        system, seed = make()
+        gated(start=3)
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, seed, 6)
+        err = info.value
+        assert isinstance(err.__cause__, CertificationError)
+        assert err.step_index == 3
+        assert err.trajectory.steps == 3
+        assert err.trajectory.max_inclusion_residual <= 10.0 * SolverOptions().tol
 
 
 class TestTrajectoryMemory:
