@@ -3,9 +3,11 @@
 One Lagrangian step advances a complete bundle point (q_k, p_k, q_{k+1}) to
 (q_{k+1}, p_{k+1}, q_{k+2}) by solving force balance plus the pair constraint
 for (q_{k+2}, lambda). One Hamiltonian step maps (q_k, p_k) to (p_{k+1},
-q_{k+1}, lambda). Both go through one solve path: damped Newton on a square
-system, then a certificate of the accepted update against the abstract
-inclusion residual before returning.
+lambda) and completes q_{k+1} = dH/dp(q_k, p_{k+1}). Both kinds solve the
+same layout, (y, lambda) with n + m unknowns, on one path: damped Newton on
+a square system, then a certificate of the accepted update against the
+abstract inclusion residual before returning. A step returns its
+diagnostics row, extended by the new point and the next momentum.
 """
 
 from __future__ import annotations
@@ -92,25 +94,6 @@ class SolverOptions:
             raise ValueError("predictor must be one of %r" % (_PREDICTORS,))
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One accepted step: the new point, multipliers and solve diagnostics.
-
-    ``p_next`` is the momentum at the index after ``next`` (for Hamiltonian
-    steps this is the carried p_{k+1}; for Lagrangian steps it is the
-    momentum the following step will carry).
-    """
-
-    next: PontryaginPoint
-    multipliers: np.ndarray
-    iterations: int
-    residual: float
-    inclusion_residual: float
-    constraint_residual: float
-    p_next: np.ndarray
-    jacobian_assemblies: int = 0
-
-
 @dataclass(frozen=True, slots=True)
 class StepDiagnostics:
     """Per-step record; ``jacobian_assemblies`` is 0 on steps solved on a held matrix."""
@@ -121,6 +104,19 @@ class StepDiagnostics:
     multipliers: np.ndarray
     iterations: int = 0
     jacobian_assemblies: int = 0
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class StepResult(StepDiagnostics):
+    """One accepted step: its diagnostics row plus the new point.
+
+    ``p_next`` is the momentum at the index after ``next`` (for Hamiltonian
+    steps this is the carried p_{k+1}; for Lagrangian steps it is the
+    momentum the following step will carry).
+    """
+
+    next: PontryaginPoint
+    p_next: np.ndarray
 
 
 class DiagnosticColumns(Sequence):
@@ -282,16 +278,19 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
 
     The iteration matrix comes from ``jac`` (a forward-difference Jacobian of
     f when None). Without ``jacobian_cache`` it is assembled at every
-    iterate. ``jacobian_cache`` is a one-slot list that holds the matrix
-    across iterations and calls: a matrix in it is used from the start, and
-    every assembly is stored back into it. A held matrix is reassembled at
-    the current iterate only when it stops contracting there: a full step
-    leaves a residual above CONTRACTION times the current one, or the solve
-    with it is singular. Such a step is kept if it still lowered the
-    residual and discarded otherwise. The damped line search (halving down
-    to MIN_STEP) runs only on a freshly assembled matrix; when it
-    stalls near the round-off floor (see ROUNDOFF_MARGIN) the error says
-    that opts.tol is below that floor and gives its value.
+    iterate. ``jacobian_cache`` is a list whose slot 0 holds the matrix
+    across iterations and calls: a matrix there (not None) is used from the
+    start, and every assembly is stored back there. Only slot 0 is read or
+    written, so a caller may keep its own data behind it: a constrained
+    Hamiltonian step keeps the dH/dp block C of its matrix in slot 1. A held
+    matrix is reassembled at the current iterate only when it stops
+    contracting there: a full step leaves a residual above CONTRACTION
+    times the current one, or the solve with it is singular. Such a step is
+    kept if it still lowered the residual and discarded otherwise. The
+    damped line search (halving down to MIN_STEP) runs only on a freshly
+    assembled matrix; when it stalls near the round-off floor (see
+    ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
+    gives its value.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
@@ -316,7 +315,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
         if fresh:
             held = np.asarray(jac(x), dtype=float) if jac is not None else jacobian_columns(f, x)
             if jacobian_cache is not None:
-                jacobian_cache[:] = [held]
+                jacobian_cache[:1] = [held]
         try:
             step = _newton_step(held, fx)
         except SingularJacobianError:
@@ -427,27 +426,34 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
                 jacobian_cache: Optional[list]) -> StepResult:
     """Solve and certify one step of either kind from base point q and carried momentum p.
 
-    The unknown y is q+ for a Lagrangian step and p+ for a Hamiltonian one;
-    momentum balance is p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T lambda
-    when constrained. A constrained step adds phi(q, q+) = 0; a constrained
-    Hamiltonian step also keeps q+ among its unknowns, with the update
-    q+ - dH/dp(q, y) = 0. The step completes with q+ = y, p+ = d2 L(q, y)
+    Every step solves z = (y, lambda), n + m unknowns. The unknown y is q+
+    for a Lagrangian step and p+ for a Hamiltonian one; momentum balance is
+    p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T lambda when constrained.
+    A constrained step adds phi(q, conf(y)) = 0, where conf is the identity
+    for a Lagrangian step and dH/dp(q, .) for a Hamiltonian one. Its matrix
+    block is J2(q, conf(y)) C, with C = I or the forward-difference Jacobian
+    of dH/dp in p+. The step completes with q+ = y, p+ = d2 L(q, y)
     (Lagrangian) or q+ = dH/dp(q, y), p+ = y (Hamiltonian), and is certified
     with the inclusion residual at (q, p, q+) and p+. Every assembly of the
     Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
     block of H, for regularity.
 
-    The residual keeps the gradient, the dH/dp completion and phi of its
-    last call. When Newton returns the very array of that call, the
-    constraint residual and the certificate read those values instead of
-    evaluating them again; otherwise they are evaluated afresh.
+    A held matrix of a constrained step gets this step's -A^T and border
+    J2(q, conf(y0)) C. A constrained Hamiltonian step keeps C in
+    ``jacobian_cache[1]``, next to the matrix; a cache that holds a matrix
+    but no C assembles afresh.
+
+    The residual keeps the gradient, conf(y) and phi of its last call. When
+    Newton returns the very array of that call, q+, the constraint residual
+    and the certificate read those values instead of evaluating them again;
+    otherwise they are evaluated afresh.
     """
     lagrangian = system.kind == LAGRANGIAN
     n, m = system.n, system.m
     grad, complete = system.slots()
     momentum_balance = system.balance
-    # the argument of the residual's last call and its gradient, dH/dp
-    # completion (constrained Hamiltonian steps) and constraint value
+    # the argument of the residual's last call and its gradient, conf(y)
+    # (constrained steps) and constraint value
     last_z = last_g = last_c = last_phi = None
 
     def balance(y):
@@ -458,59 +464,58 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     if lam0.shape != (m,):
         raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
                                      % (lam0.shape, m))
-    # unknowns z = (y, q+ of a constrained Hamiltonian step, lambda); q+ is z[k - n:k]
-    k = 2 * n if m and not lagrangian else n
     if m:
         a = system.dist.matrix(q)
 
         def residual_fn(z):
             nonlocal last_z, last_c, last_phi
             y = z[:n]
-            r = balance(y) - a.T @ z[k:]
-            last_z = z
-            if lagrangian:
-                last_phi = system.constraint.value(q, y)
-                return np.concatenate([r, last_phi])
-            last_c = complete(q, y)
-            last_phi = system.constraint.value(q, z[n:k])
-            return np.concatenate([r, z[n:k] - last_c, last_phi])
+            r = balance(y) - a.T @ z[n:]
+            last_z, last_c = z, y if lagrangian else complete(q, y)
+            last_phi = system.constraint.value(q, last_c)
+            return np.concatenate([r, last_phi])
 
-        def with_constraint_blocks(jm, qplus):
+        def with_constraint_blocks(jm, y, c):
             # -A^T in the multiplier columns of the balance rows, the
-            # constraint Jacobian in the q+ columns of the constraint rows
-            jm[:n, k:] = -a.T
-            jm[k:, k - n:k] = system.constraint.jacobian2(q, qplus)
+            # constraint Jacobian J2(q, conf(y)) C in the y columns of the
+            # constraint rows
+            jm[:n, n:] = -a.T
+            j2 = system.constraint.jacobian2(q, y if c is None else complete(q, y))
+            jm[n:, :n] = j2 if c is None else j2 @ c
             return jm
 
-        z0 = np.concatenate([y0, lam0] if lagrangian else [y0, complete(q, y0), lam0])
-        if jacobian_cache:
-            # a held matrix keeps its finite-difference block of L or H and
+        z0 = np.concatenate([y0, lam0])
+        if jacobian_cache is not None and not lagrangian and len(jacobian_cache) < 2:
+            jacobian_cache[:] = [None, None]  # a matrix without its C is not held
+        if jacobian_cache and jacobian_cache[0] is not None:
+            # a held matrix keeps its finite-difference blocks of L or H and
             # takes this step's constraint blocks at the predictor
-            jacobian_cache[0] = with_constraint_blocks(jacobian_cache[0].copy(), z0[k - n:k])
+            c = None if lagrangian else jacobian_cache[1]
+            jacobian_cache[0] = with_constraint_blocks(jacobian_cache[0].copy(), y0, c)
     else:
         residual_fn, z0 = balance, y0
     assemblies = 0
 
-    def cross_block(y):
-        slope = _matrix_slot(system, 0, grad)
+    def slot_block(block, y):
+        # the matrix block of the balance (0) or completion (1) slot gradient
+        slope = _matrix_slot(system, block, (grad, complete)[block])
         return jacobian_columns(lambda v: slope(q, v), y)
 
     def jacobian_fn(z):
         nonlocal assemblies
         assemblies += 1
         y = z[:n]
-        cross = cross_block(y)
+        cross = slot_block(0, y)
         _check_regularity(cross, system.kind)
         top = cross if lagrangian else -cross
         if not m:
             return top
-        jm = np.zeros((k + m, k + m))
+        jm = np.zeros((n + m, n + m))
         jm[:n, :n] = top
-        if not lagrangian:
-            slope = _matrix_slot(system, 1, complete)
-            jm[n:k, :n] = -jacobian_columns(lambda v: slope(q, v), y)
-            jm[n:k, n:k] = np.eye(n)
-        return with_constraint_blocks(jm, z[k - n:k])
+        c = None if lagrangian else slot_block(1, y)
+        if c is not None and jacobian_cache is not None:
+            jacobian_cache[1] = c
+        return with_constraint_blocks(jm, y, c)
 
     if opts.cross_check:
         _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
@@ -520,32 +525,28 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     # the residual's last values belong to the returned root only if its
     # last call was made on this very array
     held = z is last_z
-    y, lam = (z[:n], z[k:]) if m else (z, lam0)
+    y, lam = (z[:n], z[n:]) if m else (z, lam0)
     if lagrangian:
         qplus, p_next = y, complete(q, y)
         if not _all_finite(p_next):
             raise EvaluationError("momentum update d2 L is not finite "
                                   "at the solved configuration")
     else:
-        qplus, p_next = z[n:k] if m else complete(q, y), y
+        qplus, p_next = last_c if held and m else complete(q, y), y
         if not _all_finite(qplus):
             raise EvaluationError("configuration update dH/dp is not finite "
                                   "at the solved momentum")
     if jacobian_cache is None and not assemblies:
         # Newton converged at the predictor; still report degenerate updates
-        _check_regularity(cross_block(y), system.kind)
+        _check_regularity(slot_block(0, y), system.kind)
 
     # q and p come validated from the entry points, and q+ is finite by
     # Newton acceptance or by the check above
     nxt = PontryaginPoint._trusted(q, p, qplus)
-    if m:
-        cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus))
-    else:
-        cres = 0.0
-    inclusion = dirac_inclusion_residual(system, nxt, p_next,
-                                         _held=(last_g, last_c) if held else None)
+    cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus)) if m else 0.0
+    inclusion = dirac_inclusion_residual(system, nxt, p_next, _held=last_g if held else None)
     _certify(inclusion, opts)
-    return StepResult(nxt, lam, iters, res, inclusion, cres, p_next, assemblies)
+    return StepResult(res, inclusion, cres, lam, iters, assemblies, next=nxt, p_next=p_next)
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
@@ -561,7 +562,7 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     then certifies the accepted update with the inclusion residual
     (raising CertificationError unless it is at most 10 * tol). Warns when
     the cross-derivative block D2 D1 L is close to singular.
-    ``jacobian_cache`` is the one-slot list of ``newton_solve``, holding the
+    ``jacobian_cache`` is the list of ``newton_solve``, holding the
     iteration matrix across the steps of one trajectory; on a constrained
     step its -A^T and constraint-Jacobian blocks are replaced by this
     step's, evaluated at the predictor.
@@ -600,22 +601,24 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
                      _owned: bool = False) -> StepResult:
     """Advance a phase-space pair one index.
 
-    Solves, for (pnew, qnew, lambda), momentum balance p - dH/dq(q, pnew)
-    against A(q)^T lambda, the configuration update qnew = dH/dp(q, pnew), and
-    phi(q, qnew) = 0. Without constraints the update is explicit in pnew, so
-    Newton runs on momentum balance alone (its matrix is minus the
-    cross-derivative block) and qnew is evaluated once at the root. Returns
-    the completed point (q, p, qnew), built on copies of q and p, with the
-    carried momentum pnew in ``p_next``. Warns when the cross-derivative
-    block of H is close to singular, since the update map may then fail to
-    exist. The check runs on each assembly of the iteration matrix, so a
-    step solved on a matrix held in ``jacobian_cache`` skips it, constrained
-    or not; a held constrained matrix gets this step's -A^T and
-    constraint-Jacobian blocks at the predictor.
+    Solves, for (pnew, lambda), momentum balance p - dH/dq(q, pnew) against
+    A(q)^T lambda and phi(q, dH/dp(q, pnew)) = 0: n + m unknowns, as in a
+    Lagrangian step, with the configuration update qnew = dH/dp(q, pnew)
+    substituted. Without constraints Newton runs on momentum balance alone
+    (its matrix is minus the cross-derivative block) and qnew is evaluated
+    once at the root; with them qnew is the dH/dp of Newton's last
+    residual. Returns the completed point (q, p, qnew), built on copies of q
+    and p, with the carried momentum pnew in ``p_next``. Warns when the
+    cross-derivative block of H is close to singular, since the update map
+    may then fail to exist. The check runs on each assembly of the
+    iteration matrix, so a step solved on a matrix held in
+    ``jacobian_cache`` skips it, constrained or not. A constrained step
+    keeps the dH/dp block C of its matrix in ``jacobian_cache[1]``; a held
+    matrix gets this step's -A^T and border J2(q, dH/dp(q, p)) C, with the
+    carried momentum p as predictor.
 
-    The certificate reuses dH/dq from Newton's last residual. Without
-    constraints its dp block dH/dp(q, pnew) - qnew is zero by construction;
-    with them it reads the dH/dp of that residual. ``run_trajectory`` hands
+    The certificate reuses dH/dq from Newton's last residual; its dp block
+    dH/dp(q, pnew) - qnew is zero by construction. ``run_trajectory`` hands
     over its own validated arrays with the private ``_owned=True``; the step
     then builds its point on them instead of on copies.
     """
@@ -634,17 +637,20 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     Lagrangian seeds are complete PontryaginPoints (the curve then holds seed
     plus one point per step); Hamiltonian seeds are (q0, p0) pairs and need
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
-    is raised carrying the failing index and the partial trajectory.
+    is raised carrying the failing index and the partial trajectory. A
+    Lagrangian seed of the wrong dimension raises DimensionMismatchError;
+    one whose consistency check fails (d1 L or A(q) at the seed) fails
+    step 0 with the seed-only trajectory.
 
     Every run holds one Newton iteration matrix for the whole trajectory
     and reassembles it only where it stops contracting (see
     ``newton_solve``). On constrained runs each step first replaces the
     matrix's -A^T and constraint-Jacobian blocks, which are exact and cheap,
     by its own at the predictor, and keeps the finite-difference block of L
-    or H; that block is rebuilt only by a reassembly. Convergence is still
-    judged on exact residuals and every step is certified individually.
-    Each diagnostic records the step's Newton iterations and matrix
-    assemblies.
+    or H (and, on Hamiltonian runs, the dH/dp block C); these are rebuilt
+    only by a reassembly. Convergence is still judged on exact residuals and
+    every step is certified individually. Each diagnostic records the step's
+    Newton iterations and matrix assemblies.
 
     Each step carries the previous step's ``p_next`` as its momentum, so a
     Lagrangian step does not evaluate d2 L(q, q+) again, and a Hamiltonian
@@ -668,10 +674,7 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     if lagrangian:
         if not isinstance(seed, PontryaginPoint):
             raise UnsupportedOperationError("Lagrangian trajectories start from a PontryaginPoint")
-        r0 = check_initial_data(system, seed)
-        if not (r0 <= opts.tol):
-            warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
-                          RuntimeWarning, stacklevel=2)
+        _check_dim(seed, n)
         x = seed
         q_col[0], p_col[0], q_col[1] = seed.q, seed.p, seed.qplus
         p = None  # the first step evaluates its carried momentum
@@ -697,6 +700,18 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         return Trajectory(DiscreteCurve._stepped(q_col[:points + 1], p_col[:points]),
                           diags._head(done), system.label, done, opts, final)
 
+    def failed(k: int, exc: DiracMechError) -> StepFailureError:
+        partial = trajectory(k) if k + ahead else None
+        return StepFailureError("step %d failed: %s" % (k, exc), k, partial)
+
+    if lagrangian:
+        try:
+            r0 = check_initial_data(system, seed)
+        except DiracMechError as exc:
+            raise failed(0, exc) from exc
+        if not (r0 <= opts.tol):
+            warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
+                          RuntimeWarning, stacklevel=2)
     lam_prev = None
     jac_cache = []
     for k in range(steps):
@@ -709,8 +724,7 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                 result = step_hamiltonian(system, q, p, opts, multiplier_guess=lam_prev,
                                           jacobian_cache=jac_cache, _owned=True)
         except DiracMechError as exc:
-            partial = trajectory(k) if k + ahead else None
-            raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
+            raise failed(k, exc) from exc
         x = result.next
         q, p = x.qplus, result.p_next
         q_col[k + 1 + ahead] = q

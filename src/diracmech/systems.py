@@ -394,7 +394,7 @@ def _sq_norm(v: np.ndarray) -> float:
 
 
 def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
-                             p_next: np.ndarray, *, _held: Optional[tuple] = None) -> float:
+                             p_next: np.ndarray, *, _held: Optional[np.ndarray] = None) -> float:
     """Membership residual of the per-step inclusion at (x, p_next).
 
     With v the vertical lift of x.p at x and psi the system's one-form, this
@@ -413,12 +413,10 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     dp block of a Hamiltonian one. Norms do not see the signs.
 
     A stepper certifies from the values its step already holds through the
-    private ``_held = (g, c)``: g is d1 L(q, q+) or dH/dq(q, p_next) at
-    exactly these arrays, and c is dH/dp(q, p_next) of a constrained
-    Hamiltonian step, or None. With None the second block is zero by
-    construction and is not computed: a Lagrangian step's p_next is
-    d2 L(q, q+), and an unconstrained Hamiltonian step's q+ is
-    dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
+    private ``_held = g``: g is d1 L(q, q+) or dH/dq(q, p_next) at exactly
+    these arrays. The second block is then zero by construction and is not
+    computed: a Lagrangian step's p_next is d2 L(q, q+), and a Hamiltonian
+    step's q+ is dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
     The stepper builds x from arrays it has validated, so the held path
     does not check dimensions again.
     """
@@ -433,8 +431,7 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
         grad, complete = system.slots()
         g, c = grad(x.q, y), complete(x.q, y)
     else:
-        g, c = _held
-        other = x.qplus
+        g, c = _held, None
     beta_q = system.balance(x.p, g)
     if system.m:
         beta_q = system.dist.project_ker(x.q, beta_q)

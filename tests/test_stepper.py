@@ -316,6 +316,25 @@ class TestJacobianReuse:
             assert np.max(np.abs(direct.p_next - p)) <= 1e-9
             lam = traj.diagnostics[k].multipliers
 
+    def test_constrained_hamiltonian_step_solves_n_plus_m_unknowns(self):
+        # q+ = dH/dp(q, p+) is substituted, so the matrix is 4x4 for n = 3,
+        # m = 1, and the cache keeps its dH/dp block C behind it
+        system = nonholonomic_hamiltonian()
+        q, p = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.2, 0.3])
+        cache = []
+        first = step_hamiltonian(system, q, p, jacobian_cache=cache)
+        assert cache[0].shape == (4, 4)
+        assert cache[1].shape == (3, 3)
+        assert first.jacobian_assemblies == 1
+        # a matrix without its C is not held: the step assembles afresh
+        matrix_only = [cache[0].copy()]
+        again = step_hamiltonian(system, q, p, jacobian_cache=matrix_only)
+        assert again.jacobian_assemblies == 1
+        assert np.array_equal(again.next.qplus, first.next.qplus)
+        assert np.array_equal(again.p_next, first.p_next)
+        assert np.array_equal(again.multipliers, first.multipliers)
+        assert isinstance(first, stepper.StepDiagnostics)
+
 
 class TestInitialData:
     def test_consistent_oscillator_seed(self):
@@ -772,8 +791,10 @@ class TestRunTrajectory:
         assert err.step_index == 1  # the predictor of step 1 is q+ = 0.3
         assert len(err.trajectory.curve) == 2  # seed plus one certified step
         # short at the seed already, it fails the seed check before any step
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(StepFailureError) as info:
             run_trajectory(system, PontryaginPoint([0.3, 0.0], [1.0, 1.0], [0.4, 0.1]), 5)
+        assert isinstance(info.value.__cause__, DimensionMismatchError)
+        assert info.value.step_index == 0
 
     def test_raising_annihilator_fails_the_step(self):
         # A(q) is evaluated once per base point: q0 (the seed check), then
@@ -800,6 +821,20 @@ class TestRunTrajectory:
         assert err.trajectory.steps == 2
         assert err.trajectory.max_inclusion_residual <= 10.0 * SolverOptions().tol
         assert len(err.trajectory.curve) == 3  # seed plus two certified steps
+        # raising on its first call, at the seed check, it fails step 0
+        def raising(q):
+            raise RuntimeError("chart singularity")
+
+        dist = KinematicDistribution(3, 1, raising)
+        system = DiscreteSystem.from_lagrangian(free, dist, retraction_constraint(dist))
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, x0, 5)
+        err = info.value
+        assert isinstance(err.__cause__, EvaluationError)
+        assert isinstance(err.__cause__.__cause__, RuntimeError)
+        assert err.step_index == 0
+        assert err.trajectory.steps == 0
+        assert len(err.trajectory.curve) == 1  # the seed only
 
     def test_nan_residual_fails_the_step(self):
         # sqrt(1 - q) is NaN once q passes 1: the step that leaves the domain
@@ -1071,6 +1106,8 @@ class TestEvaluationCounts:
         "lagrangian": oscillator_seed,
         "hamiltonian": lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
         "nonholonomic": nonholonomic_seed,
+        "constrained-hamiltonian": lambda: (nonholonomic_hamiltonian(),
+                                            ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3])),
     }
 
     @staticmethod
@@ -1110,6 +1147,9 @@ class TestEvaluationCounts:
         ("lagrangian", {"d1": 2, "d2": 1}),
         ("hamiltonian", {"dq": 2, "dp": 1}),
         ("nonholonomic", {"d1": 2, "d2": 1, "phi": 2}),
+        # its residual completes q+ = dH/dp itself, and the held matrix's
+        # border takes one more dH/dp at the predictor
+        ("constrained-hamiltonian", {"dq": 2, "dp": 3, "phi": 2}),
     ])
     def test_run_evaluates_each_callable_once_per_step(self, monkeypatch, lane, expected):
         # one Newton iteration per step: two residuals (the predictor and the
@@ -1120,6 +1160,7 @@ class TestEvaluationCounts:
         ("lagrangian", {"d1": 3, "d2": 2}),
         ("hamiltonian", {"dq": 3, "dp": 2}),
         ("nonholonomic", {"d1": 3, "d2": 2, "phi": 3}),
+        ("constrained-hamiltonian", {"dq": 3, "dp": 5, "phi": 3}),
     ])
     def test_root_off_the_residuals_array_is_evaluated_afresh(self, monkeypatch, lane,
                                                              expected):
