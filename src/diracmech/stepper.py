@@ -35,6 +35,7 @@ from .errors import (
 )
 from .linalg import _vector
 from .systems import (
+    FD_SCALE,
     HAMILTONIAN,
     LAGRANGIAN,
     DiscreteSystem,
@@ -52,10 +53,11 @@ CROSS_BLOCK_COND_LIMIT = 1e12
 # A held Newton matrix keeps contracting while a full step cuts the residual
 # to at most this fraction of the current one (chord-method monitoring, as in
 # Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
-CONTRACTION = 0.5
+CONTRACTION = 0.1
 
 # A damped line search that stalls at a residual within this factor of the
-# round-off floor eps * ||J||_inf * ||x||_inf is reported as a tolerance the
+# round-off floor eps * ||J||_inf * ||x||_inf, or of the finite-difference
+# noise floor FD_SCALE**2 * |L or H|, is reported as a tolerance the
 # arithmetic cannot reach, not as a failed search.
 ROUNDOFF_MARGIN = 10.0
 
@@ -69,12 +71,20 @@ class SolverOptions:
     """Knobs for the damped Newton iteration.
 
     ``tol`` must be positive and finite, ``max_iter`` an integer of at least
-    1 (a NumPy integer will do). ``predictor`` picks the initial
-    guess for the new configuration of a Lagrangian step: "extrapolate"
-    continues at constant velocity, "hold" reuses the current one. It does
-    not apply to Hamiltonian steps, which start from the carried momentum.
-    ``cross_check`` compares the assembled Jacobian against a full
-    finite-difference Jacobian at the predictor and warns on disagreement.
+    1 (a NumPy integer will do). ``predictor`` picks the initial guess for
+    the unknown y of a step, q+ of a Lagrangian step or p+ of a Hamiltonian
+    one. "hold" starts at the previous y: the current configuration, or the
+    carried momentum. "extrapolate" continues a Lagrangian step at constant
+    velocity and starts a Hamiltonian step at the carried momentum, until a
+    step of the run needs a second Newton iteration. From that step on the
+    run records its last solved y's in its cache list (see ``newton_solve``)
+    and starts each step at the highest-order polynomial extrapolation they
+    allow, up to the quadratic 3 y1 - 3 y2 + y3 (Hairer, Lubich and Wanner,
+    Geometric Numerical Integration, 2nd ed., VIII.6.1). A run whose steps
+    all converge in one iteration, and a step called without a cache list,
+    keep the first rule. ``cross_check`` compares the assembled Jacobian
+    against a full finite-difference Jacobian at the predictor and warns on
+    disagreement.
     """
 
     tol: float = 1e-10
@@ -281,8 +291,9 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     iterate. ``jacobian_cache`` is a list whose slot 0 holds the matrix
     across iterations and calls: a matrix there (not None) is used from the
     start, and every assembly is stored back there. Only slot 0 is read or
-    written, so a caller may keep its own data behind it: a constrained
-    Hamiltonian step keeps the dH/dp block C of its matrix in slot 1. A held
+    written, so a caller may keep its own data behind it: a step keeps the
+    dH/dp block C of a constrained Hamiltonian matrix in slot 1 (None
+    otherwise) and its run's history of solved unknowns in slot 2. A held
     matrix is reassembled at the current iterate only when it stops
     contracting there: a full step leaves a residual above CONTRACTION
     times the current one, or the solve with it is singular. Such a step is
@@ -359,6 +370,26 @@ def _stall_error(jm: np.ndarray, x: np.ndarray, res: float, opts: SolverOptions,
     return ConvergenceError(message, residual=res, iterations=iters)
 
 
+def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarray,
+                      y: np.ndarray) -> None:
+    """Append the finite-difference noise floor to the message of a failed solve.
+
+    A central-difference balance gradient carries round-off of order
+    eps / FD_SCALE * |L or H| = FD_SCALE**2 * |L or H|, so its residual cannot
+    be trusted below that. When the balance slot has no analytic gradient
+    and the finite residual of ``exc`` lies within ROUNDOFF_MARGIN of this
+    floor at (q, y), the message gives the floor and says what removes it.
+    """
+    provider = (system.lagrangian if system.kind == LAGRANGIAN else system.hamiltonian).provider
+    if provider.grads[0] is not None or not math.isfinite(exc.residual):
+        return
+    noise = FD_SCALE ** 2 * abs(float(provider.f(q, y)))
+    if exc.residual <= ROUNDOFF_MARGIN * noise:
+        exc.args = ("%s; the residual's central-difference gradient has a noise floor of "
+                    "FD_SCALE**2*|L or H| = %.3e at this iterate, which analytic partials, "
+                    "or a larger tol, remove" % (exc, noise),)
+
+
 def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
     """Distance of p0 + d1 L(q0, q0+) from the annihilator rows at q0.
 
@@ -421,6 +452,12 @@ def _matrix_slot(system: DiscreteSystem, block: int, slot: Callable) -> Callable
     return slot
 
 
+def _extrapolated(history: tuple) -> np.ndarray:
+    """The next unknown continued from the last two or three solved ones, newest first."""
+    y1, y2 = history[:2]
+    return 3.0 * (y1 - y2) + history[2] if len(history) == 3 else (y1 + y1) - y2
+
+
 def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.ndarray,
                 opts: SolverOptions, multiplier_guess: Optional[np.ndarray],
                 jacobian_cache: Optional[list]) -> StepResult:
@@ -438,20 +475,41 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
     block of H, for regularity.
 
-    A held matrix of a constrained step gets this step's -A^T and border
-    J2(q, conf(y0)) C. A constrained Hamiltonian step keeps C in
-    ``jacobian_cache[1]``, next to the matrix; a cache that holds a matrix
-    but no C assembles afresh.
+    ``jacobian_cache`` is a list of three slots: the Newton matrix, the dH/dp
+    block C of a constrained Hamiltonian matrix (None otherwise), and the
+    history of solved unknowns; a shorter list is padded with None. A held
+    matrix of a constrained step gets this step's -A^T and border J2(q,
+    conf(y0)) C; a constrained Hamiltonian cache that holds a matrix but no
+    C assembles afresh. The history is None until a step of the run needs a
+    second Newton iteration under the "extrapolate" predictor. That step
+    records (y, b), with b the previous unknown (q for a Lagrangian step, p
+    for a Hamiltonian one), and every later step starts Newton at
+    ``_extrapolated`` of the history and records its own y in front, keeping
+    three. A history whose newest entry is not this step's b belongs to
+    another state: the step then starts from ``y0`` and records afresh.
 
     The residual keeps the gradient, conf(y) and phi of its last call. When
     Newton returns the very array of that call, q+, the constraint residual
     and the certificate read those values instead of evaluating them again;
-    otherwise they are evaluated afresh.
+    otherwise they are evaluated afresh. The first residual reuses the held
+    border's conf(y0), and an assembly at the last residual's argument its
+    conf(y).
     """
     lagrangian = system.kind == LAGRANGIAN
     n, m = system.n, system.m
     grad, complete = system.slots()
     momentum_balance = system.balance
+    base = q if lagrangian else p
+    history = None
+    if jacobian_cache is not None:
+        if len(jacobian_cache) < 3:
+            jacobian_cache.extend([None] * (3 - len(jacobian_cache)))
+        if jacobian_cache[2] is not None and opts.predictor == "extrapolate":
+            history = jacobian_cache[2]
+            if np.array_equal(history[0], base):
+                y0 = _extrapolated(history)
+            else:
+                history = ()
     # the argument of the residual's last call and its gradient, conf(y)
     # (constrained steps) and constraint value
     last_z = last_g = last_c = last_phi = None
@@ -466,32 +524,44 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
                                      % (lam0.shape, m))
     if m:
         a = system.dist.matrix(q)
+        # (y0, conf(y0)) of the held border, for the first residual
+        border = None
 
         def residual_fn(z):
-            nonlocal last_z, last_c, last_phi
+            nonlocal last_z, last_c, last_phi, border
             y = z[:n]
             r = balance(y) - a.T @ z[n:]
-            last_z, last_c = z, y if lagrangian else complete(q, y)
-            last_phi = system.constraint.value(q, last_c)
+            if lagrangian:
+                c = y
+            elif border is not None and np.array_equal(border[0], y):
+                c = border[1]
+            else:
+                c = complete(q, y)
+            last_z, last_c, border = z, c, None
+            last_phi = system.constraint.value(q, c)
             return np.concatenate([r, last_phi])
 
-        def with_constraint_blocks(jm, y, c):
+        def with_constraint_blocks(jm, conf, c):
             # -A^T in the multiplier columns of the balance rows, the
-            # constraint Jacobian J2(q, conf(y)) C in the y columns of the
+            # constraint Jacobian J2(q, conf) C in the y columns of the
             # constraint rows
             jm[:n, n:] = -a.T
-            j2 = system.constraint.jacobian2(q, y if c is None else complete(q, y))
+            j2 = system.constraint.jacobian2(q, conf)
             jm[n:, :n] = j2 if c is None else j2 @ c
             return jm
 
         z0 = np.concatenate([y0, lam0])
-        if jacobian_cache is not None and not lagrangian and len(jacobian_cache) < 2:
-            jacobian_cache[:] = [None, None]  # a matrix without its C is not held
+        if jacobian_cache is not None and not lagrangian and jacobian_cache[1] is None:
+            jacobian_cache[0] = None  # a matrix without its C is not held
         if jacobian_cache and jacobian_cache[0] is not None:
             # a held matrix keeps its finite-difference blocks of L or H and
             # takes this step's constraint blocks at the predictor
-            c = None if lagrangian else jacobian_cache[1]
-            jacobian_cache[0] = with_constraint_blocks(jacobian_cache[0].copy(), y0, c)
+            if lagrangian:
+                conf0, c = y0, None
+            else:
+                conf0, c = complete(q, y0), jacobian_cache[1]
+                border = (y0, conf0)
+            jacobian_cache[0] = with_constraint_blocks(jacobian_cache[0].copy(), conf0, c)
     else:
         residual_fn, z0 = balance, y0
     assemblies = 0
@@ -515,13 +585,18 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         c = None if lagrangian else slot_block(1, y)
         if c is not None and jacobian_cache is not None:
             jacobian_cache[1] = c
-        return with_constraint_blocks(jm, y, c)
+        conf = last_c if z is last_z else (y if lagrangian else complete(q, y))
+        return with_constraint_blocks(jm, conf, c)
 
     if opts.cross_check:
         _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
 
-    z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
-                                 jacobian_cache=jacobian_cache)
+    try:
+        z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
+                                     jacobian_cache=jacobian_cache)
+    except ConvergenceError as exc:
+        _name_noise_floor(exc, system, q, last_z[:n])
+        raise
     # the residual's last values belong to the returned root only if its
     # last call was made on this very array
     held = z is last_z
@@ -546,6 +621,9 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus)) if m else 0.0
     inclusion = dirac_inclusion_residual(system, nxt, p_next, _held=last_g if held else None)
     _certify(inclusion, opts)
+    if history is not None or (iters > 1 and jacobian_cache is not None
+                               and opts.predictor == "extrapolate"):
+        jacobian_cache[2] = (y, base) + history[1:2] if history else (y, base)
     return StepResult(res, inclusion, cres, lam, iters, assemblies, next=nxt, p_next=p_next)
 
 
@@ -563,9 +641,11 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     (raising CertificationError unless it is at most 10 * tol). Warns when
     the cross-derivative block D2 D1 L is close to singular.
     ``jacobian_cache`` is the list of ``newton_solve``, holding the
-    iteration matrix across the steps of one trajectory; on a constrained
-    step its -A^T and constraint-Jacobian blocks are replaced by this
-    step's, evaluated at the predictor.
+    iteration matrix across the steps of one trajectory in slot 0 and the
+    run's history of solved configurations in slot 2 (slot 1 stays None);
+    on a constrained step the matrix's -A^T and constraint-Jacobian blocks
+    are replaced by this step's, evaluated at the predictor. With a history
+    the predictor is extrapolated from it (see ``SolverOptions``).
 
     A step evaluates d1 L once per Newton residual and d2 L once, for the
     new momentum p_next = d2 L(q+, qnew), which must be finite
@@ -612,10 +692,13 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     cross-derivative block of H is close to singular, since the update map
     may then fail to exist. The check runs on each assembly of the
     iteration matrix, so a step solved on a matrix held in
-    ``jacobian_cache`` skips it, constrained or not. A constrained step
-    keeps the dH/dp block C of its matrix in ``jacobian_cache[1]``; a held
-    matrix gets this step's -A^T and border J2(q, dH/dp(q, p)) C, with the
-    carried momentum p as predictor.
+    ``jacobian_cache`` skips it, constrained or not. The cache list holds
+    the matrix in slot 0, the dH/dp block C of a constrained matrix in slot
+    1 and the run's history of solved momenta in slot 2. A held constrained
+    matrix gets this step's -A^T and border J2(q, dH/dp(q, p0)) C at the
+    predictor p0: the carried momentum p, or its extrapolation from the
+    history (see ``SolverOptions``). The residual at p0 reuses that
+    dH/dp(q, p0).
 
     The certificate reuses dH/dq from Newton's last residual; its dp block
     dH/dp(q, pnew) - qnew is zero by construction. ``run_trajectory`` hands
@@ -644,11 +727,15 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
 
     Every run holds one Newton iteration matrix for the whole trajectory
     and reassembles it only where it stops contracting (see
-    ``newton_solve``). On constrained runs each step first replaces the
-    matrix's -A^T and constraint-Jacobian blocks, which are exact and cheap,
-    by its own at the predictor, and keeps the finite-difference block of L
-    or H (and, on Hamiltonian runs, the dH/dp block C); these are rebuilt
-    only by a reassembly. Convergence is still judged on exact residuals and
+    ``newton_solve``). Its cache list also keeps the dH/dp block C of a
+    constrained Hamiltonian matrix (slot 1) and, from the first step that
+    needs a second Newton iteration, the last solved unknowns, from which
+    each later predictor is extrapolated (slot 2; see ``SolverOptions``).
+    On constrained runs each step first replaces the matrix's -A^T and
+    constraint-Jacobian blocks, which are exact and cheap, by its own at
+    the predictor, and keeps the finite-difference block of L or H (and, on
+    Hamiltonian runs, the dH/dp block C); these are rebuilt only by a
+    reassembly. Convergence is still judged on exact residuals and
     every step is certified individually. Each diagnostic records the step's
     Newton iterations and matrix assemblies.
 

@@ -325,3 +325,36 @@ def test_each_lane_reads_as_step_records(lagrangian, constrained, steps):
     assert_reads_as_records(system, seed, steps, traj)
     if lagrangian and steps == 1:
         assert_reads_as_records(system, seed, 0, run_trajectory(system, seed, 0))
+
+
+def quartic(lagrangian, n=4, h=0.25):
+    """An FD-only system, quartic in its second slot: its steps need a second
+    Newton iteration, so its runs extrapolate their predictors. Both pass at
+    a tol ten times below the default, clear of the finite-difference floor."""
+    if lagrangian:
+        def ld(q, qp):
+            d = (qp - q) / h
+            return float(h * (0.5 * d @ d + 0.25 * np.sum(d ** 4) + np.sum(np.cos(q))))
+
+        system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(n, ld))
+        q0 = np.linspace(0.1, 0.4, n)
+        return system, builtin.lagrangian_seed(system, q0, q0 + h * np.linspace(1.0, 0.5, n))
+
+    def hd(q, pp):
+        return float(q @ pp + h * (0.5 * pp @ pp + 0.25 * np.sum(pp ** 4) + 0.5 * q @ q))
+
+    return (DiscreteSystem.from_hamiltonian(DiscreteHamiltonian(n, hd)),
+            (0.3 * np.linspace(0.5, 1.0, n), 0.5 * np.linspace(1.0, 0.5, n)))
+
+
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+def test_extrapolating_run_reads_as_step_records(lagrangian):
+    # the history of solved unknowns lives in the shared cache list, so steps
+    # taken one call at a time start from the same predictors as the run
+    system, seed = quartic(lagrangian)
+    traj = run_trajectory(system, seed, 12)
+    assert max(traj.diagnostics.iterations) > 1
+    held = run_trajectory(system, seed, 12, SolverOptions(predictor="hold"))
+    assert not np.array_equal(traj.curve[-1].qplus, held.curve[-1].qplus)
+    assert_certified_and_finite(traj)
+    assert_reads_as_records(system, seed, 12, traj)

@@ -336,6 +336,74 @@ class TestJacobianReuse:
         assert isinstance(first, stepper.StepDiagnostics)
 
 
+class TestPredictorHistory:
+    """A run records its solved unknowns in slot 2 of its cache list once a step
+    needs a second Newton iteration, and extrapolates each later predictor."""
+
+    HOLD = SolverOptions(predictor="hold")
+
+    def test_extrapolation_cuts_newton_iterations_on_a_nonlinear_hamiltonian(self):
+        # both predictors read 153 iterations before the history existed;
+        # the quadratic start takes 114
+        system = quartic_hamiltonian(20, 0.05)
+        seed = (np.full(20, 0.2), np.full(20, 0.1))
+        extrapolated = run_trajectory(system, seed, 40)
+        held = run_trajectory(system, seed, 40, self.HOLD)
+        assert extrapolated.total_iterations < held.total_iterations
+        assert extrapolated.max_inclusion_residual <= 10.0 * SolverOptions().tol
+
+    def test_nonlinear_constrained_lagrangian_takes_no_more_iterations(self):
+        # 540 iterations on the constant-velocity predictor with CONTRACTION
+        # 0.5; the history and CONTRACTION 0.1 take 312
+        system, x0 = sphere_quartic_seed()
+        traj = run_trajectory(system, x0, 60)
+        assert traj.total_iterations <= 540
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+
+    def test_linear_lane_never_switches_on(self):
+        # every oscillator step converges in one iteration, so the run keeps
+        # the carried-momentum start and its bits
+        system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
+        default = run_trajectory(system, ([0.0], [1.0]), 300)
+        held = run_trajectory(system, ([0.0], [1.0]), 300, self.HOLD)
+        assert default.diagnostics == held.diagnostics
+        for a, b in zip(default.curve, held.curve):
+            assert np.array_equal(a.p, b.p) and np.array_equal(a.qplus, b.qplus)
+        assert all(np.array_equal(u, v) for u, v in zip(default.final_state, held.final_state))
+        cache = []
+        step_hamiltonian(system, [0.0], [1.0], jacobian_cache=cache)
+        assert cache[2] is None
+
+    def test_history_starts_at_the_first_nonlinear_step(self):
+        system = quartic_hamiltonian(4, H)
+        q, p = np.full(4, 0.2), np.full(4, 0.1)
+        cache = []
+        first = step_hamiltonian(system, q, p, jacobian_cache=cache)
+        assert first.iterations > 1
+        y, previous = cache[2]
+        assert np.array_equal(y, first.p_next) and np.array_equal(previous, p)
+        second = step_hamiltonian(system, first.next.qplus, first.p_next, jacobian_cache=cache)
+        assert len(cache[2]) == 3
+        third = step_hamiltonian(system, second.next.qplus, second.p_next, jacobian_cache=cache)
+        assert len(cache[2]) == 3 and np.array_equal(cache[2][0], third.p_next)
+        # "hold" neither reads nor records a history
+        held = [None, None, None]
+        step_hamiltonian(system, q, p, self.HOLD, jacobian_cache=held)
+        assert held[2] is None
+
+    def test_history_of_another_state_is_restarted(self):
+        # a cache whose newest unknown is not this step's carried momentum
+        # starts from the carried momentum and records this step afresh
+        system = quartic_hamiltonian(4, H)
+        q, p = np.full(4, 0.2), np.full(4, 0.1)
+        stale = [None, None, (np.full(4, 5.0), np.full(4, -5.0), np.zeros(4))]
+        restarted = step_hamiltonian(system, q, p, jacobian_cache=stale)
+        fresh = step_hamiltonian(system, q, p, jacobian_cache=[])
+        assert np.array_equal(restarted.p_next, fresh.p_next)
+        assert restarted.iterations == fresh.iterations
+        assert len(stale[2]) == 2 and np.array_equal(stale[2][1], p)
+
+
 class TestInitialData:
     def test_consistent_oscillator_seed(self):
         system, x0 = oscillator_seed()
@@ -881,6 +949,31 @@ class TestRunTrajectory:
             assert partial.steps == failing
             assert partial.max_inclusion_residual <= 10.0 * SolverOptions().tol
 
+    def test_finite_difference_noise_floor_is_named(self):
+        # a constant offset of 1e3 in H lifts the central-difference noise in
+        # dH/dq to about FD_SCALE**2 * 1e3 = 3.7e-8, far above tol = 1e-10
+        nh = nonholonomic_hamiltonian()
+        hd = nh.hamiltonian.Hd
+        system = DiscreteSystem.from_hamiltonian(
+            DiscreteHamiltonian(3, lambda q, pp: hd(q, pp) + 1e3), nh.dist, nh.constraint)
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3]), 10)
+        assert info.value.step_index == 0
+        cause = info.value.__cause__
+        assert isinstance(cause, ConvergenceError)
+        match = re.search(r"noise floor of FD_SCALE\*\*2\*\|L or H\| = (\S+) at this iterate, "
+                          r"which analytic partials, or a larger tol, remove", str(cause))
+        assert match is not None, str(cause)
+        floor = float(match.group(1))
+        assert floor == pytest.approx(systems.FD_SCALE ** 2 * 1e3, rel=0.01)
+        assert SolverOptions().tol < cause.residual <= ROUNDOFF_MARGIN * floor
+        # analytic partials of the same H have no such floor
+        analytic = DiscreteSystem.from_hamiltonian(
+            DiscreteHamiltonian(3, lambda q, pp: hd(q, pp) + 1e3, nh.hamiltonian.dq,
+                                nh.hamiltonian.dp), nh.dist, nh.constraint)
+        traj = run_trajectory(analytic, ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3]), 10)
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+
     def test_max_aggregates_propagate_nan(self):
         import dataclasses
 
@@ -1147,9 +1240,9 @@ class TestEvaluationCounts:
         ("lagrangian", {"d1": 2, "d2": 1}),
         ("hamiltonian", {"dq": 2, "dp": 1}),
         ("nonholonomic", {"d1": 2, "d2": 1, "phi": 2}),
-        # its residual completes q+ = dH/dp itself, and the held matrix's
-        # border takes one more dH/dp at the predictor
-        ("constrained-hamiltonian", {"dq": 2, "dp": 3, "phi": 2}),
+        # its residual completes q+ = dH/dp itself; the held matrix's border
+        # takes dH/dp at the predictor, which the first residual reuses
+        ("constrained-hamiltonian", {"dq": 2, "dp": 2, "phi": 2}),
     ])
     def test_run_evaluates_each_callable_once_per_step(self, monkeypatch, lane, expected):
         # one Newton iteration per step: two residuals (the predictor and the
@@ -1160,7 +1253,7 @@ class TestEvaluationCounts:
         ("lagrangian", {"d1": 3, "d2": 2}),
         ("hamiltonian", {"dq": 3, "dp": 2}),
         ("nonholonomic", {"d1": 3, "d2": 2, "phi": 3}),
-        ("constrained-hamiltonian", {"dq": 3, "dp": 5, "phi": 3}),
+        ("constrained-hamiltonian", {"dq": 3, "dp": 4, "phi": 3}),
     ])
     def test_root_off_the_residuals_array_is_evaluated_afresh(self, monkeypatch, lane,
                                                              expected):
