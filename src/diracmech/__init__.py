@@ -8,16 +8,10 @@ the discrete Pontryagin bundle.
 """
 
 from .bundle import (
-    CotangentPd,
     DiscreteCurve,
     KinematicDistribution,
     PontryaginPoint,
-    TangentPd,
     check_admissibility,
-    interior_product,
-    lift_annihilator,
-    pontryagin_two_form,
-    vertical_lift,
 )
 from .errors import (
     CertificationError,
@@ -59,8 +53,6 @@ from .systems import (
     DiscreteLagrangian,
     DiscreteSystem,
     dirac_inclusion_residual,
-    hamiltonian_one_form,
-    lagrangian_one_form,
     retraction_constraint,
 )
 
@@ -70,7 +62,6 @@ __all__ = [
     "CertificationError",
     "ConfigError",
     "ConvergenceError",
-    "CotangentPd",
     "DegenerateConstraintError",
     "DerivativeProvider",
     "DimensionMismatchError",
@@ -92,25 +83,18 @@ __all__ = [
     "StepDiagnostics",
     "StepFailureError",
     "StepResult",
-    "TangentPd",
     "Trajectory",
     "UnsupportedOperationError",
     "check_admissibility",
     "check_initial_data",
     "dirac_inclusion_residual",
-    "hamiltonian_one_form",
     "induced_dirac",
-    "interior_product",
     "is_dirac",
-    "lagrangian_one_form",
-    "lift_annihilator",
     "membership_residual",
     "newton_solve",
     "pairing",
-    "pontryagin_two_form",
     "retraction_constraint",
     "run_trajectory",
     "step_hamiltonian",
     "step_lagrangian",
-    "vertical_lift",
 ]

@@ -1,9 +1,13 @@
 """Coordinate model of the discrete Pontryagin bundle T*Q x Q.
 
-Q is a plain R^n in one global chart. A point is x = (q, p, q+); tangent and
-cotangent vectors split into matching (dq, dp, dq+) blocks. The two-form is
-the negated pullback of the canonical form of T*Q, in blocks
--(u.dq . w.dp - u.dp . w.dq), so dq+ blocks never enter it.
+Q is a plain R^n in one global chart. A point is x = (q, p, q+); tangent
+vectors and covectors at x split into matching (dq, dp, dq+) blocks. The
+bundle two-form is the negated pullback of the canonical form of T*Q, in
+blocks -(u.dq . w.dp - u.dp . w.dq), so dq+ blocks never enter it. A
+kinematic distribution lifts to the tangent vectors with A(q) dq = 0; their
+dp and dq+ blocks are free. The per-step inclusion on these pieces is
+certified by ``systems.dirac_inclusion_residual``, which computes its blocks
+directly.
 """
 
 from __future__ import annotations
@@ -43,43 +47,6 @@ class PontryaginPoint:
     @property
     def dim(self) -> int:
         return self.q.shape[0]
-
-
-@dataclass(frozen=True)
-class TangentPd:
-    """A tangent vector (dq, dp, dq+) at a point of the bundle."""
-
-    dq: np.ndarray
-    dp: np.ndarray
-    dqplus: np.ndarray
-
-    def __post_init__(self):
-        _blocks(self, ("dq", "dp", "dqplus"))
-
-    @property
-    def dim(self) -> int:
-        return self.dq.shape[0]
-
-
-@dataclass(frozen=True)
-class CotangentPd:
-    """A covector with blocks (bq, bp, bq+) dual to the tangent blocks."""
-
-    bq: np.ndarray
-    bp: np.ndarray
-    bqplus: np.ndarray
-
-    def __post_init__(self):
-        _blocks(self, ("bq", "bp", "bqplus"))
-
-    @property
-    def dim(self) -> int:
-        return self.bq.shape[0]
-
-    def __call__(self, w: TangentPd) -> float:
-        if w.dim != self.dim:
-            raise DimensionMismatchError("covector dim %d, tangent dim %d" % (self.dim, w.dim))
-        return float(self.bq @ w.dq + self.bp @ w.dp + self.bqplus @ w.dqplus)
 
 
 class DiscreteCurve:
@@ -227,41 +194,6 @@ class KinematicDistribution:
             return np.asarray(w, dtype=float)
         rows = self._validated(q)[2]
         return w - rows @ (rows.T @ w)
-
-
-def pontryagin_two_form(u: TangentPd, w: TangentPd) -> float:
-    """Value of the bundle two-form on two tangent vectors; ignores dq+ blocks."""
-    if u.dim != w.dim:
-        raise DimensionMismatchError("tangent vectors of dimension %d and %d" % (u.dim, w.dim))
-    return float(u.dp @ w.dq - u.dq @ w.dp)
-
-
-def vertical_lift(x: PontryaginPoint, beta: np.ndarray) -> TangentPd:
-    """Vertical lift of the covector beta at x: the tangent vector (0, beta, 0)."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.shape != (x.dim,):
-        raise DimensionMismatchError("covector has shape %r, point dimension is %d"
-                                     % (beta.shape, x.dim))
-    zeros = np.zeros(x.dim)
-    return TangentPd(zeros, beta, zeros)
-
-
-def interior_product(v: TangentPd) -> CotangentPd:
-    """The covector two_form(v, .) in blocks: (v.dp, -v.dq, 0)."""
-    return CotangentPd(v.dp, -v.dq, np.zeros(v.dim))
-
-
-def lift_annihilator(dist: KinematicDistribution, x: PontryaginPoint) -> np.ndarray:
-    """Annihilator rows [A(q) | 0 | 0] of the lifted distribution at x.
-
-    A tangent vector (dq, dp, dq+) lies in the lifted distribution exactly
-    when A(q) dq = 0; the dp and dq+ blocks are unconstrained.
-    """
-    if x.dim != dist.n:
-        raise DimensionMismatchError("point dimension %d, distribution dimension %d"
-                                     % (x.dim, dist.n))
-    a = dist.matrix(x.q)
-    return np.hstack([a, np.zeros((a.shape[0], 2 * dist.n))])
 
 
 def check_admissibility(curve: DiscreteCurve, tol: float = 1e-12) -> Optional[int]:

@@ -70,8 +70,9 @@ _EPS = float(np.finfo(float).eps)
 class SolverOptions:
     """Knobs for the damped Newton iteration.
 
-    ``tol`` must be positive and finite, ``max_iter`` an integer of at least
-    1 (a NumPy integer will do). ``predictor`` picks the initial guess for
+    ``tol`` must be a positive finite real number, ``max_iter`` an integer
+    of at least 1 (NumPy numbers will do), and ``damping`` and
+    ``cross_check`` bools. ``predictor`` picks the initial guess for
     the unknown y of a step, q+ of a Lagrangian step or p+ of a Hamiltonian
     one. "hold" starts at the previous y: the current configuration, or the
     carried momentum. "extrapolate" continues a Lagrangian step at constant
@@ -94,7 +95,9 @@ class SolverOptions:
     cross_check: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.tol < math.inf):
+        # a bool tol would read as 1.0 and accept steps Newton never solved
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not 0.0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
         # a float bound such as nan would never end the iteration
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
@@ -102,6 +105,9 @@ class SolverOptions:
             raise ValueError("max_iter must be an integer of at least 1, got %r" % (self.max_iter,))
         if self.predictor not in _PREDICTORS:
             raise ValueError("predictor must be one of %r" % (_PREDICTORS,))
+        for name in ("damping", "cross_check"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError("%s must be a bool, got %r" % (name, getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)

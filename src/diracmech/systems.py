@@ -10,8 +10,8 @@ Newton iteration matrices, through ``jacobian_columns`` and
 ``DerivativeProvider.forward_gradient``. A system picks its step
 kind once, at construction: the momentum balance and the (balance,
 completion) slot gradients that the stepper solves with. The module also
-provides the two one-form families and the membership residual of the
-per-step inclusion, which is the step-acceptance oracle.
+provides the membership residual of the per-step inclusion, which is the
+step-acceptance oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bundle import CotangentPd, KinematicDistribution, PontryaginPoint
+from .bundle import KinematicDistribution, PontryaginPoint
 from .errors import DimensionMismatchError, EvaluationError
 # orthonormal_columns is not called here since the certificate projects
 # through the distribution's memo; bench/tracing.py still wraps this module
@@ -356,22 +356,6 @@ def _check_dim(x: PontryaginPoint, n: int):
         raise DimensionMismatchError("point dimension %d, system dimension %d" % (x.dim, n))
 
 
-def lagrangian_one_form(lag: DiscreteLagrangian, x: PontryaginPoint,
-                        p_next: np.ndarray) -> CotangentPd:
-    """Blocks (-d1 L(q, q+), 0, p_next - d2 L(q, q+)); the dp block is always zero."""
-    _check_dim(x, lag.n)
-    p_next = _vector(p_next, "p_next", lag.n)
-    return CotangentPd(-lag.d1(x.q, x.qplus), np.zeros(lag.n), p_next - lag.d2(x.q, x.qplus))
-
-
-def hamiltonian_one_form(ham: DiscreteHamiltonian, x: PontryaginPoint,
-                         p_next: np.ndarray) -> CotangentPd:
-    """Blocks (dH/dq(q, p+), dH/dp(q, p+) - q+, 0); the dq+ block is always zero."""
-    _check_dim(x, ham.n)
-    p_next = _vector(p_next, "p_next", ham.n)
-    return CotangentPd(ham.dq(x.q, p_next), ham.dp(x.q, p_next) - x.qplus, np.zeros(ham.n))
-
-
 def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
     """Pair constraint phi(q, q+) = A(q) (q+ - q) induced by the identity-chart retraction."""
     if dist.m == 0:
@@ -397,7 +381,9 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
                              p_next: np.ndarray, *, _held: Optional[np.ndarray] = None) -> float:
     """Membership residual of the per-step inclusion at (x, p_next).
 
-    With v the vertical lift of x.p at x and psi the system's one-form, this
+    With v the vertical lift of x.p at x and psi the system's one-form,
+    (-d1 L(q, q+), 0, p_next - d2 L(q, q+)) for a Lagrangian and
+    (dH/dq(q, p_next), dH/dp(q, p_next) - q+, 0) for a Hamiltonian, this
     is the residual of v + psi belonging to the structure induced by the
     lifted distribution and the bundle two-form: the distance of v from the
     lifted distribution (always zero, vertical lifts have no dq block) against

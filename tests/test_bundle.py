@@ -1,4 +1,4 @@
-"""Bundle coordinates: the two-form, lifts, lifted annihilators, A(q) memo, admissibility."""
+"""Bundle coordinates: points, A(q) rank checks and memo, admissibility of discrete curves."""
 
 import sys
 import threading
@@ -14,21 +14,12 @@ from diracmech import (
     EvaluationError,
     KinematicDistribution,
     PontryaginPoint,
-    TangentPd,
     check_admissibility,
-    interior_product,
-    lift_annihilator,
-    pontryagin_two_form,
     retraction_constraint,
     run_trajectory,
-    vertical_lift,
 )
 from diracmech import builtin
 from diracmech.linalg import orthonormal_columns
-
-
-def random_tangent(rng, n):
-    return TangentPd(rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n))
 
 
 class TestPoints:
@@ -53,127 +44,24 @@ class TestPoints:
         assert pt.qplus[0] == 0.1
 
 
-class TestTwoForm:
-    def test_vertical_against_general(self):
-        # pairing a vertical lift against any tangent vector picks out p . dq
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = rng.standard_normal(3)
-            w = random_tangent(rng, 3)
-            u = TangentPd(np.zeros(3), p, np.zeros(3))
-            assert pontryagin_two_form(u, w) == pytest.approx(float(p @ w.dq), abs=1e-15)
-
-    def test_vanishes_on_diagonal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            u = random_tangent(rng, 4)
-            assert pontryagin_two_form(u, u) == 0.0
-
-    def test_unit_block_example(self):
-        e1 = np.array([1.0, 0.0])
-        z = np.zeros(2)
-        u = TangentPd(e1, z, z)
-        w = TangentPd(z, e1, z)
-        assert pontryagin_two_form(u, w) == -1.0
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            u, w = random_tangent(rng, 3), random_tangent(rng, 3)
-            assert abs(pontryagin_two_form(u, w) + pontryagin_two_form(w, u)) < 1e-14
-
-    def test_ignores_qplus_blocks(self):
-        rng = np.random.default_rng(4)
-        u, w = random_tangent(rng, 3), random_tangent(rng, 3)
-        val = pontryagin_two_form(u, w)
-        u2 = TangentPd(u.dq, u.dp, rng.standard_normal(3))
-        w2 = TangentPd(w.dq, w.dp, rng.standard_normal(3))
-        assert pontryagin_two_form(u2, w2) == val  # bit-identical
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            pontryagin_two_form(random_tangent(np.random.default_rng(0), 2),
-                                random_tangent(np.random.default_rng(0), 3))
-
-
-class TestLifts:
-    def test_vertical_lift_of_own_momentum(self):
-        x = PontryaginPoint([0.2], [1.5], [0.3])
-        v = vertical_lift(x, x.p)
-        assert np.array_equal(v.dq, [0.0])
-        assert np.array_equal(v.dp, [1.5])
-        assert np.array_equal(v.dqplus, [0.0])
-
-    def test_vertical_lift_of_zero(self):
-        x = PontryaginPoint([0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-        v = vertical_lift(x, np.zeros(2))
-        assert not v.dq.any() and not v.dp.any() and not v.dqplus.any()
-
-    def test_vertical_lift_components(self):
-        x = PontryaginPoint(np.zeros(3), np.zeros(3), np.zeros(3))
-        v = vertical_lift(x, [1.0, 2.0, 3.0])
-        assert np.array_equal(v.dp, [1.0, 2.0, 3.0])
-
-    def test_interior_product_of_vertical(self):
-        v = TangentPd(np.zeros(2), [1.0, 2.0], np.zeros(2))
-        c = interior_product(v)
-        assert np.array_equal(c.bq, [1.0, 2.0])
-        assert not c.bp.any() and not c.bqplus.any()
-
-    def test_interior_product_of_zero(self):
-        c = interior_product(TangentPd(np.zeros(2), np.zeros(2), np.zeros(2)))
-        assert not c.bq.any() and not c.bp.any() and not c.bqplus.any()
-
-    def test_interior_product_blocks(self):
-        e1, e2, e3 = np.eye(3)
-        c = interior_product(TangentPd(e1, e2, e3))
-        assert np.array_equal(c.bq, e2)
-        assert np.array_equal(c.bp, -e1)
-        assert not c.bqplus.any()
-
-    def test_interior_product_agrees_with_two_form(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            v, w = random_tangent(rng, 3), random_tangent(rng, 3)
-            assert abs(interior_product(v)(w) - pontryagin_two_form(v, w)) < 1e-13
-
-
 class TestLiftAnnihilator:
-    def test_unconstrained_is_empty(self):
-        dist = KinematicDistribution.unconstrained(2)
-        x = PontryaginPoint(np.zeros(2), np.zeros(2), np.zeros(2))
-        assert lift_annihilator(dist, x).shape == (0, 6)
-
-    def test_block_padding(self):
-        dist = KinematicDistribution(3, 1, lambda q: np.array([[-q[1], 0.0, 1.0]]))
-        x = PontryaginPoint([0.0, 2.0, 0.0], np.zeros(3), np.zeros(3))
-        rows = lift_annihilator(dist, x)
-        assert np.array_equal(rows, [[-2.0, 0.0, 1.0, 0, 0, 0, 0, 0, 0]])
-
-    def test_vertical_lifts_satisfy_every_row(self):
-        rng = np.random.default_rng(12)
-        dist = KinematicDistribution(3, 1, lambda q: np.array([[-q[1], 0.0, 1.0]]))
-        for _ in range(20):
-            x = PontryaginPoint(rng.standard_normal(3), rng.standard_normal(3),
-                                rng.standard_normal(3))
-            rows = lift_annihilator(dist, x)
-            beta = rng.standard_normal(3)
-            v = vertical_lift(x, beta)
-            stacked = np.concatenate([v.dq, v.dp, v.dqplus])
-            assert np.max(np.abs(rows @ stacked)) == 0.0
+    """The lifted distribution's annihilator [A(q) | 0 | 0] has the row rank
+    of A(q), so its rank checks are those of ``matrix`` and ``project_ker``."""
 
     def test_degenerate_annihilator(self):
         dist = KinematicDistribution(3, 1, lambda q: np.zeros((1, 3)))
-        x = PontryaginPoint(np.zeros(3), np.zeros(3), np.zeros(3))
         with pytest.raises(DegenerateConstraintError):
-            lift_annihilator(dist, x)
+            dist.matrix(np.zeros(3))
+        with pytest.raises(DegenerateConstraintError):
+            dist.project_ker(np.zeros(3), np.ones(3))
 
     def test_rank_loss_across_rows(self):
         dist = KinematicDistribution(3, 2, lambda q: np.array([[1.0, 0.0, 0.0],
                                                                [1.0, 0.0, 0.0]]))
-        x = PontryaginPoint(np.zeros(3), np.zeros(3), np.zeros(3))
         with pytest.raises(DegenerateConstraintError):
-            lift_annihilator(dist, x)
+            dist.matrix(np.zeros(3))
+        with pytest.raises(DegenerateConstraintError):
+            dist.project_ker(np.zeros(3), np.ones(3))
 
 
 def tilted_rows(calls=None):

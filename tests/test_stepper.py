@@ -183,9 +183,19 @@ class TestNewton:
 
     def test_options_validation(self):
         # a non-finite tol would accept the predictor with no Newton iteration
-        for tol in (0.0, -1e-10, np.inf, np.nan):
+        # a bool tol reads as 1.0 and would accept unsolved steps; a string
+        # would fail only in the comparison, with a bare TypeError
+        for tol in (0.0, -1e-10, np.inf, np.nan, True, np.True_, "1e-3", None):
             with pytest.raises(ValueError, match="tol"):
                 SolverOptions(tol=tol)
+        assert SolverOptions(tol=np.float64(1e-9)).tol == 1e-9
+        assert SolverOptions(tol=np.float32(1e-3)).tol == np.float32(1e-3)
+        # a truthy non-bool such as "no" would read as True
+        for name in ("damping", "cross_check"):
+            for value in ("no", 1, 0, None):
+                with pytest.raises(ValueError, match=name):
+                    SolverOptions(**{name: value})
+            assert getattr(SolverOptions(**{name: np.False_}), name) is np.False_
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
         # a non-integer bound: iters >= nan is never true, so a nan bound

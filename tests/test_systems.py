@@ -1,4 +1,4 @@
-"""Discrete systems: derivatives, the two one-form families, the inclusion residual."""
+"""Discrete systems: derivatives, constraints, the inclusion residual and its generic oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from diracmech import (
     DimensionMismatchError,
     DiscreteConstraint,
-    DiscreteHamiltonian,
     DiscreteLagrangian,
     DiscreteSystem,
     EvaluationError,
@@ -16,8 +15,6 @@ from diracmech import (
     PontryaginPoint,
     SkewForm,
     dirac_inclusion_residual,
-    hamiltonian_one_form,
-    lagrangian_one_form,
     membership_residual,
     retraction_constraint,
 )
@@ -196,77 +193,28 @@ class TestRetractionConstraint:
 
 class TestLagrangianOneForm:
     def test_oscillator_matches_closed_form(self):
+        # at p = 0 the certificate is the norm of the one-form's dq and dq+
+        # blocks, -d1 L(q0, q1) and p1 - d2 L(q0, q1)
         system = oscillator()
         rng = np.random.default_rng(8)
         for _ in range(20):
             q0, q1, p1 = rng.standard_normal(3)
             x = PontryaginPoint([q0], [0.0], [q1])
-            psi = lagrangian_one_form(system.lagrangian, x, [p1])
-            assert psi.bq[0] == pytest.approx((q1 - q0) / H + H * LAM * q0, rel=1e-13)
-            assert psi.bp[0] == 0.0
-            assert psi.bqplus[0] == pytest.approx(p1 - (q1 - q0) / H, rel=1e-13)
-
-    def test_zero_lagrangian(self):
-        lag = DiscreteLagrangian(2, lambda q, qp: 0.0,
-                                 d1=lambda q, qp: np.zeros(2), d2=lambda q, qp: np.zeros(2))
-        x = PontryaginPoint(np.zeros(2), np.zeros(2), np.zeros(2))
-        psi = lagrangian_one_form(lag, x, [3.0, 4.0])
-        assert not psi.bq.any() and not psi.bp.any()
-        assert np.array_equal(psi.bqplus, [3.0, 4.0])
-
-    def test_oscillator_numbers(self):
-        system = oscillator()
-        x = PontryaginPoint([0.0], [0.0], [0.1])
-        psi = lagrangian_one_form(system.lagrangian, x, [1.0])
-        assert psi.bq[0] == pytest.approx(1.0, abs=1e-14)
-        assert psi.bqplus[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_dp_block_always_zero(self):
-        rng = np.random.default_rng(9)
-        lag = DiscreteLagrangian(3, lambda q, qp: float(np.sin(q) @ qp))
-        for _ in range(10):
-            x = PontryaginPoint(rng.standard_normal(3), rng.standard_normal(3),
-                                rng.standard_normal(3))
-            psi = lagrangian_one_form(lag, x, rng.standard_normal(3))
-            assert not psi.bp.any()
+            expected = np.hypot((q1 - q0) / H + H * LAM * q0, p1 - (q1 - q0) / H)
+            assert dirac_inclusion_residual(system, x, [p1]) == pytest.approx(expected, rel=1e-13)
 
 
 class TestHamiltonianOneForm:
     def test_oscillator_transform_blocks(self):
+        # at p = 0 the certificate is the norm of the one-form's dq and dp
+        # blocks, dH/dq(q, p+) and dH/dp(q, p+) - q+
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         rng = np.random.default_rng(10)
         for _ in range(20):
             q, pp, qp = rng.standard_normal(3)
             x = PontryaginPoint([q], [0.0], [qp])
-            psi = hamiltonian_one_form(system.hamiltonian, x, [pp])
-            assert psi.bq[0] == pytest.approx(pp + H * LAM * q, rel=1e-13)
-            assert psi.bp[0] == pytest.approx(q + H * pp - qp, rel=1e-13)
-            assert psi.bqplus[0] == 0.0
-
-    def test_zero_hamiltonian(self):
-        ham = DiscreteHamiltonian(2, lambda q, pp: 0.0,
-                                  dq=lambda q, pp: np.zeros(2), dp=lambda q, pp: np.zeros(2))
-        x = PontryaginPoint(np.zeros(2), np.zeros(2), [0.5, 0.6])
-        psi = hamiltonian_one_form(ham, x, np.zeros(2))
-        assert not psi.bq.any()
-        assert np.array_equal(psi.bp, [-0.5, -0.6])
-        assert not psi.bqplus.any()
-
-    def test_free_particle_numbers(self):
-        system = builtin.free_particle_hamiltonian(H, 1)
-        x = PontryaginPoint([0.0], [0.0], [H])
-        psi = hamiltonian_one_form(system.hamiltonian, x, [1.0])
-        assert psi.bq[0] == pytest.approx(1.0, abs=1e-14)
-        assert psi.bp[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_dqplus_block_always_zero(self):
-        rng = np.random.default_rng(11)
-        ham = DiscreteHamiltonian(3, lambda q, pp: float(np.cos(q) @ pp))
-        for _ in range(10):
-            x = PontryaginPoint(rng.standard_normal(3), rng.standard_normal(3),
-                                rng.standard_normal(3))
-            psi = hamiltonian_one_form(ham, x, rng.standard_normal(3))
-            assert not psi.bqplus.any()
+            expected = np.hypot(pp + H * LAM * q, q + H * pp - qp)
+            assert dirac_inclusion_residual(system, x, [pp]) == pytest.approx(expected, rel=1e-13)
 
 
 def pointwise_residual(system, x, p_next):
@@ -274,7 +222,9 @@ def pointwise_residual(system, x, p_next):
 
     Builds the lifted distribution at x as an explicit subspace of R^{3n}, the
     block two-form, and the paired vector (vertical lift, one-form), then asks
-    the generic membership_residual. Zero exactly when the fast path is zero.
+    the generic membership_residual. The one-form is built here from the slot
+    gradients, so this route shares no formula code with the library's
+    certificate. Zero exactly when the fast path is zero.
     """
     n = system.n
     a = system.dist.matrix(x.q)
@@ -293,12 +243,16 @@ def pointwise_residual(system, x, p_next):
     mat[:n, n:2 * n] = np.eye(n)
     mat[n:2 * n, :n] = -np.eye(n)
     omega = SkewForm(mat)
+    p_next = np.asarray(p_next, dtype=float)
+    zero = np.zeros(n)
     if system.kind == "lagrangian":
-        psi = lagrangian_one_form(system.lagrangian, x, p_next)
+        lag = system.lagrangian
+        psi = (-lag.d1(x.q, x.qplus), zero, p_next - lag.d2(x.q, x.qplus))
     else:
-        psi = hamiltonian_one_form(system.hamiltonian, x, p_next)
-    v = np.concatenate([np.zeros(n), x.p, np.zeros(n)])
-    alpha = np.concatenate([psi.bq, psi.bp, psi.bqplus])
+        ham = system.hamiltonian
+        psi = (ham.dq(x.q, p_next), ham.dp(x.q, p_next) - x.qplus, zero)
+    v = np.concatenate([zero, x.p, zero])
+    alpha = np.concatenate(psi)
     return membership_residual(PairedVector(v, alpha), delta, omega)
 
 
