@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
-from .linalg import _blocks, orthonormal_columns
+from .linalg import _all_finite, _blocks, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class PontryaginPoint:
     qplus: np.ndarray
 
     def __post_init__(self):
-        if not all(np.isfinite(b).all() for b in _blocks(self, ("q", "p", "qplus"))):
+        if not all(map(_all_finite, _blocks(self, ("q", "p", "qplus")))):
             raise ValueError("point entries must all be finite")
 
     @classmethod
@@ -163,7 +163,7 @@ class KinematicDistribution:
             raise DimensionMismatchError(
                 "annihilator returned shape %r, expected (%d, %d)" % (a.shape, self.m, self.n)
             )
-        if not np.isfinite(a).all():
+        if not _all_finite(a):
             raise EvaluationError("annihilator returned non-finite entries at q=%s"
                                   % np.array2string(q))
         # the rank of the row basis is the count of singular values above

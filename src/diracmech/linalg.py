@@ -9,6 +9,7 @@ form is value(v, w) = (mat @ v) . w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,6 +22,10 @@ RANK_CUTOFF = 1e-10
 
 _F64 = np.dtype(float)
 
+# Arrays of up to this many entries take the pure-Python paths of _norm_inf
+# and _all_finite.
+_SMALL = 8
+
 
 def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
     """``x`` as a float64 vector (of length ``n`` when given); ``x`` itself if it is one."""
@@ -31,6 +36,26 @@ def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
         raise DimensionMismatchError("%s has shape %r, expected %s"
                                      % (name, arr.shape, "a 1-d vector" if n is None else (n,)))
     return arr
+
+
+def _norm_inf(v: np.ndarray) -> float:
+    if v.shape[0] <= _SMALL:
+        # a Python loop beats two ufunc calls on a few entries; a NaN
+        # entry sticks, as it does in np.max
+        worst = 0.0
+        for t in v.tolist():
+            t = abs(t)
+            if t > worst or t != t:
+                worst = t
+        return worst
+    return float(np.abs(v).max())
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """True iff every entry of the float array ``x``, of any shape, is finite."""
+    if x.size <= _SMALL:
+        return all(map(math.isfinite, x.ravel().tolist()))
+    return bool(np.isfinite(x).all())
 
 
 def _blocks(obj, names: Sequence[str]) -> list:
@@ -57,19 +82,22 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     if mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    s = s.tolist()
     if s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
-    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
-    return u[:, :rank]
+    # the rank: singular values above RANK_CUTOFF relative to the largest
+    cutoff = RANK_CUTOFF * s[0]
+    return u[:, :sum(t > cutoff for t in s)]
 
 
 @dataclass(frozen=True)
 class LinSubspace:
     """A linear subspace stored as a basis matrix whose columns span it.
 
-    The basis must have full column rank, as ``orthonormal_columns`` decides
-    it (smallest singular value above RANK_CUTOFF relative to the largest);
-    that orthonormalized copy is kept in ``onb`` for projections.
+    The basis must have finite entries (ValueError otherwise) and full
+    column rank, as ``orthonormal_columns`` decides it (smallest singular
+    value above RANK_CUTOFF relative to the largest); that orthonormalized
+    copy is kept in ``onb`` for projections.
     """
 
     ambient_dim: int
@@ -87,6 +115,8 @@ class LinSubspace:
                 "basis shape %r does not match ambient dimension %d"
                 % (basis.shape, self.ambient_dim)
             )
+        if not _all_finite(basis):
+            raise ValueError("basis entries must all be finite")
         onb = orthonormal_columns(basis)
         if onb.shape[1] < basis.shape[1]:
             raise RankDeficiencyError("basis of %d vectors in dimension %d is rank deficient "
@@ -126,7 +156,7 @@ class PairedVector:
 
 @dataclass(frozen=True)
 class SkewForm:
-    """A two-form as a skew-symmetric matrix; value(v, w) = (mat @ v) . w."""
+    """A two-form as a finite skew-symmetric matrix; value(v, w) = (mat @ v) . w."""
 
     mat: np.ndarray
 
@@ -134,6 +164,8 @@ class SkewForm:
         mat = np.asarray(self.mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("two-form matrix must be square, got %r" % (mat.shape,))
+        if not _all_finite(mat):
+            raise ValueError("two-form matrix entries must all be finite")
         if mat.size and np.max(np.abs(mat + mat.T)) >= 1e-12:
             raise ValueError("matrix is not skew-symmetric (max |mat + mat^T| = %g)"
                              % np.max(np.abs(mat + mat.T)))

@@ -33,7 +33,7 @@ from .errors import (
     StepFailureError,
     UnsupportedOperationError,
 )
-from .linalg import _vector
+from .linalg import _all_finite, _norm_inf, _vector
 from .systems import (
     FD_SCALE,
     HAMILTONIAN,
@@ -229,30 +229,6 @@ def _worst(column: np.ndarray) -> float:
     return float(np.max(column, initial=0.0))
 
 
-# Vectors up to this length take the pure-Python paths of _norm_inf and
-# _all_finite.
-_SMALL = 8
-
-
-def _norm_inf(v: np.ndarray) -> float:
-    if v.shape[0] <= _SMALL:
-        # a Python loop beats two ufunc calls on a few entries; a NaN
-        # entry sticks, as it does in np.max
-        worst = 0.0
-        for t in v.tolist():
-            t = abs(t)
-            if t > worst or t != t:
-                worst = t
-        return worst
-    return float(np.abs(v).max())
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    if x.shape[0] <= _SMALL:
-        return all(map(math.isfinite, x.tolist()))
-    return bool(np.isfinite(x).all())
-
-
 def _phase_state(q, p, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Validated float64 copies of a Hamiltonian state (q, p)."""
     q, p = _vector(q, "q", n).copy(), _vector(p, "p", n).copy()
@@ -272,12 +248,12 @@ def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
     else:
         try:
             step = np.linalg.solve(jm, -fx)
-            if np.all(np.isfinite(step)):
+            if _all_finite(step):
                 return step
         except np.linalg.LinAlgError:
             pass
     # the SVD behind cond() fails on non-finite entries
-    finite = jm.shape != (1, 1) and np.isfinite(jm).all()
+    finite = jm.shape != (1, 1) and _all_finite(jm)
     cond = float(np.linalg.cond(jm)) if finite else float("inf")
     raise SingularJacobianError(
         "Newton Jacobian is singular or gives a non-finite step (condition estimate %.3e)"
@@ -433,7 +409,7 @@ def _maybe_cross_check(f, jac_assembled, z0):
 def _check_regularity(cross: np.ndarray, kind: str) -> None:
     if cross.shape == (1, 1):
         cond = 1.0 if cross[0, 0] != 0.0 else float("inf")
-    elif np.isfinite(cross).all():
+    elif _all_finite(cross):
         cond = float(np.linalg.cond(cross))
     else:
         return  # the Newton solve reports a non-finite matrix as singular
@@ -529,14 +505,14 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
                                      % (lam0.shape, m))
     if m:
-        a = system.dist.matrix(q)
+        at = system.dist.matrix(q).T
         # (y0, conf(y0)) of the held border, for the first residual
         border = None
 
         def residual_fn(z):
             nonlocal last_z, last_c, last_phi, border
             y = z[:n]
-            r = balance(y) - a.T @ z[n:]
+            r = balance(y) - at @ z[n:]
             if lagrangian:
                 c = y
             elif border is not None and np.array_equal(border[0], y):
@@ -551,7 +527,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
             # -A^T in the multiplier columns of the balance rows, the
             # constraint Jacobian J2(q, conf) C in the y columns of the
             # constraint rows
-            jm[:n, n:] = -a.T
+            jm[:n, n:] = -at
             j2 = system.constraint.jacobian2(q, conf)
             jm[n:, :n] = j2 if c is None else j2 @ c
             return jm

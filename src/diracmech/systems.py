@@ -250,11 +250,13 @@ class DiscreteConstraint:
         return cls(n, 0)
 
     def value(self, q, qplus) -> np.ndarray:
+        """phi(q, q+) as a float64 vector of length md; a float64 one is taken as it comes."""
         if self.md == 0:
             return np.zeros(0)
         try:
-            out = np.atleast_1d(np.asarray(self.phi(np.asarray(q, dtype=float),
-                                                    np.asarray(qplus, dtype=float)), dtype=float))
+            out = self.phi(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
+            if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 1):
+                out = np.atleast_1d(np.asarray(out, dtype=float))
         except Exception as exc:
             raise EvaluationError("constraint evaluation failed: %s" % exc) from exc
         if out.shape != (self.md,):
@@ -263,11 +265,12 @@ class DiscreteConstraint:
         return out
 
     def jacobian2(self, q, qplus) -> np.ndarray:
-        """md x n Jacobian of phi in its second slot."""
+        """md x n Jacobian of phi in its second slot; a 2-d float64 one is taken as it comes."""
         if self._jac2 is not None:
             try:
-                out = np.atleast_2d(np.asarray(self._jac2(np.asarray(q, dtype=float),
-                                                          np.asarray(qplus, dtype=float)), dtype=float))
+                out = self._jac2(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
+                if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 2):
+                    out = np.atleast_2d(np.asarray(out, dtype=float))
             except Exception as exc:
                 raise EvaluationError("constraint Jacobian failed: %s" % exc) from exc
             if out.shape != (self.md, self.n):

@@ -18,7 +18,7 @@ from diracmech import (
     retraction_constraint,
     run_trajectory,
 )
-from diracmech import builtin
+from diracmech import builtin, bundle
 from diracmech.linalg import orthonormal_columns
 
 
@@ -95,7 +95,7 @@ class TestAnnihilatorMemo:
             rows = orthonormal_columns(tilted_rows()(q).T)
             assert dist.project_ker(q, w).tobytes() == (w - rows @ (rows.T @ w)).tobytes()
 
-    def test_one_evaluation_per_base_point(self):
+    def test_one_evaluation_per_base_point(self, monkeypatch):
         calls = []
         dist = KinematicDistribution(4, 2, tilted_rows(calls))
         q = np.array([0.3, 0.5, -0.2, 0.1])
@@ -113,9 +113,19 @@ class TestAnnihilatorMemo:
         system = DiscreteSystem.from_lagrangian(builtin.free_particle_lagrangian(0.1, 3), dist,
                                                 retraction_constraint(dist))
         seed = builtin.lagrangian_seed(system, [0.0, 0.5, 0.0], [0.1, 0.52, 0.05])
+        ranked = []
+
+        def counting_rank_rule(mat):
+            ranked.append(mat.shape)
+            return orthonormal_columns(mat)
+
+        # the distribution looks the rank rule up on its module at each call
+        monkeypatch.setattr(bundle, "orthonormal_columns", counting_rank_rule)
         run_trajectory(system, seed, 25)
-        # the seed's initial-data check, then one base point per step
+        # the seed's initial-data check, then one base point per step, with
+        # one rank test each
         assert len(counted) == 26
+        assert ranked == [(3, 1)] * 26
 
     def test_degenerate_point_raises_after_a_good_one(self):
         dist = KinematicDistribution(4, 2, tilted_rows())

@@ -14,6 +14,7 @@ from diracmech import (
     membership_residual,
     pairing,
 )
+from diracmech.linalg import RANK_CUTOFF, orthonormal_columns
 
 
 def random_skew(rng, n):
@@ -68,6 +69,68 @@ class TestTypes:
         sub = LinSubspace(5, rng.standard_normal((5, 3)))
         assert np.allclose(sub.onb.T @ sub.onb, np.eye(3), atol=1e-12)
         assert sub.dim == 3
+
+
+class TestNonFiniteInput:
+    """Non-finite entries are named at construction, before any SVD sees them."""
+
+    def test_skew_form_rejects_nan(self):
+        # NaN used to pass the skew check, which reads a NaN gap as small
+        with pytest.raises(ValueError, match="two-form matrix entries must all be finite"):
+            SkewForm([[0.0, np.nan], [np.nan, 0.0]])
+
+    def test_subspace_rejects_nan_basis(self):
+        # used to raise numpy's bare LinAlgError from the SVD
+        with pytest.raises(ValueError, match="basis entries must all be finite"):
+            LinSubspace(2, [[np.nan], [1.0]])
+
+    def test_subspace_rejects_infinite_basis(self):
+        # used to raise RankDeficiencyError quoting "singular values [nan]"
+        with pytest.raises(ValueError, match="basis entries must all be finite"):
+            LinSubspace(2, [[np.inf], [1.0]])
+
+    def test_induced_structure_of_a_nan_form(self):
+        # used to raise numpy's bare LinAlgError from induced_dirac's SVD
+        with pytest.raises(ValueError, match="two-form matrix entries must all be finite"):
+            induced_dirac(LinSubspace.full(2), SkewForm([[0.0, np.nan], [-np.nan, 0.0]]))
+
+
+def svd_rank_basis(mat):
+    """The rank rule computed with numpy alone: u[:, :#(s > RANK_CUTOFF * s[0])]."""
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, :int(np.sum(s > RANK_CUTOFF * s[0]))]
+
+
+def with_singular_values(rng, n, s):
+    """An n x len(s) matrix U diag(s) V^T with random orthonormal U and V."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    return (u * s) @ v.T
+
+
+class TestRankCutoff:
+    @pytest.mark.parametrize("ratio", [RANK_CUTOFF * (1.0 - 1e-6), RANK_CUTOFF * (1.0 + 1e-6)])
+    def test_keeps_the_columns_of_the_numpy_rule(self, ratio):
+        rng = np.random.default_rng(71)
+        for n, k in ((2, 2), (3, 2), (4, 2), (5, 3)):
+            for _ in range(10):
+                mat = with_singular_values(rng, n, np.r_[np.full(k - 1, 2.5), 2.5 * ratio])
+                assert orthonormal_columns(mat).tobytes() == svd_rank_basis(mat).tobytes()
+
+    def test_decides_on_each_side_of_the_cutoff(self):
+        rng = np.random.default_rng(72)
+        for side, rank in ((1.0 - 1e-3, 1), (1.0 + 1e-3, 2)):
+            mat = with_singular_values(rng, 3, np.array([1.0, RANK_CUTOFF * side]))
+            assert orthonormal_columns(mat).shape == (3, rank)
+
+    def test_transposed_view_and_contiguous_copy_give_the_same_bytes(self):
+        rng = np.random.default_rng(73)
+        for m, n in ((2, 4), (3, 3), (2, 20)):
+            view = rng.standard_normal((m, n)).T
+            assert not view.flags.c_contiguous
+            basis = orthonormal_columns(view)
+            assert basis.tobytes() == orthonormal_columns(np.ascontiguousarray(view)).tobytes()
+            assert basis.tobytes() == svd_rank_basis(view).tobytes()
 
 
 class TestPairing:

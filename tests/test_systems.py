@@ -157,6 +157,65 @@ class TestConstraintTypes:
         assert np.allclose(jac, [[0.6, 0.5]], atol=1e-8)
 
 
+class TestConstraintConversions:
+    """What phi and jac2 may return: float64 arrays pass as they are, the rest is converted."""
+
+    Q, QP = np.array([0.3, 0.4]), np.array([0.5, 0.6])
+
+    @pytest.mark.parametrize("out", [
+        0.25, [0.25], np.array(0.25), np.array([3]), np.array([0.1], dtype=np.float32),
+    ], ids=["float", "list", "0-d", "int", "float32"])
+    def test_phi_outputs_are_converted(self, out):
+        value = DiscreteConstraint(2, 1, lambda q, qp: out).value(self.Q, self.QP)
+        expected = np.atleast_1d(np.asarray(out, dtype=float))
+        assert value.dtype == np.float64 and value.shape == (1,)
+        assert value.tobytes() == expected.tobytes()
+
+    def test_float64_rows_are_used_as_they_come(self):
+        out = np.array([0.25, -1.0])
+        jac = np.array([[1.0, 0.0], [0.0, 2.0]])
+        con = DiscreteConstraint(2, 2, lambda q, qp: out, lambda q, qp: jac)
+        assert con.value(self.Q, self.QP) is out
+        assert con.jacobian2(self.Q, self.QP) is jac
+
+    @pytest.mark.parametrize("out", [np.array([[0.25]]), np.array([0.25, 0.5]), [0.1, 0.2]],
+                             ids=["(1, 1)", "length 2", "list of 2"])
+    def test_phi_of_the_wrong_shape(self, out):
+        with pytest.raises(DimensionMismatchError, match="constraint returned shape"):
+            DiscreteConstraint(2, 1, lambda q, qp: out).value(self.Q, self.QP)
+
+    def test_jac2_of_the_wrong_shape(self):
+        con = DiscreteConstraint(2, 1, lambda q, qp: 0.0, lambda q, qp: np.ones((2, 2)))
+        with pytest.raises(DimensionMismatchError, match="constraint Jacobian shape"):
+            con.jacobian2(self.Q, self.QP)
+
+    @pytest.mark.parametrize("out", [np.array([0.6, 0.5]), [0.6, 0.5],
+                                     np.array([0.6, 0.5], dtype=np.float32)],
+                             ids=["float64", "list", "float32"])
+    def test_1d_jac2_reads_as_one_row(self, out):
+        jac = DiscreteConstraint(2, 1, lambda q, qp: 0.0, lambda q, qp: out).jacobian2(
+            self.Q, self.QP)
+        assert jac.dtype == np.float64 and jac.shape == (1, 2)
+        assert jac.tobytes() == np.asarray(out, dtype=float).tobytes()
+
+    def test_raising_callables_end_in_evaluation_errors(self):
+        def boom(q, qp):
+            raise ZeroDivisionError("boom")
+
+        con = DiscreteConstraint(2, 1, boom, boom)
+        with pytest.raises(EvaluationError, match="constraint evaluation failed: boom"):
+            con.value(self.Q, self.QP)
+        with pytest.raises(EvaluationError, match="constraint Jacobian failed: boom"):
+            con.jacobian2(self.Q, self.QP)
+
+    def test_unconvertible_output_ends_in_an_evaluation_error(self):
+        con = DiscreteConstraint(2, 1, lambda q, qp: "x", lambda q, qp: [["x", 1.0]])
+        with pytest.raises(EvaluationError):
+            con.value(self.Q, self.QP)
+        with pytest.raises(EvaluationError):
+            con.jacobian2(self.Q, self.QP)
+
+
 class TestRetractionConstraint:
     def test_unconstrained_passthrough(self):
         con = retraction_constraint(KinematicDistribution.unconstrained(2))
