@@ -74,6 +74,13 @@ def _blocks(obj, names: Sequence[str]) -> list:
     return blocks
 
 
+def _rank(s: list) -> int:
+    """The rank from singular values s, largest first, as Python floats: the
+    number above RANK_CUTOFF relative to the largest."""
+    cutoff = RANK_CUTOFF * s[0]
+    return sum(t > cutoff for t in s)
+
+
 def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of ``mat`` (may have zero columns)."""
     mat = np.asarray(mat, dtype=float)
@@ -85,9 +92,7 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     s = s.tolist()
     if s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
-    # the rank: singular values above RANK_CUTOFF relative to the largest
-    cutoff = RANK_CUTOFF * s[0]
-    return u[:, :sum(t > cutoff for t in s)]
+    return u[:, :_rank(s)]
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,7 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     rows_v = np.hstack([p_off, np.zeros((n, n))])
     rows_a = np.hstack([-(b.T @ omega.mat), b.T])
     _, s, vh = np.linalg.svd(np.vstack([rows_v, rows_a]))
-    ker = vh[int(np.sum(s > RANK_CUTOFF * s[0])):].T
+    ker = vh[_rank(s.tolist()):].T
     if ker.shape[1] != n:
         raise RankDeficiencyError(
             "induced structure came out with dimension %d, expected %d" % (ker.shape[1], n)

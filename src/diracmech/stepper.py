@@ -66,26 +66,31 @@ MIN_STEP = 2.0 ** -20
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_count(value, name: str, least: int) -> None:
+    # a float count such as nan would never end a loop
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError("%s must be an integer of at least %d, got %r" % (name, least, value))
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for the damped Newton iteration.
 
-    ``tol`` must be a positive finite real number, ``max_iter`` an integer
-    of at least 1 (NumPy numbers will do), and ``damping`` and
-    ``cross_check`` bools. ``predictor`` picks the initial guess for
-    the unknown y of a step, q+ of a Lagrangian step or p+ of a Hamiltonian
-    one. "hold" starts at the previous y: the current configuration, or the
+    ``tol`` must be a positive finite real number (kept as a float),
+    ``max_iter`` an integer of at least 1 (NumPy numbers will do), and
+    ``damping`` and ``cross_check`` bools. ``predictor`` picks the initial
+    guess for the unknown y of a step, q+ of a Lagrangian step or p+ of a
+    Hamiltonian one. "hold" starts at the previous y: the current configuration, or the
     carried momentum. "extrapolate" continues a Lagrangian step at constant
     velocity and starts a Hamiltonian step at the carried momentum, until a
     step of the run needs a second Newton iteration. From that step on the
-    run records its last solved y's in its cache list (see ``newton_solve``)
-    and starts each step at the highest-order polynomial extrapolation they
-    allow, up to the quadratic 3 y1 - 3 y2 + y3 (Hairer, Lubich and Wanner,
-    Geometric Numerical Integration, 2nd ed., VIII.6.1). A run whose steps
-    all converge in one iteration, and a step called without a cache list,
-    keep the first rule. ``cross_check`` compares the assembled Jacobian
-    against a full finite-difference Jacobian at the predictor and warns on
-    disagreement.
+    run records its last solved y's and starts each step at the
+    highest-order polynomial extrapolation they allow, up to the quadratic
+    3 y1 - 3 y2 + y3 (Hairer, Lubich and Wanner, Geometric Numerical
+    Integration, 2nd ed., VIII.6.1). A run whose steps all converge in one
+    iteration, and a direct step call, keep the first rule. ``cross_check``
+    compares the assembled Jacobian against a full finite-difference
+    Jacobian at the predictor and warns on disagreement.
     """
 
     tol: float = 1e-10
@@ -95,14 +100,17 @@ class SolverOptions:
     cross_check: bool = False
 
     def __post_init__(self):
-        # a bool tol would read as 1.0 and accept steps Newton never solved
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                or not 0.0 < self.tol < math.inf):
+        # a bool tol would read as 1.0 and accept steps Newton never solved,
+        # and an int beyond the float range would overflow at the first gate
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        try:
+            tol = float(self.tol) if real else math.nan
+        except OverflowError:
+            tol = math.inf
+        if not 0.0 < tol < math.inf:
             raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
-        # a float bound such as nan would never end the iteration
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise ValueError("max_iter must be an integer of at least 1, got %r" % (self.max_iter,))
+        object.__setattr__(self, "tol", tol)
+        _check_count(self.max_iter, "max_iter", 1)
         if self.predictor not in _PREDICTORS:
             raise ValueError("predictor must be one of %r" % (_PREDICTORS,))
         for name in ("damping", "cross_check"):
@@ -272,18 +280,14 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     f when None). Without ``jacobian_cache`` it is assembled at every
     iterate. ``jacobian_cache`` is a list whose slot 0 holds the matrix
     across iterations and calls: a matrix there (not None) is used from the
-    start, and every assembly is stored back there. Only slot 0 is read or
-    written, so a caller may keep its own data behind it: a step keeps the
-    dH/dp block C of a constrained Hamiltonian matrix in slot 1 (None
-    otherwise) and its run's history of solved unknowns in slot 2. A held
-    matrix is reassembled at the current iterate only when it stops
-    contracting there: a full step leaves a residual above CONTRACTION
-    times the current one, or the solve with it is singular. Such a step is
-    kept if it still lowered the residual and discarded otherwise. The
-    damped line search (halving down to MIN_STEP) runs only on a freshly
-    assembled matrix; when it stalls near the round-off floor (see
-    ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
-    gives its value.
+    start, and every assembly is stored back there. A held matrix is
+    reassembled at the current iterate only when it stops contracting
+    there: a full step leaves a residual above CONTRACTION times the current
+    one, or the solve with it is singular. Such a step is kept if it still
+    lowered the residual and discarded otherwise. The damped line search
+    (halving down to MIN_STEP) runs only on a freshly assembled matrix; when
+    it stalls near the round-off floor (see ROUNDOFF_MARGIN) the error says
+    that opts.tol is below that floor and gives its value.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
@@ -440,9 +444,27 @@ def _extrapolated(history: tuple) -> np.ndarray:
     return 3.0 * (y1 - y2) + history[2] if len(history) == 3 else (y1 + y1) - y2
 
 
+class _Run:
+    """What one run hands from each step to the next.
+
+    ``cache`` is the one-slot list of ``newton_solve`` that holds the run's
+    Newton matrix, and ``dhdp`` the dH/dp block C of a constrained
+    Hamiltonian matrix. ``carried`` is the next step's momentum and ``lam``
+    its multiplier guess. ``history`` stays None until a step of the run
+    needs a second Newton iteration under the "extrapolate" predictor; from
+    then on it holds the last two or three solved unknowns, newest first.
+    """
+
+    __slots__ = ("cache", "dhdp", "carried", "lam", "history")
+
+    def __init__(self):
+        self.cache = [None]
+        self.dhdp = self.carried = self.lam = self.history = None
+
+
 def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.ndarray,
                 opts: SolverOptions, multiplier_guess: Optional[np.ndarray],
-                jacobian_cache: Optional[list]) -> StepResult:
+                run: Optional[_Run]) -> StepResult:
     """Solve and certify one step of either kind from base point q and carried momentum p.
 
     Every step solves z = (y, lambda), n + m unknowns. The unknown y is q+
@@ -457,18 +479,15 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
     block of H, for regularity.
 
-    ``jacobian_cache`` is a list of three slots: the Newton matrix, the dH/dp
-    block C of a constrained Hamiltonian matrix (None otherwise), and the
-    history of solved unknowns; a shorter list is padded with None. A held
-    matrix of a constrained step gets this step's -A^T and border J2(q,
-    conf(y0)) C; a constrained Hamiltonian cache that holds a matrix but no
-    C assembles afresh. The history is None until a step of the run needs a
-    second Newton iteration under the "extrapolate" predictor. That step
+    ``run`` is the record of the run the step belongs to; a direct step
+    (None) assembles its matrix at every Newton iterate. A step of a run
+    reads its multiplier guess from the record and leaves p+ and lambda
+    there. A held matrix of a constrained step gets this step's -A^T and
+    border J2(q, conf(y0)) C. The step that switches the history on
     records (y, b), with b the previous unknown (q for a Lagrangian step, p
     for a Hamiltonian one), and every later step starts Newton at
-    ``_extrapolated`` of the history and records its own y in front, keeping
-    three. A history whose newest entry is not this step's b belongs to
-    another state: the step then starts from ``y0`` and records afresh.
+    ``_extrapolated`` of the history and records its own y in front,
+    keeping three.
 
     The residual keeps the gradient, conf(y) and phi of its last call. When
     Newton returns the very array of that call, q+, the constraint residual
@@ -482,16 +501,8 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     grad, complete = system.slots()
     momentum_balance = system.balance
     base = q if lagrangian else p
-    history = None
-    if jacobian_cache is not None:
-        if len(jacobian_cache) < 3:
-            jacobian_cache.extend([None] * (3 - len(jacobian_cache)))
-        if jacobian_cache[2] is not None and opts.predictor == "extrapolate":
-            history = jacobian_cache[2]
-            if np.array_equal(history[0], base):
-                y0 = _extrapolated(history)
-            else:
-                history = ()
+    history = run.history if run is not None else None
+    y0 = y0 if history is None else _extrapolated(history)
     # the argument of the residual's last call and its gradient, conf(y)
     # (constrained steps) and constraint value
     last_z = last_g = last_c = last_phi = None
@@ -500,7 +511,8 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         nonlocal last_z, last_g
         last_z, last_g = y, grad(q, y)
         return momentum_balance(p, last_g)
-    lam0 = np.zeros(m) if multiplier_guess is None else np.asarray(multiplier_guess, dtype=float)
+    guess = run.lam if run is not None else multiplier_guess
+    lam0 = np.zeros(m) if guess is None else np.asarray(guess, dtype=float)
     if lam0.shape != (m,):
         raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
                                      % (lam0.shape, m))
@@ -533,17 +545,15 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
             return jm
 
         z0 = np.concatenate([y0, lam0])
-        if jacobian_cache is not None and not lagrangian and jacobian_cache[1] is None:
-            jacobian_cache[0] = None  # a matrix without its C is not held
-        if jacobian_cache and jacobian_cache[0] is not None:
+        if run is not None and run.cache[0] is not None:
             # a held matrix keeps its finite-difference blocks of L or H and
             # takes this step's constraint blocks at the predictor
             if lagrangian:
                 conf0, c = y0, None
             else:
-                conf0, c = complete(q, y0), jacobian_cache[1]
+                conf0, c = complete(q, y0), run.dhdp
                 border = (y0, conf0)
-            jacobian_cache[0] = with_constraint_blocks(jacobian_cache[0].copy(), conf0, c)
+            run.cache[0] = with_constraint_blocks(run.cache[0].copy(), conf0, c)
     else:
         residual_fn, z0 = balance, y0
     assemblies = 0
@@ -565,8 +575,8 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         jm = np.zeros((n + m, n + m))
         jm[:n, :n] = top
         c = None if lagrangian else slot_block(1, y)
-        if c is not None and jacobian_cache is not None:
-            jacobian_cache[1] = c
+        if run is not None:
+            run.dhdp = c
         conf = last_c if z is last_z else (y if lagrangian else complete(q, y))
         return with_constraint_blocks(jm, conf, c)
 
@@ -575,7 +585,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
 
     try:
         z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
-                                     jacobian_cache=jacobian_cache)
+                                     jacobian_cache=run.cache if run is not None else None)
     except ConvergenceError as exc:
         _name_noise_floor(exc, system, q, last_z[:n])
         raise
@@ -593,7 +603,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         if not _all_finite(qplus):
             raise EvaluationError("configuration update dH/dp is not finite "
                                   "at the solved momentum")
-    if jacobian_cache is None and not assemblies:
+    if run is None and not assemblies:
         # Newton converged at the predictor; still report degenerate updates
         _check_regularity(slot_block(0, y), system.kind)
 
@@ -603,18 +613,18 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus)) if m else 0.0
     inclusion = dirac_inclusion_residual(system, nxt, p_next, _held=last_g if held else None)
     _certify(inclusion, opts)
-    if history is not None or (iters > 1 and jacobian_cache is not None
-                               and opts.predictor == "extrapolate"):
-        jacobian_cache[2] = (y, base) + history[1:2] if history else (y, base)
+    if run is not None:
+        if history is not None or (iters > 1 and opts.predictor == "extrapolate"):
+            run.history = (y, base) + history[1:2] if history else (y, base)
+        run.carried, run.lam = p_next, lam
     return StepResult(res, inclusion, cres, lam, iters, assemblies, next=nxt, p_next=p_next)
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
                     opts: Optional[SolverOptions] = None,
                     multiplier_guess: Optional[np.ndarray] = None,
-                    check_consistency: bool = True,
-                    jacobian_cache: Optional[list] = None, *,
-                    _carried: Optional[np.ndarray] = None) -> StepResult:
+                    check_consistency: bool = True, *,
+                    _run: Optional[_Run] = None) -> StepResult:
     """Advance a complete point one index.
 
     Solves, for (qnew, lambda), the carried momentum d2 L(q, q+) balancing
@@ -622,20 +632,20 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     then certifies the accepted update with the inclusion residual
     (raising CertificationError unless it is at most 10 * tol). Warns when
     the cross-derivative block D2 D1 L is close to singular.
-    ``jacobian_cache`` is the list of ``newton_solve``, holding the
-    iteration matrix across the steps of one trajectory in slot 0 and the
-    run's history of solved configurations in slot 2 (slot 1 stays None);
-    on a constrained step the matrix's -A^T and constraint-Jacobian blocks
-    are replaced by this step's, evaluated at the predictor. With a history
-    the predictor is extrapolated from it (see ``SolverOptions``).
 
     A step evaluates d1 L once per Newton residual and d2 L once, for the
     new momentum p_next = d2 L(q+, qnew), which must be finite
     (EvaluationError otherwise). The certificate reuses d1 L from Newton's
     last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
     construction. A direct call also evaluates the carried momentum
-    d2 L(q, q+); ``run_trajectory`` passes the previous step's ``p_next``,
-    which is that value, through the private ``_carried``.
+    d2 L(q, q+) and assembles its Newton matrix at every iterate.
+    ``run_trajectory`` passes its run record through the private ``_run``:
+    the step then takes the previous step's ``p_next``, which is that
+    momentum, and the run's held matrix, multiplier guess and history of
+    solved configurations. On a constrained step the held matrix's -A^T and
+    constraint-Jacobian blocks are replaced by this step's, evaluated at the
+    predictor; with a history the predictor is extrapolated from it (see
+    ``SolverOptions``).
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
@@ -652,15 +662,16 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     q1 = x.qplus
     # q1 + q1 is 2 q1 exactly, without a scalar multiply
     qnew0 = (q1 + q1) - x.q if opts.predictor == "extrapolate" else q1
-    carried = system.lagrangian.d2(x.q, q1) if _carried is None else _carried
-    return _solve_step(system, q1, carried, qnew0, opts, multiplier_guess, jacobian_cache)
+    carried = _run.carried if _run is not None else None
+    if carried is None:
+        carried = system.lagrangian.d2(x.q, q1)
+    return _solve_step(system, q1, carried, qnew0, opts, multiplier_guess, _run)
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
                      opts: Optional[SolverOptions] = None,
-                     multiplier_guess: Optional[np.ndarray] = None,
-                     jacobian_cache: Optional[list] = None, *,
-                     _owned: bool = False) -> StepResult:
+                     multiplier_guess: Optional[np.ndarray] = None, *,
+                     _run: Optional[_Run] = None) -> StepResult:
     """Advance a phase-space pair one index.
 
     Solves, for (pnew, lambda), momentum balance p - dH/dq(q, pnew) against
@@ -673,32 +684,33 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     and p, with the carried momentum pnew in ``p_next``. Warns when the
     cross-derivative block of H is close to singular, since the update map
     may then fail to exist. The check runs on each assembly of the
-    iteration matrix, so a step solved on a matrix held in
-    ``jacobian_cache`` skips it, constrained or not. The cache list holds
-    the matrix in slot 0, the dH/dp block C of a constrained matrix in slot
-    1 and the run's history of solved momenta in slot 2. A held constrained
+    iteration matrix, so a step solved on its run's held matrix skips it,
+    constrained or not.
+
+    The certificate reuses dH/dq from Newton's last residual; its dp block
+    dH/dp(q, pnew) - qnew is zero by construction. ``run_trajectory`` hands
+    over its own validated arrays and its run record with the private
+    ``_run``. The step then builds its point on those arrays instead of on
+    copies, and takes the run's held matrix and its dH/dp block C,
+    multiplier guess and history of solved momenta. A held constrained
     matrix gets this step's -A^T and border J2(q, dH/dp(q, p0)) C at the
     predictor p0: the carried momentum p, or its extrapolation from the
     history (see ``SolverOptions``). The residual at p0 reuses that
     dH/dp(q, p0).
-
-    The certificate reuses dH/dq from Newton's last residual; its dp block
-    dH/dp(q, pnew) - qnew is zero by construction. ``run_trajectory`` hands
-    over its own validated arrays with the private ``_owned=True``; the step
-    then builds its point on them instead of on copies.
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
     opts = opts if opts is not None else SolverOptions()
-    if not _owned:
+    if _run is None:
         q, p = _phase_state(q, p, system.n)
-    return _solve_step(system, q, p, p, opts, multiplier_guess, jacobian_cache)
+    return _solve_step(system, q, p, p, opts, multiplier_guess, _run)
 
 
 def run_trajectory(system: DiscreteSystem, seed, steps: int,
                    opts: Optional[SolverOptions] = None) -> Trajectory:
     """Iterate the appropriate stepper ``steps`` times from the seed.
 
+    ``steps`` must be an integer of at least 0 (NumPy integers will do).
     Lagrangian seeds are complete PontryaginPoints (the curve then holds seed
     plus one point per step); Hamiltonian seeds are (q0, p0) pairs and need
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
@@ -709,10 +721,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
 
     Every run holds one Newton iteration matrix for the whole trajectory
     and reassembles it only where it stops contracting (see
-    ``newton_solve``). Its cache list also keeps the dH/dp block C of a
-    constrained Hamiltonian matrix (slot 1) and, from the first step that
-    needs a second Newton iteration, the last solved unknowns, from which
-    each later predictor is extrapolated (slot 2; see ``SolverOptions``).
+    ``newton_solve``). Its record, a ``_Run`` passed to every step, also
+    keeps the dH/dp block C of a constrained Hamiltonian matrix and, from
+    the first step that needs a second Newton iteration, the last solved
+    unknowns, from which each later predictor is extrapolated (see
+    ``SolverOptions``).
     On constrained runs each step first replaces the matrix's -A^T and
     constraint-Jacobian blocks, which are exact and cheap, by its own at
     the predictor, and keeps the finite-difference block of L or H (and, on
@@ -723,7 +736,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
 
     Each step carries the previous step's ``p_next`` as its momentum, so a
     Lagrangian step does not evaluate d2 L(q, q+) again, and a Hamiltonian
-    step works on the arrays of the previous step's result.
+    step works on the arrays of the previous step's result. Each step's
+    multipliers are the next step's guess.
 
     The run stores what it accepts in columns allocated once: configurations
     Q (N + 2 rows for a Lagrangian run, N + 1 for a Hamiltonian one), momenta
@@ -732,8 +746,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     ``final_state`` is (Q[N], P[N]).
     """
     opts = opts if opts is not None else SolverOptions()
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _check_count(steps, "steps", 0)
+    steps = int(steps)  # Trajectory.steps is a Python int for NumPy integers too
     lagrangian = system.kind == LAGRANGIAN
     n, m = system.n, system.m
     # rows of Q ahead of P: a Lagrangian run's seed point fills Q[1] too
@@ -746,7 +760,6 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         _check_dim(seed, n)
         x = seed
         q_col[0], p_col[0], q_col[1] = seed.q, seed.p, seed.qplus
-        p = None  # the first step evaluates its carried momentum
     else:
         try:
             q, p = seed
@@ -781,17 +794,13 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         if not (r0 <= opts.tol):
             warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
                           RuntimeWarning, stacklevel=2)
-    lam_prev = None
-    jac_cache = []
+    run = _Run()
     for k in range(steps):
         try:
             if lagrangian:
-                result = step_lagrangian(system, x, opts, multiplier_guess=lam_prev,
-                                         check_consistency=False, jacobian_cache=jac_cache,
-                                         _carried=p)
+                result = step_lagrangian(system, x, opts, check_consistency=False, _run=run)
             else:
-                result = step_hamiltonian(system, q, p, opts, multiplier_guess=lam_prev,
-                                          jacobian_cache=jac_cache, _owned=True)
+                result = step_hamiltonian(system, q, p, opts, _run=run)
         except DiracMechError as exc:
             raise failed(k, exc) from exc
         x = result.next
@@ -805,5 +814,4 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         assemblies[k] = result.jacobian_assemblies
         if m:
             lams[k] = result.multipliers
-        lam_prev = result.multipliers
     return trajectory(steps)

@@ -14,6 +14,7 @@ from diracmech import (
     membership_residual,
     pairing,
 )
+from diracmech import linalg
 from diracmech.linalg import RANK_CUTOFF, orthonormal_columns
 
 
@@ -131,6 +132,24 @@ class TestRankCutoff:
             basis = orthonormal_columns(view)
             assert basis.tobytes() == orthonormal_columns(np.ascontiguousarray(view)).tobytes()
             assert basis.tobytes() == svd_rank_basis(view).tobytes()
+
+
+class TestOneRankCount:
+    def test_spans_and_kernels_count_through_one_helper(self, monkeypatch):
+        calls, count = [], linalg._rank
+        monkeypatch.setattr(linalg, "_rank", lambda s: calls.append(len(s)) or count(s))
+        rng = np.random.default_rng(74)
+        delta, omega = LinSubspace(3, rng.standard_normal((3, 2))), random_skew(rng, 3)
+        assert calls == [2]
+        d = induced_dirac(delta, omega)
+        # the 5 x 6 stacked map (3 rows off delta, 2 on it), then the span
+        # check of its 3-column kernel
+        assert calls == [2, 5, 3]
+        # the same bytes as the count on the numpy singular values
+        b = delta.onb
+        _, s, vh = np.linalg.svd(np.vstack([np.hstack([np.eye(3) - b @ b.T, np.zeros((3, 3))]),
+                                            np.hstack([-(b.T @ omega.mat), b.T])]))
+        assert d.basis.tobytes() == vh[int(np.sum(s > RANK_CUTOFF * s[0])):].T.tobytes()
 
 
 class TestPairing:

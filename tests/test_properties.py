@@ -34,7 +34,7 @@ from diracmech import (  # noqa: E402
     step_hamiltonian,
     step_lagrangian,
 )
-from diracmech import builtin  # noqa: E402
+from diracmech import builtin, stepper  # noqa: E402
 
 H = 0.1
 TOL = SolverOptions().tol
@@ -146,27 +146,27 @@ def step_records(system, seed, steps):
     """The run taken one step at a time, kept as one point and one record per step.
 
     Returns (points, diagnostics, final_state) up to the first failing step:
-    the reference layout that a trajectory must read back exactly.
+    the reference layout that a trajectory must read back exactly. The steps
+    share one run record, which hands each step its held matrix, carried
+    momentum, multiplier guess and history.
     """
     lagrangian = system.kind == "lagrangian"
     points = [seed] if lagrangian else []
     q, p = (None, None) if lagrangian else (np.array(x, dtype=float) for x in seed)
-    diagnostics, lam, cache, carried = [], None, [], None
+    diagnostics, run = [], stepper._Run()
     for _ in range(steps):
         try:
             if lagrangian:
-                r = step_lagrangian(system, points[-1], multiplier_guess=lam,
-                                    check_consistency=False, jacobian_cache=cache,
-                                    _carried=carried)
+                r = step_lagrangian(system, points[-1], check_consistency=False, _run=run)
             else:
-                r = step_hamiltonian(system, q, p, multiplier_guess=lam, jacobian_cache=cache)
+                r = step_hamiltonian(system, q, p, _run=run)
         except DiracMechError:
             break
         points.append(r.next)
         diagnostics.append(StepDiagnostics(r.residual, r.inclusion_residual,
                                            r.constraint_residual, r.multipliers,
                                            r.iterations, r.jacobian_assemblies))
-        lam, q, p, carried = r.multipliers, r.next.qplus, r.p_next, r.p_next
+        q, p = r.next.qplus, r.p_next
     return points, diagnostics, None if lagrangian else (q, p)
 
 
@@ -349,7 +349,7 @@ def quartic(lagrangian, n=4, h=0.25):
 
 @pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
 def test_extrapolating_run_reads_as_step_records(lagrangian):
-    # the history of solved unknowns lives in the shared cache list, so steps
+    # the history of solved unknowns lives in the shared run record, so steps
     # taken one call at a time start from the same predictors as the run
     system, seed = quartic(lagrangian)
     traj = run_trajectory(system, seed, 12)

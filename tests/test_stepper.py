@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import json
 import re
 import tracemalloc
@@ -181,6 +182,14 @@ class TestNewton:
             with pytest.raises(ValueError, match="finite"):
                 step_hamiltonian(system, q, p)
 
+    def test_tol_is_stored_as_a_float(self):
+        # an int beyond the float range passes 0 < tol < inf and would then
+        # overflow at the first step's gate, 10 * tol
+        with pytest.raises(ValueError, match="tol"):
+            SolverOptions(tol=10 ** 400)
+        tol = SolverOptions(tol=1).tol
+        assert type(tol) is float and tol == 1.0
+
     def test_options_validation(self):
         # a non-finite tol would accept the predictor with no Newton iteration
         # a bool tol reads as 1.0 and would accept unsolved steps; a string
@@ -307,7 +316,7 @@ class TestJacobianReuse:
         lam = None
         for k in range(30):
             direct = step_lagrangian(system, traj.curve[k], multiplier_guess=lam,
-                                     check_consistency=False, jacobian_cache=None)
+                                     check_consistency=False)
             assert np.max(np.abs(direct.next.qplus - traj.curve[k + 1].qplus)) <= 1e-8
             assert np.max(np.abs(direct.multipliers - traj.diagnostics[k].multipliers)) <= 1e-8
             lam = traj.diagnostics[k].multipliers
@@ -328,27 +337,20 @@ class TestJacobianReuse:
 
     def test_constrained_hamiltonian_step_solves_n_plus_m_unknowns(self):
         # q+ = dH/dp(q, p+) is substituted, so the matrix is 4x4 for n = 3,
-        # m = 1, and the cache keeps its dH/dp block C behind it
+        # m = 1, and the run record keeps its dH/dp block C next to it
         system = nonholonomic_hamiltonian()
         q, p = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.2, 0.3])
-        cache = []
-        first = step_hamiltonian(system, q, p, jacobian_cache=cache)
-        assert cache[0].shape == (4, 4)
-        assert cache[1].shape == (3, 3)
+        run = stepper._Run()
+        first = step_hamiltonian(system, q, p, _run=run)
+        assert run.cache[0].shape == (4, 4)
+        assert run.dhdp.shape == (3, 3)
         assert first.jacobian_assemblies == 1
-        # a matrix without its C is not held: the step assembles afresh
-        matrix_only = [cache[0].copy()]
-        again = step_hamiltonian(system, q, p, jacobian_cache=matrix_only)
-        assert again.jacobian_assemblies == 1
-        assert np.array_equal(again.next.qplus, first.next.qplus)
-        assert np.array_equal(again.p_next, first.p_next)
-        assert np.array_equal(again.multipliers, first.multipliers)
         assert isinstance(first, stepper.StepDiagnostics)
 
 
 class TestPredictorHistory:
-    """A run records its solved unknowns in slot 2 of its cache list once a step
-    needs a second Newton iteration, and extrapolates each later predictor."""
+    """A run records its solved unknowns in its run record once a step needs a
+    second Newton iteration, and extrapolates each later predictor."""
 
     HOLD = SolverOptions(predictor="hold")
 
@@ -380,38 +382,55 @@ class TestPredictorHistory:
         for a, b in zip(default.curve, held.curve):
             assert np.array_equal(a.p, b.p) and np.array_equal(a.qplus, b.qplus)
         assert all(np.array_equal(u, v) for u, v in zip(default.final_state, held.final_state))
-        cache = []
-        step_hamiltonian(system, [0.0], [1.0], jacobian_cache=cache)
-        assert cache[2] is None
+        run = stepper._Run()
+        step_hamiltonian(system, np.array([0.0]), np.array([1.0]), _run=run)
+        assert run.history is None
 
     def test_history_starts_at_the_first_nonlinear_step(self):
         system = quartic_hamiltonian(4, H)
         q, p = np.full(4, 0.2), np.full(4, 0.1)
-        cache = []
-        first = step_hamiltonian(system, q, p, jacobian_cache=cache)
+        run = stepper._Run()
+        first = step_hamiltonian(system, q, p, _run=run)
         assert first.iterations > 1
-        y, previous = cache[2]
+        y, previous = run.history
         assert np.array_equal(y, first.p_next) and np.array_equal(previous, p)
-        second = step_hamiltonian(system, first.next.qplus, first.p_next, jacobian_cache=cache)
-        assert len(cache[2]) == 3
-        third = step_hamiltonian(system, second.next.qplus, second.p_next, jacobian_cache=cache)
-        assert len(cache[2]) == 3 and np.array_equal(cache[2][0], third.p_next)
+        second = step_hamiltonian(system, first.next.qplus, first.p_next, _run=run)
+        assert len(run.history) == 3
+        third = step_hamiltonian(system, second.next.qplus, second.p_next, _run=run)
+        assert len(run.history) == 3 and np.array_equal(run.history[0], third.p_next)
         # "hold" neither reads nor records a history
-        held = [None, None, None]
-        step_hamiltonian(system, q, p, self.HOLD, jacobian_cache=held)
-        assert held[2] is None
+        held = stepper._Run()
+        step_hamiltonian(system, q, p, self.HOLD, _run=held)
+        assert held.history is None
 
-    def test_history_of_another_state_is_restarted(self):
-        # a cache whose newest unknown is not this step's carried momentum
-        # starts from the carried momentum and records this step afresh
-        system = quartic_hamiltonian(4, H)
-        q, p = np.full(4, 0.2), np.full(4, 0.1)
-        stale = [None, None, (np.full(4, 5.0), np.full(4, -5.0), np.zeros(4))]
-        restarted = step_hamiltonian(system, q, p, jacobian_cache=stale)
-        fresh = step_hamiltonian(system, q, p, jacobian_cache=[])
-        assert np.array_equal(restarted.p_next, fresh.p_next)
-        assert restarted.iterations == fresh.iterations
-        assert len(stale[2]) == 2 and np.array_equal(stale[2][1], p)
+
+class TestRunRecord:
+    """A run hands its record, ``_Run``, to the module-level step functions."""
+
+    @pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+    def test_every_step_of_a_run_gets_its_one_record(self, monkeypatch, lagrangian):
+        name = "step_lagrangian" if lagrangian else "step_hamiltonian"
+        step, runs = getattr(stepper, name), []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["_run"])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, name, counted)
+        if lagrangian:
+            traj = run_trajectory(*oscillator_seed(), 7)
+        else:
+            traj = run_trajectory(builtin.harmonic_oscillator_hamiltonian(H, LAM),
+                                  ([0.0], [1.0]), 7)
+        assert len(runs) == traj.steps == 7
+        assert all(run is runs[0] for run in runs)  # one record for the whole run
+
+    def test_step_functions_take_only_the_run_record_privately(self):
+        for fn in (step_lagrangian, step_hamiltonian):
+            params = inspect.signature(fn).parameters
+            assert "jacobian_cache" not in params
+            assert [name for name in params if name.startswith("_")] == ["_run"]
+            assert params["_run"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 class TestInitialData:
@@ -762,6 +781,19 @@ class TestRunTrajectory:
         system, x0 = oscillator_seed()
         with pytest.raises(ValueError):
             run_trajectory(system, x0, -1)
+
+    @pytest.mark.parametrize("steps", [2.5, True, None, np.nan, "3", -1])
+    def test_non_integer_steps_rejected_by_name(self, steps):
+        # numpy would fail on 2.5 with its own TypeError, True would fail in
+        # the diagnostics columns and None in the comparison
+        system, x0 = oscillator_seed()
+        with pytest.raises(ValueError, match="steps"):
+            run_trajectory(system, x0, steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        system, x0 = oscillator_seed()
+        traj = run_trajectory(system, x0, np.int64(3))
+        assert type(traj.steps) is int and traj.total_iterations == 3
 
     def test_hamiltonian_needs_a_step(self):
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
