@@ -12,6 +12,7 @@ template, so the text held in memory does not grow with the step count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import builtin
 from .errors import ConfigError, DiracMechError, StepFailureError
-from .stepper import SolverOptions, Trajectory, run_trajectory
+from .stepper import SolverOptions, Trajectory, _check_count, run_trajectory
 from .systems import DiscreteSystem
 
 _FORMATS = ("csv", "json")
@@ -42,7 +43,7 @@ _SYSTEMS = {
 }
 _COMMON_KEYS = {"system", "seed", "steps", "solver", "output", "format", "diagnostics"}
 # in the order of the JSON metadata
-_SOLVER_KEYS = ("tol", "max_iter", "damping", "predictor")
+_SOLVER_KEYS = ("tol", "max_iter")
 # Rows formatted per write: one chunk's text is the largest transient object
 # of a CSV write, whatever the row count.
 _CHUNK_ROWS = 1024
@@ -102,18 +103,12 @@ def _require_number(value, name: str, positive: bool = False) -> float:
     return value
 
 
-def _require_int(value, name: str, minimum: int, field: Optional[str] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError("field %r must be a %s integer, got %r"
-                          % (name, "positive" if minimum else "nonnegative", value),
-                          field=field or name)
-    return value
-
-
-def _require_bool(value, name: str, field: Optional[str] = None) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError("field %r must be a boolean" % name, field=field or name)
-    return value
+def _checked(field: str, check, /, *args, **kwargs):
+    """``check(*args, **kwargs)``, with its ValueError raised as a ConfigError on ``field``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=field) from exc
 
 
 def _required(raw: dict, name: str):
@@ -165,7 +160,7 @@ def _validate(raw: dict) -> RunConfig:
             raise ConfigError("field 'lambda' must be nonnegative", field="lambda")
         params["lambda"] = lam
     if "n" in params:
-        _require_int(params["n"], "n", 1)
+        _checked("n", _check_count, params["n"], "n", 1)
     n = dimension(params)
     if "mass" in params:
         if isinstance(params["mass"], list):
@@ -177,7 +172,8 @@ def _validate(raw: dict) -> RunConfig:
         else:
             params["mass"] = _require_number(params["mass"], "mass", positive=True)
 
-    steps = _require_int(_required(raw, "steps"), "steps", 0)
+    steps = _required(raw, "steps")
+    _checked("steps", _check_count, steps, "steps", 0)
     seed = _required(raw, "seed")
     if not isinstance(seed, list):
         raise ConfigError("field 'seed' must be a flat list of numbers", field="seed")
@@ -189,20 +185,12 @@ def _validate(raw: dict) -> RunConfig:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ConfigError("field 'solver' must be an object", field="solver")
-    unknown = set(solver_raw) - set(_SOLVER_KEYS)
-    if unknown:
-        raise ConfigError("unknown solver key %r" % sorted(unknown)[0], field=sorted(unknown)[0])
-    kwargs = dict(solver_raw)
-    if "tol" in kwargs:
-        kwargs["tol"] = _require_number(kwargs["tol"], "solver.tol", positive=True)
-    if "max_iter" in kwargs:
-        _require_int(kwargs["max_iter"], "solver.max_iter", 1, field="max_iter")
-    if "damping" in kwargs:
-        _require_bool(kwargs["damping"], "solver.damping", field="damping")
-    try:
-        solver = SolverOptions(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("invalid solver options: %s" % exc, field="solver") from exc
+    # SolverOptions owns the rules; setting one key at a time names the field
+    solver = SolverOptions()
+    for key, value in solver_raw.items():
+        if key not in _SOLVER_KEYS:
+            raise ConfigError("unknown solver key %r" % key, field=key)
+        solver = _checked(key, dataclasses.replace, solver, **{key: value})
 
     fmt = raw.get("format", "csv")
     if fmt not in _FORMATS:
@@ -212,7 +200,9 @@ def _validate(raw: dict) -> RunConfig:
         output = "%s_trajectory.%s" % (system, fmt)
     if not isinstance(output, (str, Path)):
         raise ConfigError("field 'output' must be a path string", field="output")
-    diagnostics = _require_bool(raw.get("diagnostics", True), "diagnostics")
+    diagnostics = raw.get("diagnostics", True)
+    if not isinstance(diagnostics, bool):
+        raise ConfigError("field 'diagnostics' must be a boolean", field="diagnostics")
     return RunConfig(system, params, seed, steps, solver, Path(output), fmt, diagnostics)
 
 
@@ -299,7 +289,8 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     An output whose directory does not exist, or that is itself a
     directory, raises OSError before the system is built, so no step runs
     and no file is created. A seed whose derived momentum is not finite
-    raises ConfigError, also before any step. On a failed step the partial
+    raises ConfigError, also before any step, and so does a step count whose
+    columns cannot be allocated (field ``steps``). On a failed step the partial
     table is still written before the StepFailureError propagates. An
     OSError from writing the table propagates as is.
     """
@@ -329,6 +320,10 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
         if exc.trajectory is not None:
             _emit(config, system, exc.trajectory, RunSummary.of(exc.trajectory, wall))
         raise
+    except DiracMechError:
+        raise
+    except ValueError as exc:  # what is left of a validated config: too many steps
+        raise ConfigError(str(exc), field="steps") from exc
     wall = time.perf_counter() - start
 
     summary = RunSummary.of(trajectory, wall)

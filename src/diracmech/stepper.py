@@ -44,8 +44,6 @@ from .systems import (
     jacobian_columns,
 )
 
-_PREDICTORS = ("extrapolate", "hold")
-
 # Condition estimate above which the cross-derivative block (D2 D1 L, or the
 # q-p+ block of H) triggers a regularity warning.
 CROSS_BLOCK_COND_LIMIT = 1e12
@@ -69,34 +67,24 @@ _EPS = float(np.finfo(float).eps)
 def _check_count(value, name: str, least: int) -> None:
     # a float count such as nan would never end a loop
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError("%s must be an integer of at least %d, got %r" % (name, least, value))
+        raise ValueError("%r must be a %s integer, got %r"
+                         % (name, "positive" if least else "nonnegative", value))
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the damped Newton iteration.
+    """What a caller may set for the Newton iteration of each step.
 
-    ``tol`` must be a positive finite real number (kept as a float),
-    ``max_iter`` an integer of at least 1 (NumPy numbers will do), and
-    ``damping`` and ``cross_check`` bools. ``predictor`` picks the initial
-    guess for the unknown y of a step, q+ of a Lagrangian step or p+ of a
-    Hamiltonian one. "hold" starts at the previous y: the current configuration, or the
-    carried momentum. "extrapolate" continues a Lagrangian step at constant
-    velocity and starts a Hamiltonian step at the carried momentum, until a
-    step of the run needs a second Newton iteration. From that step on the
-    run records its last solved y's and starts each step at the
-    highest-order polynomial extrapolation they allow, up to the quadratic
-    3 y1 - 3 y2 + y3 (Hairer, Lubich and Wanner, Geometric Numerical
-    Integration, 2nd ed., VIII.6.1). A run whose steps all converge in one
-    iteration, and a direct step call, keep the first rule. ``cross_check``
-    compares the assembled Jacobian against a full finite-difference
-    Jacobian at the predictor and warns on disagreement.
+    ``tol`` must be a positive finite real number (kept as a float) and
+    ``max_iter`` an integer of at least 1 (NumPy numbers will do).
+    ``cross_check`` (a bool) compares the assembled Jacobian against a full
+    finite-difference Jacobian at the predictor and warns on disagreement.
+    Where Newton starts is not an option: a run picks it from its own
+    history (see ``_Run``).
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    damping: bool = True
-    predictor: str = "extrapolate"
     cross_check: bool = False
 
     def __post_init__(self):
@@ -108,14 +96,11 @@ class SolverOptions:
         except OverflowError:
             tol = math.inf
         if not 0.0 < tol < math.inf:
-            raise ValueError("tol must be positive and finite, got %r" % (self.tol,))
+            raise ValueError("'tol' must be positive and finite, got %r" % (self.tol,))
         object.__setattr__(self, "tol", tol)
         _check_count(self.max_iter, "max_iter", 1)
-        if self.predictor not in _PREDICTORS:
-            raise ValueError("predictor must be one of %r" % (_PREDICTORS,))
-        for name in ("damping", "cross_check"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError("%s must be a bool, got %r" % (name, getattr(self, name)))
+        if not isinstance(self.cross_check, (bool, np.bool_)):
+            raise ValueError("'cross_check' must be a bool, got %r" % (self.cross_check,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,7 +272,9 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     lowered the residual and discarded otherwise. The damped line search
     (halving down to MIN_STEP) runs only on a freshly assembled matrix; when
     it stalls near the round-off floor (see ROUNDOFF_MARGIN) the error says
-    that opts.tol is below that floor and gives its value.
+    that opts.tol is below that floor and gives its value. An assembled
+    matrix must be square with one row per unknown; any other shape raises
+    DimensionMismatchError.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
@@ -311,6 +298,9 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
         fresh = held is None
         if fresh:
             held = np.asarray(jac(x), dtype=float) if jac is not None else jacobian_columns(f, x)
+            if held.shape != (x.size, x.size):
+                raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
+                                             % (held.shape, (x.size, x.size)))
             if jacobian_cache is not None:
                 jacobian_cache[:1] = [held]
         try:
@@ -328,7 +318,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                 held = None  # stopped contracting: reassemble on the next pass
                 if not (rt < res):
                     continue
-        elif opts.damping:
+        else:
             alpha = 1.0
             while not (rt < res or rt <= opts.tol):
                 alpha *= 0.5
@@ -451,14 +441,17 @@ class _Run:
     Newton matrix, and ``dhdp`` the dH/dp block C of a constrained
     Hamiltonian matrix. ``carried`` is the next step's momentum and ``lam``
     its multiplier guess. ``history`` stays None until a step of the run
-    needs a second Newton iteration under the "extrapolate" predictor; from
-    then on it holds the last two or three solved unknowns, newest first.
+    needs a second Newton iteration; from then on it holds the last two or
+    three solved unknowns, newest first, and ``extrapolate`` says where the
+    next step starts Newton: at the extrapolation of the history (True, as
+    every run begins) or at the previous unknown. Each step sets it by which
+    of the two lay closer to its own solution (see ``_solve_step``).
     """
 
-    __slots__ = ("cache", "dhdp", "carried", "lam", "history")
+    __slots__ = ("cache", "dhdp", "carried", "lam", "history", "extrapolate")
 
     def __init__(self):
-        self.cache = [None]
+        self.cache, self.extrapolate = [None], True
         self.dhdp = self.carried = self.lam = self.history = None
 
 
@@ -485,9 +478,15 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     there. A held matrix of a constrained step gets this step's -A^T and
     border J2(q, conf(y0)) C. The step that switches the history on
     records (y, b), with b the previous unknown (q for a Lagrangian step, p
-    for a Hamiltonian one), and every later step starts Newton at
-    ``_extrapolated`` of the history and records its own y in front,
-    keeping three.
+    for a Hamiltonian one), and every later step records its own y in
+    front, keeping three. Such a step computes ex = ``_extrapolated`` of
+    the history and starts Newton at ex while ``run.extrapolate`` is set,
+    at b otherwise (Hairer, Lubich and Wanner, Geometric Numerical
+    Integration, 2nd ed., VIII.6.1). After its solve it sets
+    ``run.extrapolate`` to ||y - ex|| <= ||y - b||: the start that lay
+    closer on this step serves the next, so a stiff stretch, where the
+    extrapolation overshoots, falls back to b and a smooth one returns to
+    ex. This costs no user evaluation.
 
     The residual keeps the gradient, conf(y) and phi of its last call. When
     Newton returns the very array of that call, q+, the constraint residual
@@ -502,7 +501,9 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     momentum_balance = system.balance
     base = q if lagrangian else p
     history = run.history if run is not None else None
-    y0 = y0 if history is None else _extrapolated(history)
+    if history is not None:
+        ex = _extrapolated(history)
+        y0 = ex if run.extrapolate else base
     # the argument of the residual's last call and its gradient, conf(y)
     # (constrained steps) and constraint value
     last_z = last_g = last_c = last_phi = None
@@ -614,7 +615,8 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     inclusion = dirac_inclusion_residual(system, nxt, p_next, _held=last_g if held else None)
     _certify(inclusion, opts)
     if run is not None:
-        if history is not None or (iters > 1 and opts.predictor == "extrapolate"):
+        if history is not None or iters > 1:
+            run.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
             run.history = (y, base) + history[1:2] if history else (y, base)
         run.carried, run.lam = p_next, lam
     return StepResult(res, inclusion, cres, lam, iters, assemblies, next=nxt, p_next=p_next)
@@ -644,8 +646,9 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     momentum, and the run's held matrix, multiplier guess and history of
     solved configurations. On a constrained step the held matrix's -A^T and
     constraint-Jacobian blocks are replaced by this step's, evaluated at the
-    predictor; with a history the predictor is extrapolated from it (see
-    ``SolverOptions``).
+    predictor. The predictor is q+ continued at constant velocity until the
+    run has a history; from then on it is the history's extrapolation or
+    q+ itself, whichever the run's last step found closer (see ``_Run``).
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
@@ -661,7 +664,7 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
             )
     q1 = x.qplus
     # q1 + q1 is 2 q1 exactly, without a scalar multiply
-    qnew0 = (q1 + q1) - x.q if opts.predictor == "extrapolate" else q1
+    qnew0 = (q1 + q1) - x.q
     carried = _run.carried if _run is not None else None
     if carried is None:
         carried = system.lagrangian.d2(x.q, q1)
@@ -695,8 +698,7 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     multiplier guess and history of solved momenta. A held constrained
     matrix gets this step's -A^T and border J2(q, dH/dp(q, p0)) C at the
     predictor p0: the carried momentum p, or its extrapolation from the
-    history (see ``SolverOptions``). The residual at p0 reuses that
-    dH/dp(q, p0).
+    history (see ``_Run``). The residual at p0 reuses that dH/dp(q, p0).
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
@@ -710,7 +712,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                    opts: Optional[SolverOptions] = None) -> Trajectory:
     """Iterate the appropriate stepper ``steps`` times from the seed.
 
-    ``steps`` must be an integer of at least 0 (NumPy integers will do).
+    ``steps`` must be an integer of at least 0 (NumPy integers will do),
+    and one whose columns cannot be allocated raises ValueError naming it.
     Lagrangian seeds are complete PontryaginPoints (the curve then holds seed
     plus one point per step); Hamiltonian seeds are (q0, p0) pairs and need
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
@@ -724,8 +727,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     ``newton_solve``). Its record, a ``_Run`` passed to every step, also
     keeps the dH/dp block C of a constrained Hamiltonian matrix and, from
     the first step that needs a second Newton iteration, the last solved
-    unknowns, from which each later predictor is extrapolated (see
-    ``SolverOptions``).
+    unknowns, from which each later predictor is extrapolated or held (see
+    ``_Run``).
     On constrained runs each step first replaces the matrix's -A^T and
     constraint-Jacobian blocks, which are exact and cheap, by its own at
     the predictor, and keeps the finite-difference block of L or H (and, on
@@ -752,8 +755,13 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     n, m = system.n, system.m
     # rows of Q ahead of P: a Lagrangian run's seed point fills Q[1] too
     ahead = 1 if lagrangian else 0
-    q_col = np.empty((steps + 1 + ahead, n))
-    p_col = np.empty((steps + 1, n))
+    try:
+        q_col = np.empty((steps + 1 + ahead, n))
+        p_col = np.empty((steps + 1, n))
+        diags = DiagnosticColumns(*np.empty((3, steps)), np.empty((steps, m)),
+                                  *np.empty((2, steps), dtype=np.int64))
+    except (ValueError, MemoryError) as exc:  # numpy's own errors do not name steps
+        raise ValueError("'steps' = %d is too many to allocate (%s)" % (steps, exc)) from exc
     if lagrangian:
         if not isinstance(seed, PontryaginPoint):
             raise UnsupportedOperationError("Lagrangian trajectories start from a PontryaginPoint")
@@ -770,8 +778,6 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                              "no complete bundle point exists before the first solve")
         q, p = _phase_state(q, p, n)
         q_col[0], p_col[0] = q, p
-    diags = DiagnosticColumns(*np.empty((3, steps)), np.empty((steps, m)),
-                              *np.empty((2, steps), dtype=np.int64))
     residual, inclusion, constraint = (diags.residual, diags.inclusion_residual,
                                        diags.constraint_residual)
     iterations, assemblies, lams = diags.iterations, diags.jacobian_assemblies, diags.multipliers
