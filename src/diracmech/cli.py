@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -305,11 +304,6 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     except ValueError as exc:  # q0 and q1 are finite, so p0 = -d1 L(q0, q1) is not
         raise ConfigError("field 'seed' derives a non-finite momentum p0 = -d1 L(q0, q1): %s"
                           % exc, field="seed") from exc
-    if system.m:
-        gap = float(np.max(np.abs(system.constraint.value(x0.q, x0.qplus))))
-        if gap > config.solver.tol:
-            warnings.warn("seed pair violates the discrete constraint (|phi| = %.3e)" % gap,
-                          RuntimeWarning, stacklevel=2)
 
     start = time.perf_counter()
     try:

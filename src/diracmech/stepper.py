@@ -4,7 +4,7 @@ One Lagrangian step advances a complete bundle point (q_k, p_k, q_{k+1}) to
 (q_{k+1}, p_{k+1}, q_{k+2}) by solving force balance plus the pair constraint
 for (q_{k+2}, lambda). One Hamiltonian step maps (q_k, p_k) to (p_{k+1},
 lambda) and completes q_{k+1} = dH/dp(q_k, p_{k+1}). Both kinds solve the
-same layout, (y, lambda) with n + m unknowns, on one path: damped Newton on
+same layout, (y, lambda) with n + m unknowns, on one path: chord Newton on
 a square system, then a certificate of the accepted update against the
 abstract inclusion residual before returning. A step returns its
 diagnostics row, extended by the new point and the next momentum.
@@ -259,22 +259,21 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                  x0: np.ndarray,
                  opts: Optional[SolverOptions] = None,
                  jacobian_cache: Optional[list] = None) -> Tuple[np.ndarray, int, float]:
-    """Damped Newton, or chord Newton on one held matrix, for f(x) = 0.
+    """Chord Newton on one held matrix, damped where it is fresh, for f(x) = 0.
 
     The iteration matrix comes from ``jac`` (a forward-difference Jacobian of
-    f when None). Without ``jacobian_cache`` it is assembled at every
-    iterate. ``jacobian_cache`` is a list whose slot 0 holds the matrix
-    across iterations and calls: a matrix there (not None) is used from the
-    start, and every assembly is stored back there. A held matrix is
-    reassembled at the current iterate only when it stops contracting
-    there: a full step leaves a residual above CONTRACTION times the current
-    one, or the solve with it is singular. Such a step is kept if it still
-    lowered the residual and discarded otherwise. The damped line search
-    (halving down to MIN_STEP) runs only on a freshly assembled matrix; when
-    it stalls near the round-off floor (see ROUNDOFF_MARGIN) the error says
-    that opts.tol is below that floor and gives its value. An assembled
-    matrix must be square with one row per unknown; any other shape raises
-    DimensionMismatchError.
+    f when None). It is held across iterations and reassembled at the
+    current iterate only when it stops contracting there: a full step leaves
+    a residual above CONTRACTION times the current one, or the solve with it
+    is singular (chord monitoring, Kelley, ch. 5). Such a step is kept if it
+    still lowered the residual and discarded otherwise. ``jacobian_cache``
+    is a list whose slot 0 carries the matrix across calls: a matrix there
+    (not None) is used from the start, and every assembly is stored back
+    there. The damped line search (halving down to MIN_STEP) runs only on a
+    freshly assembled matrix; when it stalls near the round-off floor (see
+    ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
+    gives its value. An assembled matrix must be square with one row per
+    unknown; any other shape raises DimensionMismatchError.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
@@ -329,8 +328,6 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                 rt = _norm_inf(ft)
         x, fx, res = xt, ft, rt
         iters += 1
-        if jacobian_cache is None:
-            held = None
     return x, iters, res
 
 
@@ -367,10 +364,14 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
 
 
 def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
-    """Distance of p0 + d1 L(q0, q0+) from the annihilator rows at q0.
+    """The certificate of a Lagrangian seed x0 with the momentum it carries.
 
-    Zero means x0 is a consistent Lagrangian seed (for the unconstrained case,
-    exactly p0 = -d1 L(q0, q1)). Hamiltonian seeds (q0, p0) carry no such
+    This is ``dirac_inclusion_residual`` at (x0, d2 L(q0, q0+)): the 2-norm
+    of p0 + d1 L(q0, q0+) projected on ker A(q0). The first step of a run
+    checks it against 10 * tol, and at an accepted point of a run it equals
+    the ``inclusion_residual`` of the step that reached it. Zero means x0 is a
+    consistent Lagrangian seed (for the unconstrained case, exactly
+    p0 = -d1 L(q0, q1)). Hamiltonian seeds (q0, p0) carry no such
     restriction, so asking for one is an error.
     """
     if system.kind != LAGRANGIAN:
@@ -379,8 +380,7 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
             "Hamiltonian initial data (q0, p0) is free and q1 is reported by step residuals"
         )
     _check_dim(x0, system.n)
-    g = x0.p + system.lagrangian.d1(x0.q, x0.qplus)
-    return float(np.linalg.norm(system.dist.project_ker(x0.q, g)))
+    return dirac_inclusion_residual(system, x0, system.lagrangian.d2(x0.q, x0.qplus))
 
 
 def _certify(inclusion: float, opts: SolverOptions) -> None:
@@ -437,14 +437,17 @@ def _extrapolated(history: tuple) -> np.ndarray:
 class _Run:
     """What one run hands from each step to the next.
 
-    ``cache`` is the one-slot list of ``newton_solve`` that holds the run's
-    Newton matrix, and ``dhdp`` the dH/dp block C of a constrained
-    Hamiltonian matrix. ``carried`` is the next step's momentum and ``lam``
-    its multiplier guess. ``history`` stays None until a step of the run
-    needs a second Newton iteration; from then on it holds the last two or
-    three solved unknowns, newest first, and ``extrapolate`` says where the
-    next step starts Newton: at the extrapolation of the history (True, as
-    every run begins) or at the previous unknown. Each step sets it by which
+    Every step belongs to a run: a direct ``step_lagrangian`` or
+    ``step_hamiltonian`` call is the first step of a fresh one. ``cache`` is
+    the one-slot list of ``newton_solve`` that holds the run's Newton matrix,
+    and ``dhdp`` the dH/dp block C of a constrained Hamiltonian matrix.
+    ``carried`` is the next step's momentum, None before the first step,
+    and ``lam`` its multiplier guess, zero on the first step. ``history``
+    stays None until a step of the run needs a second Newton iteration; from
+    then on it holds the last two or three solved unknowns, newest first,
+    and ``extrapolate`` says where the next step starts Newton: at the
+    extrapolation of the history (True, as every run begins) or at the
+    previous unknown. Each step sets it by which
     of the two lay closer to its own solution (see ``_solve_step``).
     """
 
@@ -456,8 +459,7 @@ class _Run:
 
 
 def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.ndarray,
-                opts: SolverOptions, multiplier_guess: Optional[np.ndarray],
-                run: Optional[_Run]) -> StepResult:
+                opts: SolverOptions, run: _Run) -> StepResult:
     """Solve and certify one step of either kind from base point q and carried momentum p.
 
     Every step solves z = (y, lambda), n + m unknowns. The unknown y is q+
@@ -470,12 +472,16 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     (Lagrangian) or q+ = dH/dp(q, y), p+ = y (Hamiltonian), and is certified
     with the inclusion residual at (q, p, q+) and p+. Every assembly of the
     Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
-    block of H, for regularity.
+    block of H, for regularity; so does a step whose run has never
+    assembled one, after its solve, because Newton converged at the
+    predictor.
 
-    ``run`` is the record of the run the step belongs to; a direct step
-    (None) assembles its matrix at every Newton iterate. A step of a run
-    reads its multiplier guess from the record and leaves p+ and lambda
-    there. A held matrix of a constrained step gets this step's -A^T and
+    ``run`` is the record of the run the step belongs to. The step reads its
+    multiplier guess from the record and leaves p+ and lambda there. Every
+    Newton matrix has the exact -A^T multiplier columns and a zero
+    multiplier block, so an undamped step from (y0, lambda0) reaches the
+    same iterate for every lambda0; the guess only changes the start
+    residual. A held matrix of a constrained step gets this step's -A^T and
     border J2(q, conf(y0)) C. The step that switches the history on
     records (y, b), with b the previous unknown (q for a Lagrangian step, p
     for a Hamiltonian one), and every later step records its own y in
@@ -500,7 +506,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     grad, complete = system.slots()
     momentum_balance = system.balance
     base = q if lagrangian else p
-    history = run.history if run is not None else None
+    history = run.history
     if history is not None:
         ex = _extrapolated(history)
         y0 = ex if run.extrapolate else base
@@ -512,11 +518,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         nonlocal last_z, last_g
         last_z, last_g = y, grad(q, y)
         return momentum_balance(p, last_g)
-    guess = run.lam if run is not None else multiplier_guess
-    lam0 = np.zeros(m) if guess is None else np.asarray(guess, dtype=float)
-    if lam0.shape != (m,):
-        raise DimensionMismatchError("multiplier guess has shape %r, expected (%d,)"
-                                     % (lam0.shape, m))
+    lam0 = np.zeros(m) if run.lam is None else run.lam
     if m:
         at = system.dist.matrix(q).T
         # (y0, conf(y0)) of the held border, for the first residual
@@ -546,7 +548,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
             return jm
 
         z0 = np.concatenate([y0, lam0])
-        if run is not None and run.cache[0] is not None:
+        if run.cache[0] is not None:
             # a held matrix keeps its finite-difference blocks of L or H and
             # takes this step's constraint blocks at the predictor
             if lagrangian:
@@ -575,9 +577,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
             return top
         jm = np.zeros((n + m, n + m))
         jm[:n, :n] = top
-        c = None if lagrangian else slot_block(1, y)
-        if run is not None:
-            run.dhdp = c
+        c = run.dhdp = None if lagrangian else slot_block(1, y)
         conf = last_c if z is last_z else (y if lagrangian else complete(q, y))
         return with_constraint_blocks(jm, conf, c)
 
@@ -585,8 +585,7 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
 
     try:
-        z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts,
-                                     jacobian_cache=run.cache if run is not None else None)
+        z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts, jacobian_cache=run.cache)
     except ConvergenceError as exc:
         _name_noise_floor(exc, system, q, last_z[:n])
         raise
@@ -604,8 +603,9 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         if not _all_finite(qplus):
             raise EvaluationError("configuration update dH/dp is not finite "
                                   "at the solved momentum")
-    if run is None and not assemblies:
-        # Newton converged at the predictor; still report degenerate updates
+    if run.cache[0] is None:
+        # Newton converged at the predictor of a run that never assembled a
+        # matrix; still report degenerate updates
         _check_regularity(slot_block(0, y), system.kind)
 
     # q and p come validated from the entry points, and q+ is finite by
@@ -614,18 +614,15 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus)) if m else 0.0
     inclusion = dirac_inclusion_residual(system, nxt, p_next, _held=last_g if held else None)
     _certify(inclusion, opts)
-    if run is not None:
-        if history is not None or iters > 1:
-            run.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
-            run.history = (y, base) + history[1:2] if history else (y, base)
-        run.carried, run.lam = p_next, lam
+    if history is not None or iters > 1:
+        run.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
+        run.history = (y, base) + history[1:2] if history else (y, base)
+    run.carried, run.lam = p_next, lam
     return StepResult(res, inclusion, cres, lam, iters, assemblies, next=nxt, p_next=p_next)
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
-                    opts: Optional[SolverOptions] = None,
-                    multiplier_guess: Optional[np.ndarray] = None,
-                    check_consistency: bool = True, *,
+                    opts: Optional[SolverOptions] = None, *,
                     _run: Optional[_Run] = None) -> StepResult:
     """Advance a complete point one index.
 
@@ -639,41 +636,49 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     new momentum p_next = d2 L(q+, qnew), which must be finite
     (EvaluationError otherwise). The certificate reuses d1 L from Newton's
     last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
-    construction. A direct call also evaluates the carried momentum
-    d2 L(q, q+) and assembles its Newton matrix at every iterate.
-    ``run_trajectory`` passes its run record through the private ``_run``:
-    the step then takes the previous step's ``p_next``, which is that
-    momentum, and the run's held matrix, multiplier guess and history of
-    solved configurations. On a constrained step the held matrix's -A^T and
-    constraint-Jacobian blocks are replaced by this step's, evaluated at the
-    predictor. The predictor is q+ continued at constant velocity until the
-    run has a history; from then on it is the history's extrapolation or
-    q+ itself, whichever the run's last step found closer (see ``_Run``).
+    construction.
+
+    A direct call is the first step of a fresh run, and ``run_trajectory``
+    passes its run record through the private ``_run``. The first step of
+    a run evaluates the carried momentum d2 L(q, q+) and checks its seed
+    with it: one warning when the certificate at (x, d2 L(q, q+)), which
+    is ``check_initial_data(system, x)``, exceeds 10 * tol, or when a
+    constrained seed pair has |phi(q, q+)|_inf above tol. These are the
+    gates every accepted step meets. Every later step takes the previous
+    step's ``p_next``, which is that momentum, and the run's held matrix,
+    multiplier guess and history of solved configurations. On a
+    constrained step the held matrix's -A^T and constraint-Jacobian blocks
+    are replaced by this step's, evaluated at the predictor. The predictor
+    is q+ continued at constant velocity until the run has a history; from
+    then on it is the history's extrapolation or q+ itself, whichever the
+    run's last step found closer (see ``_Run``).
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
     _check_dim(x, system.n)
     opts = opts if opts is not None else SolverOptions()
-    if check_consistency:
-        r0 = check_initial_data(system, x)
-        if not (r0 <= opts.tol):
-            warnings.warn(
-                "seed point is inconsistent (initial-data residual %.3e); "
-                "the step still solves the inclusion at the next index" % r0,
-                RuntimeWarning, stacklevel=2,
-            )
+    run = _run if _run is not None else _Run()
     q1 = x.qplus
     # q1 + q1 is 2 q1 exactly, without a scalar multiply
     qnew0 = (q1 + q1) - x.q
-    carried = _run.carried if _run is not None else None
+    carried = run.carried
     if carried is None:
+        # the seed check: check_initial_data with the carried momentum at hand
         carried = system.lagrangian.d2(x.q, q1)
-    return _solve_step(system, q1, carried, qnew0, opts, multiplier_guess, _run)
+        r0 = dirac_inclusion_residual(system, x, carried, _held=system.lagrangian.d1(x.q, q1))
+        gap = _norm_inf(system.constraint.value(x.q, q1)) if system.m else 0.0
+        if not (r0 <= 10.0 * opts.tol and gap <= opts.tol):
+            warnings.warn(
+                "seed point is inconsistent: initial-data residual %.3e (gate %.1e), discrete "
+                "constraint residual %.3e (gate %.1e); the step still solves the inclusion at "
+                "the next index" % (r0, 10.0 * opts.tol, gap, opts.tol),
+                RuntimeWarning, stacklevel=2,
+            )
+    return _solve_step(system, q1, carried, qnew0, opts, run)
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
-                     opts: Optional[SolverOptions] = None,
-                     multiplier_guess: Optional[np.ndarray] = None, *,
+                     opts: Optional[SolverOptions] = None, *,
                      _run: Optional[_Run] = None) -> StepResult:
     """Advance a phase-space pair one index.
 
@@ -691,8 +696,9 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     constrained or not.
 
     The certificate reuses dH/dq from Newton's last residual; its dp block
-    dH/dp(q, pnew) - qnew is zero by construction. ``run_trajectory`` hands
-    over its own validated arrays and its run record with the private
+    dH/dp(q, pnew) - qnew is zero by construction. A direct call is the
+    first step of a fresh run on copies of q and p. ``run_trajectory``
+    hands over its own validated arrays and its run record with the private
     ``_run``. The step then builds its point on those arrays instead of on
     copies, and takes the run's held matrix and its dH/dp block C,
     multiplier guess and history of solved momenta. A held constrained
@@ -705,7 +711,8 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     opts = opts if opts is not None else SolverOptions()
     if _run is None:
         q, p = _phase_state(q, p, system.n)
-    return _solve_step(system, q, p, p, opts, multiplier_guess, _run)
+        _run = _Run()
+    return _solve_step(system, q, p, p, opts, _run)
 
 
 def run_trajectory(system: DiscreteSystem, seed, steps: int,
@@ -718,9 +725,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     plus one point per step); Hamiltonian seeds are (q0, p0) pairs and need
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
     is raised carrying the failing index and the partial trajectory. A
-    Lagrangian seed of the wrong dimension raises DimensionMismatchError;
-    one whose consistency check fails (d1 L or A(q) at the seed) fails
-    step 0 with the seed-only trajectory.
+    Lagrangian seed of the wrong dimension raises DimensionMismatchError.
+    The run's first step checks a Lagrangian seed and warns on an
+    inconsistent one (see ``step_lagrangian``); a seed check that fails
+    (d1 L, d2 L, A(q) or phi at the seed) fails step 0 with the seed-only
+    trajectory. A zero-step run evaluates nothing.
 
     Every run holds one Newton iteration matrix for the whole trajectory
     and reassembles it only where it stops contracting (see
@@ -792,19 +801,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         partial = trajectory(k) if k + ahead else None
         return StepFailureError("step %d failed: %s" % (k, exc), k, partial)
 
-    if lagrangian:
-        try:
-            r0 = check_initial_data(system, seed)
-        except DiracMechError as exc:
-            raise failed(0, exc) from exc
-        if not (r0 <= opts.tol):
-            warnings.warn("trajectory seed is inconsistent (initial-data residual %.3e)" % r0,
-                          RuntimeWarning, stacklevel=2)
     run = _Run()
     for k in range(steps):
         try:
             if lagrangian:
-                result = step_lagrangian(system, x, opts, check_consistency=False, _run=run)
+                result = step_lagrangian(system, x, opts, _run=run)
             else:
                 result = step_hamiltonian(system, q, p, opts, _run=run)
         except DiracMechError as exc:

@@ -1,13 +1,17 @@
 """Command line front end: config validation, emission formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracmech
 from diracmech import builtin, cli, run_trajectory
 from diracmech.cli import _CHUNK_ROWS, _write_csv, build_system, main, parse_config, run
 from diracmech.errors import ConfigError, StepFailureError
@@ -294,6 +298,21 @@ class TestRun:
 
 
 class TestMain:
+    def test_seed_pair_off_the_constraint_warns_on_stderr(self, tmp_path):
+        # A(q0) (q1 - q0) = 1e-3 for A(q) = [-q2, 0, 1]; the run still steps
+        q0 = [0.0, 0.5, 0.0]
+        q1 = [0.1, 0.52, 0.051]
+        path = tmp_path / "nh.json"
+        path.write_text(json.dumps({"system": "nonholonomic_particle", "h": 0.1, "seed": q0 + q1,
+                                    "steps": 10, "output": str(tmp_path / "nh.csv")}))
+        env = dict(os.environ, PYTHONPATH=str(Path(diracmech.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "diracmech", str(path), "--quiet"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning: seed point is inconsistent" in done.stderr
+        assert "discrete constraint residual 1.000e-03" in done.stderr
+        assert len((tmp_path / "nh.csv").read_text().splitlines()) == 1 + 11
+
     def test_success_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, output=str(tmp_path / "t.csv"))
         assert main([str(path)]) == 0

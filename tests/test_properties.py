@@ -157,7 +157,7 @@ def step_records(system, seed, steps):
     for _ in range(steps):
         try:
             if lagrangian:
-                r = step_lagrangian(system, points[-1], check_consistency=False, _run=run)
+                r = step_lagrangian(system, points[-1], _run=run)
             else:
                 r = step_hamiltonian(system, q, p, _run=run)
         except DiracMechError:

@@ -247,6 +247,15 @@ class TestJacobianReuse:
         assert calls == []
         assert cache[0][0, 0] == 4.4
 
+    def test_uncached_solve_holds_its_matrix_while_it_contracts(self):
+        # from 2.2 a chord step on the slope 4.4 leaves under CONTRACTION of
+        # the residual of x^2 - 4 at every iterate, so one assembly serves
+        f, jac, calls = recorded_square_root_problem()
+        x, iters, res = newton_solve(f, jac, np.array([2.2]))
+        assert x[0] == pytest.approx(2.0, abs=1e-10)
+        assert res <= 1e-10 and iters > 1
+        assert calls == [2.2]
+
     def test_non_contracting_cache_is_reassembled(self):
         # near x = 3, a held slope of 20 leaves about 1 - 6/20 = 0.7 of the
         # residual of x^2 - 4 after each step, above CONTRACTION
@@ -322,13 +331,10 @@ class TestJacobianReuse:
             assert d.residual <= tol
             assert d.inclusion_residual <= 10.0 * tol
             assert d.constraint_residual <= tol
-        lam = None
         for k in range(30):
-            direct = step_lagrangian(system, traj.curve[k], multiplier_guess=lam,
-                                     check_consistency=False)
+            direct = step_lagrangian(system, traj.curve[k])
             assert np.max(np.abs(direct.next.qplus - traj.curve[k + 1].qplus)) <= 1e-8
             assert np.max(np.abs(direct.multipliers - traj.diagnostics[k].multipliers)) <= 1e-8
-            lam = traj.diagnostics[k].multipliers
 
     def test_constrained_hamiltonian_run_holds_the_matrix(self):
         system = nonholonomic_hamiltonian()
@@ -336,13 +342,11 @@ class TestJacobianReuse:
         traj = run_trajectory(system, (q, p), 40)
         assert traj.total_jacobian_assemblies == 1
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
-        lam = None
         for k in range(40):
-            direct = step_hamiltonian(system, q, p, multiplier_guess=lam)
+            direct = step_hamiltonian(system, q, p)
             q, p = traj.curve[k].qplus, (traj.curve[k + 1].p if k < 39 else traj.final_state[1])
             assert np.max(np.abs(direct.next.qplus - q)) <= 1e-9
             assert np.max(np.abs(direct.p_next - p)) <= 1e-9
-            lam = traj.diagnostics[k].multipliers
 
     def test_constrained_hamiltonian_step_solves_n_plus_m_unknowns(self):
         # q+ = dH/dp(q, p+) is substituted, so the matrix is 4x4 for n = 3,
@@ -466,6 +470,48 @@ class TestRunRecord:
             assert params["_run"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
+class TestOnePath:
+    """A direct step call is the first step of a fresh run: it gives the same
+    bits as ``run_trajectory`` does for its step 0."""
+
+    @pytest.mark.parametrize("make", [sphere_quartic_seed, lambda: quartic_lagrangian_seed(4)],
+                             ids=["sphere-quartic", "quartic-4"])
+    def test_direct_lagrangian_step_is_a_runs_first(self, make):
+        system, x0 = make()
+        direct = step_lagrangian(system, x0)
+        # step 0's p_next is the momentum that step 1 carries
+        traj = run_trajectory(system, x0, 2)
+        self.assert_same_step(direct, traj, traj.curve[1], traj.curve[2].p)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (quartic_hamiltonian(4, H), (np.full(4, 0.2), np.full(4, 0.1))),
+        lambda: (nonholonomic_hamiltonian(), ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3])),
+    ], ids=["quartic-4", "nonholonomic"])
+    def test_direct_hamiltonian_step_is_a_runs_first(self, make):
+        system, (q0, p0) = make()
+        direct = step_hamiltonian(system, q0, p0)
+        traj = run_trajectory(system, (q0, p0), 1)
+        self.assert_same_step(direct, traj, traj.curve[0], traj.final_state[1])
+
+    @staticmethod
+    def assert_same_step(direct, traj, point, p_next):
+        for u, v in ((direct.next.q, point.q), (direct.next.p, point.p),
+                     (direct.next.qplus, point.qplus), (direct.p_next, p_next),
+                     (direct.multipliers, traj.diagnostics.multipliers[0])):
+            assert u.shape == v.shape and np.array_equal(u, v)
+        d = traj.diagnostics[0]
+        assert (direct.residual, direct.inclusion_residual, direct.constraint_residual,
+                direct.iterations, direct.jacobian_assemblies) \
+            == (d.residual, d.inclusion_residual, d.constraint_residual,
+                d.iterations, d.jacobian_assemblies)
+
+    def test_step_signatures(self):
+        assert list(inspect.signature(step_lagrangian).parameters) \
+            == ["system", "x", "opts", "_run"]
+        assert list(inspect.signature(step_hamiltonian).parameters) \
+            == ["system", "q", "p", "opts", "_run"]
+
+
 class TestInitialData:
     def test_consistent_oscillator_seed(self):
         system, x0 = oscillator_seed()
@@ -513,11 +559,39 @@ class TestInitialData:
         system = DiscreteSystem.from_lagrangian(lag)
         x0 = PontryaginPoint([0.25], [0.0], [0.3])
         assert np.isnan(check_initial_data(system, x0))
-        with pytest.warns(RuntimeWarning, match="trajectory seed is inconsistent"):
+        with pytest.warns(RuntimeWarning, match="seed point is inconsistent"):
             traj = run_trajectory(system, x0, 5)
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
         with pytest.warns(RuntimeWarning, match="seed point is inconsistent"):
             step_lagrangian(system, x0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [lambda: quartic_lagrangian_seed(4), sphere_quartic_seed],
+                             ids=["quartic-4", "sphere-quartic"])
+    def test_accepted_points_are_consistent_seeds(self, make):
+        # the seed check is the certificate its step passed at 10 * tol, so a
+        # run continued from any accepted point does not warn
+        system, x0 = make()
+        traj = run_trajectory(system, x0, 60)
+        for k in range(1, 61):
+            assert check_initial_data(system, traj.curve[k]) \
+                == traj.diagnostics[k - 1].inclusion_residual
+        last = traj.curve[-1]
+        run_trajectory(system, last, 3)
+        step_lagrangian(system, last)
+        off = PontryaginPoint(last.q, last.p + 1e-6, last.qplus)
+        with pytest.warns(RuntimeWarning, match="seed point is inconsistent"):
+            run_trajectory(system, off, 3)
+
+    def test_seed_pair_off_the_constraint_warns(self):
+        system = builtin.nonholonomic_particle(H)
+        q0 = np.array([0.0, 0.5, 0.0])
+        q1 = q0 + H * np.array([1.0, 0.2, 0.5]) + np.array([0.0, 0.0, 1e-3])
+        x0 = builtin.lagrangian_seed(system, q0, q1)
+        assert check_initial_data(system, x0) == 0.0
+        with pytest.warns(RuntimeWarning, match=r"discrete constraint residual 1\.000e-03"):
+            traj = run_trajectory(system, x0, 3)
+        assert traj.max_constraint_residual <= SolverOptions().tol
 
 
 class TestLagrangianStep:
@@ -588,13 +662,13 @@ class TestLagrangianStep:
 
     def test_regularity_warning_on_degenerate_cross_block(self):
         # L(q, q+) = |q|^2 + |q+|^2 has D2 D1 L = 0: force balance does not
-        # depend on the new configuration
+        # depend on the new configuration; the seed is consistent, p0 = -2 q0
         lag = DiscreteLagrangian(2, lambda q, qp: float(q @ q + qp @ qp))
         system = DiscreteSystem.from_lagrangian(lag)
-        x = PontryaginPoint([0.1, 0.2], [1.0, 0.0], [0.2, 0.3])
+        x = PontryaginPoint([0.1, 0.2], [-0.2, -0.4], [0.2, 0.3])
         with pytest.warns(RuntimeWarning, match="cross-derivative block of the Lagrangian"):
             with pytest.raises(SingularJacobianError):
-                step_lagrangian(system, x, check_consistency=False)
+                step_lagrangian(system, x)
 
     def test_non_finite_momentum_update_fails_the_step(self):
         # d2 L is finite at the seed but NaN at the solved configuration: the
@@ -660,6 +734,24 @@ def _random_smooth_system(rng, n):
     q0 = 0.05 * rng.standard_normal(n)
     q1 = q0 + 0.02 * rng.standard_normal(n)
     return system, builtin.lagrangian_seed(system, q0, q1)
+
+
+class TestLegendrePair:
+    """The nonholonomic particle steps to one curve on both sides: the
+    Lagrangian L(q, q+) = |q+ - q|^2 / 2h and its right Hamiltonian, under
+    one distribution and pair constraint."""
+
+    def test_nonholonomic_particle_steps_to_one_curve(self):
+        lag_system, x0 = nonholonomic_seed()
+        lag = run_trajectory(lag_system, x0, 500)
+        ham = run_trajectory(nonholonomic_hamiltonian(), (x0.q, x0.p), 501)
+        for name, bound in (("q", 4e-9), ("p", 1e-10), ("qplus", 4e-9)):
+            gap = max(np.max(np.abs(getattr(a, name) - getattr(b, name)))
+                      for a, b in zip(lag.curve, ham.curve))
+            assert gap <= bound, (name, gap)
+        # Lagrangian step k solves at base q_{k+1}, as Hamiltonian step k + 1 does
+        gap = np.max(np.abs(lag.diagnostics.multipliers - ham.diagnostics.multipliers[1:]))
+        assert gap <= 1e-12
 
 
 class TestHamiltonianStep:
@@ -1146,10 +1238,14 @@ class TestCertificateGate:
         bad = gated()
         lag_system, x0 = oscillator_seed()
         ham_system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
-        for step in (lambda: step_lagrangian(lag_system, x0),
-                     lambda: step_hamiltonian(ham_system, [0.0], [1.0])):
-            with pytest.raises(CertificationError, match="inclusion residual gate") as info:
-                step()
+        # a direct Lagrangian step is the first step of a run: its seed check
+        # is the first certificate call, and it warns on the patched value
+        with pytest.warns(RuntimeWarning, match="seed point is inconsistent"):
+            with pytest.raises(CertificationError, match="inclusion residual gate") as lag:
+                step_lagrangian(lag_system, x0)
+        with pytest.raises(CertificationError, match="inclusion residual gate") as ham:
+            step_hamiltonian(ham_system, [0.0], [1.0])
+        for info in (lag, ham):
             assert np.array_equal(info.value.inclusion_residual, bad, equal_nan=True)
 
     @pytest.mark.parametrize("make", [
@@ -1158,7 +1254,8 @@ class TestCertificateGate:
     ], ids=["lagrangian", "hamiltonian"])
     def test_run_keeps_the_steps_before(self, gated, make):
         system, seed = make()
-        gated(start=3)
+        # a Lagrangian run's seed check is one certificate call before step 0
+        gated(start=3 + (system.kind == "lagrangian"))
         with pytest.raises(StepFailureError) as info:
             run_trajectory(system, seed, 6)
         err = info.value
@@ -1235,8 +1332,10 @@ class TestTracedDispatch:
                      "dirac_inclusion_residual"):
             self.count_calls(monkeypatch, stepper, name, counts)
         run_trajectory(system, seed, 7)
-        step = "step_lagrangian" if system.kind == "lagrangian" else "step_hamiltonian"
-        assert counts == {step: 7, "newton_solve": 7, "dirac_inclusion_residual": 7}
+        lagrangian = system.kind == "lagrangian"
+        step = "step_lagrangian" if lagrangian else "step_hamiltonian"
+        # a Lagrangian run's first step also certifies its seed
+        assert counts == {step: 7, "newton_solve": 7, "dirac_inclusion_residual": 7 + lagrangian}
 
     def test_finite_difference_gradients_do_not_enter_jacobian_columns(self, monkeypatch):
         inside = []
@@ -1419,6 +1518,6 @@ class TestEvaluationCounts:
     def test_direct_lagrangian_step_evaluates_its_carried_momentum(self, monkeypatch):
         system, x0 = oscillator_seed()
         counts = self.count(monkeypatch, system)
-        result = step_lagrangian(system, x0, check_consistency=False)
+        result = step_lagrangian(system, x0)
         assert counts["d2"] == 2  # the carried d2 L(q0, q1) and the new momentum
         assert result.next.p[0] == system.lagrangian.d2(x0.q, x0.qplus)[0]
