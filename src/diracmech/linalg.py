@@ -1,10 +1,11 @@
 """Dirac-structure linear algebra on a finite-dimensional space V and its dual.
 
 Subspaces of V and of V + V* are explicit basis matrices; every rank decision
-goes through an SVD with a relative cutoff so that near-degenerate inputs fail
-loudly instead of silently dropping dimensions. A two-form is a skew matrix
-``mat`` acting through its flat map v -> mat @ v, so the scalar value of the
-form is value(v, w) = (mat @ v) . w.
+counts singular values above a relative cutoff so that near-degenerate inputs
+fail loudly instead of silently dropping dimensions. They come from an SVD,
+except for a single column, whose one singular value is its norm. A two-form
+is a skew matrix ``mat`` acting through its flat map v -> mat @ v, so the
+scalar value of the form is value(v, w) = (mat @ v) . w.
 """
 
 from __future__ import annotations
@@ -82,12 +83,23 @@ def _rank(s: list) -> int:
 
 
 def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span of ``mat`` (may have zero columns)."""
+    """Orthonormal basis of the column span of ``mat`` (may have zero columns).
+
+    The rank is ``_rank`` of the singular values. A single column a has one,
+    sigma_1 = ||a||_2 (Golub and Van Loan, Matrix Computations, 2.4), taken
+    by ``math.hypot``, which does not square, so a subnormal column keeps
+    rank 1; its basis is a / ||a||_2. A column whose norm is not finite,
+    and every wider matrix, goes through the SVD.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise DimensionMismatchError("expected a 2-d matrix, got shape %r" % (mat.shape,))
     if mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0))
+    if mat.shape[1] == 1:
+        norm = math.hypot(*mat.ravel().tolist())
+        if math.isfinite(norm):
+            return mat / norm if _rank([norm]) else np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     s = s.tolist()
     if s[0] == 0.0:

@@ -372,7 +372,8 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
     the ``inclusion_residual`` of the step that reached it. Zero means x0 is a
     consistent Lagrangian seed (for the unconstrained case, exactly
     p0 = -d1 L(q0, q1)). Hamiltonian seeds (q0, p0) carry no such
-    restriction, so asking for one is an error.
+    restriction, so asking for one is an error. It evaluates d1 L and d2 L
+    once each, and is NaN when d2 L is not finite.
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError(
@@ -380,7 +381,12 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
             "Hamiltonian initial data (q0, p0) is free and q1 is reported by step residuals"
         )
     _check_dim(x0, system.n)
-    return dirac_inclusion_residual(system, x0, system.lagrangian.d2(x0.q, x0.qplus))
+    lag = system.lagrangian
+    p0 = lag.d2(x0.q, x0.qplus)
+    r0 = dirac_inclusion_residual(system, x0, p0, _held=lag.d1(x0.q, x0.qplus))
+    # the held form reads the q+ block p0 - d2 L as zero, which it is only
+    # for a finite p0
+    return r0 if _all_finite(p0) else math.nan
 
 
 def _certify(inclusion: float, opts: SolverOptions) -> None:
@@ -472,9 +478,9 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
     (Lagrangian) or q+ = dH/dp(q, y), p+ = y (Hamiltonian), and is certified
     with the inclusion residual at (q, p, q+) and p+. Every assembly of the
     Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
-    block of H, for regularity; so does a step whose run has never
-    assembled one, after its solve, because Newton converged at the
-    predictor.
+    block of H, for regularity; so does the first step of a run after its
+    solve, when Newton converged at the predictor without assembling one.
+    A run that never assembles is checked there only, once.
 
     ``run`` is the record of the run the step belongs to. The step reads its
     multiplier guess from the record and leaves p+ and lambda there. Every
@@ -603,9 +609,9 @@ def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.nda
         if not _all_finite(qplus):
             raise EvaluationError("configuration update dH/dp is not finite "
                                   "at the solved momentum")
-    if run.cache[0] is None:
-        # Newton converged at the predictor of a run that never assembled a
-        # matrix; still report degenerate updates
+    if run.carried is None and run.cache[0] is None:
+        # the run's first step converged at its predictor without a matrix;
+        # still report a degenerate update, once per run
         _check_regularity(slot_block(0, y), system.kind)
 
     # q and p come validated from the entry points, and q+ is finite by
@@ -692,8 +698,9 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     and p, with the carried momentum pnew in ``p_next``. Warns when the
     cross-derivative block of H is close to singular, since the update map
     may then fail to exist. The check runs on each assembly of the
-    iteration matrix, so a step solved on its run's held matrix skips it,
-    constrained or not.
+    iteration matrix, and on a run's first step when that step assembled
+    none, so a later step solved on its run's held matrix, or without one,
+    skips it, constrained or not.
 
     The certificate reuses dH/dq from Newton's last residual; its dp block
     dH/dp(q, pnew) - qnew is zero by construction. A direct call is the

@@ -50,7 +50,7 @@ class TestLiftAnnihilator:
 
     def test_degenerate_annihilator(self):
         dist = KinematicDistribution(3, 1, lambda q: np.zeros((1, 3)))
-        with pytest.raises(DegenerateConstraintError):
+        with pytest.raises(DegenerateConstraintError, match=r"singular values \[0\.\]"):
             dist.matrix(np.zeros(3))
         with pytest.raises(DegenerateConstraintError):
             dist.project_ker(np.zeros(3), np.ones(3))

@@ -134,6 +134,54 @@ class TestRankCutoff:
             assert basis.tobytes() == svd_rank_basis(view).tobytes()
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def single_columns():
+    """Random columns of 1 to 6 entries scaled from 1e-300 to 1e300, a
+    subnormal column whose norm is exact (3-4-5 times 2^-1070) and a zero one."""
+    rng = np.random.default_rng(75)
+    cols = [rng.standard_normal(int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-300.0, 300.0)
+            for _ in range(200)]
+    return cols + [np.array([3.0, 0.0, -4.0]) * 2.0 ** -1070, np.zeros(3)]
+
+
+def count_svd_calls(monkeypatch):
+    """A list that grows by one entry at each np.linalg.svd call."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
+class TestSingleColumn:
+    """A single column's one singular value is its 2-norm, so its basis needs no SVD."""
+
+    def test_same_line_as_the_svd(self, monkeypatch):
+        mats = [col.reshape(-1, 1) for col in single_columns()]
+        wants = [svd_rank_basis(mat) for mat in mats]
+        calls = count_svd_calls(monkeypatch)
+        for mat, want in zip(mats, wants):
+            got = orthonormal_columns(mat)
+            assert got.shape == want.shape
+            if got.shape[1]:
+                assert abs(np.linalg.norm(got) - 1.0) <= 2.0 * EPS
+                assert abs(abs(float(got[:, 0] @ want[:, 0])) - 1.0) <= 4.0 * EPS
+        assert calls == []
+        assert [m.shape[1] for m in wants] == [1] * 201 + [0]
+
+    def test_nan_column_still_fails_in_the_svd(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            orthonormal_columns(np.array([[np.nan], [1.0]]))
+
+    @pytest.mark.parametrize("col", [[np.inf, 1.0], [0.0, -np.inf, 2.0], [1.7e308, 1.7e308]])
+    def test_a_norm_that_is_not_finite_takes_the_svd(self, monkeypatch, col):
+        # as before the closed form: the SVD reads each of these as rank 0,
+        # the overflowing finite column too
+        calls = count_svd_calls(monkeypatch)
+        assert orthonormal_columns(np.array(col).reshape(-1, 1)).shape == (len(col), 0)
+        assert calls == [1]
+
+
 class TestOneRankCount:
     def test_spans_and_kernels_count_through_one_helper(self, monkeypatch):
         calls, count = [], linalg._rank
@@ -150,6 +198,12 @@ class TestOneRankCount:
         _, s, vh = np.linalg.svd(np.vstack([np.hstack([np.eye(3) - b @ b.T, np.zeros((3, 3))]),
                                             np.hstack([-(b.T @ omega.mat), b.T])]))
         assert d.basis.tobytes() == vh[int(np.sum(s > RANK_CUTOFF * s[0])):].T.tobytes()
+
+    def test_one_vector_counts_through_the_same_helper(self, monkeypatch):
+        calls, count = [], linalg._rank
+        monkeypatch.setattr(linalg, "_rank", lambda s: calls.append(len(s)) or count(s))
+        assert LinSubspace(3, [1.0, -2.0, 0.5]).dim == 1
+        assert calls == [1]
 
 
 class TestPairing:

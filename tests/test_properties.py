@@ -9,7 +9,8 @@ DiracMechError that carries the certified partial trajectory (for a
 Hamiltonian run, none when the first step fails). Every recorded
 certificate also equals a fresh evaluation of the inclusion residual at the
 stored point and its p_next, and the trajectory reads exactly as the
-records of the same steps taken one by one.
+records of the same steps taken one by one. A right-Legendre pair, stepped
+as a Lagrangian and as a Hamiltonian system, gives one curve.
 """
 
 import numpy as np
@@ -361,3 +362,95 @@ def test_extrapolating_run_reads_as_step_records(monkeypatch, lagrangian):
     assert not np.array_equal(traj.curve[-1].qplus, held.curve[-1].qplus)
     assert_certified_and_finite(traj)
     assert_reads_as_records(system, seed, 12, traj)
+
+
+@st.composite
+def legendre_pairs(draw):
+    """(L, H, h, dist, q0, v, steps): a right-Legendre pair, a one-row A(q) and a seed.
+
+    L(q, q+) = |q+ - q|^2_M / 2h - h V(q) and H(q, p+) = q . p+ + h |p+|^2_{M^-1} / 2
+    + h V(q), with a diagonal mass M in [0.5, 2], V a spring plus optional
+    cosine and quartic terms, and every slot analytic or every slot finite
+    differences. A(q) is affine in q with one constant entry of modulus 1,
+    so it keeps full rank; v lies in ker A(q0).
+    """
+    n = draw(st.integers(2, 3))
+    h = draw(st.sampled_from([0.05, 0.1]))
+    wave, quartic = draw(st.booleans()), draw(st.booleans())
+    analytic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass = rng.uniform(0.5, 2.0, n)
+    k = rng.uniform(0.5, 2.0, n)
+    a = wave * rng.uniform(-1.0, 1.0, n)
+    c = quartic * rng.uniform(0.0, 1.0, n)
+
+    def potential(q):
+        return 0.5 * k @ (q * q) + a @ np.cos(q) + 0.25 * c @ q ** 4
+
+    def force(q):
+        return -(k * q - a * np.sin(q) + c * q ** 3)
+
+    def ld(q, qp):
+        return float((qp - q) @ (mass * (qp - q))) / (2.0 * h) - h * potential(q)
+
+    def hd(q, pp):
+        return float(q @ pp) + 0.5 * h * float(pp @ (pp / mass)) + h * potential(q)
+
+    if analytic:
+        lag = DiscreteLagrangian(n, ld, lambda q, qp: h * force(q) - mass * (qp - q) / h,
+                                 lambda q, qp: mass * (qp - q) / h)
+        ham = DiscreteHamiltonian(n, hd, lambda q, pp: pp - h * force(q),
+                                  lambda q, pp: q + h * pp / mass)
+    else:
+        lag, ham = DiscreteLagrangian(n, ld), DiscreteHamiltonian(n, hd)
+    row, slope = rng.uniform(-1.0, 1.0, n), 0.5 * rng.standard_normal((n, n))
+    j = draw(st.integers(0, n - 1))
+    row[j], slope[j] = draw(st.sampled_from([-1.0, 1.0])), 0.0
+    dist = KinematicDistribution(n, 1, lambda q: (row + slope @ q).reshape(1, n))
+    q0 = 0.2 * rng.standard_normal(n)
+    v = dist.project_ker(q0, rng.standard_normal(n))
+    v *= rng.uniform(0.1, 0.8) / np.linalg.norm(v)
+    return lag, ham, h, dist, q0, v, draw(st.integers(8, 20))
+
+
+@settings(max_examples=50)
+@given(legendre_pairs())
+def test_a_legendre_pair_steps_to_one_curve(pair):
+    """The paper's claim on both solver paths: a right-Legendre pair, as a
+    Lagrangian and as a Hamiltonian system, steps to one curve, unconstrained
+    and under a one-row A(q) with its retraction constraint.
+
+    Bound: each step of either run leaves a balance residual of at most tol
+    and, finite-difference slots only, a central-difference error below the
+    noise floor FD_SCALE**2 * |L or H|, under tol here (|L|, |H| stay below
+    1.5). So the two runs' balances differ by at most 2 tol (analytic) or
+    4 tol (finite differences) per step. A step passes that gap to p+ through
+    the identity or the M^-1-orthogonal projection onto ker A, of inf-norm
+    gain at most sqrt(n m_max / m_min) < 4, to q+ with a further h/m <= 0.2,
+    and to the multiplier with gain at most sqrt(n m_max / m_min) / |A_j| < 4.
+    Over N steps, without growth on these short runs, every gap stays below
+    4 N times the per-step budget.
+
+    Limit: V depends on the base point alone, so each pair is linear in the
+    step's unknown (one Newton iteration per analytic step). A pair nonlinear
+    in it has no closed-form transform; the step-record properties above
+    cover nonlinear lanes.
+    """
+    lag, ham, h, dist, q0, v, steps = pair
+    analytic = lag.provider.grads[0] is not None
+    bound = 4.0 * (2.0 if analytic else 4.0) * TOL * (steps + 1)
+    for d, constraint in ((None, None), (dist, retraction_constraint(dist))):
+        lag_system = DiscreteSystem.from_lagrangian(lag, d, constraint)
+        seed = builtin.lagrangian_seed(lag_system, q0, q0 + h * v)
+        by_l = run_trajectory(lag_system, seed, steps)
+        by_h = run_trajectory(DiscreteSystem.from_hamiltonian(ham, d, constraint),
+                              (seed.q, seed.p), steps + 1)
+        assert_certified_and_finite(by_l)
+        assert_certified_and_finite(by_h)
+        for name in ("q", "p", "qplus"):
+            gap = np.max(np.abs(getattr(by_l.curve, name) - getattr(by_h.curve, name)))
+            assert gap <= bound, (name, gap, bound)
+        # Lagrangian step k solves at base q_{k+1}, as Hamiltonian step k + 1 does
+        gap = np.max(np.abs(by_l.diagnostics.multipliers - by_h.diagnostics.multipliers[1:]),
+                     initial=0.0)
+        assert gap <= bound, ("lambda", gap, bound)

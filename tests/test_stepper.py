@@ -583,6 +583,30 @@ class TestInitialData:
         with pytest.warns(RuntimeWarning, match="seed point is inconsistent"):
             run_trajectory(system, off, 3)
 
+    def test_evaluates_each_slot_once(self, monkeypatch):
+        # the certificate takes the held d1 L; the q+ block d2 L - d2 L it
+        # skips is exactly zero, so the value is the full one bit for bit
+        for make in (oscillator_seed, nonholonomic_seed, sphere_quartic_seed):
+            system, x0 = make()
+            lag = system.lagrangian
+            points = (x0, PontryaginPoint(x0.q, x0.p + 1e-3, x0.qplus))
+            full = [dirac_inclusion_residual(system, x, lag.d2(x.q, x.qplus)) for x in points]
+            counts = TestEvaluationCounts.count(monkeypatch, system)
+            for x, want in zip(points, full):
+                counts.update(dict.fromkeys(counts, 0))
+                assert check_initial_data(system, x) == want
+                assert (counts["d1"], counts["d2"]) == (1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_carried_momentum_is_nan(self, monkeypatch, bad):
+        osc = builtin.harmonic_oscillator(H, LAM).lagrangian
+        lag = DiscreteLagrangian(1, osc.Ld, osc.d1, lambda q, qp: np.array([bad]),
+                                 validate=False)
+        system = DiscreteSystem.from_lagrangian(lag)
+        counts = TestEvaluationCounts.count(monkeypatch, system)
+        assert np.isnan(check_initial_data(system, PontryaginPoint([0.0], [-1.0], [0.1])))
+        assert counts == {"d1": 1, "d2": 1}
+
     def test_seed_pair_off_the_constraint_warns(self):
         system = builtin.nonholonomic_particle(H)
         q0 = np.array([0.0, 0.5, 0.0])
@@ -1514,6 +1538,30 @@ class TestEvaluationCounts:
                                    lambda: run_trajectory(system, ([0.0, 0.5, 0.0],
                                                                    [1.0, 0.2, 0.3]), 4))
         assert blocks == [{"dq": 4, "dp": 0}, {"dq": 0, "dp": 4}] * (len(blocks) // 2)
+
+    def test_a_run_that_never_assembles_checks_its_cross_block_once(self, monkeypatch):
+        # at rest every step converges at its predictor: the seed check, one
+        # residual per step and, on the first step only, the central-difference
+        # cross block of the regularity check (2 calls)
+        system = builtin.harmonic_oscillator(H, LAM)
+        seed = builtin.lagrangian_seed(system, [0.0], [0.0])
+        counts = self.count(monkeypatch, system)
+        traj = run_trajectory(system, seed, 100)
+        assert traj.total_jacobian_assemblies == 0
+        assert counts["d1"] <= 103
+
+    @pytest.mark.parametrize("make", [nonholonomic_seed, sphere_quartic_seed],
+                             ids=["nonholonomic", "sphere-quartic"])
+    def test_one_row_annihilators_take_no_svd(self, monkeypatch, make):
+        # the one singular value of a single row of A(q) is its norm; the
+        # condition estimate of an assembled cross block runs its SVD inside
+        # numpy.linalg, which this patch does not see
+        system, seed = make()
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        traj = run_trajectory(system, seed, 25)
+        assert calls == []
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
 
     def test_direct_lagrangian_step_evaluates_its_carried_momentum(self, monkeypatch):
         system, x0 = oscillator_seed()
