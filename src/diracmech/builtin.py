@@ -18,10 +18,16 @@ from .systems import (
 )
 
 
+def _check_parameters(h: float, lam: float = 1.0) -> None:
+    # NaN fails every comparison
+    if not (0.0 < h < np.inf and -np.inf < lam < np.inf):
+        raise ValueError("h must be positive and finite and lam finite, got h=%r, lam=%r"
+                         % (h, lam))
+
+
 def harmonic_oscillator(h: float, lam: float = 1.0) -> DiscreteSystem:
     """1-d oscillator, L(q, q+) = h [ ((q+ - q)/h)^2 / 2 - (lam/2) q^2 ]."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_parameters(h, lam)
 
     def Ld(q, qp):
         d = (qp[0] - q[0]) / h
@@ -42,8 +48,7 @@ def harmonic_oscillator(h: float, lam: float = 1.0) -> DiscreteSystem:
 
 def harmonic_oscillator_hamiltonian(h: float, lam: float = 1.0) -> DiscreteSystem:
     """Right Legendre transform of the oscillator: H(q, p+) = q p+ + (h/2) p+^2 + (h lam/2) q^2."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_parameters(h, lam)
 
     def Hd(q, pp):
         return q[0] * pp[0] + 0.5 * h * pp[0] * pp[0] + 0.5 * h * lam * q[0] * q[0]
@@ -64,14 +69,13 @@ def _mass_vector(n: int, mass) -> np.ndarray:
         m = np.full(n, m[0])
     if m.shape != (n,):
         raise ValueError("mass must be a scalar or a vector of length %d" % n)
-    if np.any(m <= 0.0):
-        raise ValueError("masses must be positive")
+    if not np.all((m > 0.0) & (m < np.inf)):
+        raise ValueError("masses must be positive and finite")
     return m
 
 
 def free_particle_lagrangian(h: float, n: int = 1, mass=1.0) -> DiscreteLagrangian:
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_parameters(h)
     m = _mass_vector(n, mass)
 
     def Ld(q, qp):
@@ -95,8 +99,7 @@ def free_particle(h: float, n: int = 1, mass=1.0) -> DiscreteSystem:
 
 def free_particle_hamiltonian(h: float, n: int = 1, mass=1.0) -> DiscreteSystem:
     """Legendre transform of the free particle: H(q, p+) = q . p+ + h |p+|^2_{1/m} / 2."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    _check_parameters(h)
     m = _mass_vector(n, mass)
 
     def Hd(q, pp):

@@ -88,8 +88,10 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     The rank is ``_rank`` of the singular values. A single column a has one,
     sigma_1 = ||a||_2 (Golub and Van Loan, Matrix Computations, 2.4), taken
     by ``math.hypot``, which does not square, so a subnormal column keeps
-    rank 1; its basis is a / ||a||_2. A column whose norm is not finite,
-    and every wider matrix, goes through the SVD.
+    rank 1; its basis is a / ||a||_2. A finite column whose norm overflows
+    is first divided by its largest absolute entry, which keeps its span. A
+    column with a NaN or infinite entry, and every wider matrix, goes
+    through the SVD.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
@@ -98,6 +100,8 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
         return np.zeros((mat.shape[0], 0))
     if mat.shape[1] == 1:
         norm = math.hypot(*mat.ravel().tolist())
+        if norm == math.inf and math.isfinite(top := float(np.abs(mat).max())):
+            return orthonormal_columns(mat / top)
         if math.isfinite(norm):
             return mat / norm if _rank([norm]) else np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)

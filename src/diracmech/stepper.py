@@ -246,8 +246,7 @@ def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     # the SVD behind cond() fails on non-finite entries
-    finite = jm.shape != (1, 1) and _all_finite(jm)
-    cond = float(np.linalg.cond(jm)) if finite else float("inf")
+    cond = float(np.linalg.cond(jm)) if _all_finite(jm) else float("inf")
     raise SingularJacobianError(
         "Newton Jacobian is singular or gives a non-finite step (condition estimate %.3e)"
         % cond, condition=cond,
@@ -353,7 +352,7 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
     and the finite residual of ``exc`` lies within ROUNDOFF_MARGIN of this
     floor at (q, y), the message gives the floor and says what removes it.
     """
-    provider = (system.lagrangian if system.kind == LAGRANGIAN else system.hamiltonian).provider
+    provider = system._generator.provider
     if provider.grads[0] is not None or not math.isfinite(exc.residual):
         return
     noise = FD_SCALE ** 2 * abs(float(provider.f(q, y)))
@@ -361,6 +360,19 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
         exc.args = ("%s; the residual's central-difference gradient has a noise floor of "
                     "FD_SCALE**2*|L or H| = %.3e at this iterate, which analytic partials, "
                     "or a larger tol, remove" % (exc, noise),)
+
+
+def _seed_certificate(system: DiscreteSystem, x0: PontryaginPoint) -> Tuple[np.ndarray, float]:
+    """The carried momentum d2 L(q0, q0+) of a Lagrangian seed and the certificate at (x0, it).
+
+    One d2 L and one d1 L call; the certificate is NaN when d2 L is not finite.
+    """
+    lag = system.lagrangian
+    p0 = lag.d2(x0.q, x0.qplus)
+    r0 = dirac_inclusion_residual(system, x0, p0, _held=lag.d1(x0.q, x0.qplus))
+    # the held form reads the q+ block p0 - d2 L as zero, which it is only
+    # for a finite p0
+    return p0, (r0 if _all_finite(p0) else math.nan)
 
 
 def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
@@ -381,12 +393,7 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
             "Hamiltonian initial data (q0, p0) is free and q1 is reported by step residuals"
         )
     _check_dim(x0, system.n)
-    lag = system.lagrangian
-    p0 = lag.d2(x0.q, x0.qplus)
-    r0 = dirac_inclusion_residual(system, x0, p0, _held=lag.d1(x0.q, x0.qplus))
-    # the held form reads the q+ block p0 - d2 L as zero, which it is only
-    # for a finite p0
-    return r0 if _all_finite(p0) else math.nan
+    return _seed_certificate(system, x0)[1]
 
 
 def _certify(inclusion: float, opts: SolverOptions) -> None:
@@ -407,12 +414,9 @@ def _maybe_cross_check(f, jac_assembled, z0):
 
 
 def _check_regularity(cross: np.ndarray, kind: str) -> None:
-    if cross.shape == (1, 1):
-        cond = 1.0 if cross[0, 0] != 0.0 else float("inf")
-    elif _all_finite(cross):
-        cond = float(np.linalg.cond(cross))
-    else:
+    if not _all_finite(cross):
         return  # the Newton solve reports a non-finite matrix as singular
+    cond = float(np.linalg.cond(cross))
     if cond > CROSS_BLOCK_COND_LIMIT:
         warnings.warn(
             "cross-derivative block of the %s is near singular (condition estimate %.3e); "
@@ -428,7 +432,7 @@ def _matrix_slot(system: DiscreteSystem, block: int, slot: Callable) -> Callable
     taken by forward differences instead (n + 1 evaluations of L or H, not
     2n): the matrix only steers the iteration, so first order suffices.
     """
-    provider = (system.lagrangian if system.kind == LAGRANGIAN else system.hamiltonian).provider
+    provider = system._generator.provider
     if provider.grads[block] is None:
         return functools.partial(provider.forward_gradient, block)
     return slot
@@ -647,8 +651,9 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     A direct call is the first step of a fresh run, and ``run_trajectory``
     passes its run record through the private ``_run``. The first step of
     a run evaluates the carried momentum d2 L(q, q+) and checks its seed
-    with it: one warning when the certificate at (x, d2 L(q, q+)), which
-    is ``check_initial_data(system, x)``, exceeds 10 * tol, or when a
+    with it, through the helper behind ``check_initial_data``: a d2 L that
+    is not finite raises EvaluationError, and one warning is given when the
+    certificate at (x, d2 L(q, q+)) exceeds 10 * tol, or when a
     constrained seed pair has |phi(q, q+)|_inf above tol. These are the
     gates every accepted step meets. Every later step takes the previous
     step's ``p_next``, which is that momentum, and the run's held matrix,
@@ -670,8 +675,9 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     carried = run.carried
     if carried is None:
         # the seed check: check_initial_data with the carried momentum at hand
-        carried = system.lagrangian.d2(x.q, q1)
-        r0 = dirac_inclusion_residual(system, x, carried, _held=system.lagrangian.d1(x.q, q1))
+        carried, r0 = _seed_certificate(system, x)
+        if not _all_finite(carried):
+            raise EvaluationError("carried momentum d2 L is not finite at the seed")
         gap = _norm_inf(system.constraint.value(x.q, q1)) if system.m else 0.0
         if not (r0 <= 10.0 * opts.tol and gap <= opts.tol):
             warnings.warn(
@@ -735,8 +741,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     Lagrangian seed of the wrong dimension raises DimensionMismatchError.
     The run's first step checks a Lagrangian seed and warns on an
     inconsistent one (see ``step_lagrangian``); a seed check that fails
-    (d1 L, d2 L, A(q) or phi at the seed) fails step 0 with the seed-only
-    trajectory. A zero-step run evaluates nothing.
+    (d1 L, d2 L, A(q) or phi at the seed, or a d2 L that is not finite)
+    fails step 0 with the seed-only trajectory. A zero-step run evaluates nothing.
 
     Every run holds one Newton iteration matrix for the whole trajectory
     and reassembles it only where it stops contracting (see

@@ -7,9 +7,9 @@ with an optional consistency check at construction. One difference loop
 serves every finite difference: central quotients (2n calls) for gradients,
 which residuals and the certificate use, and forward ones (n + 1 calls) for
 Newton iteration matrices, through ``jacobian_columns`` and
-``DerivativeProvider.forward_gradient``. A system picks its step
-kind once, at construction: the momentum balance and the (balance,
-completion) slot gradients that the stepper solves with. The module also
+``DerivativeProvider.forward_gradient``. The generating function sets a
+system's step kind: the momentum balance and the (balance, completion) slot
+gradients that the stepper solves with. The module also
 provides the membership residual of the per-step inclusion, which is the
 step-acceptance oracle.
 """
@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bundle import KinematicDistribution, PontryaginPoint
-from .errors import DimensionMismatchError, EvaluationError
+from .errors import DimensionMismatchError, EvaluationError, UnsupportedOperationError
 # orthonormal_columns is not called here since the certificate projects
 # through the distribution's memo; bench/tracing.py still wraps this module
 # attribute by name
@@ -184,12 +184,24 @@ def _validate_provider(provider: DerivativeProvider, block_dims: Sequence[int], 
         )
 
 
+LAGRANGIAN = "lagrangian"
+HAMILTONIAN = "hamiltonian"
+
+
 class _GeneratingFunction:
     """A scalar function of (q, second slot) with one derivative per slot.
 
     Each slot derivative is the analytic callable if one is given and central
     finite differences of the function otherwise. Analytic ones are checked
     against finite differences at construction unless ``validate`` is False.
+
+    The function sets the step kind of the systems built on it: ``kind``
+    names it, ``_balance`` is its momentum balance and ``_slots`` the getter
+    of its (balance, completion) slot gradients. A Lagrangian step balances
+    p + d1 L(q, q+) and completes q+ to p+ = d2 L(q, q+); a Hamiltonian step
+    balances p - dH/dq(q, p+) and completes p+ to q+ = dH/dp(q, p+). The
+    balance is the ufunc that p + g or p - g dispatches to, so calling it
+    costs no more than the operator.
     """
 
     def __init__(self, n: int, f: Callable[[np.ndarray, np.ndarray], float],
@@ -199,13 +211,14 @@ class _GeneratingFunction:
         self.n = int(n)
         self.provider = DerivativeProvider(f, grads)
         if validate:
-            _validate_provider(self.provider, (self.n, self.n), "the discrete " + self._what)
+            _validate_provider(self.provider, (self.n, self.n),
+                               "the discrete " + self.kind.capitalize())
 
 
 class DiscreteLagrangian(_GeneratingFunction):
     """A two-point generating function L(q, q+) with slot derivatives d1, d2."""
 
-    _what = "Lagrangian"
+    kind, _balance, _slots = LAGRANGIAN, np.add, operator.attrgetter("d1", "d2")
 
     def __init__(self, n: int, Ld: Callable[[np.ndarray, np.ndarray], float],
                  d1: Optional[Callable] = None, d2: Optional[Callable] = None,
@@ -220,7 +233,7 @@ class DiscreteLagrangian(_GeneratingFunction):
 class DiscreteHamiltonian(_GeneratingFunction):
     """A right discrete Hamiltonian H(q, p+) with partials in q and p+."""
 
-    _what = "Hamiltonian"
+    kind, _balance, _slots = HAMILTONIAN, np.subtract, operator.attrgetter("dq", "dp")
 
     def __init__(self, n: int, Hd: Callable[[np.ndarray, np.ndarray], float],
                  dq: Optional[Callable] = None, dp: Optional[Callable] = None,
@@ -249,81 +262,76 @@ class DiscreteConstraint:
     def unconstrained(cls, n: int) -> "DiscreteConstraint":
         return cls(n, 0)
 
+    def _call(self, fn: Callable, q, qplus, shape: tuple) -> np.ndarray:
+        """fn(q, q+) on float64 arguments as a float64 array of ``shape``.
+
+        This is phi for a 1-d shape and its Jacobian for a 2-d one. A float64
+        result of that ndim is taken as it comes; anything else is converted.
+        A failure ends in EvaluationError, and a wrong shape after it in
+        DimensionMismatchError.
+        """
+        vector = len(shape) == 1
+        try:
+            out = fn(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
+            if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == len(shape)):
+                out = (np.atleast_1d if vector else np.atleast_2d)(np.asarray(out, dtype=float))
+        except Exception as exc:
+            raise EvaluationError("constraint %s failed: %s"
+                                  % ("evaluation" if vector else "Jacobian", exc)) from exc
+        if out.shape != shape:
+            raise DimensionMismatchError("constraint %s shape %r, expected %r"
+                                         % ("returned" if vector else "Jacobian", out.shape, shape))
+        return out
+
     def value(self, q, qplus) -> np.ndarray:
         """phi(q, q+) as a float64 vector of length md; a float64 one is taken as it comes."""
         if self.md == 0:
             return np.zeros(0)
-        try:
-            out = self.phi(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
-            if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 1):
-                out = np.atleast_1d(np.asarray(out, dtype=float))
-        except Exception as exc:
-            raise EvaluationError("constraint evaluation failed: %s" % exc) from exc
-        if out.shape != (self.md,):
-            raise DimensionMismatchError("constraint returned shape %r, expected (%d,)"
-                                         % (out.shape, self.md))
-        return out
+        return self._call(self.phi, q, qplus, (self.md,))
 
     def jacobian2(self, q, qplus) -> np.ndarray:
         """md x n Jacobian of phi in its second slot; a 2-d float64 one is taken as it comes."""
         if self._jac2 is not None:
-            try:
-                out = self._jac2(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
-                if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 2):
-                    out = np.atleast_2d(np.asarray(out, dtype=float))
-            except Exception as exc:
-                raise EvaluationError("constraint Jacobian failed: %s" % exc) from exc
-            if out.shape != (self.md, self.n):
-                raise DimensionMismatchError("constraint Jacobian shape %r, expected (%d, %d)"
-                                             % (out.shape, self.md, self.n))
-            return out
+            return self._call(self._jac2, q, qplus, (self.md, self.n))
         q = np.asarray(q, dtype=float)
         return jacobian_columns(lambda qp: self.value(q, qp), qplus)
 
 
-LAGRANGIAN = "lagrangian"
-HAMILTONIAN = "hamiltonian"
-
-# The step kinds: kind -> (momentum balance, getter of the generating
-# function's (balance, completion) slot gradients). A Lagrangian step balances
-# p + d1 L(q, q+) and completes q+ to p+ = d2 L(q, q+); a Hamiltonian step
-# balances p - dH/dq(q, p+) and completes p+ to q+ = dH/dp(q, p+). The
-# balance is the ufunc that p + g or p - g dispatches to, so calling it
-# costs no more than the operator.
-_KINDS = {
-    LAGRANGIAN: (np.add, operator.attrgetter("d1", "d2")),
-    HAMILTONIAN: (np.subtract, operator.attrgetter("dq", "dp")),
-}
+def _generating(gen, *classes):
+    """``gen`` if it is an instance of one of ``classes``; UnsupportedOperationError otherwise."""
+    if not isinstance(gen, classes):
+        raise UnsupportedOperationError("expected a %s, got %s" % (
+            " or a ".join(c.__name__ for c in classes), type(gen).__name__))
+    return gen
 
 
 class DiscreteSystem:
     """A discrete Lagrangian or Hamiltonian bundled with its two constraints.
 
-    The kinematic distribution and the pair constraint are independent
-    inputs, but their coranks must agree so each step solves a square
-    system (n + m unknowns against n force-balance plus md constraint
-    equations). ``balance(p, g)`` is the kind's momentum balance, p + g or
-    p - g. ``slots()`` returns its (balance, completion) slot gradients,
-    (d1 L, d2 L) or (dH/dq, dH/dp), looked up on the generating function at
-    each call, so a wrapper installed on it after construction is called.
+    The generating function sets the kind: a DiscreteLagrangian gives a
+    Lagrangian-kind system and a DiscreteHamiltonian a Hamiltonian-kind one
+    (any other object raises UnsupportedOperationError); it is also read as
+    ``lagrangian`` or ``hamiltonian``, the other one None. The kinematic
+    distribution and the pair constraint are independent inputs, but their
+    coranks must agree so each step solves a square system (n + m unknowns
+    against n force-balance plus md constraint equations).
+    ``balance(p, g)`` is the kind's momentum balance, p + g or p - g.
+    ``slots()`` returns its (balance, completion) slot gradients, (d1 L, d2 L)
+    or (dH/dq, dH/dp), looked up on the generating function at each call, so
+    a wrapper installed on it after construction is called.
     """
 
-    def __init__(self, kind: str, *, lagrangian: Optional[DiscreteLagrangian] = None,
-                 hamiltonian: Optional[DiscreteHamiltonian] = None,
+    def __init__(self, generator: _GeneratingFunction,
                  dist: Optional[KinematicDistribution] = None,
                  constraint: Optional[DiscreteConstraint] = None,
                  label: Optional[str] = None):
-        if kind not in _KINDS:
-            raise ValueError("kind must be %r or %r" % (LAGRANGIAN, HAMILTONIAN))
-        self.kind = kind
-        gen = lagrangian if kind == LAGRANGIAN else hamiltonian
-        if gen is None:
-            raise ValueError("a %s-kind system needs a Discrete%s"
-                             % (kind.capitalize(), kind.capitalize()))
-        self.lagrangian, self.hamiltonian = (gen, None) if kind == LAGRANGIAN else (None, gen)
-        self.balance, slots = _KINDS[kind]
-        self.slots = functools.partial(slots, gen)
-        self.n = n = gen.n
+        self._generator = _generating(generator, DiscreteLagrangian, DiscreteHamiltonian)
+        self.kind = kind = generator.kind
+        self.lagrangian, self.hamiltonian = ((generator, None) if kind == LAGRANGIAN
+                                             else (None, generator))
+        self.balance = generator._balance
+        self.slots = functools.partial(generator._slots, generator)
+        self.n = n = generator.n
         self.dist = dist if dist is not None else KinematicDistribution.unconstrained(n)
         self.constraint = constraint if constraint is not None else DiscreteConstraint.unconstrained(n)
         if self.dist.n != n or self.constraint.n != n:
@@ -344,14 +352,14 @@ class DiscreteSystem:
                         dist: Optional[KinematicDistribution] = None,
                         constraint: Optional[DiscreteConstraint] = None,
                         label: Optional[str] = None) -> "DiscreteSystem":
-        return cls(LAGRANGIAN, lagrangian=lagrangian, dist=dist, constraint=constraint, label=label)
+        return cls(_generating(lagrangian, DiscreteLagrangian), dist, constraint, label)
 
     @classmethod
     def from_hamiltonian(cls, hamiltonian: DiscreteHamiltonian,
                          dist: Optional[KinematicDistribution] = None,
                          constraint: Optional[DiscreteConstraint] = None,
                          label: Optional[str] = None) -> "DiscreteSystem":
-        return cls(HAMILTONIAN, hamiltonian=hamiltonian, dist=dist, constraint=constraint, label=label)
+        return cls(_generating(hamiltonian, DiscreteHamiltonian), dist, constraint, label)
 
 
 def _check_dim(x: PontryaginPoint, n: int):

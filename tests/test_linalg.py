@@ -5,6 +5,7 @@ import pytest
 
 from diracmech import (
     DimensionMismatchError,
+    KinematicDistribution,
     LinSubspace,
     PairedVector,
     RankDeficiencyError,
@@ -173,13 +174,27 @@ class TestSingleColumn:
         with pytest.raises(np.linalg.LinAlgError):
             orthonormal_columns(np.array([[np.nan], [1.0]]))
 
-    @pytest.mark.parametrize("col", [[np.inf, 1.0], [0.0, -np.inf, 2.0], [1.7e308, 1.7e308]])
+    @pytest.mark.parametrize("col", [[np.inf, 1.0], [0.0, -np.inf, 2.0]])
     def test_a_norm_that_is_not_finite_takes_the_svd(self, monkeypatch, col):
-        # as before the closed form: the SVD reads each of these as rank 0,
-        # the overflowing finite column too
+        # as before the closed form: the SVD reads each of these as rank 0
         calls = count_svd_calls(monkeypatch)
         assert orthonormal_columns(np.array(col).reshape(-1, 1)).shape == (len(col), 0)
         assert calls == [1]
+
+    @pytest.mark.parametrize("col", [[1.7e308, 1.7e308], [1e308, -1.5e308, 1e308, 0.0]])
+    def test_a_finite_column_whose_norm_overflows_has_rank_one(self, monkeypatch, col):
+        # the column divided by its largest entry spans the same line; the
+        # SVD reads the column itself as rank 0
+        col = np.array(col)
+        calls = count_svd_calls(monkeypatch)
+        got = orthonormal_columns(col.reshape(-1, 1))
+        assert got.shape == (len(col), 1)
+        want = col / 1e300
+        assert np.allclose(got[:, 0], want / np.linalg.norm(want), rtol=0.0, atol=4.0 * EPS)
+        assert LinSubspace(len(col), col).dim == 1
+        dist = KinematicDistribution(len(col), 1, lambda q: col.reshape(1, -1))
+        assert dist.matrix(np.zeros(len(col))).shape == (1, len(col))
+        assert calls == []
 
 
 class TestOneRankCount:

@@ -607,6 +607,32 @@ class TestInitialData:
         assert np.isnan(check_initial_data(system, PontryaginPoint([0.0], [-1.0], [0.1])))
         assert counts == {"d1": 1, "d2": 1}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_seed_momentum_fails_step_zero(self, monkeypatch):
+        # d2 L is NaN only at the seed: the seed check names it instead of
+        # warning and handing Newton a NaN residual
+        osc = builtin.harmonic_oscillator(H, LAM).lagrangian
+
+        def d2(q, qp):
+            return np.array([np.nan]) if q[0] == 0.25 else osc.d2(q, qp)
+
+        system = DiscreteSystem.from_lagrangian(
+            DiscreteLagrangian(1, osc.Ld, osc.d1, d2, validate=False))
+        x0 = PontryaginPoint([0.25], [0.0], [0.3])
+        counts = TestEvaluationCounts.count(monkeypatch, system)
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, x0, 5)
+        assert counts == {"d1": 1, "d2": 1}
+        cause = info.value.__cause__
+        assert isinstance(cause, EvaluationError)
+        assert "d2 L is not finite at the seed" in str(cause)
+        assert info.value.step_index == 0
+        partial = info.value.trajectory
+        assert partial.steps == 0 and len(partial.curve) == 1
+        assert np.array_equal(partial.curve[0].qplus, x0.qplus)
+        with pytest.raises(EvaluationError, match="d2 L is not finite at the seed"):
+            step_lagrangian(system, x0)
+
     def test_seed_pair_off_the_constraint_warns(self):
         system = builtin.nonholonomic_particle(H)
         q0 = np.array([0.0, 0.5, 0.0])
@@ -693,6 +719,27 @@ class TestLagrangianStep:
         with pytest.warns(RuntimeWarning, match="cross-derivative block of the Lagrangian"):
             with pytest.raises(SingularJacobianError):
                 step_lagrangian(system, x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("block, warns", [([[0.0]], True), ([[1e-300]], False),
+                                              ([[np.nan]], False)],
+                             ids=["zero", "tiny", "nan"])
+    def test_one_by_one_cross_blocks(self, block, warns):
+        # np.linalg.cond serves 1 x 1 blocks too; a non-finite block is left
+        # to the Newton solve, which reports it as singular
+        if warns:
+            with pytest.warns(RuntimeWarning, match="cross-derivative block of the Lagrangian"):
+                stepper._check_regularity(np.array(block), "lagrangian")
+        else:
+            stepper._check_regularity(np.array(block), "lagrangian")
+
+    def test_overflowing_one_by_one_step_reports_its_condition(self):
+        with pytest.raises(SingularJacobianError) as info:
+            stepper._newton_step(np.array([[1e-300]]), np.array([1e300]))
+        assert info.value.condition == 1.0
+        with pytest.raises(SingularJacobianError) as info:
+            stepper._newton_step(np.array([[0.0]]), np.array([1.0]))
+        assert info.value.condition == np.inf
 
     def test_non_finite_momentum_update_fails_the_step(self):
         # d2 L is finite at the seed but NaN at the solved configuration: the

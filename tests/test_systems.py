@@ -14,6 +14,7 @@ from diracmech import (
     PairedVector,
     PontryaginPoint,
     SkewForm,
+    UnsupportedOperationError,
     dirac_inclusion_residual,
     membership_residual,
     retraction_constraint,
@@ -140,6 +141,53 @@ class TestDerivatives:
             args = [(rng.standard_normal(system.n), rng.standard_normal(system.n))
                     for _ in range(probes)]
             assert provider.max_fd_deviation(args) < 1e-5
+
+
+class TestKind:
+    """The generating function sets a system's kind."""
+
+    LAG = builtin.free_particle_lagrangian(H, 2)
+    HAM = builtin.free_particle_hamiltonian(H, 2).hamiltonian
+
+    def test_each_generating_function_names_its_kind(self):
+        lag, ham = DiscreteSystem(self.LAG), DiscreteSystem(self.HAM, label="ham")
+        assert (lag.kind, lag.label, lag.lagrangian, lag.hamiltonian) \
+            == ("lagrangian", "lagrangian", self.LAG, None)
+        assert (ham.kind, ham.label, ham.lagrangian, ham.hamiltonian) \
+            == ("hamiltonian", "ham", None, self.HAM)
+
+    def test_the_other_kind_is_rejected(self):
+        with pytest.raises(UnsupportedOperationError, match="expected a DiscreteLagrangian"):
+            DiscreteSystem.from_lagrangian(self.HAM)
+        with pytest.raises(UnsupportedOperationError, match="expected a DiscreteHamiltonian"):
+            DiscreteSystem.from_hamiltonian(self.LAG)
+
+    @pytest.mark.parametrize("gen", ["lagrangian", None, LAG.provider],
+                             ids=["kind string", "None", "provider"])
+    def test_only_a_generating_function_builds_a_system(self, gen):
+        with pytest.raises(UnsupportedOperationError,
+                           match="expected a DiscreteLagrangian or a DiscreteHamiltonian"):
+            DiscreteSystem(gen)
+
+
+class TestBuiltinParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: builtin.harmonic_oscillator(v),
+        lambda v: builtin.harmonic_oscillator(H, v),
+        lambda v: builtin.harmonic_oscillator_hamiltonian(v),
+        lambda v: builtin.harmonic_oscillator_hamiltonian(H, v),
+        lambda v: builtin.free_particle(v, 2),
+        lambda v: builtin.free_particle(H, 2, v),
+        lambda v: builtin.free_particle_hamiltonian(H, 2, [1.0, v]),
+        lambda v: builtin.free_particle_lagrangian(v),
+        lambda v: builtin.nonholonomic_particle(v),
+        lambda v: builtin.nonholonomic_particle(H, [1.0, v, 1.0]),
+    ], ids=["osc-h", "osc-lam", "osc-ham-h", "osc-ham-lam", "free-h", "free-mass",
+            "free-ham-mass", "free-lag-h", "nh-h", "nh-mass"])
+    def test_non_finite_parameters_are_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
 
 
 class TestConstraintTypes:
