@@ -147,9 +147,6 @@ class DiagnosticColumns(Sequence):
         records = tuple(records)
         return cls(*(np.array([getattr(d, name) for d in records]) for name in cls._FIELDS))
 
-    def _head(self, steps: int) -> "DiagnosticColumns":
-        return DiagnosticColumns(*(getattr(self, name)[:steps] for name in self._FIELDS))
-
     def __len__(self) -> int:
         return self.residual.shape[0]
 
@@ -246,7 +243,7 @@ def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
     # the SVD behind cond() fails on non-finite entries
-    cond = float(np.linalg.cond(jm)) if _all_finite(jm) else float("inf")
+    cond = _condition(jm) if _all_finite(jm) else math.inf
     raise SingularJacobianError(
         "Newton Jacobian is singular or gives a non-finite step (condition estimate %.3e)"
         % cond, condition=cond,
@@ -296,11 +293,11 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
         fresh = held is None
         if fresh:
             held = np.asarray(jac(x), dtype=float) if jac is not None else jacobian_columns(f, x)
-            if held.shape != (x.size, x.size):
-                raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
-                                             % (held.shape, (x.size, x.size)))
-            if jacobian_cache is not None:
-                jacobian_cache[:1] = [held]
+        if held.shape != (x.size, x.size):
+            raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
+                                         % (held.shape, (x.size, x.size)))
+        if fresh and jacobian_cache is not None:
+            jacobian_cache[:1] = [held]
         try:
             step = _newton_step(held, fx)
         except SingularJacobianError:
@@ -396,15 +393,6 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
     return _seed_certificate(system, x0)[1]
 
 
-def _certify(inclusion: float, opts: SolverOptions) -> None:
-    if not (inclusion <= 10.0 * opts.tol):
-        raise CertificationError(
-            "accepted step fails the inclusion residual gate (%.3e > 10 * %.1e)"
-            % (inclusion, opts.tol),
-            inclusion_residual=inclusion,
-        )
-
-
 def _maybe_cross_check(f, jac_assembled, z0):
     gap = np.max(np.abs(jac_assembled - jacobian_columns(f, z0)))
     scale = max(1.0, float(np.max(np.abs(jac_assembled))))
@@ -413,29 +401,23 @@ def _maybe_cross_check(f, jac_assembled, z0):
                       % (gap / scale), RuntimeWarning, stacklevel=3)
 
 
+def _condition(m: np.ndarray) -> float:
+    """np.linalg.cond of a finite square matrix; a 1x1 one in closed form (1.0, inf for zero)."""
+    if m.shape == (1, 1):
+        return 1.0 if m[0, 0] else math.inf
+    return float(np.linalg.cond(m))
+
+
 def _check_regularity(cross: np.ndarray, kind: str) -> None:
     if not _all_finite(cross):
         return  # the Newton solve reports a non-finite matrix as singular
-    cond = float(np.linalg.cond(cross))
+    cond = _condition(cross)
     if cond > CROSS_BLOCK_COND_LIMIT:
         warnings.warn(
             "cross-derivative block of the %s is near singular (condition estimate %.3e); "
             "the implicit update may not be well defined" % (kind.capitalize(), cond),
             RuntimeWarning, stacklevel=3,
         )
-
-
-def _matrix_slot(system: DiscreteSystem, block: int, slot: Callable) -> Callable:
-    """The slot gradient that a Newton matrix differentiates.
-
-    An analytic slot gradient is ``slot`` itself. A finite-difference one is
-    taken by forward differences instead (n + 1 evaluations of L or H, not
-    2n): the matrix only steers the iteration, so first order suffices.
-    """
-    provider = system._generator.provider
-    if provider.grads[block] is None:
-        return functools.partial(provider.forward_gradient, block)
-    return slot
 
 
 def _extrapolated(history: tuple) -> np.ndarray:
@@ -445,190 +427,211 @@ def _extrapolated(history: tuple) -> np.ndarray:
 
 
 class _Run:
-    """What one run hands from each step to the next.
+    """The engine of one run: what its steps share, resolved once, and what each hands on.
 
     Every step belongs to a run: a direct ``step_lagrangian`` or
-    ``step_hamiltonian`` call is the first step of a fresh one. ``cache`` is
-    the one-slot list of ``newton_solve`` that holds the run's Newton matrix,
-    and ``dhdp`` the dH/dp block C of a constrained Hamiltonian matrix.
-    ``carried`` is the next step's momentum, None before the first step,
-    and ``lam`` its multiplier guess, zero on the first step. ``history``
-    stays None until a step of the run needs a second Newton iteration; from
-    then on it holds the last two or three solved unknowns, newest first,
-    and ``extrapolate`` says where the next step starts Newton: at the
-    extrapolation of the history (True, as every run begins) or at the
-    previous unknown. Each step sets it by which
-    of the two lay closer to its own solution (see ``_solve_step``).
+    ``step_hamiltonian`` call is the first step of a fresh one. The first
+    step binds the run to its system and SolverOptions (``bind``), which
+    later steps keep. ``cache`` is the one-slot list of ``newton_solve`` that
+    holds the run's Newton matrix, and ``dhdp`` the dH/dp block C of a
+    constrained Hamiltonian matrix. ``q`` and ``qplus`` are the base point
+    and q+ of the last step, and ``carried`` is the next step's momentum,
+    None before the first step; ``lam`` is its multiplier guess, zero on the
+    first step. ``history`` stays None until a step of the run needs a
+    second Newton iteration; from then on it holds the last two or three
+    solved unknowns, newest first, and ``extrapolate`` says where the next
+    step starts Newton: at the extrapolation of the history (True, as every
+    run begins) or at the previous unknown. Each step sets it by which of
+    the two lay closer to its own solution (see ``step``). ``rows`` is None
+    unless ``run_trajectory`` sets it to the run's columns, Q and P from
+    the first row each step fills, then the DiagnosticColumns fields; step
+    ``k`` then writes its row k there instead of returning a StepResult.
     """
-
-    __slots__ = ("cache", "dhdp", "carried", "lam", "history", "extrapolate")
 
     def __init__(self):
-        self.cache, self.extrapolate = [None], True
-        self.dhdp = self.carried = self.lam = self.history = None
+        self.cache, self.extrapolate, self.k = [None], True, 0
+        # last_z too: a cross-check assembles before the first residual
+        self.dhdp = self.carried = self.lam = self.history = self.rows = self.last_z = None
 
+    def bind(self, system: DiscreteSystem, opts: Optional[SolverOptions]) -> None:
+        """Resolve, once, what every step of the run reads from the system.
 
-def _solve_step(system: DiscreteSystem, q: np.ndarray, p: np.ndarray, y0: np.ndarray,
-                opts: SolverOptions, run: _Run) -> StepResult:
-    """Solve and certify one step of either kind from base point q and carried momentum p.
+        A Newton matrix differences the slope of a slot: the analytic slot
+        gradient itself, or else forward differences (n + 1 evaluations of L
+        or H, not 2n), since the matrix only steers the iteration.
+        """
+        self.system, self.opts = system, opts if opts is not None else SolverOptions()
+        self.lagrangian, self.n, self.m = system.kind == LAGRANGIAN, system.n, system.m
+        slots = self.grad, self.complete = system.slots()
+        self.momentum_balance = system.balance
+        self.dist, self.constraint = system.dist, system.constraint
+        provider = system._generator.provider
+        self.slopes = [slot if provider.grads[block] is not None
+                       else functools.partial(provider.forward_gradient, block)
+                       for block, slot in enumerate(slots)]
 
-    Every step solves z = (y, lambda), n + m unknowns. The unknown y is q+
-    for a Lagrangian step and p+ for a Hamiltonian one; momentum balance is
-    p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T lambda when constrained.
-    A constrained step adds phi(q, conf(y)) = 0, where conf is the identity
-    for a Lagrangian step and dH/dp(q, .) for a Hamiltonian one. Its matrix
-    block is J2(q, conf(y)) C, with C = I or the forward-difference Jacobian
-    of dH/dp in p+. The step completes with q+ = y, p+ = d2 L(q, y)
-    (Lagrangian) or q+ = dH/dp(q, y), p+ = y (Hamiltonian), and is certified
-    with the inclusion residual at (q, p, q+) and p+. Every assembly of the
-    Newton matrix checks the cross-derivative block, D2 D1 L or the q-p+
-    block of H, for regularity; so does the first step of a run after its
-    solve, when Newton converged at the predictor without assembling one.
-    A run that never assembles is checked there only, once.
+    def _balance(self, y):
+        self.last_z, self.last_g = y, self.grad(self.q, y)
+        return self.momentum_balance(self.p, self.last_g)
 
-    ``run`` is the record of the run the step belongs to. The step reads its
-    multiplier guess from the record and leaves p+ and lambda there. Every
-    Newton matrix has the exact -A^T multiplier columns and a zero
-    multiplier block, so an undamped step from (y0, lambda0) reaches the
-    same iterate for every lambda0; the guess only changes the start
-    residual. A held matrix of a constrained step gets this step's -A^T and
-    border J2(q, conf(y0)) C. The step that switches the history on
-    records (y, b), with b the previous unknown (q for a Lagrangian step, p
-    for a Hamiltonian one), and every later step records its own y in
-    front, keeping three. Such a step computes ex = ``_extrapolated`` of
-    the history and starts Newton at ex while ``run.extrapolate`` is set,
-    at b otherwise (Hairer, Lubich and Wanner, Geometric Numerical
-    Integration, 2nd ed., VIII.6.1). After its solve it sets
-    ``run.extrapolate`` to ||y - ex|| <= ||y - b||: the start that lay
-    closer on this step serves the next, so a stiff stretch, where the
-    extrapolation overshoots, falls back to b and a smooth one returns to
-    ex. This costs no user evaluation.
+    def _constrained(self, z):
+        n, q = self.n, self.q
+        y = z[:n]
+        r = self._balance(y) - self.at @ z[n:]
+        border = self.border
+        if self.lagrangian:
+            c = y
+        elif border is not None and np.array_equal(border[0], y):
+            c = border[1]
+        else:
+            c = self.complete(q, y)
+        self.last_z, self.last_c, self.border = z, c, None
+        self.last_phi = self.constraint.value(q, c)
+        return np.concatenate([r, self.last_phi])
 
-    The residual keeps the gradient, conf(y) and phi of its last call. When
-    Newton returns the very array of that call, q+, the constraint residual
-    and the certificate read those values instead of evaluating them again;
-    otherwise they are evaluated afresh. The first residual reuses the held
-    border's conf(y0), and an assembly at the last residual's argument its
-    conf(y).
-    """
-    lagrangian = system.kind == LAGRANGIAN
-    n, m = system.n, system.m
-    grad, complete = system.slots()
-    momentum_balance = system.balance
-    base = q if lagrangian else p
-    history = run.history
-    if history is not None:
-        ex = _extrapolated(history)
-        y0 = ex if run.extrapolate else base
-    # the argument of the residual's last call and its gradient, conf(y)
-    # (constrained steps) and constraint value
-    last_z = last_g = last_c = last_phi = None
+    def _with_constraint_blocks(self, jm, conf, c):
+        # -A^T in the multiplier columns of the balance rows, the constraint
+        # Jacobian J2(q, conf) C in the y columns of the constraint rows
+        n = self.n
+        jm[:n, n:] = -self.at
+        j2 = self.constraint.jacobian2(self.q, conf)
+        jm[n:, :n] = j2 if c is None else j2 @ c
+        return jm
 
-    def balance(y):
-        nonlocal last_z, last_g
-        last_z, last_g = y, grad(q, y)
-        return momentum_balance(p, last_g)
-    lam0 = np.zeros(m) if run.lam is None else run.lam
-    if m:
-        at = system.dist.matrix(q).T
-        # (y0, conf(y0)) of the held border, for the first residual
-        border = None
-
-        def residual_fn(z):
-            nonlocal last_z, last_c, last_phi, border
-            y = z[:n]
-            r = balance(y) - at @ z[n:]
-            if lagrangian:
-                c = y
-            elif border is not None and np.array_equal(border[0], y):
-                c = border[1]
-            else:
-                c = complete(q, y)
-            last_z, last_c, border = z, c, None
-            last_phi = system.constraint.value(q, c)
-            return np.concatenate([r, last_phi])
-
-        def with_constraint_blocks(jm, conf, c):
-            # -A^T in the multiplier columns of the balance rows, the
-            # constraint Jacobian J2(q, conf) C in the y columns of the
-            # constraint rows
-            jm[:n, n:] = -at
-            j2 = system.constraint.jacobian2(q, conf)
-            jm[n:, :n] = j2 if c is None else j2 @ c
-            return jm
-
-        z0 = np.concatenate([y0, lam0])
-        if run.cache[0] is not None:
-            # a held matrix keeps its finite-difference blocks of L or H and
-            # takes this step's constraint blocks at the predictor
-            if lagrangian:
-                conf0, c = y0, None
-            else:
-                conf0, c = complete(q, y0), run.dhdp
-                border = (y0, conf0)
-            run.cache[0] = with_constraint_blocks(run.cache[0].copy(), conf0, c)
-    else:
-        residual_fn, z0 = balance, y0
-    assemblies = 0
-
-    def slot_block(block, y):
+    def _slot_block(self, block, y):
         # the matrix block of the balance (0) or completion (1) slot gradient
-        slope = _matrix_slot(system, block, (grad, complete)[block])
+        slope, q = self.slopes[block], self.q
         return jacobian_columns(lambda v: slope(q, v), y)
 
-    def jacobian_fn(z):
-        nonlocal assemblies
-        assemblies += 1
+    def _jacobian(self, z):
+        self.assemblies += 1
+        n, m, lagrangian = self.n, self.m, self.lagrangian
         y = z[:n]
-        cross = slot_block(0, y)
-        _check_regularity(cross, system.kind)
+        cross = self._slot_block(0, y)
+        _check_regularity(cross, self.system.kind)
         top = cross if lagrangian else -cross
         if not m:
             return top
         jm = np.zeros((n + m, n + m))
         jm[:n, :n] = top
-        c = run.dhdp = None if lagrangian else slot_block(1, y)
-        conf = last_c if z is last_z else (y if lagrangian else complete(q, y))
-        return with_constraint_blocks(jm, conf, c)
+        c = self.dhdp = None if lagrangian else self._slot_block(1, y)
+        conf = self.last_c if z is self.last_z else (y if lagrangian else self.complete(self.q, y))
+        return self._with_constraint_blocks(jm, conf, c)
 
-    if opts.cross_check:
-        _maybe_cross_check(residual_fn, jacobian_fn(z0), z0)
+    def step(self, q: np.ndarray, p: np.ndarray, y0: np.ndarray) -> Optional[StepResult]:
+        """Solve and certify one step of either kind from base point q and carried momentum p.
 
-    try:
-        z, iters, res = newton_solve(residual_fn, jacobian_fn, z0, opts, jacobian_cache=run.cache)
-    except ConvergenceError as exc:
-        _name_noise_floor(exc, system, q, last_z[:n])
-        raise
-    # the residual's last values belong to the returned root only if its
-    # last call was made on this very array
-    held = z is last_z
-    y, lam = (z[:n], z[n:]) if m else (z, lam0)
-    if lagrangian:
-        qplus, p_next = y, complete(q, y)
-        if not _all_finite(p_next):
-            raise EvaluationError("momentum update d2 L is not finite "
-                                  "at the solved configuration")
-    else:
-        qplus, p_next = last_c if held and m else complete(q, y), y
-        if not _all_finite(qplus):
-            raise EvaluationError("configuration update dH/dp is not finite "
-                                  "at the solved momentum")
-    if run.carried is None and run.cache[0] is None:
-        # the run's first step converged at its predictor without a matrix;
-        # still report a degenerate update, once per run
-        _check_regularity(slot_block(0, y), system.kind)
+        Every step solves z = (y, lambda), n + m unknowns. The unknown y is
+        q+ for a Lagrangian step and p+ for a Hamiltonian one; momentum
+        balance is p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T lambda
+        when constrained. A constrained step adds phi(q, conf(y)) = 0, where
+        conf is the identity for a Lagrangian step and dH/dp(q, .) for a
+        Hamiltonian one. Its matrix block is J2(q, conf(y)) C, with C = I or
+        the forward-difference Jacobian of dH/dp in p+. The step completes
+        with q+ = y, p+ = d2 L(q, y) (Lagrangian) or q+ = dH/dp(q, y), p+ = y
+        (Hamiltonian), and is certified with the inclusion residual at
+        (q, p, q+) and p+. Every assembly of the Newton matrix checks the
+        cross-derivative block, D2 D1 L or the q-p+ block of H, for
+        regularity; so does the first step of a run after its solve, when
+        Newton converged at the predictor without assembling one. A run that
+        never assembles is checked there only, once.
 
-    # q and p come validated from the entry points, and q+ is finite by
-    # Newton acceptance or by the check above
-    nxt = PontryaginPoint._trusted(q, p, qplus)
-    cres = _norm_inf(last_phi if held else system.constraint.value(q, qplus)) if m else 0.0
-    inclusion = dirac_inclusion_residual(system, nxt, p_next, _held=last_g if held else None)
-    _certify(inclusion, opts)
-    if history is not None or iters > 1:
-        run.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
-        run.history = (y, base) + history[1:2] if history else (y, base)
-    run.carried, run.lam = p_next, lam
-    return StepResult(res, inclusion, cres, lam, iters, assemblies, next=nxt, p_next=p_next)
+        Every Newton matrix has the exact -A^T multiplier columns and a zero
+        multiplier block, so an undamped step from (y0, lambda0) reaches the
+        same iterate for every lambda0; the guess only changes the start
+        residual. A held matrix of a constrained step gets this step's -A^T
+        and border J2(q, conf(y0)) C. The step that switches the history on
+        records (y, b), with b the previous unknown (q for a Lagrangian step,
+        p for a Hamiltonian one), and every later step records its own y in
+        front, keeping three. Such a step computes ex = ``_extrapolated`` of
+        the history and starts Newton at ex while ``extrapolate`` is set, at
+        b otherwise (Hairer, Lubich and Wanner, Geometric Numerical
+        Integration, 2nd ed., VIII.6.1). After its solve it sets
+        ``extrapolate`` to ||y - ex|| <= ||y - b||: the start that lay closer
+        on this step serves the next, so a stiff stretch, where the
+        extrapolation overshoots, falls back to b and a smooth one returns to
+        ex. This costs no user evaluation.
+
+        The residual keeps the gradient, conf(y) and phi of its last call.
+        When Newton returns the very array of that call, q+, the constraint
+        residual and the certificate read those values instead of evaluating
+        them again; otherwise they are evaluated afresh. The first residual
+        reuses the held border's conf(y0), and an assembly at the last
+        residual's argument its conf(y).
+        """
+        lagrangian, n, m, opts = self.lagrangian, self.n, self.m, self.opts
+        self.q, self.p, self.assemblies = q, p, 0
+        base = q if lagrangian else p
+        history = self.history
+        if history is not None:
+            ex = _extrapolated(history)
+            y0 = ex if self.extrapolate else base
+        lam0 = np.zeros(m) if self.lam is None else self.lam
+        if m:
+            self.at, self.border = self.dist.matrix(q).T, None
+            z0, f = np.concatenate([y0, lam0]), self._constrained
+            if self.cache[0] is not None:
+                # a held matrix keeps its finite-difference blocks of L or H and
+                # takes this step's constraint blocks at the predictor
+                if lagrangian:
+                    conf0, c = y0, None
+                else:
+                    conf0, c = self.complete(q, y0), self.dhdp
+                    self.border = (y0, conf0)
+                self.cache[0] = self._with_constraint_blocks(self.cache[0].copy(), conf0, c)
+        else:
+            z0, f = y0, self._balance
+        if opts.cross_check:
+            _maybe_cross_check(f, self._jacobian(z0), z0)
+        try:
+            z, iters, res = newton_solve(f, self._jacobian, z0, opts, jacobian_cache=self.cache)
+        except ConvergenceError as exc:
+            _name_noise_floor(exc, self.system, q, self.last_z[:n])
+            raise
+        # the residual's last values belong to the returned root only if its
+        # last call was made on this very array
+        held = z is self.last_z
+        y, lam = (z[:n], z[n:]) if m else (z, lam0)
+        if lagrangian:
+            qplus, p_next = y, self.complete(q, y)
+            if not _all_finite(p_next):
+                raise EvaluationError("momentum update d2 L is not finite "
+                                      "at the solved configuration")
+        else:
+            qplus, p_next = self.last_c if held and m else self.complete(q, y), y
+            if not _all_finite(qplus):
+                raise EvaluationError("configuration update dH/dp is not finite "
+                                      "at the solved momentum")
+        if self.carried is None and self.cache[0] is None:
+            # the run's first step converged at its predictor without a matrix;
+            # still report a degenerate update, once per run
+            _check_regularity(self._slot_block(0, y), self.system.kind)
+        # q and p come validated from the entry points, and q+ is finite by
+        # Newton acceptance or by the check above; a held certificate reads
+        # only the q and p of its point, which the engine holds
+        cres = _norm_inf(self.last_phi if held else self.constraint.value(q, qplus)) if m else 0.0
+        inclusion = dirac_inclusion_residual(
+            self.system, self if held else PontryaginPoint._trusted(q, p, qplus), p_next,
+            _held=self.last_g if held else None)
+        if not (inclusion <= 10.0 * opts.tol):
+            raise CertificationError("accepted step fails the inclusion residual gate (%.3e > "
+                                     "10 * %.1e)" % (inclusion, opts.tol),
+                                     inclusion_residual=inclusion)
+        if history is not None or iters > 1:
+            self.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
+            self.history = (y, base) + history[1:2] if history else (y, base)
+        self.qplus, self.carried, self.lam = qplus, p_next, lam
+        if self.rows is None:
+            return StepResult(res, inclusion, cres, lam, iters, self.assemblies,
+                              next=PontryaginPoint._trusted(q, p, qplus), p_next=p_next)
+        k, (q_rows, p_rows, residual, inclusion_col, constraint, lams, iterations,
+            assemblies) = self.k, self.rows
+        q_rows[k], p_rows[k] = qplus, p if lagrangian else p_next
+        residual[k], inclusion_col[k], constraint[k] = res, inclusion, cres
+        iterations[k], assemblies[k] = iters, self.assemblies
+        if m:
+            lams[k] = lam
+        self.k = k + 1
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
@@ -648,45 +651,48 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
     construction.
 
-    A direct call is the first step of a fresh run, and ``run_trajectory``
-    passes its run record through the private ``_run``. The first step of
-    a run evaluates the carried momentum d2 L(q, q+) and checks its seed
-    with it, through the helper behind ``check_initial_data``: a d2 L that
-    is not finite raises EvaluationError, and one warning is given when the
-    certificate at (x, d2 L(q, q+)) exceeds 10 * tol, or when a
-    constrained seed pair has |phi(q, q+)|_inf above tol. These are the
-    gates every accepted step meets. Every later step takes the previous
-    step's ``p_next``, which is that momentum, and the run's held matrix,
-    multiplier guess and history of solved configurations. On a
-    constrained step the held matrix's -A^T and constraint-Jacobian blocks
-    are replaced by this step's, evaluated at the predictor. The predictor
-    is q+ continued at constant velocity until the run has a history; from
-    then on it is the history's extrapolation or q+ itself, whichever the
-    run's last step found closer (see ``_Run``).
+    A direct call is the first step of a fresh run. ``run_trajectory``
+    passes its engine through the private ``_run``, and x None after the
+    first step, which continues from the run's last (q+, qnew).
+    The first step of a run evaluates the carried momentum d2 L(q, q+) and
+    checks its seed with it, through the helper behind
+    ``check_initial_data``: a d2 L that is not finite raises
+    EvaluationError, and one warning is given when the certificate at
+    (x, d2 L(q, q+)) exceeds 10 * tol, or when a constrained seed pair has
+    |phi(q, q+)|_inf above tol. These are the gates every accepted step
+    meets. Every later step takes the previous step's ``p_next``, which is
+    that momentum, and the run's held matrix, multiplier guess and history
+    of solved configurations. On a constrained step the held matrix's -A^T
+    and constraint-Jacobian blocks are replaced by this step's, evaluated
+    at the predictor. The predictor is q+ continued at constant velocity
+    until the run has a history; from then on it is the history's
+    extrapolation or q+ itself, whichever the run's last step found closer
+    (see ``_Run``).
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
-    _check_dim(x, system.n)
-    opts = opts if opts is not None else SolverOptions()
     run = _run if _run is not None else _Run()
-    q1 = x.qplus
-    # q1 + q1 is 2 q1 exactly, without a scalar multiply
-    qnew0 = (q1 + q1) - x.q
+    if x is None:
+        q0, q1 = run.q, run.qplus
+    else:
+        _check_dim(x, system.n)
+        q0, q1 = x.q, x.qplus
     carried = run.carried
     if carried is None:
+        run.bind(system, opts)
         # the seed check: check_initial_data with the carried momentum at hand
         carried, r0 = _seed_certificate(system, x)
         if not _all_finite(carried):
             raise EvaluationError("carried momentum d2 L is not finite at the seed")
         gap = _norm_inf(system.constraint.value(x.q, q1)) if system.m else 0.0
-        if not (r0 <= 10.0 * opts.tol and gap <= opts.tol):
-            warnings.warn(
-                "seed point is inconsistent: initial-data residual %.3e (gate %.1e), discrete "
-                "constraint residual %.3e (gate %.1e); the step still solves the inclusion at "
-                "the next index" % (r0, 10.0 * opts.tol, gap, opts.tol),
-                RuntimeWarning, stacklevel=2,
-            )
-    return _solve_step(system, q1, carried, qnew0, opts, run)
+        tol = run.opts.tol
+        if not (r0 <= 10.0 * tol and gap <= tol):
+            warnings.warn("seed point is inconsistent: initial-data residual %.3e (gate %.1e), "
+                          "discrete constraint residual %.3e (gate %.1e); the step still solves "
+                          "the inclusion at the next index" % (r0, 10.0 * tol, gap, tol),
+                          RuntimeWarning, stacklevel=2)
+    # q1 + q1 is 2 q1 exactly, without a scalar multiply
+    return run.step(q1, carried, (q1 + q1) - q0)
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
@@ -711,21 +717,25 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     The certificate reuses dH/dq from Newton's last residual; its dp block
     dH/dp(q, pnew) - qnew is zero by construction. A direct call is the
     first step of a fresh run on copies of q and p. ``run_trajectory``
-    hands over its own validated arrays and its run record with the private
-    ``_run``. The step then builds its point on those arrays instead of on
-    copies, and takes the run's held matrix and its dH/dp block C,
-    multiplier guess and history of solved momenta. A held constrained
-    matrix gets this step's -A^T and border J2(q, dH/dp(q, p0)) C at the
-    predictor p0: the carried momentum p, or its extrapolation from the
-    history (see ``_Run``). The residual at p0 reuses that dH/dp(q, p0).
+    hands over its own validated arrays and its run engine with the private
+    ``_run``, and q and p None after the first step: the run then continues
+    from its last step's (qnew, pnew). The step works on those arrays
+    instead of on copies, and takes the run's held matrix and its dH/dp
+    block C, multiplier guess and history of solved momenta. A held
+    constrained matrix gets this step's -A^T and border J2(q, dH/dp(q, p0)) C
+    at the predictor p0: the carried momentum p, or its extrapolation from
+    the history (see ``_Run``). The residual at p0 reuses that dH/dp(q, p0).
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
-    opts = opts if opts is not None else SolverOptions()
     if _run is None:
         q, p = _phase_state(q, p, system.n)
         _run = _Run()
-    return _solve_step(system, q, p, p, opts, _run)
+    elif q is None:
+        q, p = _run.qplus, _run.carried
+    if _run.carried is None:
+        _run.bind(system, opts)
+    return _run.step(q, p, p)
 
 
 def run_trajectory(system: DiscreteSystem, seed, steps: int,
@@ -744,31 +754,22 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     (d1 L, d2 L, A(q) or phi at the seed, or a d2 L that is not finite)
     fails step 0 with the seed-only trajectory. A zero-step run evaluates nothing.
 
-    Every run holds one Newton iteration matrix for the whole trajectory
-    and reassembles it only where it stops contracting (see
-    ``newton_solve``). Its record, a ``_Run`` passed to every step, also
-    keeps the dH/dp block C of a constrained Hamiltonian matrix and, from
-    the first step that needs a second Newton iteration, the last solved
-    unknowns, from which each later predictor is extrapolated or held (see
-    ``_Run``).
-    On constrained runs each step first replaces the matrix's -A^T and
-    constraint-Jacobian blocks, which are exact and cheap, by its own at
-    the predictor, and keeps the finite-difference block of L or H (and, on
-    Hamiltonian runs, the dH/dp block C); these are rebuilt only by a
-    reassembly. Convergence is still judged on exact residuals and
-    every step is certified individually. Each diagnostic records the step's
-    Newton iterations and matrix assemblies.
+    Every step is a call of the module's ``step_lagrangian`` or
+    ``step_hamiltonian`` with the run's one engine (see ``_Run``). It holds
+    one Newton iteration matrix for the whole trajectory and reassembles it
+    only where it stops contracting (see ``newton_solve``). On constrained
+    runs each step first replaces the matrix's -A^T and constraint-Jacobian
+    blocks, which are exact and cheap, by its own at the predictor; the
+    finite-difference block of L or H (and the dH/dp block C) is rebuilt
+    only by a reassembly. Convergence is still judged on exact residuals
+    and every step is certified individually.
 
-    Each step carries the previous step's ``p_next`` as its momentum, so a
-    Lagrangian step does not evaluate d2 L(q, q+) again, and a Hamiltonian
-    step works on the arrays of the previous step's result. Each step's
-    multipliers are the next step's guess.
-
-    The run stores what it accepts in columns allocated once: configurations
-    Q (N + 2 rows for a Lagrangian run, N + 1 for a Hamiltonian one), momenta
-    P (N + 1 rows) and the DiagnosticColumns. Each step writes one row of
-    each; point k of the curve is (Q[k], P[k], Q[k + 1]), and a Hamiltonian
-    ``final_state`` is (Q[N], P[N]).
+    Each step writes its rows in place, with no per-step record, into
+    columns allocated once: configurations Q (N + 2 rows for a Lagrangian
+    run, N + 1 for a Hamiltonian one), momenta P (N + 1 rows) and the
+    DiagnosticColumns (residuals, multipliers, Newton iterations and matrix
+    assemblies). Point k of the curve is (Q[k], P[k], Q[k + 1]), and a
+    Hamiltonian ``final_state`` is (Q[N], P[N]).
     """
     opts = opts if opts is not None else SolverOptions()
     _check_count(steps, "steps", 0)
@@ -780,8 +781,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     try:
         q_col = np.empty((steps + 1 + ahead, n))
         p_col = np.empty((steps + 1, n))
-        diags = DiagnosticColumns(*np.empty((3, steps)), np.empty((steps, m)),
-                                  *np.empty((2, steps), dtype=np.int64))
+        columns = (*np.empty((3, steps)), np.empty((steps, m)),
+                   *np.empty((2, steps), dtype=np.int64))
     except (ValueError, MemoryError) as exc:  # numpy's own errors do not name steps
         raise ValueError("'steps' = %d is too many to allocate (%s)" % (steps, exc)) from exc
     if lagrangian:
@@ -800,38 +801,24 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                              "no complete bundle point exists before the first solve")
         q, p = _phase_state(q, p, n)
         q_col[0], p_col[0] = q, p
-    residual, inclusion, constraint = (diags.residual, diags.inclusion_residual,
-                                       diags.constraint_residual)
-    iterations, assemblies, lams = diags.iterations, diags.jacobian_assemblies, diags.multipliers
 
     def trajectory(done: int) -> Trajectory:
         points = done + ahead
         final = None if lagrangian else (q_col[done], p_col[done])
         return Trajectory(DiscreteCurve._stepped(q_col[:points + 1], p_col[:points]),
-                          diags._head(done), system.label, done, opts, final)
-
-    def failed(k: int, exc: DiracMechError) -> StepFailureError:
-        partial = trajectory(k) if k + ahead else None
-        return StepFailureError("step %d failed: %s" % (k, exc), k, partial)
+                          DiagnosticColumns(*(c[:done] for c in columns)), system.label, done,
+                          opts, final)
 
     run = _Run()
+    run.rows = (q_col[1 + ahead:], p_col[1:], *columns)
     for k in range(steps):
         try:
             if lagrangian:
-                result = step_lagrangian(system, x, opts, _run=run)
+                step_lagrangian(system, x, opts, _run=run)
             else:
-                result = step_hamiltonian(system, q, p, opts, _run=run)
+                step_hamiltonian(system, q, p, opts, _run=run)
         except DiracMechError as exc:
-            raise failed(k, exc) from exc
-        x = result.next
-        q, p = x.qplus, result.p_next
-        q_col[k + 1 + ahead] = q
-        p_col[k + 1] = x.p if lagrangian else p
-        residual[k] = result.residual
-        inclusion[k] = result.inclusion_residual
-        constraint[k] = result.constraint_residual
-        iterations[k] = result.iterations
-        assemblies[k] = result.jacobian_assemblies
-        if m:
-            lams[k] = result.multipliers
+            partial = trajectory(k) if k + ahead else None
+            raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
+        x = q = p = None  # later steps continue from the run's last pair
     return trajectory(steps)

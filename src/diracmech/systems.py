@@ -317,8 +317,9 @@ class DiscreteSystem:
     against n force-balance plus md constraint equations).
     ``balance(p, g)`` is the kind's momentum balance, p + g or p - g.
     ``slots()`` returns its (balance, completion) slot gradients, (d1 L, d2 L)
-    or (dH/dq, dH/dp), looked up on the generating function at each call, so
-    a wrapper installed on it after construction is called.
+    or (dH/dq, dH/dp), as the generating function holds them. A run resolves
+    them once, at its first step, so a wrapper installed before the run is
+    seen.
     """
 
     def __init__(self, generator: _GeneratingFunction,
@@ -414,8 +415,9 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     these arrays. The second block is then zero by construction and is not
     computed: a Lagrangian step's p_next is d2 L(q, q+), and a Hamiltonian
     step's q+ is dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
-    The stepper builds x from arrays it has validated, so the held path
-    does not check dimensions again.
+    The held path reads only x.q and x.p, so a run's engine, which holds
+    its step's q and p, passes itself as x. They come validated, so the held
+    path does not check dimensions again.
     """
     # The lifted vector v is the vertical lift (0, p, 0): its dq block vanishes,
     # so its projection off the lifted distribution is identically zero (part

@@ -153,6 +153,18 @@ class TestNewton:
         with pytest.raises(DimensionMismatchError, match=r"expected \(1, 1\)"):
             newton_solve(f, jac, np.zeros(1))
 
+    @pytest.mark.parametrize("held", [np.eye(3), np.ones((1, 1))], ids=["3x3", "1x1"])
+    def test_mis_shaped_held_matrix_is_a_dimension_error(self, held):
+        # two unknowns: numpy's solve would reject the 3x3 matrix with an error
+        # that names neither shape, and the 1x1 one would broadcast its scalar
+        # step over both components
+        c = np.array([2.0, -3.0])
+        cache = [held]
+        with pytest.raises(DimensionMismatchError,
+                           match=r"has shape \(\d, \d\), expected \(2, 2\)"):
+            newton_solve(lambda x: x - c, lambda x: np.eye(2), np.zeros(2), jacobian_cache=cache)
+        assert cache[0] is held
+
     def test_singular_jacobian(self):
         f = lambda x: np.array([x[0] ** 2])
         jac = lambda x: np.array([[0.0]])
@@ -441,8 +453,63 @@ class TestPredictorHistory:
             run.history = (y1, y0)
 
 
+RUN_LANES = {
+    "lagrangian": oscillator_seed,
+    "lagrangian-constrained": nonholonomic_seed,
+    "hamiltonian": lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
+    "hamiltonian-constrained": lambda: (nonholonomic_hamiltonian(),
+                                        ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3])),
+}
+
+
 class TestRunRecord:
-    """A run hands its record, ``_Run``, to the module-level step functions."""
+    """A run hands its engine, ``_Run``, to the module-level step functions;
+    the engine resolves the system once and writes each row in place."""
+
+    @pytest.mark.parametrize("lane", list(RUN_LANES))
+    def test_a_run_is_its_steps_chained_on_one_record(self, lane):
+        system, seed = RUN_LANES[lane]()
+        steps, lagrangian = 12, system.kind == "lagrangian"
+        traj = run_trajectory(system, seed, steps)
+        run, records = stepper._Run(), []
+        x, (q, p) = seed, (None, None) if lagrangian else map(np.asarray, seed)
+        for _ in range(steps):
+            if lagrangian:
+                r = step_lagrangian(system, x, _run=run)
+                x = r.next
+            else:
+                r = step_hamiltonian(system, q, p, _run=run)
+                q, p = r.next.qplus, r.p_next
+            records.append(r)
+        assert traj.diagnostics == tuple(records)  # every field, bit for bit
+        for r, point in zip(records, list(traj.curve)[lagrangian:], strict=True):
+            for u, v in ((r.next.q, point.q), (r.next.p, point.p), (r.next.qplus, point.qplus)):
+                assert u.shape == v.shape and np.array_equal(u, v)
+        if not lagrangian:
+            assert np.array_equal(traj.final_state[1], records[-1].p_next)
+
+    @pytest.mark.parametrize("lane", list(RUN_LANES))
+    def test_a_run_resolves_the_slots_once(self, monkeypatch, lane):
+        system, seed = RUN_LANES[lane]()
+        calls, slots = [], system.slots
+        monkeypatch.setattr(system, "slots", lambda: calls.append(1) or slots())
+        assert run_trajectory(system, seed, 7).steps == 7
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("lane", list(RUN_LANES))
+    def test_run_trajectory_builds_no_step_result(self, monkeypatch, lane):
+        system, seed = RUN_LANES[lane]()
+        built, result = [], stepper.StepResult
+        monkeypatch.setattr(stepper, "StepResult",
+                            lambda *args, **kwargs: built.append(1) or result(*args, **kwargs))
+        assert run_trajectory(system, seed, 7).steps == 7
+        assert built == []
+        # a direct step is a one-step run that still returns its record
+        if system.kind == "lagrangian":
+            direct = step_lagrangian(system, seed)
+        else:
+            direct = step_hamiltonian(system, *seed)
+        assert isinstance(direct, result) and built == [1]
 
     @pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
     def test_every_step_of_a_run_gets_its_one_record(self, monkeypatch, lagrangian):
@@ -732,6 +799,11 @@ class TestLagrangianStep:
                 stepper._check_regularity(np.array(block), "lagrangian")
         else:
             stepper._check_regularity(np.array(block), "lagrangian")
+
+    @pytest.mark.parametrize("entry", [2.0, -3.0, 1e-300, -1e300, 0.0])
+    def test_one_by_one_condition_is_numpys(self, entry):
+        m = np.array([[entry]])
+        assert stepper._condition(m) == np.linalg.cond(m)
 
     def test_overflowing_one_by_one_step_reports_its_condition(self):
         with pytest.raises(SingularJacobianError) as info:
@@ -1609,6 +1681,17 @@ class TestEvaluationCounts:
         traj = run_trajectory(system, seed, 25)
         assert calls == []
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+
+    @pytest.mark.parametrize("lane", ["lagrangian", "hamiltonian"])
+    def test_one_by_one_matrices_take_no_condition_svd(self, monkeypatch, lane):
+        # the condition number of a finite 1x1 matrix is 1.0, or inf for a
+        # zero entry, so the oscillator's regularity check calls no cond
+        system, seed = self.LANES[lane]()
+        calls, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **kw: calls.append(1) or cond(*a, **kw))
+        traj = run_trajectory(system, seed, 25)
+        assert traj.total_jacobian_assemblies == 1
+        assert calls == []
 
     def test_direct_lagrangian_step_evaluates_its_carried_momentum(self, monkeypatch):
         system, x0 = oscillator_seed()
