@@ -197,12 +197,13 @@ class KinematicDistribution:
 
 
 def check_admissibility(curve: DiscreteCurve, tol: float = 1e-12) -> Optional[int]:
-    """First index k with ||x_k.qplus - x_{k+1}.q||_inf > tol, or None if none.
+    """First index k where ||x_k.qplus - x_{k+1}.q||_inf <= tol fails, or None if none.
 
-    None means the curve satisfies the discrete second-order condition.
+    None means the curve satisfies the discrete second-order condition. The
+    gate fails on NaN, so a NaN tol admits no gap.
     """
     if len(curve) == 0:
         raise DimensionMismatchError("empty curve")
     gaps = np.abs(curve.qplus[:-1] - curve.q[1:]).max(axis=1)
-    bad = np.flatnonzero(gaps > tol)
+    bad = np.flatnonzero(~(gaps <= tol))
     return int(bad[0]) if bad.size else None

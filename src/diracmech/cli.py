@@ -41,8 +41,8 @@ _SYSTEMS = {
                               {"h": None, "mass": 1.0}),
 }
 _COMMON_KEYS = {"system", "seed", "steps", "solver", "output", "format", "diagnostics"}
-# in the order of the JSON metadata
-_SOLVER_KEYS = ("tol", "max_iter")
+# the fields of SolverOptions, in the order of the JSON metadata
+_SOLVER_KEYS = tuple(field.name for field in dataclasses.fields(SolverOptions))
 # Rows formatted per write: one chunk's text is the largest transient object
 # of a CSV write, whatever the row count.
 _CHUNK_ROWS = 1024
@@ -210,39 +210,31 @@ def build_system(config: RunConfig) -> DiscreteSystem:
     return build(*(config.params[name] for name in defaults))
 
 
-def _columns(n: int, m: int, diagnostics: bool):
-    cols = ["k"]
-    cols += ["q%d" % i for i in range(n)]
-    cols += ["p%d" % i for i in range(n)]
-    cols += ["qplus%d" % i for i in range(n)]
-    if diagnostics:
-        cols += ["residual", "inclusion_residual", "constraint_residual"]
-        cols += ["lambda%d" % i for i in range(m)]
-    return cols
-
-
-def _table(trajectory: Trajectory, n: int, m: int, diagnostics: bool) -> np.ndarray:
-    """The output table as one float64 array with the columns of ``_columns``.
+def _table(trajectory: Trajectory, diagnostics: bool):
+    """The output's column names and its table, one float64 array with a row per curve point.
 
     Row k holds k (exact in float64), point k of the curve and, with
     diagnostics, the record of the step that produced it; the seed row holds
-    zeros in the diagnostic columns.
+    zeros in the diagnostic columns. A vector block names one column per
+    entry (q0, q1, ...), and every block is copied into the table once.
     """
-    curve = trajectory.curve
-    rows = len(curve)
-    table = np.zeros((rows, len(_columns(n, m, diagnostics))))
-    table[:, 0] = np.arange(rows)
-    table[:, 1:1 + n] = curve.q
-    table[:, 1 + n:1 + 2 * n] = curve.p
-    table[:, 1 + 2 * n:1 + 3 * n] = curve.qplus
+    curve, diags = trajectory.curve, trajectory.diagnostics
+    blocks = [("k", np.arange(len(curve))), ("q", curve.q), ("p", curve.p), ("qplus", curve.qplus)]
     if diagnostics:
-        diags = trajectory.diagnostics
-        col = 1 + 3 * n
-        table[1:, col] = diags.residual
-        table[1:, col + 1] = diags.inclusion_residual
-        table[1:, col + 2] = diags.constraint_residual
-        table[1:, col + 3:] = diags.multipliers
-    return table
+        blocks += [(name, getattr(diags, name)) for name in
+                   ("residual", "inclusion_residual", "constraint_residual")]
+        blocks.append(("lambda", diags.multipliers))
+    columns, spans = [], []
+    for name, values in blocks:
+        start = len(columns)
+        columns += [name] if values.ndim == 1 else ["%s%d" % (name, i)
+                                                    for i in range(values.shape[1])]
+        spans.append((start, len(columns), values))
+    table = np.zeros((len(curve), len(columns)))
+    for start, stop, values in spans:
+        # a diagnostics column has no seed row: it fills the rows below it
+        table[len(table) - len(values):, start:stop] = values.reshape(len(values), stop - start)
+    return columns, table
 
 
 def _write_csv(path: Path, columns, table: np.ndarray):
@@ -266,15 +258,13 @@ def _write_json(path: Path, columns, table: np.ndarray, metadata,
         fh.write("\n")
 
 
-def _emit(config: RunConfig, system: DiscreteSystem, trajectory: Trajectory,
-          summary: Optional[RunSummary]):
-    columns = _columns(system.n, system.m, config.diagnostics)
-    table = _table(trajectory, system.n, system.m, config.diagnostics)
+def _emit(config: RunConfig, trajectory: Trajectory, summary: Optional[RunSummary]):
+    columns, table = _table(trajectory, config.diagnostics)
     metadata = {
         "system": config.system,
         "params": config.params,
         "steps": trajectory.steps,
-        "solver": {key: getattr(config.solver, key) for key in _SOLVER_KEYS},
+        "solver": asdict(config.solver),
     }
     if config.fmt == "csv":
         _write_csv(config.output, columns, table)
@@ -312,7 +302,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
         wall = time.perf_counter() - start
         print(str(exc), file=sys.stderr)
         if exc.trajectory is not None:
-            _emit(config, system, exc.trajectory, RunSummary.of(exc.trajectory, wall))
+            _emit(config, exc.trajectory, RunSummary.of(exc.trajectory, wall))
         raise
     except DiracMechError:
         raise
@@ -321,7 +311,7 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     wall = time.perf_counter() - start
 
     summary = RunSummary.of(trajectory, wall)
-    _emit(config, system, trajectory, summary)
+    _emit(config, trajectory, summary)
     if not quiet:
         for line in summary.lines():
             print(line)

@@ -40,6 +40,7 @@ from .systems import (
     LAGRANGIAN,
     DiscreteSystem,
     _check_dim,
+    _differences,
     dirac_inclusion_residual,
     jacobian_columns,
 )
@@ -76,16 +77,15 @@ class SolverOptions:
     """What a caller may set for the Newton iteration of each step.
 
     ``tol`` must be a positive finite real number (kept as a float) and
-    ``max_iter`` an integer of at least 1 (NumPy numbers will do).
-    ``cross_check`` (a bool) compares the assembled Jacobian against a full
-    finite-difference Jacobian at the predictor and warns on disagreement.
-    Where Newton starts is not an option: a run picks it from its own
-    history (see ``_Run``).
+    ``max_iter`` an integer of at least 1 (NumPy numbers will do). These
+    two fields are exactly the solver keys of a CLI config. Where Newton
+    starts is not an option: a run picks it from its own history (see
+    ``_Run``), and what a run checks once, such as a user constraint
+    Jacobian, it checks with no option (see ``_Run.step``).
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    cross_check: bool = False
 
     def __post_init__(self):
         # a bool tol would read as 1.0 and accept steps Newton never solved,
@@ -99,8 +99,6 @@ class SolverOptions:
             raise ValueError("'tol' must be positive and finite, got %r" % (self.tol,))
         object.__setattr__(self, "tol", tol)
         _check_count(self.max_iter, "max_iter", 1)
-        if not isinstance(self.cross_check, (bool, np.bool_)):
-            raise ValueError("'cross_check' must be a bool, got %r" % (self.cross_check,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,15 +266,16 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     there. The damped line search (halving down to MIN_STEP) runs only on a
     freshly assembled matrix; when it stalls near the round-off floor (see
     ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
-    gives its value. An assembled matrix must be square with one row per
-    unknown; any other shape raises DimensionMismatchError.
+    gives its value. Every residual must have one entry per unknown, and an
+    assembled matrix must be square with one row per unknown; any other
+    shape raises DimensionMismatchError.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
     """
     opts = opts if opts is not None else SolverOptions()
     x = np.asarray(x0, dtype=float).copy()
-    fx = _vector(f(x), "residual")
+    fx = _vector(f(x), "residual", x.size)
     res = _norm_inf(fx)
     held = jacobian_cache[0] if jacobian_cache else None
     iters = 0
@@ -306,7 +305,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
             held = None
             continue
         xt = x + step
-        ft = _vector(f(xt), "residual")
+        ft = _vector(f(xt), "residual", x.size)
         rt = _norm_inf(ft)
         if not fresh:
             if not (rt <= CONTRACTION * res or rt <= opts.tol):
@@ -320,7 +319,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                 if alpha < MIN_STEP:
                     raise _stall_error(held, x, res, opts, iters + 1)
                 xt = x + alpha * step
-                ft = _vector(f(xt), "residual")
+                ft = _vector(f(xt), "residual", x.size)
                 rt = _norm_inf(ft)
         x, fx, res = xt, ft, rt
         iters += 1
@@ -348,11 +347,15 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
     be trusted below that. When the balance slot has no analytic gradient
     and the finite residual of ``exc`` lies within ROUNDOFF_MARGIN of this
     floor at (q, y), the message gives the floor and says what removes it.
+    An L or H that raises there, or gives no real scalar, leaves it alone.
     """
     provider = system._generator.provider
     if provider.grads[0] is not None or not math.isfinite(exc.residual):
         return
-    noise = FD_SCALE ** 2 * abs(float(provider.f(q, y)))
+    try:
+        noise = FD_SCALE ** 2 * abs(float(provider.f(q, y)))
+    except Exception:  # a failed or non-scalar L or H leaves the ConvergenceError as it is
+        return
     if exc.residual <= ROUNDOFF_MARGIN * noise:
         exc.args = ("%s; the residual's central-difference gradient has a noise floor of "
                     "FD_SCALE**2*|L or H| = %.3e at this iterate, which analytic partials, "
@@ -393,14 +396,6 @@ def check_initial_data(system: DiscreteSystem, x0: PontryaginPoint) -> float:
     return _seed_certificate(system, x0)[1]
 
 
-def _maybe_cross_check(f, jac_assembled, z0):
-    gap = np.max(np.abs(jac_assembled - jacobian_columns(f, z0)))
-    scale = max(1.0, float(np.max(np.abs(jac_assembled))))
-    if gap / scale > 1e-4:
-        warnings.warn("assembled Jacobian deviates from finite differences by %.3e (relative)"
-                      % (gap / scale), RuntimeWarning, stacklevel=3)
-
-
 def _condition(m: np.ndarray) -> float:
     """np.linalg.cond of a finite square matrix; a 1x1 one in closed form (1.0, inf for zero)."""
     if m.shape == (1, 1):
@@ -418,6 +413,17 @@ def _check_regularity(cross: np.ndarray, kind: str) -> None:
             "the implicit update may not be well defined" % (kind.capitalize(), cond),
             RuntimeWarning, stacklevel=3,
         )
+
+
+def _check_jac2(constraint, q: np.ndarray, qplus: np.ndarray) -> None:
+    # a wrong user jac2 only steers Newton badly, so nothing else reports it;
+    # central differences of phi(q, .) read only, outside the Newton matrices
+    jac = constraint.jacobian2(q, qplus)
+    fd = np.column_stack(_differences(lambda v: constraint.value(q, v), qplus, True))
+    gap = float(np.max(np.abs(jac - fd))) / max(1.0, float(np.max(np.abs(jac))))
+    if not (gap <= 1e-4):
+        warnings.warn("constraint Jacobian jac2 deviates from central differences of phi by "
+                      "%.3e (relative) at (q, q+)" % gap, RuntimeWarning, stacklevel=3)
 
 
 def _extrapolated(history: tuple) -> np.ndarray:
@@ -450,8 +456,7 @@ class _Run:
 
     def __init__(self):
         self.cache, self.extrapolate, self.k = [None], True, 0
-        # last_z too: a cross-check assembles before the first residual
-        self.dhdp = self.carried = self.lam = self.history = self.rows = self.last_z = None
+        self.dhdp = self.carried = self.lam = self.history = self.rows = None
 
     def bind(self, system: DiscreteSystem, opts: Optional[SolverOptions]) -> None:
         """Resolve, once, what every step of the run reads from the system.
@@ -534,7 +539,12 @@ class _Run:
         cross-derivative block, D2 D1 L or the q-p+ block of H, for
         regularity; so does the first step of a run after its solve, when
         Newton converged at the predictor without assembling one. A run that
-        never assembles is checked there only, once.
+        never assembles is checked there only, once. The first step of a run
+        whose constraint has a user ``jac2`` also compares jac2(q, q+) at its
+        accepted (q, q+) with central differences of phi(q, .), 2n calls of
+        phi, and warns when they differ by more than 1e-4 * max(1,
+        max|jac2|): a wrong jac2 only slows Newton down, so nothing else
+        reports it.
 
         Every Newton matrix has the exact -A^T multiplier columns and a zero
         multiplier block, so an undamped step from (y0, lambda0) reaches the
@@ -581,8 +591,6 @@ class _Run:
                 self.cache[0] = self._with_constraint_blocks(self.cache[0].copy(), conf0, c)
         else:
             z0, f = y0, self._balance
-        if opts.cross_check:
-            _maybe_cross_check(f, self._jacobian(z0), z0)
         try:
             z, iters, res = newton_solve(f, self._jacobian, z0, opts, jacobian_cache=self.cache)
         except ConvergenceError as exc:
@@ -602,10 +610,13 @@ class _Run:
             if not _all_finite(qplus):
                 raise EvaluationError("configuration update dH/dp is not finite "
                                       "at the solved momentum")
-        if self.carried is None and self.cache[0] is None:
-            # the run's first step converged at its predictor without a matrix;
-            # still report a degenerate update, once per run
-            _check_regularity(self._slot_block(0, y), self.system.kind)
+        if self.carried is None:
+            # once per run: a degenerate update when the first step converged at
+            # its predictor without a matrix, and a user jac2 against phi
+            if self.cache[0] is None:
+                _check_regularity(self._slot_block(0, y), self.system.kind)
+            if self.constraint._jac2 is not None:
+                _check_jac2(self.constraint, q, qplus)
         # q and p come validated from the entry points, and q+ is finite by
         # Newton acceptance or by the check above; a held certificate reads
         # only the q and p of its point, which the engine holds

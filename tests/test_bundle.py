@@ -1,5 +1,6 @@
 """Bundle coordinates: points, A(q) rank checks and memo, admissibility of discrete curves."""
 
+import math
 import sys
 import threading
 
@@ -233,6 +234,17 @@ class TestAdmissibility:
         assert check_admissibility(curve, tol=0.0) == 1
         assert check_admissibility(DiscreteCurve([x0, x1]), tol=0.0) is None
         assert check_admissibility(DiscreteCurve([x0, x1]), tol=-1.0) == 0
+
+    def test_nan_tolerance_admits_no_gap(self):
+        # every gate fails on NaN: a NaN tol reports index 0, as tol=-1.0 does
+        x0 = PontryaginPoint([0.0], [1.0], [0.1])
+        gapped = DiscreteCurve([x0, PontryaginPoint([5.0], [1.0], [5.1])])
+        closed = DiscreteCurve([x0, PontryaginPoint([0.1], [1.0], [0.2])])
+        for curve in (gapped, closed):
+            assert check_admissibility(curve, tol=math.nan) == 0
+            assert check_admissibility(curve, tol=-1.0) == 0
+        assert check_admissibility(gapped, tol=5.0) is None
+        assert check_admissibility(DiscreteCurve([x0]), tol=math.nan) is None
 
     def test_curve_of_points_reads_them_back(self):
         # a curve built from points keeps its own q+ column, so gaps survive

@@ -9,8 +9,10 @@ DiracMechError that carries the certified partial trajectory (for a
 Hamiltonian run, none when the first step fails). Every recorded
 certificate also equals a fresh evaluation of the inclusion residual at the
 stored point and its p_next, and the trajectory reads exactly as the
-records of the same steps taken one by one. A right-Legendre pair, stepped
-as a Lagrangian and as a Hamiltonian system, gives one curve.
+records of the same steps taken one by one. On every lane each step's
+certificate is at most sqrt(n) times Newton's accepted residual, plus
+rounding. A right-Legendre pair, stepped as a Lagrangian and as a
+Hamiltonian system, gives one curve.
 """
 
 import numpy as np
@@ -454,3 +456,33 @@ def test_a_legendre_pair_steps_to_one_curve(pair):
         gap = np.max(np.abs(by_l.diagnostics.multipliers - by_h.diagnostics.multipliers[1:]),
                      initial=0.0)
         assert gap <= bound, ("lambda", gap, bound)
+
+
+@settings(max_examples=50)
+@given(st.sampled_from([(True, False), (True, True), (False, False), (False, True)])
+       .flatmap(lambda lane: runs(*lane)))
+def test_held_certificate_is_at_most_root_n_times_the_residual(case):
+    """On a held step, Newton's acceptance implies the certificate.
+
+    The certificate's dq block is the ker A(q) projection of the balance
+    rows of Newton's accepted residual, since A(q)^T lambda has no component
+    in ker A(q), and its other block is zero by construction. So it is at
+    most sqrt(n) times the residual's max norm, up to rounding: a relative
+    8 n eps in the norms, and (n + m) eps times |A(q)^T lambda| for the part
+    of the balance that the projection removes. The certificate therefore
+    shows that the accepted point solves the discrete equations, not that
+    the map preserves any structure.
+    """
+    system, seed, steps = case
+    try:
+        traj = run_trajectory(system, seed, steps)
+    except StepFailureError as exc:
+        traj = exc.trajectory
+    assume(traj is not None and traj.steps)
+    lagrangian, n = system.kind == "lagrangian", system.n
+    eps = np.finfo(float).eps
+    # a step's base point q is the q of the point it completes
+    for d, pt in zip(traj.diagnostics, list(traj.curve)[1:] if lagrangian else traj.curve):
+        removed = np.abs(system.dist.matrix(pt.q).T @ d.multipliers).max(initial=0.0)
+        bound = np.sqrt(n) * d.residual * (1.0 + 8 * n * eps) + (n + system.m) * eps * removed
+        assert d.inclusion_residual <= bound

@@ -148,10 +148,30 @@ class TestNewton:
                              ids=["2x2", "1-d", "fd-of-a-longer-f"])
     def test_mis_shaped_newton_matrix_is_a_dimension_error(self, jac):
         # one unknown: numpy would fail on the 2x2 matrix in solve() and on
-        # the 1-d one in cond(), with errors that name neither shape
-        f = (lambda x: x - 1.0) if jac is not None else (lambda x: np.array([x[0] - 1.0, x[0]]))
-        with pytest.raises(DimensionMismatchError, match=r"expected \(1, 1\)"):
+        # the 1-d one in cond(), with errors that name neither shape; a longer
+        # f, which would difference to a 2x1 matrix, fails at its first residual
+        if jac is not None:
+            f, shapes = (lambda x: x - 1.0), r"expected \(1, 1\)"
+        else:
+            f, shapes = (lambda x: np.array([x[0] - 1.0, x[0]])), r"\(2,\), expected \(1,\)"
+        with pytest.raises(DimensionMismatchError, match=shapes):
             newton_solve(f, jac, np.zeros(1))
+
+    @pytest.mark.parametrize("f, jac, x0, shapes", [
+        # numpy's solve would reject the third entry with an error that names
+        # neither shape
+        (lambda x: np.array([x[0], x[1], 1.0]), lambda x: np.eye(2), np.ones(2),
+         r"\(3,\), expected \(2,\)"),
+        # the 1x1 solve would read the first entry only and accept x = 1
+        (lambda x: np.array([x[0] - 1.0, 0.0]), lambda x: np.eye(1), np.zeros(1),
+         r"\(2,\), expected \(1,\)"),
+        # a trial residual is checked as well as the first one
+        (lambda x: x - 1.0 if x[0] == 0.0 else np.array([x[0] - 1.0, 0.0]), lambda x: np.eye(1),
+         np.zeros(1), r"\(2,\), expected \(1,\)"),
+    ], ids=["three-for-two", "two-for-one", "trial-residual"])
+    def test_residual_of_another_length_is_a_dimension_error(self, f, jac, x0, shapes):
+        with pytest.raises(DimensionMismatchError, match="residual has shape " + shapes):
+            newton_solve(f, jac, x0)
 
     @pytest.mark.parametrize("held", [np.eye(3), np.ones((1, 1))], ids=["3x3", "1x1"])
     def test_mis_shaped_held_matrix_is_a_dimension_error(self, held):
@@ -220,11 +240,6 @@ class TestNewton:
                 SolverOptions(tol=tol)
         assert SolverOptions(tol=np.float64(1e-9)).tol == 1e-9
         assert SolverOptions(tol=np.float32(1e-3)).tol == np.float32(1e-3)
-        # a truthy non-bool such as "no" would read as True
-        for value in ("no", 1, 0, None):
-            with pytest.raises(ValueError, match="cross_check"):
-                SolverOptions(cross_check=value)
-        assert SolverOptions(cross_check=np.False_).cross_check is np.False_
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
         # a non-integer bound: iters >= nan is never true, so a nan bound
@@ -234,8 +249,9 @@ class TestNewton:
                 SolverOptions(max_iter=max_iter)
         assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
         # where Newton starts, and whether it damps, are not options
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "tol", "max_iter", "cross_check"]
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iter"]
+        with pytest.raises(TypeError):
+            SolverOptions(cross_check=True)
 
 
 def recorded_square_root_problem():
@@ -761,13 +777,59 @@ class TestLagrangianStep:
             assert np.linalg.norm(g - a1.T @ coeffs) < 1e-9
             x = result.next
 
-    def test_cross_check_accepts_assembled_jacobians(self, recwarn):
-        # assembled block Jacobians agree with a full finite-difference one
-        for system, x in (oscillator_seed(), nonholonomic_seed()):
-            step_lagrangian(system, x, SolverOptions(cross_check=True))
+    def test_assembled_jacobians_agree_with_finite_differences(self):
+        # a run's first step assembles its Newton matrix at the predictor z0
+        # and holds it; there it agrees with a full finite-difference Jacobian
+        # of the engine's residual
         ham = builtin.harmonic_oscillator_hamiltonian(H, LAM)
-        step_hamiltonian(ham, [0.2], [0.8], SolverOptions(cross_check=True))
-        assert not [w for w in recwarn.list if "deviates" in str(w.message)]
+        for system, x in (oscillator_seed(), nonholonomic_seed(), (ham, None)):
+            run = stepper._Run()
+            if x is None:
+                result = step_hamiltonian(ham, [0.2], [0.8], _run=run)
+                y0 = np.array([0.8])
+            else:
+                result = step_lagrangian(system, x, _run=run)
+                y0 = (x.qplus + x.qplus) - x.q
+            assert result.jacobian_assemblies == 1
+            z0 = np.concatenate([y0, np.zeros(system.m)])
+            residual = run._constrained if system.m else run._balance
+            fd = systems.jacobian_columns(residual, z0)
+            held = run.cache[0]
+            gap = np.max(np.abs(held - fd)) / max(1.0, np.max(np.abs(held)))
+            assert gap <= 1e-4
+
+    @staticmethod
+    def wrong_jac2_lane(lagrangian):
+        """The nonholonomic particle, either kind, whose user jac2 has 1.5 for A's last entry."""
+        nh = builtin.nonholonomic_particle(H)
+        constraint = systems.DiscreteConstraint(3, 1, nh.constraint.phi,
+                                                lambda q, qp: np.array([[-q[1], 0.0, 1.5]]))
+        if lagrangian:
+            system = DiscreteSystem.from_lagrangian(nh.lagrangian, nh.dist, constraint)
+            seed = nonholonomic_seed()[1]
+            return system, builtin.lagrangian_seed(system, seed.q, seed.qplus)
+        system = DiscreteSystem.from_hamiltonian(nonholonomic_hamiltonian().hamiltonian, nh.dist,
+                                                 constraint)
+        return system, ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3])
+
+    @pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+    def test_wrong_user_jac2_warns_once_per_run(self, lagrangian):
+        # a wrong jac2 only steers Newton badly: the run still certifies, in
+        # more iterations, and the first step's check against phi reports it
+        system, seed = self.wrong_jac2_lane(lagrangian)
+        with pytest.warns(RuntimeWarning) as record:
+            traj = run_trajectory(system, seed, 50)
+        assert [str(w.message) for w in record] == [
+            "constraint Jacobian jac2 deviates from central differences of phi by 3.333e-01 "
+            "(relative) at (q, q+)"]
+        assert traj.total_iterations > 50
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        # a direct step is a run's first step, and checks again
+        with pytest.warns(RuntimeWarning, match="jac2 deviates"):
+            if lagrangian:
+                step_lagrangian(system, seed)
+            else:
+                step_hamiltonian(system, *seed)
 
     def test_inconsistent_seed_warns_but_steps(self):
         system, x0 = oscillator_seed()
@@ -1284,6 +1346,42 @@ class TestRunTrajectory:
         traj = run_trajectory(analytic, ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3]), 10)
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
 
+    @pytest.mark.parametrize("raises", [False, True], ids=["one-entry-array", "raising"])
+    def test_noise_floor_probe_keeps_the_typed_failure(self, monkeypatch, raises):
+        # a failed solve evaluates the FD-only L once more for its noise floor;
+        # an L that gives a one-entry array there, or raises, leaves the
+        # ConvergenceError as it is, and the run keeps its partial trajectory
+        failed = []
+
+        def ld(q, qp):
+            d = (qp - q) / H
+            value = H * (0.5 * d @ d + 0.25 * np.sum(d ** 4) + np.sum(np.cos(q)))
+            if failed and raises:
+                raise RuntimeError("L is undefined here")
+            return float(value) if raises else np.array([value])
+
+        system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(3, ld))
+        q0 = np.linspace(0.1, 0.4, 3)
+        seed = builtin.lagrangian_seed(system, q0, q0 + H * np.linspace(1.0, 0.5, 3))
+        solve = stepper.newton_solve
+
+        def flagged(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except ConvergenceError:
+                failed.append(True)
+                raise
+
+        monkeypatch.setattr(stepper, "newton_solve", flagged)
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, seed, 5, SolverOptions(max_iter=1))
+        assert failed and info.value.step_index == 0
+        cause = info.value.__cause__
+        assert isinstance(cause, ConvergenceError)
+        assert str(cause).startswith("no convergence in 1 iterations")
+        assert "noise floor" not in str(cause)
+        assert info.value.trajectory.steps == 0
+
     def test_max_aggregates_propagate_nan(self):
         import dataclasses
 
@@ -1692,6 +1790,23 @@ class TestEvaluationCounts:
         traj = run_trajectory(system, seed, 25)
         assert traj.total_jacobian_assemblies == 1
         assert calls == []
+
+    @pytest.mark.parametrize("lane", ["nonholonomic", "constrained-hamiltonian"])
+    def test_user_jac2_check_costs_2n_phi_calls_in_the_first_step(self, monkeypatch, lane):
+        # central differences of phi(q, .) at the first step's (q, q+), read
+        # outside the Newton matrices; later steps do not repeat it
+        check_jac2 = stepper._check_jac2
+
+        def phi_calls(check, steps):
+            monkeypatch.setattr(stepper, "_check_jac2", check)
+            system, seed = self.LANES[lane]()
+            counts = self.count(monkeypatch, system)
+            run_trajectory(system, seed, steps)
+            return counts["phi"]
+
+        for steps in (1, 20):
+            assert (phi_calls(check_jac2, steps)
+                    - phi_calls(lambda *args: None, steps)) == 2 * 3
 
     def test_direct_lagrangian_step_evaluates_its_carried_momentum(self, monkeypatch):
         system, x0 = oscillator_seed()
