@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundle import KinematicDistribution, PontryaginPoint
+from .errors import UnsupportedOperationError
 from .systems import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
@@ -129,6 +130,8 @@ def nonholonomic_particle(h: float, mass=1.0) -> DiscreteSystem:
 
 def lagrangian_seed(system: DiscreteSystem, q0, q1) -> PontryaginPoint:
     """Seed point (q0, p0, q1) with p0 = -d1 L(q0, q1), the consistent choice."""
+    if system.lagrangian is None:
+        raise UnsupportedOperationError("a Lagrangian seed needs a Lagrangian-kind system")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     p0 = -system.lagrangian.d1(q0, q1)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
-from .linalg import _all_finite, _blocks, orthonormal_columns
+from .linalg import _all_finite, _blocks, _vector, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,10 @@ class KinematicDistribution:
         q = np.asarray(q, dtype=float)
         key = q.tobytes()
         memo = self._memo
+        # a q with the bytes of a validated one is that point; a miss checks its length
         if memo is not None and memo[0] == key:
             return memo
+        q = _vector(q, "q", self.n)
         try:
             a = np.array(self.annihilator(q), dtype=float, ndmin=2)
         except Exception as exc:
@@ -190,8 +192,9 @@ class KinematicDistribution:
 
     def project_ker(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Orthogonal projection of the covector ``w`` onto ker A(q)."""
+        w = _vector(w, "w", self.n)
         if self.m == 0:
-            return np.asarray(w, dtype=float)
+            return w
         rows = self._validated(q)[2]
         return w - rows @ (rows.T @ w)
 

@@ -354,13 +354,7 @@ def main(argv=None) -> int:
                            ("output", args.output)):
             if value is not None:
                 raw[key] = value
-        config = _validate(raw)
-    except ConfigError as exc:
-        print("invalid config: %s" % exc, file=sys.stderr)
-        return 1
-
-    try:
-        run(config, quiet=args.quiet)
+        run(_validate(raw), quiet=args.quiet)
     except StepFailureError:
         return 2
     except ConfigError as exc:

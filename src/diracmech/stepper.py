@@ -436,35 +436,29 @@ class _Run:
     """The engine of one run: what its steps share, resolved once, and what each hands on.
 
     Every step belongs to a run: a direct ``step_lagrangian`` or
-    ``step_hamiltonian`` call is the first step of a fresh one. The first
-    step binds the run to its system and SolverOptions (``bind``), which
-    later steps keep. ``cache`` is the one-slot list of ``newton_solve`` that
-    holds the run's Newton matrix, and ``dhdp`` the dH/dp block C of a
-    constrained Hamiltonian matrix. ``q`` and ``qplus`` are the base point
-    and q+ of the last step, and ``carried`` is the next step's momentum,
-    None before the first step; ``lam`` is its multiplier guess, zero on the
-    first step. ``history`` stays None until a step of the run needs a
-    second Newton iteration; from then on it holds the last two or three
-    solved unknowns, newest first, and ``extrapolate`` says where the next
-    step starts Newton: at the extrapolation of the history (True, as every
-    run begins) or at the previous unknown. Each step sets it by which of
-    the two lay closer to its own solution (see ``step``). ``rows`` is None
-    unless ``run_trajectory`` sets it to the run's columns, Q and P from
-    the first row each step fills, then the DiagnosticColumns fields; step
-    ``k`` then writes its row k there instead of returning a StepResult.
+    ``step_hamiltonian`` call is the first step of a fresh one. The engine
+    is built bound to its system and SolverOptions (the defaults for None),
+    and resolves at construction what every step reads from the system. A
+    Newton matrix differences the slope of a slot: the analytic slot
+    gradient itself, or else forward differences (n + 1 evaluations of L or
+    H, not 2n), since the matrix only steers the iteration. ``cache`` is the
+    one-slot list of ``newton_solve`` that holds the run's Newton matrix,
+    and ``dhdp`` the dH/dp block C of a constrained Hamiltonian matrix.
+    ``q`` and ``qplus`` are the base point and q+ of the last step, and
+    ``carried`` is the next step's momentum, None before the first step;
+    ``lam`` is its multiplier guess, zero before the first step.
+    ``history`` stays None until a step of the run needs a second Newton
+    iteration; from then on it holds the last two or three solved unknowns,
+    newest first, and ``extrapolate`` says where the next step starts
+    Newton: at the extrapolation of the history (True, as every run begins)
+    or at the previous unknown. Each step sets it by which of the two lay
+    closer to its own solution (see ``step``). ``rows`` is None unless
+    ``run_trajectory`` sets it to the run's columns, Q and P from the first
+    row each step fills, then the DiagnosticColumns fields; step ``k`` then
+    writes its row k there instead of returning a StepResult.
     """
 
-    def __init__(self):
-        self.cache, self.extrapolate, self.k = [None], True, 0
-        self.dhdp = self.carried = self.lam = self.history = self.rows = None
-
-    def bind(self, system: DiscreteSystem, opts: Optional[SolverOptions]) -> None:
-        """Resolve, once, what every step of the run reads from the system.
-
-        A Newton matrix differences the slope of a slot: the analytic slot
-        gradient itself, or else forward differences (n + 1 evaluations of L
-        or H, not 2n), since the matrix only steers the iteration.
-        """
+    def __init__(self, system: DiscreteSystem, opts: Optional[SolverOptions] = None):
         self.system, self.opts = system, opts if opts is not None else SolverOptions()
         self.lagrangian, self.n, self.m = system.kind == LAGRANGIAN, system.n, system.m
         slots = self.grad, self.complete = system.slots()
@@ -474,32 +468,34 @@ class _Run:
         self.slopes = [slot if provider.grads[block] is not None
                        else functools.partial(provider.forward_gradient, block)
                        for block, slot in enumerate(slots)]
+        self.cache, self.extrapolate, self.k, self.lam = [None], True, 0, np.zeros(self.m)
+        self.dhdp = self.carried = self.history = self.rows = self.conf_key = None
+
+    def _conf(self, y):
+        """q+ = dH/dp(q, y) of a Hamiltonian step's unknown y, evaluated once per value of y."""
+        key = y.tobytes()
+        if key != self.conf_key:
+            self.conf_key, self.conf_value = key, self.complete(self.q, y)
+        return self.conf_value
 
     def _balance(self, y):
         self.last_z, self.last_g = y, self.grad(self.q, y)
         return self.momentum_balance(self.p, self.last_g)
 
     def _constrained(self, z):
-        n, q = self.n, self.q
+        n = self.n
         y = z[:n]
         r = self._balance(y) - self.at @ z[n:]
-        border = self.border
-        if self.lagrangian:
-            c = y
-        elif border is not None and np.array_equal(border[0], y):
-            c = border[1]
-        else:
-            c = self.complete(q, y)
-        self.last_z, self.last_c, self.border = z, c, None
-        self.last_phi = self.constraint.value(q, c)
+        conf = y if self.lagrangian else self._conf(y)
+        self.last_z, self.last_phi = z, self.constraint.value(self.q, conf)
         return np.concatenate([r, self.last_phi])
 
-    def _with_constraint_blocks(self, jm, conf, c):
+    def _with_constraint_blocks(self, jm, y):
         # -A^T in the multiplier columns of the balance rows, the constraint
-        # Jacobian J2(q, conf) C in the y columns of the constraint rows
-        n = self.n
+        # Jacobian J2(q, conf(y)) C in the y columns of the constraint rows
+        n, c = self.n, self.dhdp
         jm[:n, n:] = -self.at
-        j2 = self.constraint.jacobian2(self.q, conf)
+        j2 = self.constraint.jacobian2(self.q, y if self.lagrangian else self._conf(y))
         jm[n:, :n] = j2 if c is None else j2 @ c
         return jm
 
@@ -519,9 +515,9 @@ class _Run:
             return top
         jm = np.zeros((n + m, n + m))
         jm[:n, :n] = top
-        c = self.dhdp = None if lagrangian else self._slot_block(1, y)
-        conf = self.last_c if z is self.last_z else (y if lagrangian else self.complete(self.q, y))
-        return self._with_constraint_blocks(jm, conf, c)
+        if not lagrangian:
+            self.dhdp = self._slot_block(1, y)
+        return self._with_constraint_blocks(jm, y)
 
     def step(self, q: np.ndarray, p: np.ndarray, y0: np.ndarray) -> Optional[StepResult]:
         """Solve and certify one step of either kind from base point q and carried momentum p.
@@ -550,24 +546,25 @@ class _Run:
         multiplier block, so an undamped step from (y0, lambda0) reaches the
         same iterate for every lambda0; the guess only changes the start
         residual. A held matrix of a constrained step gets this step's -A^T
-        and border J2(q, conf(y0)) C. The step that switches the history on
-        records (y, b), with b the previous unknown (q for a Lagrangian step,
-        p for a Hamiltonian one), and every later step records its own y in
-        front, keeping three. Such a step computes ex = ``_extrapolated`` of
-        the history and starts Newton at ex while ``extrapolate`` is set, at
-        b otherwise (Hairer, Lubich and Wanner, Geometric Numerical
-        Integration, 2nd ed., VIII.6.1). After its solve it sets
-        ``extrapolate`` to ||y - ex|| <= ||y - b||: the start that lay closer
-        on this step serves the next, so a stiff stretch, where the
+        and constraint block J2(q, conf(y0)) C. The step that switches the
+        history on records (y, b), with b the previous unknown (q for a
+        Lagrangian step, p for a Hamiltonian one), and every later step
+        records its own y in front, keeping three. Such a step computes ex =
+        ``_extrapolated`` of the history and starts Newton at ex while
+        ``extrapolate`` is set, at b otherwise (Hairer, Lubich and Wanner,
+        Geometric Numerical Integration, 2nd ed., VIII.6.1). After its solve
+        it sets ``extrapolate`` to ||y - ex|| <= ||y - b||: the start that lay
+        closer on this step serves the next, so a stiff stretch, where the
         extrapolation overshoots, falls back to b and a smooth one returns to
         ex. This costs no user evaluation.
 
-        The residual keeps the gradient, conf(y) and phi of its last call.
-        When Newton returns the very array of that call, q+, the constraint
-        residual and the certificate read those values instead of evaluating
-        them again; otherwise they are evaluated afresh. The first residual
-        reuses the held border's conf(y0), and an assembly at the last
-        residual's argument its conf(y).
+        The residual keeps the gradient and phi of its last call. ``_conf``
+        keeps the last dH/dp(q, y) it evaluated, keyed on the bytes of y,
+        for the held matrix's constraint block at the predictor, the
+        residuals, the assemblies and q+ of the step. When Newton returns the
+        very array of the residual's last call, q+, the constraint residual
+        and the certificate read those values instead of evaluating them
+        again; otherwise they are evaluated afresh.
         """
         lagrangian, n, m, opts = self.lagrangian, self.n, self.m, self.opts
         self.q, self.p, self.assemblies = q, p, 0
@@ -576,19 +573,14 @@ class _Run:
         if history is not None:
             ex = _extrapolated(history)
             y0 = ex if self.extrapolate else base
-        lam0 = np.zeros(m) if self.lam is None else self.lam
         if m:
-            self.at, self.border = self.dist.matrix(q).T, None
-            z0, f = np.concatenate([y0, lam0]), self._constrained
+            # q moves, so every dH/dp(q, y) the memo keeps is stale
+            self.at, self.conf_key = self.dist.matrix(q).T, None
+            z0, f = np.concatenate([y0, self.lam]), self._constrained
             if self.cache[0] is not None:
                 # a held matrix keeps its finite-difference blocks of L or H and
                 # takes this step's constraint blocks at the predictor
-                if lagrangian:
-                    conf0, c = y0, None
-                else:
-                    conf0, c = self.complete(q, y0), self.dhdp
-                    self.border = (y0, conf0)
-                self.cache[0] = self._with_constraint_blocks(self.cache[0].copy(), conf0, c)
+                self.cache[0] = self._with_constraint_blocks(self.cache[0].copy(), y0)
         else:
             z0, f = y0, self._balance
         try:
@@ -599,14 +591,14 @@ class _Run:
         # the residual's last values belong to the returned root only if its
         # last call was made on this very array
         held = z is self.last_z
-        y, lam = (z[:n], z[n:]) if m else (z, lam0)
+        y, lam = (z[:n], z[n:]) if m else (z, self.lam)
         if lagrangian:
             qplus, p_next = y, self.complete(q, y)
             if not _all_finite(p_next):
                 raise EvaluationError("momentum update d2 L is not finite "
                                       "at the solved configuration")
         else:
-            qplus, p_next = self.last_c if held and m else self.complete(q, y), y
+            qplus, p_next = self._conf(y) if held and m else self.complete(q, y), y
             if not _all_finite(qplus):
                 raise EvaluationError("configuration update dH/dp is not finite "
                                       "at the solved momentum")
@@ -662,9 +654,10 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
     construction.
 
-    A direct call is the first step of a fresh run. ``run_trajectory``
-    passes its engine through the private ``_run``, and x None after the
-    first step, which continues from the run's last (q+, qnew).
+    A direct call is the first step of a fresh run under ``opts``.
+    ``run_trajectory`` passes its engine, which carries its own options,
+    through the private ``_run``, and x None after the first step, which
+    continues from the run's last (q+, qnew).
     The first step of a run evaluates the carried momentum d2 L(q, q+) and
     checks its seed with it, through the helper behind
     ``check_initial_data``: a d2 L that is not finite raises
@@ -682,15 +675,14 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
-    run = _run if _run is not None else _Run()
-    if x is None:
+    run = _run if _run is not None else _Run(system, opts)
+    if x is None and _run is not None:
         q0, q1 = run.q, run.qplus
     else:
         _check_dim(x, system.n)
         q0, q1 = x.q, x.qplus
     carried = run.carried
     if carried is None:
-        run.bind(system, opts)
         # the seed check: check_initial_data with the carried momentum at hand
         carried, r0 = _seed_certificate(system, x)
         if not _all_finite(carried):
@@ -727,25 +719,25 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
 
     The certificate reuses dH/dq from Newton's last residual; its dp block
     dH/dp(q, pnew) - qnew is zero by construction. A direct call is the
-    first step of a fresh run on copies of q and p. ``run_trajectory``
-    hands over its own validated arrays and its run engine with the private
-    ``_run``, and q and p None after the first step: the run then continues
+    first step of a fresh run under ``opts`` on copies of q and p.
+    ``run_trajectory`` hands over its own validated arrays and its run
+    engine, which carries its own options, with the private ``_run``, and
+    q and p None after the first step: the run then continues
     from its last step's (qnew, pnew). The step works on those arrays
     instead of on copies, and takes the run's held matrix and its dH/dp
     block C, multiplier guess and history of solved momenta. A held
-    constrained matrix gets this step's -A^T and border J2(q, dH/dp(q, p0)) C
-    at the predictor p0: the carried momentum p, or its extrapolation from
-    the history (see ``_Run``). The residual at p0 reuses that dH/dp(q, p0).
+    constrained matrix gets this step's -A^T and constraint block
+    J2(q, dH/dp(q, p0)) C at the predictor p0: the carried momentum p, or
+    its extrapolation from the history (see ``_Run``). The residual at p0
+    reuses that dH/dp(q, p0).
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
     if _run is None:
         q, p = _phase_state(q, p, system.n)
-        _run = _Run()
+        _run = _Run(system, opts)
     elif q is None:
         q, p = _run.qplus, _run.carried
-    if _run.carried is None:
-        _run.bind(system, opts)
     return _run.step(q, p, p)
 
 
@@ -797,8 +789,6 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     except (ValueError, MemoryError) as exc:  # numpy's own errors do not name steps
         raise ValueError("'steps' = %d is too many to allocate (%s)" % (steps, exc)) from exc
     if lagrangian:
-        if not isinstance(seed, PontryaginPoint):
-            raise UnsupportedOperationError("Lagrangian trajectories start from a PontryaginPoint")
         _check_dim(seed, n)
         x = seed
         q_col[0], p_col[0], q_col[1] = seed.q, seed.p, seed.qplus
@@ -820,14 +810,14 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                           DiagnosticColumns(*(c[:done] for c in columns)), system.label, done,
                           opts, final)
 
-    run = _Run()
+    run = _Run(system, opts)
     run.rows = (q_col[1 + ahead:], p_col[1:], *columns)
     for k in range(steps):
         try:
             if lagrangian:
-                step_lagrangian(system, x, opts, _run=run)
+                step_lagrangian(system, x, _run=run)
             else:
-                step_hamiltonian(system, q, p, opts, _run=run)
+                step_hamiltonian(system, q, p, _run=run)
         except DiracMechError as exc:
             partial = trajectory(k) if k + ahead else None
             raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc

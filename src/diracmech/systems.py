@@ -318,8 +318,8 @@ class DiscreteSystem:
     ``balance(p, g)`` is the kind's momentum balance, p + g or p - g.
     ``slots()`` returns its (balance, completion) slot gradients, (d1 L, d2 L)
     or (dH/dq, dH/dp), as the generating function holds them. A run resolves
-    them once, at its first step, so a wrapper installed before the run is
-    seen.
+    them once, when its engine is built, so a wrapper installed before the
+    run is seen.
     """
 
     def __init__(self, generator: _GeneratingFunction,
@@ -364,6 +364,8 @@ class DiscreteSystem:
 
 
 def _check_dim(x: PontryaginPoint, n: int):
+    if not isinstance(x, PontryaginPoint):
+        raise UnsupportedOperationError("expected a PontryaginPoint, got %s" % type(x).__name__)
     if x.dim != n:
         raise DimensionMismatchError("point dimension %d, system dimension %d" % (x.dim, n))
 

@@ -96,6 +96,17 @@ class TestAnnihilatorMemo:
             rows = orthonormal_columns(tilted_rows()(q).T)
             assert dist.project_ker(q, w).tobytes() == (w - rows @ (rows.T @ w)).tobytes()
 
+    def test_q_and_w_of_another_length_are_dimension_errors(self):
+        dist = builtin.nonholonomic_particle(0.1).dist
+        with pytest.raises(DimensionMismatchError, match=r"q has shape \(2,\), expected \(3,\)"):
+            dist.matrix([0.0, 0.5])
+        assert dist._memo is None  # nothing was stored under the short key
+        q = np.array([0.0, 0.5, 0.0])
+        with pytest.raises(DimensionMismatchError, match=r"w has shape \(2,\), expected \(3,\)"):
+            dist.project_ker(q, [1.0, 2.0])
+        with pytest.raises(DimensionMismatchError, match="w has shape"):
+            KinematicDistribution.unconstrained(3).project_ker(q, [1.0, 2.0])
+
     def test_one_evaluation_per_base_point(self, monkeypatch):
         calls = []
         dist = KinematicDistribution(4, 2, tilted_rows(calls))

@@ -12,7 +12,10 @@ stored point and its p_next, and the trajectory reads exactly as the
 records of the same steps taken one by one. On every lane each step's
 certificate is at most sqrt(n) times Newton's accepted residual, plus
 rounding. A right-Legendre pair, stepped as a Lagrangian and as a
-Hamiltonian system, gives one curve.
+Hamiltonian system, gives one curve. Two laws that the certificate does not
+imply hold on unconstrained runs of both kinds: a rotation-invariant L or H
+conserves the angular momentum q x p (discrete Noether), and the step map
+is symplectic.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ from diracmech import (  # noqa: E402
     DiscreteLagrangian,
     DiscreteSystem,
     KinematicDistribution,
+    PontryaginPoint,
     SolverOptions,
     StepDiagnostics,
     StepFailureError,
@@ -38,6 +42,7 @@ from diracmech import (  # noqa: E402
     step_lagrangian,
 )
 from diracmech import builtin, stepper  # noqa: E402
+from diracmech.systems import FD_SCALE  # noqa: E402
 
 H = 0.1
 TOL = SolverOptions().tol
@@ -156,7 +161,7 @@ def step_records(system, seed, steps):
     lagrangian = system.kind == "lagrangian"
     points = [seed] if lagrangian else []
     q, p = (None, None) if lagrangian else (np.array(x, dtype=float) for x in seed)
-    diagnostics, run = [], stepper._Run()
+    diagnostics, run = [], stepper._Run(system)
     for _ in range(steps):
         try:
             if lagrangian:
@@ -486,3 +491,139 @@ def test_held_certificate_is_at_most_root_n_times_the_residual(case):
         removed = np.abs(system.dist.matrix(pt.q).T @ d.multipliers).max(initial=0.0)
         bound = np.sqrt(n) * d.residual * (1.0 + 8 * n * eps) + (n + system.m) * eps * removed
         assert d.inclusion_residual <= bound
+
+
+@st.composite
+def central_pairs(draw, analytic=st.booleans()):
+    """(n, h, mass, grad V, L, H, q0, v, analytic): a Legendre pair with a central potential.
+
+    L(q, q+) = m |q+ - q|^2 / 2h - h V(q) and H(q, p+) = q . p+ + h |p+|^2 / 2m
+    + h V(q), with a scalar mass m in [0.5, 2] and V(q) = f(|q|^2) for
+    f(s) = k s / 2 + c s^2 / 4 + a exp(-s). Both are invariant under every
+    rotation of R^n acting on both slots. Slots are all analytic or all
+    finite differences, as ``analytic`` draws; the seed has |q0|_inf, |v| <= 1.
+    """
+    n = draw(st.integers(2, 3))
+    h = draw(st.sampled_from([0.05, 0.1]))
+    analytic = draw(analytic)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass, k = rng.uniform(0.5, 2.0, 2)
+    c = draw(st.booleans()) * rng.uniform(0.0, 1.0)
+    a = draw(st.booleans()) * rng.uniform(-1.0, 1.0)
+
+    def potential(q):
+        s = q @ q
+        return 0.5 * k * s + 0.25 * c * s * s + a * np.exp(-s)
+
+    def grad(q):
+        s = q @ q
+        return (k + c * s - 2.0 * a * np.exp(-s)) * q
+
+    def ld(q, qp):
+        return float(mass * (qp - q) @ (qp - q) / (2.0 * h) - h * potential(q))
+
+    def hd(q, pp):
+        return float(q @ pp + h * pp @ pp / (2.0 * mass) + h * potential(q))
+
+    if analytic:
+        lag = DiscreteLagrangian(n, ld, lambda q, qp: -mass * (qp - q) / h - h * grad(q),
+                                 lambda q, qp: mass * (qp - q) / h)
+        ham = DiscreteHamiltonian(n, hd, lambda q, pp: pp + h * grad(q),
+                                  lambda q, pp: q + h * pp / mass)
+    else:
+        lag, ham = DiscreteLagrangian(n, ld), DiscreteHamiltonian(n, hd)
+    q0 = rng.uniform(-1.0, 1.0, n)
+    v = rng.standard_normal(n)
+    v *= rng.uniform(0.2, 1.0) / np.linalg.norm(v)
+    return n, h, mass, grad, lag, ham, q0, v, analytic
+
+
+def angular_momenta(q, p):
+    """The components q_i p_j - q_j p_i of each row pair, shape (rows, n, n)."""
+    return q[:, :, None] * p[:, None, :] - q[:, None, :] * p[:, :, None]
+
+
+NOETHER_STEPS = 60
+
+
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+@settings(max_examples=50)
+@given(pair=central_pairs())
+def test_rotation_invariance_conserves_angular_momentum(pair, lagrangian):
+    """Discrete Noether: a rotation-invariant L or H conserves q_k x p_k.
+
+    Invariance gives q x d1 L + q+ x d2 L = 0 for L, and q x dH/dq + p+ x
+    dH/dp = 0 for H. A step meets momentum balance to its residual r, at most
+    tol, and evaluates each slot gradient to within delta, zero for analytic
+    slots and at most 20 FD_SCALE**2 for central differences (their
+    round-off FD_SCALE**2 times the size of the terms of L or H, plus
+    truncation FD_SCALE**2 |f'''| max(1, |x|)^2 / 6, both terms below 10 on
+    these bounded runs). So each step moves every component of q x p by at
+    most 2 max|q|_inf (tol + 2 delta), and N steps by N times that, plus
+    the round-off of the two products compared.
+    """
+    n, h, _, _, lag, ham, q0, v, analytic = pair
+    if lagrangian:
+        system = DiscreteSystem.from_lagrangian(lag)
+        traj = run_trajectory(system, builtin.lagrangian_seed(system, q0, q0 + h * v),
+                              NOETHER_STEPS)
+        q, p = traj.curve.q, traj.curve.p
+    else:
+        traj = run_trajectory(DiscreteSystem.from_hamiltonian(ham), (q0, 2.0 * v),
+                              NOETHER_STEPS)
+        q = np.vstack([traj.curve.q, traj.final_state[0]])
+        p = np.vstack([traj.curve.p, traj.final_state[1]])
+    assert_certified_and_finite(traj)
+    moments = angular_momenta(q, p)
+    drift = np.max(np.abs(moments - moments[0]))
+    delta = 0.0 if analytic else 20.0 * FD_SCALE ** 2
+    qmax, pmax = np.max(np.abs(q)), np.max(np.abs(p))
+    bound = (2.0 * NOETHER_STEPS * qmax * (TOL + 2.0 * delta)
+             + 8.0 * np.finfo(float).eps * qmax * pmax)
+    assert drift <= bound, (drift, bound)
+
+
+SYMPLECTIC_STEPS, SYMPLECTIC_TOL, SYMPLECTIC_DELTA = 5, 1e-13, 1e-5
+
+
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+@settings(max_examples=50)
+@given(pair=central_pairs(analytic=st.just(True)))
+def test_the_step_map_is_symplectic(pair, lagrangian):
+    """Both kinds step by a symplectic map: J^T Omega J = Omega for J the
+    Jacobian of (q_0, p_0) -> (q_N, p_N).
+
+    J is central-differenced with step delta = 1e-5, on maps solved to tol
+    1e-13 with analytic slots. Each step solves for its unknown to within
+    tol times the inverse balance block (1 for H, h / m <= 0.2 for L) and
+    completes the other half through a map of gain below 2 here, so a map
+    value is exact to N 2^N tol and a difference quotient to N 2^N tol /
+    delta, plus truncation delta^2 |F'''| / 6 with |F'''| below 6. Each entry
+    of J^T Omega J sums 2n products of two entries of J, so it is off by at
+    most 4n max|J| times the quotient error. A map that is not symplectic,
+    explicit Euler say, is off by about h^2 = 2.5e-3 or more per step.
+    """
+    n, h, mass, grad, lag, ham, q0, v, _ = pair
+    opts = SolverOptions(tol=SYMPLECTIC_TOL)
+    steps, delta = SYMPLECTIC_STEPS, SYMPLECTIC_DELTA
+    system = (DiscreteSystem.from_lagrangian(lag) if lagrangian
+              else DiscreteSystem.from_hamiltonian(ham))
+
+    def step_map(x):
+        q, p = x[:n], x[n:]
+        if lagrangian:
+            # p = -d1 L(q, q1) solved for q1; L is quadratic in its second slot
+            q1 = q + h * (p - h * grad(q)) / mass
+            traj = run_trajectory(system, PontryaginPoint(q, p, q1), steps, opts)
+            return np.concatenate([traj.curve.q[-1], traj.curve.p[-1]])
+        traj = run_trajectory(system, (q, p), steps, opts)
+        return np.concatenate(traj.final_state)
+
+    x0 = np.concatenate([q0, 0.5 * v])
+    jac = np.column_stack([(step_map(x0 + delta * e) - step_map(x0 - delta * e)) / (2.0 * delta)
+                           for e in np.eye(2 * n)])
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    gap = np.max(np.abs(jac.T @ omega @ jac - omega))
+    quotient = steps * 2.0 ** steps * SYMPLECTIC_TOL / delta + delta ** 2
+    bound = 4 * n * np.max(np.abs(jac)) * quotient
+    assert gap <= bound, (gap, bound)

@@ -381,7 +381,7 @@ class TestJacobianReuse:
         # m = 1, and the run record keeps its dH/dp block C next to it
         system = nonholonomic_hamiltonian()
         q, p = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.2, 0.3])
-        run = stepper._Run()
+        run = stepper._Run(system)
         first = step_hamiltonian(system, q, p, _run=run)
         assert run.cache[0].shape == (4, 4)
         assert run.dhdp.shape == (3, 3)
@@ -437,14 +437,14 @@ class TestPredictorHistory:
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         default = run_trajectory(system, ([0.0], [1.0]), 300)
         assert max(default.diagnostics.iterations) <= 1
-        run = stepper._Run()
+        run = stepper._Run(system)
         step_hamiltonian(system, np.array([0.0]), np.array([1.0]), _run=run)
         assert run.history is None
 
     def test_history_starts_at_the_first_nonlinear_step(self):
         system = quartic_hamiltonian(4, H)
         q, p = np.full(4, 0.2), np.full(4, 0.1)
-        run = stepper._Run()
+        run = stepper._Run(system)
         first = step_hamiltonian(system, q, p, _run=run)
         assert first.iterations > 1
         y, previous = run.history
@@ -456,7 +456,7 @@ class TestPredictorHistory:
 
     def test_each_step_keeps_the_start_that_lay_closer(self):
         system = quartic_hamiltonian(4, H)
-        run = stepper._Run()
+        run = stepper._Run(system)
         first = step_hamiltonian(system, np.full(4, 0.2), np.full(4, 0.1), _run=run)
         assert run.extrapolate is True  # the step that switches the history on
         for held in (True, False):
@@ -487,7 +487,7 @@ class TestRunRecord:
         system, seed = RUN_LANES[lane]()
         steps, lagrangian = 12, system.kind == "lagrangian"
         traj = run_trajectory(system, seed, steps)
-        run, records = stepper._Run(), []
+        run, records = stepper._Run(system), []
         x, (q, p) = seed, (None, None) if lagrangian else map(np.asarray, seed)
         for _ in range(steps):
             if lagrangian:
@@ -783,7 +783,7 @@ class TestLagrangianStep:
         # of the engine's residual
         ham = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         for system, x in (oscillator_seed(), nonholonomic_seed(), (ham, None)):
-            run = stepper._Run()
+            run = stepper._Run(system)
             if x is None:
                 result = step_hamiltonian(ham, [0.2], [0.8], _run=run)
                 y0 = np.array([0.8])
@@ -897,6 +897,20 @@ class TestLagrangianStep:
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         with pytest.raises(UnsupportedOperationError):
             step_lagrangian(system, PontryaginPoint([0.0], [1.0], [0.1]))
+
+    @pytest.mark.parametrize("call", [
+        lambda system, x: step_lagrangian(system, x),
+        lambda system, x: check_initial_data(system, x),
+        lambda system, x: dirac_inclusion_residual(system, x, [1.0]),
+        lambda system, x: run_trajectory(system, x, 3),
+    ], ids=["step_lagrangian", "check_initial_data", "dirac_inclusion_residual",
+            "run_trajectory"])
+    @pytest.mark.parametrize("x", [([0.0], [1.0], [0.1]), None], ids=["tuple", "None"])
+    def test_a_non_point_is_an_unsupported_operation(self, call, x):
+        system, _ = oscillator_seed()
+        with pytest.raises(UnsupportedOperationError,
+                           match="expected a PontryaginPoint, got (tuple|NoneType)"):
+            call(system, x)
 
     def test_oracle_equivalence_random_lagrangians(self):
         rng = np.random.default_rng(23)

@@ -170,6 +170,11 @@ class TestKind:
             DiscreteSystem(gen)
 
 
+def test_lagrangian_seed_needs_a_lagrangian_kind():
+    with pytest.raises(UnsupportedOperationError, match="Lagrangian-kind system"):
+        builtin.lagrangian_seed(builtin.harmonic_oscillator_hamiltonian(H, LAM), [0.0], [0.1])
+
+
 class TestBuiltinParameters:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
