@@ -3,6 +3,9 @@
 All built-ins carry the time step h inside the generating function itself, so
 h is an ordinary parameter and never a solver setting. Hamiltonian variants
 are the exact right Legendre transforms of their Lagrangian counterparts.
+Every parameter goes through the rules of ``linalg``: h and each mass must
+be positive and finite, lam finite and n a positive integer (ValueError
+otherwise), and the builders close over the checked Python floats.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import numpy as np
 
 from .bundle import KinematicDistribution, PontryaginPoint
 from .errors import UnsupportedOperationError
+from .linalg import _count, _real, _vector
 from .systems import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
@@ -19,16 +23,9 @@ from .systems import (
 )
 
 
-def _check_parameters(h: float, lam: float = 1.0) -> None:
-    # NaN fails every comparison
-    if not (0.0 < h < np.inf and -np.inf < lam < np.inf):
-        raise ValueError("h must be positive and finite and lam finite, got h=%r, lam=%r"
-                         % (h, lam))
-
-
 def harmonic_oscillator(h: float, lam: float = 1.0) -> DiscreteSystem:
     """1-d oscillator, L(q, q+) = h [ ((q+ - q)/h)^2 / 2 - (lam/2) q^2 ]."""
-    _check_parameters(h, lam)
+    h, lam = _real(h, "h", positive=True), _real(lam, "lam")
 
     def Ld(q, qp):
         d = (qp[0] - q[0]) / h
@@ -49,7 +46,7 @@ def harmonic_oscillator(h: float, lam: float = 1.0) -> DiscreteSystem:
 
 def harmonic_oscillator_hamiltonian(h: float, lam: float = 1.0) -> DiscreteSystem:
     """Right Legendre transform of the oscillator: H(q, p+) = q p+ + (h/2) p+^2 + (h lam/2) q^2."""
-    _check_parameters(h, lam)
+    h, lam = _real(h, "h", positive=True), _real(lam, "lam")
 
     def Hd(q, pp):
         return q[0] * pp[0] + 0.5 * h * pp[0] * pp[0] + 0.5 * h * lam * q[0] * q[0]
@@ -64,20 +61,19 @@ def harmonic_oscillator_hamiltonian(h: float, lam: float = 1.0) -> DiscreteSyste
     return DiscreteSystem.from_hamiltonian(ham, label="harmonic_oscillator_hamiltonian")
 
 
-def _mass_vector(n: int, mass) -> np.ndarray:
-    m = np.atleast_1d(np.asarray(mass, dtype=float))
-    if m.shape == (1,) and n > 1:
-        m = np.full(n, m[0])
-    if m.shape != (n,):
-        raise ValueError("mass must be a scalar or a vector of length %d" % n)
-    if not np.all((m > 0.0) & (m < np.inf)):
-        raise ValueError("masses must be positive and finite")
-    return m
+def _particle(h: float, n: int, mass) -> tuple:
+    """The checked h, n and mass vector of a particle; one mass serves every dimension."""
+    h, n = _real(h, "h", positive=True), _count(n, "n", 1)
+    masses = list(mass) if np.ndim(mass) else [mass]
+    if len(masses) == 1:
+        masses *= n
+    if len(masses) != n:
+        raise ValueError("'mass' must be a scalar or a vector of length %d" % n)
+    return h, n, np.array([_real(v, "mass", positive=True) for v in masses])
 
 
 def free_particle_lagrangian(h: float, n: int = 1, mass=1.0) -> DiscreteLagrangian:
-    _check_parameters(h)
-    m = _mass_vector(n, mass)
+    h, n, m = _particle(h, n, mass)
 
     def Ld(q, qp):
         d = qp - q
@@ -100,8 +96,7 @@ def free_particle(h: float, n: int = 1, mass=1.0) -> DiscreteSystem:
 
 def free_particle_hamiltonian(h: float, n: int = 1, mass=1.0) -> DiscreteSystem:
     """Legendre transform of the free particle: H(q, p+) = q . p+ + h |p+|^2_{1/m} / 2."""
-    _check_parameters(h)
-    m = _mass_vector(n, mass)
+    h, n, m = _particle(h, n, mass)
 
     def Hd(q, pp):
         return float(q @ pp) + 0.5 * h * float((pp * pp) @ (1.0 / m))
@@ -129,10 +124,13 @@ def nonholonomic_particle(h: float, mass=1.0) -> DiscreteSystem:
 
 
 def lagrangian_seed(system: DiscreteSystem, q0, q1) -> PontryaginPoint:
-    """Seed point (q0, p0, q1) with p0 = -d1 L(q0, q1), the consistent choice."""
+    """Seed point (q0, p0, q1) with p0 = -d1 L(q0, q1), the consistent choice.
+
+    q0 and q1 must be vectors of the system's dimension (a scalar serves
+    n = 1); DimensionMismatchError names the one that is not.
+    """
     if system.lagrangian is None:
         raise UnsupportedOperationError("a Lagrangian seed needs a Lagrangian-kind system")
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    q1 = np.atleast_1d(np.asarray(q1, dtype=float))
+    q0, q1 = _vector(q0, "q0", system.n), _vector(q1, "q1", system.n)
     p0 = -system.lagrangian.d1(q0, q1)
     return PontryaginPoint(q0, p0, q1)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
-from .linalg import _all_finite, _blocks, _vector, orthonormal_columns
+from .linalg import _all_finite, _blocks, _count, _vector, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,10 @@ class KinematicDistribution:
 
     ``annihilator(q)`` must be a pure function of q returning an m x n matrix
     of full row rank whose rows span the annihilator of the allowed
-    velocities at q. m = 0 means no constraint.
+    velocities at q. m = 0 means no constraint. n must be a positive
+    integer and m one from 0 to n (DimensionMismatchError otherwise); both
+    are kept as Python ints. With m = 0, ``matrix`` and ``project_ker``
+    still check the length of q.
 
     A(q) is evaluated and validated once per base point: the last validated
     q (by value), its A(q) and the orthonormal basis of its rows are kept in
@@ -133,9 +136,9 @@ class KinematicDistribution:
     annihilator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 0 or self.m > self.n:
-            raise DimensionMismatchError("need 0 <= m <= n with n >= 1, got m=%d n=%d"
-                                         % (self.m, self.n))
+        n = _count(self.n, "n", 1, error=DimensionMismatchError)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", _count(self.m, "m", 0, n, DimensionMismatchError))
         if self.m > 0 and self.annihilator is None:
             raise ValueError("an annihilator function is required when m > 0")
         object.__setattr__(self, "_empty", np.zeros((0, self.n)))
@@ -187,6 +190,7 @@ class KinematicDistribution:
     def matrix(self, q: np.ndarray) -> np.ndarray:
         """A(q), validated for shape, finiteness and row rank; read-only."""
         if self.m == 0:
+            _vector(q, "q", self.n)
             return self._empty
         return self._validated(q)[1]
 
@@ -194,6 +198,7 @@ class KinematicDistribution:
         """Orthogonal projection of the covector ``w`` onto ker A(q)."""
         w = _vector(w, "w", self.n)
         if self.m == 0:
+            _vector(q, "q", self.n)
             return w
         rows = self._validated(q)[2]
         return w - rows @ (rows.T @ w)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -25,7 +24,8 @@ import numpy as np
 
 from . import builtin
 from .errors import ConfigError, DiracMechError, StepFailureError
-from .stepper import SolverOptions, Trajectory, _check_count, run_trajectory
+from .linalg import _count, _real
+from .stepper import SolverOptions, Trajectory, run_trajectory
 from .systems import DiscreteSystem
 
 _FORMATS = ("csv", "json")
@@ -88,20 +88,6 @@ class RunSummary:
         ]
 
 
-def _require_number(value, name: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("field %r must be a number, got %r" % (name, value), field=name)
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError("field %r must be finite, got %r" % (name, value), field=name)
-    if positive and value <= 0.0:
-        raise ConfigError("field %r must be positive, got %g" % (name, value), field=name)
-    return value
-
-
 def _checked(field: str, check, /, *args, **kwargs):
     """``check(*args, **kwargs)``, with its ValueError raised as a ConfigError on ``field``."""
     try:
@@ -152,31 +138,29 @@ def _validate(raw: dict) -> RunConfig:
         if default is None and name not in raw:
             raise ConfigError("system %r requires parameter %r" % (system, name), field=name)
         params[name] = raw.get(name, default)
-    params["h"] = _require_number(params["h"], "h", positive=True)
+    params["h"] = _checked("h", _real, params["h"], "h", positive=True)
     if "lambda" in params:
-        lam = _require_number(params["lambda"], "lambda")
+        lam = params["lambda"] = _checked("lambda", _real, params["lambda"], "lambda")
         if lam < 0.0:
             raise ConfigError("field 'lambda' must be nonnegative", field="lambda")
-        params["lambda"] = lam
     if "n" in params:
-        _checked("n", _check_count, params["n"], "n", 1)
+        params["n"] = _checked("n", _count, params["n"], "n", 1)
     n = dimension(params)
     if "mass" in params:
-        if isinstance(params["mass"], list):
-            entries = [_require_number(v, "mass", positive=True) for v in params["mass"]]
-            if len(entries) != n:
+        mass = params["mass"]
+        if isinstance(mass, list):
+            params["mass"] = [_checked("mass", _real, v, "mass", positive=True) for v in mass]
+            if len(mass) != n:
                 raise ConfigError("field 'mass' must have one entry per dimension (%d)" % n,
                                   field="mass")
-            params["mass"] = entries
         else:
-            params["mass"] = _require_number(params["mass"], "mass", positive=True)
+            params["mass"] = _checked("mass", _real, mass, "mass", positive=True)
 
-    steps = _required(raw, "steps")
-    _checked("steps", _check_count, steps, "steps", 0)
+    steps = _checked("steps", _count, _required(raw, "steps"), "steps", 0)
     seed = _required(raw, "seed")
     if not isinstance(seed, list):
         raise ConfigError("field 'seed' must be a flat list of numbers", field="seed")
-    seed = np.array([_require_number(x, "seed") for x in seed], dtype=float)
+    seed = np.array([_checked("seed", _real, x, "seed") for x in seed], dtype=float)
     if seed.shape != (2 * n,):
         raise ConfigError("seed for %r must hold [q0, q1], 2 * %d numbers, got %d"
                           % (system, n, seed.shape[0]), field="seed")

@@ -11,6 +11,7 @@ scalar value of the form is value(v, w) = (mat @ v) . w.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,6 +27,40 @@ _F64 = np.dtype(float)
 # Arrays of up to this many entries take the pure-Python paths of _norm_inf
 # and _all_finite.
 _SMALL = 8
+
+
+def _count(value, name: str, least: int, most: Optional[int] = None,
+           error: type = ValueError) -> int:
+    """``value`` as a Python int: an Integral, not a bool, from ``least`` up to ``most``.
+
+    Anything else raises ``error``, naming the argument. A float count such
+    as nan would never end a loop, and a bool would read as 0 or 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (most is not None and value > most)):
+        what = ("an integer from %d to %d" % (least, most) if most is not None
+                else "a positive integer" if least else "a nonnegative integer")
+        raise error("%r must be %s, got %r" % (name, what, value))
+    return int(value)
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite Python float, above zero too when ``positive``.
+
+    It must be a Real that is not a bool (a bool would read as 0.0 or 1.0);
+    an int beyond the float range reads as inf. Anything else raises
+    ValueError, naming the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%r must be a number, got %r" % (name, value))
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not (0.0 < x < math.inf if positive else math.isfinite(x)):
+        raise ValueError("%r must be %sfinite, got %r"
+                         % (name, "positive and " if positive else "", x))
+    return x
 
 
 def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
@@ -126,8 +161,8 @@ class LinSubspace:
     onb: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise DimensionMismatchError("ambient dimension must be positive")
+        object.__setattr__(self, "ambient_dim",
+                           _count(self.ambient_dim, "ambient_dim", 1, error=DimensionMismatchError))
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim == 1:
             basis = basis.reshape(-1, 1)
@@ -153,11 +188,11 @@ class LinSubspace:
 
     @classmethod
     def full(cls, n: int) -> "LinSubspace":
-        return cls(n, np.eye(n))
+        return cls(n, np.eye(_count(n, "n", 1, error=DimensionMismatchError)))
 
     @classmethod
     def trivial(cls, n: int) -> "LinSubspace":
-        return cls(n, np.zeros((n, 0)))
+        return cls(n, np.zeros((_count(n, "n", 1, error=DimensionMismatchError), 0)))
 
 
 @dataclass(frozen=True)
@@ -198,6 +233,7 @@ class SkewForm:
 
     @classmethod
     def zero(cls, n: int) -> "SkewForm":
+        n = _count(n, "n", 0, error=DimensionMismatchError)
         return cls(np.zeros((n, n)))
 
     def flat(self, v: np.ndarray) -> np.ndarray:
@@ -249,8 +285,7 @@ def is_dirac(d: LinSubspace, n: int, tol: float = 1e-10) -> bool:
     on all pairs of orthonormalized basis vectors, which in finite dimensions
     is equivalent to d equaling its own pairing-orthogonal complement.
     """
-    if n < 1:
-        raise DimensionMismatchError("n must be positive")
+    n = _count(n, "n", 1, error=DimensionMismatchError)
     if d.ambient_dim % 2 != 0:
         raise DimensionMismatchError("ambient dimension %d is odd; expected 2n" % d.ambient_dim)
     if d.ambient_dim != 2 * n:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .errors import (
     StepFailureError,
     UnsupportedOperationError,
 )
-from .linalg import _all_finite, _norm_inf, _vector
+from .linalg import _all_finite, _count, _norm_inf, _real, _vector
 from .systems import (
     FD_SCALE,
     HAMILTONIAN,
@@ -65,20 +64,15 @@ MIN_STEP = 2.0 ** -20
 _EPS = float(np.finfo(float).eps)
 
 
-def _check_count(value, name: str, least: int) -> None:
-    # a float count such as nan would never end a loop
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError("%r must be a %s integer, got %r"
-                         % (name, "positive" if least else "nonnegative", value))
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """What a caller may set for the Newton iteration of each step.
 
-    ``tol`` must be a positive finite real number (kept as a float) and
-    ``max_iter`` an integer of at least 1 (NumPy numbers will do). These
-    two fields are exactly the solver keys of a CLI config. Where Newton
+    ``tol`` must be a positive finite real number and ``max_iter`` an
+    integer of at least 1 (NumPy numbers will do; they are kept as a Python
+    float and int). These two fields are exactly the solver keys of a CLI
+    config. Every entry point takes them as ``opts``, None meaning the
+    defaults; any other object raises UnsupportedOperationError. Where Newton
     starts is not an option: a run picks it from its own history (see
     ``_Run``), and what a run checks once, such as a user constraint
     Jacobian, it checks with no option (see ``_Run.step``).
@@ -90,15 +84,18 @@ class SolverOptions:
     def __post_init__(self):
         # a bool tol would read as 1.0 and accept steps Newton never solved,
         # and an int beyond the float range would overflow at the first gate
-        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
-        try:
-            tol = float(self.tol) if real else math.nan
-        except OverflowError:
-            tol = math.inf
-        if not 0.0 < tol < math.inf:
-            raise ValueError("'tol' must be positive and finite, got %r" % (self.tol,))
-        object.__setattr__(self, "tol", tol)
-        _check_count(self.max_iter, "max_iter", 1)
+        object.__setattr__(self, "tol", _real(self.tol, "tol", positive=True))
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter", 1))
+
+
+def _options(opts: Optional[SolverOptions]) -> SolverOptions:
+    """``opts``, or the default SolverOptions for None; UnsupportedOperationError otherwise."""
+    if opts is None:
+        return SolverOptions()
+    if not isinstance(opts, SolverOptions):
+        raise UnsupportedOperationError("opts must be a SolverOptions or None, got %s"
+                                        % type(opts).__name__)
+    return opts
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,7 +270,8 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
     """
-    opts = opts if opts is not None else SolverOptions()
+    # a run's engine passes its own SolverOptions on every step: one type test
+    opts = opts if type(opts) is SolverOptions else _options(opts)
     x = np.asarray(x0, dtype=float).copy()
     fx = _vector(f(x), "residual", x.size)
     res = _norm_inf(fx)
@@ -459,7 +457,7 @@ class _Run:
     """
 
     def __init__(self, system: DiscreteSystem, opts: Optional[SolverOptions] = None):
-        self.system, self.opts = system, opts if opts is not None else SolverOptions()
+        self.system, self.opts = system, _options(opts)
         self.lagrangian, self.n, self.m = system.kind == LAGRANGIAN, system.n, system.m
         slots = self.grad, self.complete = system.slots()
         self.momentum_balance = system.balance
@@ -774,11 +772,9 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     assemblies). Point k of the curve is (Q[k], P[k], Q[k + 1]), and a
     Hamiltonian ``final_state`` is (Q[N], P[N]).
     """
-    opts = opts if opts is not None else SolverOptions()
-    _check_count(steps, "steps", 0)
-    steps = int(steps)  # Trajectory.steps is a Python int for NumPy integers too
-    lagrangian = system.kind == LAGRANGIAN
-    n, m = system.n, system.m
+    steps = _count(steps, "steps", 0)  # Trajectory.steps is a Python int for NumPy integers too
+    run = _Run(system, opts)
+    lagrangian, n, m = run.lagrangian, run.n, run.m
     # rows of Q ahead of P: a Lagrangian run's seed point fills Q[1] too
     ahead = 1 if lagrangian else 0
     try:
@@ -808,9 +804,8 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
         final = None if lagrangian else (q_col[done], p_col[done])
         return Trajectory(DiscreteCurve._stepped(q_col[:points + 1], p_col[:points]),
                           DiagnosticColumns(*(c[:done] for c in columns)), system.label, done,
-                          opts, final)
+                          run.opts, final)
 
-    run = _Run(system, opts)
     run.rows = (q_col[1 + ahead:], p_col[1:], *columns)
     for k in range(steps):
         try:

@@ -29,7 +29,7 @@ from .errors import DimensionMismatchError, EvaluationError, UnsupportedOperatio
 # orthonormal_columns is not called here since the certificate projects
 # through the distribution's memo; bench/tracing.py still wraps this module
 # attribute by name
-from .linalg import _F64, _vector, orthonormal_columns  # noqa: F401
+from .linalg import _F64, _count, _vector, orthonormal_columns  # noqa: F401
 
 # Finite-difference step base, central and forward: the step along
 # component i is FD_SCALE * max(1, |x_i|).
@@ -191,8 +191,9 @@ HAMILTONIAN = "hamiltonian"
 class _GeneratingFunction:
     """A scalar function of (q, second slot) with one derivative per slot.
 
-    Each slot derivative is the analytic callable if one is given and central
-    finite differences of the function otherwise. Analytic ones are checked
+    The dimension n must be a positive integer (DimensionMismatchError
+    otherwise). Each slot derivative is the analytic callable if one is
+    given and central finite differences of the function otherwise. Analytic ones are checked
     against finite differences at construction unless ``validate`` is False.
 
     The function sets the step kind of the systems built on it: ``kind``
@@ -206,9 +207,7 @@ class _GeneratingFunction:
 
     def __init__(self, n: int, f: Callable[[np.ndarray, np.ndarray], float],
                  grads: tuple, validate: bool):
-        if n < 1:
-            raise DimensionMismatchError("dimension must be positive")
-        self.n = int(n)
+        self.n = _count(n, "n", 1, error=DimensionMismatchError)
         self.provider = DerivativeProvider(f, grads)
         if validate:
             _validate_provider(self.provider, (self.n, self.n),
@@ -245,16 +244,18 @@ class DiscreteHamiltonian(_GeneratingFunction):
 
 
 class DiscreteConstraint:
-    """The pair submanifold as a zero set phi(q, q+) = 0 of codimension md."""
+    """The pair submanifold as a zero set phi(q, q+) = 0 of codimension md.
+
+    n must be a positive integer and md one from 0 to n
+    (DimensionMismatchError otherwise); both are kept as Python ints.
+    """
 
     def __init__(self, n: int, md: int, phi: Optional[Callable] = None,
                  jac2: Optional[Callable] = None):
-        if n < 1 or md < 0 or md > n:
-            raise DimensionMismatchError("need 0 <= md <= n with n >= 1, got md=%d n=%d" % (md, n))
+        self.n = n = _count(n, "n", 1, error=DimensionMismatchError)
+        self.md = md = _count(md, "md", 0, n, DimensionMismatchError)
         if md > 0 and phi is None:
             raise ValueError("a constraint function is required when md > 0")
-        self.n = int(n)
-        self.md = int(md)
         self.phi = phi
         self._jac2 = jac2
 

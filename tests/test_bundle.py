@@ -106,6 +106,11 @@ class TestAnnihilatorMemo:
             dist.project_ker(q, [1.0, 2.0])
         with pytest.raises(DimensionMismatchError, match="w has shape"):
             KinematicDistribution.unconstrained(3).project_ker(q, [1.0, 2.0])
+        # an unconstrained distribution checks q too, though it never reads it
+        with pytest.raises(DimensionMismatchError, match=r"q has shape \(1,\), expected \(3,\)"):
+            KinematicDistribution.unconstrained(3).matrix([0.0])
+        with pytest.raises(DimensionMismatchError, match=r"q has shape \(1,\), expected \(3,\)"):
+            KinematicDistribution.unconstrained(3).project_ker([0.0], q)
 
     def test_one_evaluation_per_base_point(self, monkeypatch):
         calls = []

@@ -253,6 +253,19 @@ class TestNewton:
         with pytest.raises(TypeError):
             SolverOptions(cross_check=True)
 
+    @pytest.mark.parametrize("call", [
+        lambda opts: run_trajectory(*oscillator_seed(), 10, opts),
+        lambda opts: step_lagrangian(*oscillator_seed(), opts),
+        lambda opts: step_hamiltonian(builtin.harmonic_oscillator_hamiltonian(H, LAM),
+                                      [0.0], [1.0], opts),
+        lambda opts: newton_solve(lambda x: x - 1.0, None, np.zeros(1), opts),
+    ], ids=["run_trajectory", "step_lagrangian", "step_hamiltonian", "newton_solve"])
+    def test_opts_of_another_type_is_named(self, call):
+        # a tol passed where opts goes
+        with pytest.raises(UnsupportedOperationError,
+                           match="opts must be a SolverOptions or None, got float"):
+            call(1e-8)
+
 
 def recorded_square_root_problem():
     """f(x) = x^2 - 4 and its Jacobian, recording every point it is assembled at."""

@@ -175,6 +175,17 @@ def test_lagrangian_seed_needs_a_lagrangian_kind():
         builtin.lagrangian_seed(builtin.harmonic_oscillator_hamiltonian(H, LAM), [0.0], [0.1])
 
 
+def test_lagrangian_seed_names_a_mis_shaped_seed():
+    # not the user's gradient, and not the point's blocks
+    system = builtin.free_particle(H, 2)
+    with pytest.raises(DimensionMismatchError, match=r"q0 has shape \(1, 2\), expected \(2,\)"):
+        builtin.lagrangian_seed(system, [[0.0, 1.0]], [[0.1, 0.2]])
+    with pytest.raises(DimensionMismatchError, match=r"q1 has shape \(1,\), expected \(2,\)"):
+        builtin.lagrangian_seed(system, [0.0, 1.0], [0.1])
+    x0 = builtin.lagrangian_seed(oscillator(), 0.0, 0.1)  # scalars seed a 1-d system
+    assert (x0.q.tolist(), x0.qplus.tolist()) == ([0.0], [0.1])
+
+
 class TestBuiltinParameters:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
