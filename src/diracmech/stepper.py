@@ -249,7 +249,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                  jac: Optional[Callable[[np.ndarray], np.ndarray]],
                  x0: np.ndarray,
                  opts: Optional[SolverOptions] = None,
-                 jacobian_cache: Optional[list] = None) -> Tuple[np.ndarray, int, float]:
+                 held: Optional[np.ndarray] = None) -> Tuple[np.ndarray, int, float]:
     """Chord Newton on one held matrix, damped where it is fresh, for f(x) = 0.
 
     The iteration matrix comes from ``jac`` (a forward-difference Jacobian of
@@ -257,10 +257,10 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     current iterate only when it stops contracting there: a full step leaves
     a residual above CONTRACTION times the current one, or the solve with it
     is singular (chord monitoring, Kelley, ch. 5). Such a step is kept if it
-    still lowered the residual and discarded otherwise. ``jacobian_cache``
-    is a list whose slot 0 carries the matrix across calls: a matrix there
-    (not None) is used from the start, and every assembly is stored back
-    there. The damped line search (halving down to MIN_STEP) runs only on a
+    still lowered the residual and discarded otherwise. A ``held`` matrix
+    (not None) is used from the start; the solve writes to neither it nor
+    x0, and a caller that keeps its matrices keeps them in ``jac``. The
+    damped line search (halving down to MIN_STEP) runs only on a
     freshly assembled matrix; when it stalls near the round-off floor (see
     ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
     gives its value. Every residual must have one entry per unknown, and an
@@ -275,7 +275,6 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     x = np.asarray(x0, dtype=float).copy()
     fx = _vector(f(x), "residual", x.size)
     res = _norm_inf(fx)
-    held = jacobian_cache[0] if jacobian_cache else None
     iters = 0
     while not (res <= opts.tol):
         if not math.isfinite(res):
@@ -293,8 +292,6 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
         if held.shape != (x.size, x.size):
             raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
                                          % (held.shape, (x.size, x.size)))
-        if fresh and jacobian_cache is not None:
-            jacobian_cache[:1] = [held]
         try:
             step = _newton_step(held, fx)
         except SingularJacobianError:
@@ -439,8 +436,8 @@ class _Run:
     and resolves at construction what every step reads from the system. A
     Newton matrix differences the slope of a slot: the analytic slot
     gradient itself, or else forward differences (n + 1 evaluations of L or
-    H, not 2n), since the matrix only steers the iteration. ``cache`` is the
-    one-slot list of ``newton_solve`` that holds the run's Newton matrix,
+    H, not 2n), since the matrix only steers the iteration. ``held`` is the
+    run's Newton matrix, None until ``_jacobian`` stores its first assembly,
     and ``dhdp`` the dH/dp block C of a constrained Hamiltonian matrix.
     ``q`` and ``qplus`` are the base point and q+ of the last step, and
     ``carried`` is the next step's momentum, None before the first step;
@@ -466,8 +463,11 @@ class _Run:
         self.slopes = [slot if provider.grads[block] is not None
                        else functools.partial(provider.forward_gradient, block)
                        for block, slot in enumerate(slots)]
-        self.cache, self.extrapolate, self.k, self.lam = [None], True, 0, np.zeros(self.m)
-        self.dhdp = self.carried = self.history = self.rows = self.conf_key = None
+        self.extrapolate, self.k, self.lam = True, 0, np.zeros(self.m)
+        self.held = self.dhdp = self.carried = self.history = self.rows = self.conf_key = None
+        self.incomplete = ("momentum update d2 L is not finite at the solved configuration"
+                           if self.lagrangian else
+                           "configuration update dH/dp is not finite at the solved momentum")
 
     def _conf(self, y):
         """q+ = dH/dp(q, y) of a Hamiltonian step's unknown y, evaluated once per value of y."""
@@ -510,8 +510,9 @@ class _Run:
         _check_regularity(cross, self.system.kind)
         top = cross if lagrangian else -cross
         if not m:
+            self.held = top
             return top
-        jm = np.zeros((n + m, n + m))
+        jm = self.held = np.zeros((n + m, n + m))
         jm[:n, :n] = top
         if not lagrangian:
             self.dhdp = self._slot_block(1, y)
@@ -575,45 +576,41 @@ class _Run:
             # q moves, so every dH/dp(q, y) the memo keeps is stale
             self.at, self.conf_key = self.dist.matrix(q).T, None
             z0, f = np.concatenate([y0, self.lam]), self._constrained
-            if self.cache[0] is not None:
+            if self.held is not None:
                 # a held matrix keeps its finite-difference blocks of L or H and
-                # takes this step's constraint blocks at the predictor
-                self.cache[0] = self._with_constraint_blocks(self.cache[0].copy(), y0)
+                # takes this step's constraint blocks at the predictor, in place
+                self._with_constraint_blocks(self.held, y0)
         else:
             z0, f = y0, self._balance
         try:
-            z, iters, res = newton_solve(f, self._jacobian, z0, opts, jacobian_cache=self.cache)
+            z, iters, res = newton_solve(f, self._jacobian, z0, opts, self.held)
         except ConvergenceError as exc:
             _name_noise_floor(exc, self.system, q, self.last_z[:n])
             raise
         # the residual's last values belong to the returned root only if its
         # last call was made on this very array
-        held = z is self.last_z
+        last = z is self.last_z
         y, lam = (z[:n], z[n:]) if m else (z, self.lam)
-        if lagrangian:
-            qplus, p_next = y, self.complete(q, y)
-            if not _all_finite(p_next):
-                raise EvaluationError("momentum update d2 L is not finite "
-                                      "at the solved configuration")
-        else:
-            qplus, p_next = self._conf(y) if held and m else self.complete(q, y), y
-            if not _all_finite(qplus):
-                raise EvaluationError("configuration update dH/dp is not finite "
-                                      "at the solved momentum")
+        # one completion for both kinds, d2 L(q, y) or dH/dp(q, y); the last
+        # residual of a constrained Hamiltonian step has evaluated dH/dp there
+        c = self._conf(y) if last and m and not lagrangian else self.complete(q, y)
+        if not _all_finite(c):
+            raise EvaluationError(self.incomplete)
+        qplus, p_next = (y, c) if lagrangian else (c, y)
         if self.carried is None:
             # once per run: a degenerate update when the first step converged at
             # its predictor without a matrix, and a user jac2 against phi
-            if self.cache[0] is None:
+            if self.held is None:
                 _check_regularity(self._slot_block(0, y), self.system.kind)
             if self.constraint._jac2 is not None:
                 _check_jac2(self.constraint, q, qplus)
         # q and p come validated from the entry points, and q+ is finite by
         # Newton acceptance or by the check above; a held certificate reads
         # only the q and p of its point, which the engine holds
-        cres = _norm_inf(self.last_phi if held else self.constraint.value(q, qplus)) if m else 0.0
+        cres = _norm_inf(self.last_phi if last else self.constraint.value(q, qplus)) if m else 0.0
         inclusion = dirac_inclusion_residual(
-            self.system, self if held else PontryaginPoint._trusted(q, p, qplus), p_next,
-            _held=self.last_g if held else None)
+            self.system, self if last else PontryaginPoint._trusted(q, p, qplus), p_next,
+            _held=self.last_g if last else None)
         if not (inclusion <= 10.0 * opts.tol):
             raise CertificationError("accepted step fails the inclusion residual gate (%.3e > "
                                      "10 * %.1e)" % (inclusion, opts.tol),

@@ -179,11 +179,11 @@ class TestNewton:
         # that names neither shape, and the 1x1 one would broadcast its scalar
         # step over both components
         c = np.array([2.0, -3.0])
-        cache = [held]
+        before = held.copy()
         with pytest.raises(DimensionMismatchError,
                            match=r"has shape \(\d, \d\), expected \(2, 2\)"):
-            newton_solve(lambda x: x - c, lambda x: np.eye(2), np.zeros(2), jacobian_cache=cache)
-        assert cache[0] is held
+            newton_solve(lambda x: x - c, lambda x: np.eye(2), np.zeros(2), held=held)
+        assert np.array_equal(held, before)
 
     def test_singular_jacobian(self):
         f = lambda x: np.array([x[0] ** 2])
@@ -281,12 +281,12 @@ def recorded_square_root_problem():
 class TestJacobianReuse:
     def test_contracting_cache_is_used_without_assembly(self):
         f, jac, calls = recorded_square_root_problem()
-        cache = [np.array([[4.4]])]
-        x, _, res = newton_solve(f, jac, np.array([2.2]), jacobian_cache=cache)
+        held = np.array([[4.4]])
+        x, _, res = newton_solve(f, jac, np.array([2.2]), held=held)
         assert x[0] == pytest.approx(2.0, abs=1e-10)
         assert res <= 1e-10
         assert calls == []
-        assert cache[0][0, 0] == 4.4
+        assert held[0, 0] == 4.4
 
     def test_uncached_solve_holds_its_matrix_while_it_contracts(self):
         # from 2.2 a chord step on the slope 4.4 leaves under CONTRACTION of
@@ -301,23 +301,37 @@ class TestJacobianReuse:
         # near x = 3, a held slope of 20 leaves about 1 - 6/20 = 0.7 of the
         # residual of x^2 - 4 after each step, above CONTRACTION
         f, jac, calls = recorded_square_root_problem()
-        cache = [np.array([[20.0]])]
-        x, _, res = newton_solve(f, jac, np.array([3.0]), jacobian_cache=cache)
+        x, _, res = newton_solve(f, jac, np.array([3.0]), held=np.array([[20.0]]))
         assert x[0] == pytest.approx(2.0, abs=1e-10)
         assert res <= 1e-10
         # the held step to 2.75 still lowered the residual, so it is kept and
         # the reassembly continues from there rather than from x0
         assert calls[0] == 2.75
-        assert cache[0][0, 0] == 2.0 * calls[-1]
 
     def test_singular_cache_is_replaced(self):
         c = np.array([2.0, -3.0])
-        cache = [np.zeros((2, 2))]
-        x, iters, res = newton_solve(lambda x: x - c, lambda x: np.eye(2), np.zeros(2),
-                                     jacobian_cache=cache)
+        assembled = []
+
+        def jac(x):
+            assembled.append(np.eye(2))
+            return assembled[-1]
+
+        x, iters, res = newton_solve(lambda x: x - c, jac, np.zeros(2), held=np.zeros((2, 2)))
         assert np.allclose(x, c, atol=1e-14)
         assert iters == 1
-        assert np.array_equal(cache[0], np.eye(2))
+        assert len(assembled) == 1
+
+    def test_a_reassembling_solve_writes_to_neither_x0_nor_held(self):
+        # the solve reassembles on the non-contracting held slope of 20 and
+        # hands nothing back through its arguments: a caller keeps the
+        # matrices it wants in its own jac
+        f, jac, calls = recorded_square_root_problem()
+        x0, held = np.array([3.0]), np.array([[20.0]])
+        bits = x0.tobytes(), held.tobytes()
+        x, _, _ = newton_solve(f, jac, x0, held=held)
+        assert calls and x[0] == pytest.approx(2.0, abs=1e-10)
+        assert (x0.tobytes(), held.tobytes()) == bits
+        assert x is not x0
 
     def test_fd_hamiltonian_trajectory_assembles_once(self):
         system = quartic_hamiltonian(4, H)
@@ -396,7 +410,7 @@ class TestJacobianReuse:
         q, p = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.2, 0.3])
         run = stepper._Run(system)
         first = step_hamiltonian(system, q, p, _run=run)
-        assert run.cache[0].shape == (4, 4)
+        assert run.held.shape == (4, 4)
         assert run.dhdp.shape == (3, 3)
         assert first.jacobian_assemblies == 1
         assert isinstance(first, stepper.StepDiagnostics)
@@ -807,7 +821,7 @@ class TestLagrangianStep:
             z0 = np.concatenate([y0, np.zeros(system.m)])
             residual = run._constrained if system.m else run._balance
             fd = systems.jacobian_columns(residual, z0)
-            held = run.cache[0]
+            held = run.held
             gap = np.max(np.abs(held - fd)) / max(1.0, np.max(np.abs(held)))
             assert gap <= 1e-4
 
