@@ -64,7 +64,11 @@ def harmonic_oscillator_hamiltonian(h: float, lam: float = 1.0) -> DiscreteSyste
 def _particle(h: float, n: int, mass) -> tuple:
     """The checked h, n and mass vector of a particle; one mass serves every dimension."""
     h, n = _real(h, "h", positive=True), _count(n, "n", 1)
-    masses = list(mass) if np.ndim(mass) else [mass]
+    try:
+        masses = list(mass) if np.ndim(mass) else [mass]
+    except ValueError as exc:  # numpy's error on a ragged nesting names no argument
+        raise ValueError("'mass' must be a number or a vector of numbers, got %r"
+                         % (mass,)) from exc
     if len(masses) == 1:
         masses *= n
     if len(masses) != n:

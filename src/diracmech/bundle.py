@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
-from .linalg import _all_finite, _blocks, _count, _vector, orthonormal_columns
+from .linalg import _all_finite, _blocks, _count, _real_array, _vector, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class KinematicDistribution:
             return memo
         q = _vector(q, "q", self.n)
         try:
-            a = np.array(self.annihilator(q), dtype=float, ndmin=2)
+            a = np.array(_real_array(self.annihilator(q)), ndmin=2)
         except Exception as exc:
             raise EvaluationError("annihilator evaluation failed at q=%s: %s"
                                   % (np.array2string(q), exc)) from exc

@@ -40,7 +40,12 @@ def _count(value, name: str, least: int, most: Optional[int] = None,
             or (most is not None and value > most)):
         what = ("an integer from %d to %d" % (least, most) if most is not None
                 else "a positive integer" if least else "a nonnegative integer")
-        raise error("%r must be %s, got %r" % (name, what, value))
+        try:
+            shown = repr(value)
+        except ValueError:  # Python prints no int of more than 4300 digits
+            shown = "%s integer of %d bits" % ("a negative" if value < 0 else "an",
+                                               int(value).bit_length())
+        raise error("%r must be %s, got %s" % (name, what, shown))
     return int(value)
 
 
@@ -63,11 +68,37 @@ def _real(value, name: str, positive: bool = False) -> float:
     return x
 
 
+def _real_array(x) -> np.ndarray:
+    """``x`` as a float64 array of any shape; a float64 array comes back as it is.
+
+    Only real numbers convert: integers, floats and objects that float()
+    takes. Complex, boolean, string and other entries raise TypeError, so
+    no value is cut to its real part; an int beyond the float range raises
+    OverflowError, and a ragged nesting numpy's ValueError.
+    """
+    arr = np.asarray(x)
+    if arr.dtype == _F64:
+        return arr
+    kind = arr.dtype.kind
+    if kind not in "fiuO" or kind == "O" and any(
+            isinstance(v, (complex, np.complexfloating)) for v in arr.flat):
+        raise TypeError("%s entries are not real numbers"
+                        % ("complex" if kind == "O" else arr.dtype))
+    return arr.astype(float)
+
+
 def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
-    """``x`` as a float64 vector (of length ``n`` when given); ``x`` itself if it is one."""
+    """``x`` as a float64 vector (of length ``n`` when given); ``x`` itself if it is one.
+
+    Entries that are not real numbers (see ``_real_array``) raise
+    ValueError, a wrong shape DimensionMismatchError; both name the argument.
+    """
     if type(x) is np.ndarray and x.dtype == _F64 and x.ndim == 1 and (n is None or x.shape[0] == n):
         return x
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        arr = np.atleast_1d(_real_array(x))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("%r must be a vector of real numbers: %s" % (name, exc)) from exc
     if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
         raise DimensionMismatchError("%s has shape %r, expected %s"
                                      % (name, arr.shape, "a 1-d vector" if n is None else (n,)))

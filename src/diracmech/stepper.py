@@ -32,7 +32,7 @@ from .errors import (
     StepFailureError,
     UnsupportedOperationError,
 )
-from .linalg import _all_finite, _count, _norm_inf, _real, _vector
+from .linalg import _all_finite, _count, _norm_inf, _real, _real_array, _vector
 from .systems import (
     FD_SCALE,
     HAMILTONIAN,
@@ -348,7 +348,7 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
     if provider.grads[0] is not None or not math.isfinite(exc.residual):
         return
     try:
-        noise = FD_SCALE ** 2 * abs(float(provider.f(q, y)))
+        noise = FD_SCALE ** 2 * abs(float(_real_array(provider.f(q, y))))
     except Exception:  # a failed or non-scalar L or H leaves the ConvergenceError as it is
         return
     if exc.residual <= ROUNDOFF_MARGIN * noise:

@@ -29,7 +29,7 @@ from .errors import DimensionMismatchError, EvaluationError, UnsupportedOperatio
 # orthonormal_columns is not called here since the certificate projects
 # through the distribution's memo; bench/tracing.py still wraps this module
 # attribute by name
-from .linalg import _F64, _count, _vector, orthonormal_columns  # noqa: F401
+from .linalg import _F64, _count, _real_array, _vector, orthonormal_columns  # noqa: F401
 
 # Finite-difference step base, central and forward: the step along
 # component i is FD_SCALE * max(1, |x_i|).
@@ -76,7 +76,7 @@ def _block_gradient(f: Callable[..., float], args: Sequence[np.ndarray], block: 
         work[block] = xb
         return f(*work)
 
-    return np.array(_differences(along, x, central), dtype=float).reshape(x.shape)
+    return _real_array(_differences(along, x, central)).reshape(x.shape)
 
 
 def central_difference(f: Callable[..., float], args: Sequence[np.ndarray],
@@ -111,8 +111,10 @@ class DerivativeProvider:
     def bound(self, block: int) -> Callable[..., np.ndarray]:
         """A single-frame callable for one block's gradient (analytic or FD).
 
-        An analytic gradient must return one entry per component of its
-        block's argument (DimensionMismatchError otherwise).
+        An analytic gradient must return real numbers (see ``_real_array``;
+        EvaluationError otherwise, as for a gradient that raises), one entry
+        per component of its block's argument (DimensionMismatchError
+        otherwise).
         """
         g = self.grads[block]
         if g is None:
@@ -122,11 +124,12 @@ class DerivativeProvider:
         def call(*args):
             try:
                 out = g(*args)
+                if not (type(out) is np.ndarray and out.dtype == _F64):
+                    out = _real_array(out)
             except Exception as exc:
                 raise EvaluationError("analytic gradient for block %d failed: %s"
                                       % (block, exc)) from exc
-            if (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 1
-                    and len(out) == len(args[block])):
+            if out.ndim == 1 and len(out) == len(args[block]):
                 return out
             return _vector(out, "analytic gradient for block %d" % block, np.size(args[block]))
 
@@ -267,15 +270,16 @@ class DiscreteConstraint:
         """fn(q, q+) on float64 arguments as a float64 array of ``shape``.
 
         This is phi for a 1-d shape and its Jacobian for a 2-d one. A float64
-        result of that ndim is taken as it comes; anything else is converted.
-        A failure ends in EvaluationError, and a wrong shape after it in
+        result of that ndim is taken as it comes; anything else is converted
+        (see ``_real_array``). A failure or a result that is not real numbers
+        ends in EvaluationError, and a wrong shape after it in
         DimensionMismatchError.
         """
         vector = len(shape) == 1
         try:
             out = fn(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
             if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == len(shape)):
-                out = (np.atleast_1d if vector else np.atleast_2d)(np.asarray(out, dtype=float))
+                out = (np.atleast_1d if vector else np.atleast_2d)(_real_array(out))
         except Exception as exc:
             raise EvaluationError("constraint %s failed: %s"
                                   % ("evaluation" if vector else "Jacobian", exc)) from exc

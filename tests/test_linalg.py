@@ -125,6 +125,12 @@ class TestRankCutoff:
             mat = with_singular_values(rng, 3, np.array([1.0, RANK_CUTOFF * side]))
             assert orthonormal_columns(mat).shape == (3, rank)
 
+    def test_a_zero_matrix_has_no_columns(self):
+        # a single zero column has norm 0; wider ones reach the SVD, whose
+        # largest singular value is then 0
+        for k in (1, 2, 3):
+            assert orthonormal_columns(np.zeros((3, k))).shape == (3, 0)
+
     def test_transposed_view_and_contiguous_copy_give_the_same_bytes(self):
         rng = np.random.default_rng(73)
         for m, n in ((2, 4), (3, 3), (2, 20)):
@@ -386,3 +392,9 @@ class TestMembershipResidual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             membership_residual(PairedVector([1.0], [0.0]), LinSubspace.full(2), SkewForm.zero(2))
+
+    def test_trivial_subspace_measures_only_the_distance(self):
+        # a trivial delta restricts the defect covector to nothing, so only
+        # the distance of v from {0} is left
+        x = PairedVector([3.0, -4.0], [7.0, 1.0])
+        assert membership_residual(x, LinSubspace.trivial(2), SkewForm.zero(2)) == 5.0

@@ -6,6 +6,7 @@ import inspect
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1142,6 +1143,9 @@ class TestRunTrajectory:
         assert traj.diagnostics != records[:2] + (
             dataclasses.replace(records[2], iterations=records[2].iterations + 1),)
         assert traj.diagnostics[1:] == records[1:]
+        # anything that is not a diagnostics row or a tuple of them compares unequal
+        assert traj.diagnostics != [records[0]]
+        assert traj.diagnostics != 3 and not traj.diagnostics == (1.0, 2.0, 3.0)
 
     def test_structural_admissibility(self):
         system, x0 = oscillator_seed()
@@ -1387,16 +1391,20 @@ class TestRunTrajectory:
         traj = run_trajectory(analytic, ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3]), 10)
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
 
-    @pytest.mark.parametrize("raises", [False, True], ids=["one-entry-array", "raising"])
+    @pytest.mark.parametrize("raises", [False, True, "complex"],
+                             ids=["one-entry-array", "raising", "complex"])
     def test_noise_floor_probe_keeps_the_typed_failure(self, monkeypatch, raises):
         # a failed solve evaluates the FD-only L once more for its noise floor;
-        # an L that gives a one-entry array there, or raises, leaves the
+        # an L that gives a one-entry array there, raises, or gives a complex
+        # number (which is not cut to its real part) leaves the
         # ConvergenceError as it is, and the run keeps its partial trajectory
         failed = []
 
         def ld(q, qp):
             d = (qp - q) / H
             value = H * (0.5 * d @ d + 0.25 * np.sum(d ** 4) + np.sum(np.cos(q)))
+            if failed and raises == "complex":
+                return np.complex128(value)
             if failed and raises:
                 raise RuntimeError("L is undefined here")
             return float(value) if raises else np.array([value])
@@ -1414,8 +1422,12 @@ class TestRunTrajectory:
                 raise
 
         monkeypatch.setattr(stepper, "newton_solve", flagged)
-        with pytest.raises(StepFailureError) as info:
-            run_trajectory(system, seed, 5, SolverOptions(max_iter=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StepFailureError) as info:
+                run_trajectory(system, seed, 5, SolverOptions(max_iter=1))
+        complex_warning = getattr(np, "exceptions", np).ComplexWarning
+        assert [w.message for w in caught if issubclass(w.category, complex_warning)] == []
         assert failed and info.value.step_index == 0
         cause = info.value.__cause__
         assert isinstance(cause, ConvergenceError)

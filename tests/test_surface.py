@@ -1,10 +1,12 @@
-"""The package's public surface: every exported name resolves, once, and every numeric
-argument keeps the one rule of its kind."""
+"""The package's public surface: every exported name resolves, once, every numeric
+argument keeps the one rule of its kind, every guard raises its typed error, and a user
+result that is not real numbers ends in a typed error."""
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +16,30 @@ import diracmech
 from diracmech import (
     DimensionMismatchError,
     DiscreteConstraint,
+    DiscreteCurve,
     DiscreteHamiltonian,
     DiscreteLagrangian,
+    DiscreteSystem,
+    EvaluationError,
     KinematicDistribution,
     LinSubspace,
+    PontryaginPoint,
     SkewForm,
     SolverOptions,
+    StepFailureError,
+    Trajectory,
+    UnsupportedOperationError,
     builtin,
+    check_initial_data,
     is_dirac,
     run_trajectory,
+    step_hamiltonian,
 )
+from diracmech.cli import parse_config
+from diracmech.errors import ConfigError
+from diracmech.linalg import orthonormal_columns
+
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 # the tangent/cotangent object layer: the certificate computes these blocks
 # directly, and linalg's induced structures are the one general representation
@@ -55,6 +71,7 @@ def test_retired_names_are_not_exported():
 
 H = 0.1
 _OSC = builtin.harmonic_oscillator(H)
+_OSC_HAM = builtin.harmonic_oscillator_hamiltonian(H)
 _SEED = builtin.lagrangian_seed(_OSC, [0.0], [0.1])
 
 
@@ -67,9 +84,10 @@ def _rows(q):
 
 
 # (owner, argument, a call with the value in its place, what the argument is:
-# the least count and, for md and m, the most, or "real" or "positive", and
-# the class that rejects it); the dimensions of the system classes raise
-# DimensionMismatchError, every other argument a plain ValueError
+# the least count and, for md and m, the most, or "real" or "positive", or a
+# list of the values to try, and the class that rejects it); the dimensions
+# of the system classes raise DimensionMismatchError, every other argument a
+# plain ValueError
 ARGUMENTS = [
     ("SolverOptions", "tol", lambda v: SolverOptions(tol=v), "positive", ValueError),
     ("SolverOptions", "max_iter", lambda v: SolverOptions(max_iter=v), (1, None), ValueError),
@@ -82,6 +100,9 @@ ARGUMENTS = [
      DimensionMismatchError),
     ("DiscreteConstraint", "md", lambda v: DiscreteConstraint(3, v, _ld), (0, 3),
      DimensionMismatchError),
+    # Python prints no int of more than 4300 digits
+    ("DiscreteConstraint", "md", lambda v: DiscreteConstraint(3, v, _ld),
+     [10 ** 5000, -10 ** 5000], DimensionMismatchError),
     ("KinematicDistribution", "n", lambda v: KinematicDistribution(v, 1, _rows), (1, None),
      DimensionMismatchError),
     ("KinematicDistribution", "m", lambda v: KinematicDistribution(3, v, _rows), (0, 3),
@@ -107,19 +128,28 @@ ARGUMENTS = [
     (build.__name__, "mass", lambda v, build=build: build(H, 2, v), "positive", ValueError),
     (build.__name__ + "-entry", "mass", lambda v, build=build: build(H, 2, [1.0, v]), "positive",
      ValueError),
+    (build.__name__ + "-shape", "mass", lambda v, build=build: build(H, 2, v),
+     [[1.0, [2.0, 3.0]], [1.0, 2.0, 3.0]], ValueError),
 )]
 
 
 def _bad_values(kind):
+    if isinstance(kind, list):
+        return kind
     if isinstance(kind, tuple):
         least, most = kind
         return [True, 2.5, 2.0, math.nan, least - 1] + ([most + 1] if most is not None else [])
     return [True, "0.1", math.nan, math.inf, 10 ** 400] + ([0, -1] if kind == "positive" else [])
 
 
+def _label(value) -> str:
+    if isinstance(value, int) and abs(value) >= 10 ** 400:
+        return "%s10**%d" % ("-" if value < 0 else "", round(math.log10(abs(value))))
+    return repr(value)
+
+
 @pytest.mark.parametrize("name, call, value, error", [
-    pytest.param(name, call, value, error,
-                 id="%s.%s=%s" % (owner, name, "10**400" if value == 10 ** 400 else repr(value)))
+    pytest.param(name, call, value, error, id="%s.%s=%s" % (owner, name, _label(value)))
     for owner, name, call, kind, error in ARGUMENTS for value in _bad_values(kind)])
 def test_every_numeric_argument_keeps_one_rule(name, call, value, error):
     with pytest.raises(error, match="'%s' must be " % name) as info:
@@ -139,3 +169,162 @@ def test_a_float32_step_builds_the_float64_oscillator():
             assert got(q, qp).tobytes() == want(q, qp).tobytes()
     system = builtin.harmonic_oscillator(h32)
     assert run_trajectory(system, builtin.lagrangian_seed(system, [0.0], [0.1]), 100).steps == 100
+
+
+# (where, a call that breaks one guard, the class it raises, its message)
+GUARDS = [
+    ("bundle.annihilator-required", lambda: KinematicDistribution(3, 1), ValueError,
+     "an annihilator function is required when m > 0"),
+    ("bundle.annihilator-shape",
+     lambda: KinematicDistribution(3, 1, lambda q: np.ones((2, 3))).matrix(np.zeros(3)),
+     DimensionMismatchError, r"annihilator returned shape \(2, 3\), expected \(1, 3\)"),
+    ("cli.config-object", lambda: parse_config("[1, 2]"), ConfigError,
+     "config must be a JSON object"),
+    ("linalg.orthonormal-columns-2d", lambda: orthonormal_columns(np.ones(3)),
+     DimensionMismatchError, r"expected a 2-d matrix, got shape \(3,\)"),
+    ("linalg.basis-shape", lambda: LinSubspace(3, np.ones((2, 2))), DimensionMismatchError,
+     r"basis shape \(2, 2\) does not match ambient dimension 3"),
+    ("linalg.skew-square", lambda: SkewForm(np.zeros((2, 3))), DimensionMismatchError,
+     r"two-form matrix must be square, got \(2, 3\)"),
+    ("stepper.trajectory-second-order",
+     lambda: Trajectory(DiscreteCurve([PontryaginPoint([0.0], [0.0], [0.1]),
+                                       PontryaginPoint([0.2], [0.0], [0.3])]),
+                        (), "gap", 0, SolverOptions()),
+     ValueError, "trajectory curve violates the second-order condition"),
+    ("stepper.trajectory-records",
+     lambda: Trajectory(DiscreteCurve([_SEED]), (), "short", 1, SolverOptions()), ValueError,
+     "expected 1 diagnostic records, got 0"),
+    ("stepper.hamiltonian-seed",
+     lambda: run_trajectory(_OSC_HAM, 0.5, 3),
+     UnsupportedOperationError, r"Hamiltonian trajectories start from a \(q0, p0\) pair"),
+    ("systems.phi-required", lambda: DiscreteConstraint(3, 1), ValueError,
+     "a constraint function is required when md > 0"),
+    ("systems.dimensions",
+     lambda: DiscreteSystem.from_lagrangian(DiscreteLagrangian(3, _ld),
+                                            KinematicDistribution.unconstrained(2)),
+     DimensionMismatchError,
+     "system dimension 3, distribution dimension 2, constraint dimension 3"),
+    ("systems.point-dimension",
+     lambda: check_initial_data(_OSC, PontryaginPoint([0.0, 1.0], [0.0, 0.0], [0.1, 1.0])),
+     DimensionMismatchError, "point dimension 2, system dimension 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(call, error, message, id=where) for where, call, error, message in GUARDS])
+def test_each_guard_raises_its_typed_error(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
+
+
+# what a user callable may wrongly return, and a caller wrongly pass: none of
+# it converts, so no value is cut to its real part and no numpy error escapes
+NOT_REAL = [
+    pytest.param("0.5", id="string"),
+    pytest.param(object(), id="object"),
+    pytest.param({"q": 0.5}, id="dict"),
+    pytest.param([0.5, [0.5, 0.5]], id="ragged"),
+    pytest.param(np.array([0.3 + 1j]), id="complex-array"),
+    pytest.param([0.3 + 1j], id="complex-list"),
+    pytest.param(np.complex128(0.3), id="complex-scalar"),
+    pytest.param(np.array([np.complex128(0.3)], dtype=object), id="complex-object"),
+    pytest.param(np.array([True]), id="bool"),
+]
+
+
+def _turning(f, bad, after):
+    """f for its first ``after`` calls, then ``bad`` on every later call."""
+    calls = []
+
+    def turned(*args):
+        calls.append(None)
+        return bad if len(calls) > after else f(*args)
+
+    return turned
+
+
+def _typed_failure(system, seed, steps=10):
+    """The StepFailureError of a run that a user result stops, after checking it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, seed, steps)
+    assert [w.message for w in caught if issubclass(w.category, ComplexWarning)] == []
+    failure = info.value
+    assert type(failure.__cause__) is EvaluationError
+    # the failing step is not the first, so the partial trajectory holds steps
+    assert failure.step_index >= 1 and failure.trajectory.steps == failure.step_index
+    return failure
+
+
+def _oscillator(lagrangian, replace):
+    """The oscillator of either kind, built with ``replace`` applied to its
+    generating function and its two analytic slot gradients, and its seed."""
+    if lagrangian:
+        gen = _OSC.lagrangian
+        f, grads = replace(gen.Ld, gen.d1, gen.d2)
+        system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(1, f, *grads, validate=False))
+        return system, builtin.lagrangian_seed(system, [0.0], [0.1])
+    gen = _OSC_HAM.hamiltonian
+    f, grads = replace(gen.Hd, gen.dq, gen.dp)
+    system = DiscreteSystem.from_hamiltonian(DiscreteHamiltonian(1, f, *grads, validate=False))
+    return system, ([0.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("lagrangian, block", [(True, 0), (True, 1), (False, 0), (False, 1)],
+                         ids=["d1", "d2", "dq", "dp"])
+def test_an_analytic_gradient_that_is_not_real_fails_its_step(lagrangian, block, bad):
+    def replace(f, *grads):
+        grads = list(grads)
+        grads[block] = _turning(grads[block], bad, 6)
+        return f, grads
+
+    failure = _typed_failure(*_oscillator(lagrangian, replace))
+    assert "analytic gradient for block %d failed" % block in str(failure)
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["L", "H"])
+def test_an_fd_only_generating_function_that_is_not_real_fails_its_step(lagrangian, bad):
+    failure = _typed_failure(*_oscillator(
+        lagrangian, lambda f, *grads: (_turning(f, bad, 40), (None, None))))
+    assert "finite-difference gradient for block" in str(failure)
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("which, after, message", [
+    # the first step calls phi 2n = 6 times more, for the jac2 check
+    ("phi", 20, "constraint evaluation failed"), ("jac2", 5, "constraint Jacobian failed"),
+    ("annihilator", 5, "annihilator evaluation failed")], ids=["phi", "jac2", "annihilator"])
+def test_a_constraint_result_that_is_not_real_fails_its_step(which, after, message, bad):
+    nh = builtin.nonholonomic_particle(H)
+    parts = {"phi": nh.constraint.phi, "jac2": nh.constraint._jac2,
+             "annihilator": nh.dist.annihilator}
+    parts[which] = _turning(parts[which], bad, after)
+    system = DiscreteSystem.from_lagrangian(
+        nh.lagrangian, KinematicDistribution(3, 1, parts["annihilator"]),
+        DiscreteConstraint(3, 1, parts["phi"], parts["jac2"]))
+    q0 = np.array([0.0, 0.5, 0.0])
+    seed = builtin.lagrangian_seed(nh, q0, q0 + H * np.array([1.0, 0.2, 0.5]))
+    assert message in str(_typed_failure(system, seed))
+
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("name, call", [
+    ("q0", lambda v: builtin.lagrangian_seed(_OSC, v, [0.31])),
+    ("q1", lambda v: builtin.lagrangian_seed(_OSC, [0.3], v)),
+    ("q", lambda v: run_trajectory(_OSC_HAM, (v, [0.1]), 3)),
+    ("p", lambda v: step_hamiltonian(_OSC_HAM, [0.3], v)),
+    ("qplus", lambda v: PontryaginPoint([0.3], [0.1], v)),
+], ids=["lagrangian_seed.q0", "lagrangian_seed.q1", "run_trajectory.q", "step_hamiltonian.p",
+        "PontryaginPoint.qplus"])
+def test_a_seed_that_is_not_real_is_named(name, call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        with pytest.raises(ValueError,
+                           match="'%s' must be a vector of real numbers" % name) as info:
+            call(bad)
+    assert type(info.value) is ValueError

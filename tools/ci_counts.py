@@ -34,6 +34,14 @@ COUNTS = [
     # job, d1 L twice and d2 L once per step, plus the seed momentum, the
     # seed check and the first assembly
     ("osc-cli", "systems.user_evals_per_step", 3.0005, 1e-9),
+    # the held matrix serves every later step: one assembly per 2000-step
+    # constrained job, whose exact constraint blocks each step writes into it
+    ("nonholonomic", "stepper.jac_fresh_per_step", 0.0005, 1e-12),
+    ("nonholonomic", "stepper.jac_reuse_ratio", 0.9995, 1e-12),
+    # one assembly per 8-step FD-only job: each job is a fresh run, whose
+    # held matrix serves its seven later steps
+    ("fd-ham-20", "stepper.jac_fresh_per_step", 0.125, 1e-12),
+    ("fd-ham-20", "stepper.jac_reuse_ratio", 0.875, 1e-12),
 ] + [
     # one Jacobian assembly per 10,000-step job, seen through the wrapped
     # step functions
