@@ -119,7 +119,10 @@ def nonholonomic_particle(h: float, mass=1.0) -> DiscreteSystem:
     """Free particle in R^3 under the velocity constraint dq3 = q2 dq1.
 
     The annihilator row is A(q) = [-q2, 0, 1]; the pair constraint is the one
-    induced by the identity-chart retraction, phi(q, q+) = A(q) (q+ - q).
+    induced by the identity-chart retraction, phi(q, q+) = A(q) (q+ - q). It
+    retracts the system's own distribution, so a run computes phi and its
+    Jacobian A(q) from the A(q) it looks up once per step and calls neither
+    closure (see ``retraction_constraint``).
     """
     lag = free_particle_lagrangian(h, 3, mass)
     dist = KinematicDistribution(3, 1, lambda q: np.array([[-q[1], 0.0, 1.0]]))

@@ -210,8 +210,6 @@ def check_admissibility(curve: DiscreteCurve, tol: float = 1e-12) -> Optional[in
     None means the curve satisfies the discrete second-order condition. The
     gate fails on NaN, so a NaN tol admits no gap.
     """
-    if len(curve) == 0:
-        raise DimensionMismatchError("empty curve")
     gaps = np.abs(curve.qplus[:-1] - curve.q[1:]).max(axis=1)
     bad = np.flatnonzero(~(gaps <= tol))
     return int(bad[0]) if bad.size else None

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import builtin
-from .errors import ConfigError, DiracMechError, StepFailureError
+from .errors import ConfigError, StepFailureError
 from .linalg import _count, _real
 from .stepper import SolverOptions, Trajectory, run_trajectory
 from .systems import DiscreteSystem
@@ -288,8 +288,6 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
         if exc.trajectory is not None:
             _emit(config, exc.trajectory, RunSummary.of(exc.trajectory, wall))
         raise
-    except DiracMechError:
-        raise
     except ValueError as exc:  # what is left of a validated config: too many steps
         raise ConfigError(str(exc), field="steps") from exc
     wall = time.perf_counter() - start
@@ -344,9 +342,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("invalid config: %s" % exc, file=sys.stderr)
         return 1
-    except DiracMechError as exc:
-        print("run failed: %s" % exc, file=sys.stderr)
-        return 2
     except OSError as exc:
         print("cannot write output: %s" % exc, file=sys.stderr)
         return 1

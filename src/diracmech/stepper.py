@@ -364,7 +364,7 @@ def _seed_certificate(system: DiscreteSystem, x0: PontryaginPoint) -> Tuple[np.n
     """
     lag = system.lagrangian
     p0 = lag.d2(x0.q, x0.qplus)
-    r0 = dirac_inclusion_residual(system, x0, p0, _held=lag.d1(x0.q, x0.qplus))
+    r0 = dirac_inclusion_residual(system, x0, p0, _held=(lag.d1(x0.q, x0.qplus), None))
     # the held form reads the q+ block p0 - d2 L as zero, which it is only
     # for a finite p0
     return p0, (r0 if _all_finite(p0) else math.nan)
@@ -442,6 +442,14 @@ class _Run:
     ``q`` and ``qplus`` are the base point and q+ of the last step, and
     ``carried`` is the next step's momentum, None before the first step;
     ``lam`` is its multiplier guess, zero before the first step.
+    A constrained step looks its distribution up once: ``a`` is that
+    step's A(q) and ``basis`` the orthonormal basis of its rows, one memo
+    entry of the distribution. ``retraction`` says, once per run, whether
+    the pair constraint is the retraction of the system's own distribution
+    (its ``retracts`` is ``system.dist``); the run then computes phi =
+    A(q) (q+ - q) and J2 = A(q) from ``a`` and calls neither closure. Any
+    other constraint, a retraction of another distribution object included,
+    is called through its guarded path.
     ``history`` stays None until a step of the run needs a second Newton
     iteration; from then on it holds the last two or three solved unknowns,
     newest first, and ``extrapolate`` says where the next step starts
@@ -454,16 +462,18 @@ class _Run:
     """
 
     def __init__(self, system: DiscreteSystem, opts: Optional[SolverOptions] = None):
-        self.system, self.opts = system, _options(opts)
+        self.system, self.opts, self.momentum_balance = system, _options(opts), system.balance
         self.lagrangian, self.n, self.m = system.kind == LAGRANGIAN, system.n, system.m
         slots = self.grad, self.complete = system.slots()
-        self.momentum_balance = system.balance
         self.dist, self.constraint = system.dist, system.constraint
+        # one test per run: a retraction of this system's own distribution is
+        # computed from the step's A(q), any other constraint is called
+        self.retraction = system.constraint.retracts is system.dist
         provider = system._generator.provider
         self.slopes = [slot if provider.grads[block] is not None
                        else functools.partial(provider.forward_gradient, block)
                        for block, slot in enumerate(slots)]
-        self.extrapolate, self.k, self.lam = True, 0, np.zeros(self.m)
+        self.extrapolate, self.k, self.lam, self.basis = True, 0, np.zeros(self.m), None
         self.held = self.dhdp = self.carried = self.history = self.rows = self.conf_key = None
         self.incomplete = ("momentum update d2 L is not finite at the solved configuration"
                            if self.lagrangian else
@@ -480,20 +490,26 @@ class _Run:
         self.last_z, self.last_g = y, self.grad(self.q, y)
         return self.momentum_balance(self.p, self.last_g)
 
+    def _phi(self, conf):
+        # a retraction's A(q) (conf - q), as its own phi computes it; any other phi is called
+        return self.a @ (conf - self.q) if self.retraction else self.constraint.value(self.q, conf)
+
     def _constrained(self, z):
         n = self.n
         y = z[:n]
-        r = self._balance(y) - self.at @ z[n:]
+        r = self._balance(y) - self.a.T @ z[n:]
         conf = y if self.lagrangian else self._conf(y)
-        self.last_z, self.last_phi = z, self.constraint.value(self.q, conf)
+        self.last_z, self.last_phi = z, self._phi(conf)
         return np.concatenate([r, self.last_phi])
 
     def _with_constraint_blocks(self, jm, y):
         # -A^T in the multiplier columns of the balance rows, the constraint
-        # Jacobian J2(q, conf(y)) C in the y columns of the constraint rows
+        # Jacobian J2(q, conf(y)) C in the y columns of the constraint rows;
+        # a retraction's J2 is A(q) itself
         n, c = self.n, self.dhdp
-        jm[:n, n:] = -self.at
-        j2 = self.constraint.jacobian2(self.q, y if self.lagrangian else self._conf(y))
+        jm[:n, n:] = -self.a.T
+        j2 = self.a if self.retraction else self.constraint.jacobian2(
+            self.q, y if self.lagrangian else self._conf(y))
         jm[n:, :n] = j2 if c is None else j2 @ c
         return jm
 
@@ -557,7 +573,14 @@ class _Run:
         extrapolation overshoots, falls back to b and a smooth one returns to
         ex. This costs no user evaluation.
 
-        The residual keeps the gradient and phi of its last call. ``_conf``
+        A constrained step takes A(q) and its row basis from one lookup of
+        its distribution, which serves the -A^T columns of every residual and
+        matrix and the certificate's ker A(q) projection. For a retraction of
+        the system's own distribution it also gives phi(q, conf) = A(q)
+        (conf - q) and the constraint block J2 = A(q), with the arithmetic of
+        the retraction's own phi and jac2, so the step calls neither; any
+        other constraint is evaluated through ``DiscreteConstraint``. The
+        residual keeps the gradient and phi of its last call. ``_conf``
         keeps the last dH/dp(q, y) it evaluated, keyed on the bytes of y,
         for the held matrix's constraint block at the predictor, the
         residuals, the assemblies and q+ of the step. When Newton returns the
@@ -573,8 +596,9 @@ class _Run:
             ex = _extrapolated(history)
             y0 = ex if self.extrapolate else base
         if m:
-            # q moves, so every dH/dp(q, y) the memo keeps is stale
-            self.at, self.conf_key = self.dist.matrix(q).T, None
+            # the step's one distribution lookup: A(q) and its row basis. q
+            # moves, so every dH/dp(q, y) the memo keeps is stale
+            (_, self.a, self.basis), self.conf_key = self.dist._validated(q), None
             z0, f = np.concatenate([y0, self.lam]), self._constrained
             if self.held is not None:
                 # a held matrix keeps its finite-difference blocks of L or H and
@@ -607,10 +631,10 @@ class _Run:
         # q and p come validated from the entry points, and q+ is finite by
         # Newton acceptance or by the check above; a held certificate reads
         # only the q and p of its point, which the engine holds
-        cres = _norm_inf(self.last_phi if last else self.constraint.value(q, qplus)) if m else 0.0
+        cres = _norm_inf(self.last_phi if last else self._phi(qplus)) if m else 0.0
         inclusion = dirac_inclusion_residual(
             self.system, self if last else PontryaginPoint._trusted(q, p, qplus), p_next,
-            _held=self.last_g if last else None)
+            _held=(self.last_g, self.basis) if last else None)
         if not (inclusion <= 10.0 * opts.tol):
             raise CertificationError("accepted step fails the inclusion residual gate (%.3e > "
                                      "10 * %.1e)" % (inclusion, opts.tol),

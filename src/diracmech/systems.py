@@ -251,7 +251,11 @@ class DiscreteConstraint:
 
     n must be a positive integer and md one from 0 to n
     (DimensionMismatchError otherwise); both are kept as Python ints.
+    ``retracts`` names the KinematicDistribution whose retraction the
+    constraint is (see ``retraction_constraint``), and is None for any other.
     """
+
+    retracts: Optional[KinematicDistribution] = None
 
     def __init__(self, n: int, md: int, phi: Optional[Callable] = None,
                  jac2: Optional[Callable] = None):
@@ -376,7 +380,15 @@ def _check_dim(x: PontryaginPoint, n: int):
 
 
 def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
-    """Pair constraint phi(q, q+) = A(q) (q+ - q) induced by the identity-chart retraction."""
+    """Pair constraint phi(q, q+) = A(q) (q+ - q) induced by the identity-chart retraction.
+
+    Its ``value`` and ``jacobian2`` evaluate A(q) (q+ - q) and A(q) through
+    ``dist``, and its ``retracts`` is ``dist``. A run whose system has this
+    very distribution computes both itself, with the same arithmetic, from
+    the A(q) it looks up once per step, and calls neither closure. A
+    retraction of any other distribution object, even one with the same
+    annihilator, is called like any pair constraint.
+    """
     if dist.m == 0:
         return DiscreteConstraint.unconstrained(dist.n)
 
@@ -386,7 +398,9 @@ def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
     def jac2(q, qplus):
         return dist.matrix(q)
 
-    return DiscreteConstraint(dist.n, dist.m, phi, jac2)
+    constraint = DiscreteConstraint(dist.n, dist.m, phi, jac2)
+    constraint.retracts = dist
+    return constraint
 
 
 def _sq_norm(v: np.ndarray) -> float:
@@ -397,7 +411,7 @@ def _sq_norm(v: np.ndarray) -> float:
 
 
 def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
-                             p_next: np.ndarray, *, _held: Optional[np.ndarray] = None) -> float:
+                             p_next: np.ndarray, *, _held: Optional[tuple] = None) -> float:
     """Membership residual of the per-step inclusion at (x, p_next).
 
     With v the vertical lift of x.p at x and psi the system's one-form,
@@ -418,10 +432,12 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     dp block of a Hamiltonian one. Norms do not see the signs.
 
     A stepper certifies from the values its step already holds through the
-    private ``_held = g``: g is d1 L(q, q+) or dH/dq(q, p_next) at exactly
-    these arrays. The second block is then zero by construction and is not
-    computed: a Lagrangian step's p_next is d2 L(q, q+), and a Hamiltonian
-    step's q+ is dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
+    private ``_held = (g, rows)``: g is d1 L(q, q+) or dH/dq(q, p_next) at
+    exactly these arrays, and rows the orthonormal row basis of A(q) from
+    the step's own distribution lookup, or None to look it up here. The
+    second block is then zero by construction and is not computed: a
+    Lagrangian step's p_next is d2 L(q, q+), and a Hamiltonian step's q+ is
+    dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
     The held path reads only x.q and x.p, so a run's engine, which holds
     its step's q and p, passes itself as x. They come validated, so the held
     path does not check dimensions again.
@@ -435,11 +451,12 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
         p_next = _vector(p_next, "p_next", system.n)
         y, other = (x.qplus, p_next) if system.kind == LAGRANGIAN else (p_next, x.qplus)
         grad, complete = system.slots()
-        g, c = grad(x.q, y), complete(x.q, y)
+        g, c, rows = grad(x.q, y), complete(x.q, y), None
     else:
-        g, c = _held, None
+        (g, rows), c = _held, None
     beta_q = system.balance(x.p, g)
     if system.m:
-        beta_q = system.dist.project_ker(x.q, beta_q)
+        beta_q = (system.dist.project_ker(x.q, beta_q) if rows is None
+                  else beta_q - rows @ (rows.T @ beta_q))
     sq = _sq_norm(beta_q)
     return math.sqrt(sq if c is None else sq + _sq_norm(c - other))

@@ -313,6 +313,16 @@ class TestInducedDirac:
         with pytest.raises(DimensionMismatchError):
             induced_dirac(LinSubspace.full(2), SkewForm.zero(3))
 
+    def test_a_strong_form_on_a_line_is_a_rank_error(self):
+        # the stacked map has rank n = 2, but on the line span{e1} with
+        # omega = w (e1 ^ e2) its two nonzero singular values are about w and
+        # 1/w: from w = 1e5 the relative cutoff reads the small one as zero,
+        # so the kernel counts 3 and the error says so instead of returning it
+        line = LinSubspace(2, np.array([[1.0], [0.0]]))
+        assert induced_dirac(line, SkewForm([[0.0, 1e3], [-1e3, 0.0]])).dim == 2
+        with pytest.raises(RankDeficiencyError, match="dimension 3, expected 2"):
+            induced_dirac(line, SkewForm([[0.0, 1e5], [-1e5, 0.0]]))
+
 
 class TestIsDirac:
     def test_graphs_of_skew_forms(self):

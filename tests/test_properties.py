@@ -15,7 +15,10 @@ rounding. A right-Legendre pair, stepped as a Lagrangian and as a
 Hamiltonian system, gives one curve. Two laws that the certificate does not
 imply hold on unconstrained runs of both kinds: a rotation-invariant L or H
 conserves the angular momentum q x p (discrete Noether), and the step map
-is symplectic.
+is symplectic. A holonomic constraint is a particular case: the spherical
+pendulum, constrained through A(q) = Dg(q) and phi(q, q+) = g(q+), keeps its
+axial momentum and its sphere, and steps as closed-form SHAKE, for both
+kinds.
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from diracmech import (  # noqa: E402
     DegenerateConstraintError,
     DiracMechError,
+    DiscreteConstraint,
     DiscreteHamiltonian,
     DiscreteLagrangian,
     DiscreteSystem,
@@ -627,3 +631,141 @@ def test_the_step_map_is_symplectic(pair, lagrangian):
     quotient = steps * 2.0 ** steps * SYMPLECTIC_TOL / delta + delta ** 2
     bound = 4 * n * np.max(np.abs(jac)) * quotient
     assert gap <= bound, (gap, bound)
+
+
+@st.composite
+def spherical_pendulums(draw):
+    """(L, H, dist, constraint, h, mass, grad V, q0, v): a spherical pendulum.
+
+    The holonomic constraint g(q) = (|q|^2 - 1) / 2 enters as A(q) = Dg(q) =
+    q^T and as the pair constraint phi(q, q+) = g(q+), with its analytic
+    Jacobian q+^T: not a retraction, so every run calls phi and jac2 through
+    their guarded path. L(q, q+) = m |q+ - q|^2 / 2h - h V(q) and H(q, p+) =
+    q . p+ + h |p+|^2 / 2m + h V(q), with m in [0.5, 2] and an axisymmetric
+    V(q) = a q3 + b q3^2 / 2 + c (q1^2 + q2^2)^2 / 4, every slot analytic.
+    q0 lies on the sphere and v is tangent there, with |v| in [0.1, 1].
+    """
+    h = draw(st.sampled_from([0.05, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass, a = rng.uniform(0.5, 2.0, 2)
+    b = draw(st.booleans()) * rng.uniform(-1.0, 1.0)
+    c = draw(st.booleans()) * rng.uniform(0.0, 1.0)
+
+    def potential(q):
+        s = q[0] ** 2 + q[1] ** 2
+        return a * q[2] + 0.5 * b * q[2] ** 2 + 0.25 * c * s * s
+
+    def grad(q):
+        s = q[0] ** 2 + q[1] ** 2
+        return np.array([c * s * q[0], c * s * q[1], a + b * q[2]])
+
+    lag = DiscreteLagrangian(
+        3, lambda q, qp: float(mass * (qp - q) @ (qp - q) / (2.0 * h) - h * potential(q)),
+        lambda q, qp: -mass * (qp - q) / h - h * grad(q), lambda q, qp: mass * (qp - q) / h)
+    ham = DiscreteHamiltonian(
+        3, lambda q, pp: float(q @ pp + h * pp @ pp / (2.0 * mass) + h * potential(q)),
+        lambda q, pp: pp + h * grad(q), lambda q, pp: q + h * pp / mass)
+    dist = KinematicDistribution(3, 1, lambda q: q.reshape(1, 3))
+    constraint = DiscreteConstraint(3, 1, lambda q, qp: np.array([0.5 * (qp @ qp - 1.0)]),
+                                    lambda q, qp: qp.reshape(1, 3))
+    q0 = rng.standard_normal(3)
+    q0 /= np.linalg.norm(q0)
+    v = rng.standard_normal(3)
+    v -= (v @ q0) * q0
+    v *= rng.uniform(0.1, 1.0) / np.linalg.norm(v)
+    return lag, ham, dist, constraint, h, mass, grad, q0, v
+
+
+def pendulum_run(pendulum, lagrangian, steps):
+    """The run of one kind from the pendulum's seed, as its (q_k, p_k) rows.
+
+    The Lagrangian seed is (q0, -d1 L(q0, q1), q1) with q1 = q0 + h v put
+    back on the sphere; the Hamiltonian seed is (q0, m v).
+    """
+    lag, ham, dist, constraint, h, mass, _, q0, v = pendulum
+    if lagrangian:
+        system = DiscreteSystem.from_lagrangian(lag, dist, constraint)
+        q1 = q0 + h * v
+        traj = run_trajectory(system, builtin.lagrangian_seed(system, q0, q1 / np.linalg.norm(q1)),
+                              steps)
+        q, p = traj.curve.q, traj.curve.p
+    else:
+        traj = run_trajectory(DiscreteSystem.from_hamiltonian(ham, dist, constraint),
+                              (q0, mass * v), steps)
+        q = np.vstack([traj.curve.q, traj.final_state[0]])
+        p = np.vstack([traj.curve.p, traj.final_state[1]])
+    assert_certified_and_finite(traj)
+    return q, p
+
+
+PENDULUM_STEPS, SHAKE_STEPS = 100, 20
+
+
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+@settings(max_examples=50)
+@given(pendulum=spherical_pendulums())
+def test_the_spherical_pendulum_keeps_its_axial_momentum_and_its_sphere(pendulum, lagrangian):
+    """A holonomic constraint is a particular case: the step is SHAKE
+    (Marsden and West, Acta Numerica 2001, 3.5), so it keeps the axial
+    momentum L_z = q1 p2 - q2 p1 of an axisymmetric L or H and the sphere.
+
+    Discrete Noether: rotation about e3 leaves L, H and g invariant, and the
+    constraint force lambda q has no axial torque, so an exact step keeps L_z.
+    A step meets momentum balance to its residual, at most tol per entry, so
+    it moves L_z by at most (|q1| + |q2|) tol <= 2 max|q|_inf tol, and N steps
+    by N times that, plus the round-off of the two products compared. Each
+    accepted q+ has |g(q+)| <= tol, so ||q+| - 1| = 2 |g| / (|q+| + 1) stays
+    below tol, plus the round-off of g and of the norm, at every step: the
+    bound does not grow with N.
+    """
+    q, p = pendulum_run(pendulum, lagrangian, PENDULUM_STEPS)
+    eps = np.finfo(float).eps
+    axial = q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]
+    drift = np.max(np.abs(axial - axial[0]))
+    qmax, pmax = np.max(np.abs(q)), np.max(np.abs(p))
+    bound = 2.0 * PENDULUM_STEPS * qmax * TOL + 8.0 * eps * qmax * pmax
+    assert drift <= bound, (drift, bound)
+    sphere = np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0))
+    assert sphere <= TOL + 8.0 * eps, sphere
+
+
+def shake_step(pendulum, q, p):
+    """The closed-form SHAKE step (q, p) -> (q+, p+) of the pendulum.
+
+    q+ = w - mu q with w = q + (h / m)(p - h grad V(q)) and mu = h lambda / m
+    the root nearest zero of |w - mu q|^2 = 1, taken in the cancellation-free
+    form mu = (|w|^2 - 1) / (w.q + sign(w.q) sqrt((w.q)^2 - |q|^2 (|w|^2 - 1)));
+    p+ = m (q+ - q) / h. The Lagrangian step from (q_k, p_k), p_k = d2 L(q_{k-1},
+    q_k), and the Hamiltonian step from (q_k, p_k) are both this map.
+    """
+    *_, h, mass, grad, _, _ = pendulum
+    w = q + h * (p - h * grad(q)) / mass
+    wq, excess = w @ q, w @ w - 1.0
+    mu = excess / (wq + np.copysign(np.sqrt(wq * wq - (q @ q) * excess), wq))
+    qplus = w - mu * q
+    return qplus, mass * (qplus - q) / h
+
+
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+@settings(max_examples=50)
+@given(pendulum=spherical_pendulums())
+def test_the_spherical_pendulum_steps_as_closed_form_shake(pendulum, lagrangian):
+    """Each of the first steps equals the closed-form SHAKE step from the
+    run's own (q_k, p_k), within a bound in tol.
+
+    With r Newton's balance residual and mu its multiplier scaled by h / m,
+    the accepted q+ is w - mu q - (h / m) r, and the exact step w - mu* q.
+    Their gap e = (mu* - mu) q - (h / m) r has, from |q+|^2 - 1 = 2 g(q+),
+    |mu* - mu| <= (|g| + (h / m) |r|_2 + |e|^2 / 2) / (q+* . q). Here h / m <=
+    0.2, |r|_2 <= sqrt(3) tol, |g| <= tol and q+* . q = 1 - |q+* - q|^2 / 2
+    >= 0.9 on these runs, so |e|_inf <= 2 tol; p+ = m (q+ - q) / h scales it
+    by m / h. Each side rounds by a few eps in q and m / h times that in p.
+    """
+    *_, h, mass, _, _, _ = pendulum
+    q, p = pendulum_run(pendulum, lagrangian, SHAKE_STEPS)
+    eps = np.finfo(float).eps
+    for k in range(len(q) - 1):
+        qplus, pplus = shake_step(pendulum, q[k], p[k])
+        gap_q, gap_p = np.max(np.abs(q[k + 1] - qplus)), np.max(np.abs(p[k + 1] - pplus))
+        assert gap_q <= 2.0 * TOL + 16.0 * eps, (k, gap_q)
+        assert gap_p <= mass / h * (2.0 * TOL + 16.0 * eps), (k, gap_p)

@@ -16,6 +16,7 @@ from diracmech import (
     CertificationError,
     ConvergenceError,
     DimensionMismatchError,
+    DiscreteConstraint,
     DiscreteHamiltonian,
     DiscreteLagrangian,
     DiscreteSystem,
@@ -1657,6 +1658,93 @@ class TestTracedDispatch:
         assert counts["central_difference"] > 0 and counts["jacobian_columns"] > 0
 
 
+def trajectory_bytes(traj):
+    """The bytes of every array a trajectory holds, in a fixed order."""
+    blocks = [traj.curve.q, traj.curve.p, traj.curve.qplus]
+    blocks += [getattr(traj.diagnostics, name) for name in traj.diagnostics._FIELDS]
+    return [(b.dtype, b.shape, b.tobytes()) for b in blocks + list(traj.final_state or ())]
+
+
+def by_hand(dist):
+    """The retraction pair constraint of ``dist`` written out as user closures."""
+    return DiscreteConstraint(
+        dist.n, dist.m,
+        lambda q, qp: np.asarray(dist.annihilator(q), dtype=float) @ (qp - q),
+        lambda q, qp: np.asarray(dist.annihilator(q), dtype=float))
+
+
+def counting_phi(monkeypatch, constraint):
+    calls = []
+    phi = constraint.phi
+    monkeypatch.setattr(constraint, "phi", lambda q, qp: calls.append(1) or phi(q, qp))
+    return calls
+
+
+class TestRetraction:
+    """A run computes the retraction of its own distribution from its own A(q);
+    any other pair constraint is called through its guarded path, with the
+    same bits where it equals the retraction."""
+
+    LANES = {"lagrangian": nonholonomic_seed,
+             "hamiltonian": lambda: (nonholonomic_hamiltonian(),
+                                     ([0.0, 0.5, 0.0], [1.0, 0.2, 0.3]))}
+
+    def systems(self, kind, constraint_of):
+        """The nonholonomic particle of ``kind`` with its retraction, the same
+        system with ``constraint_of(dist)`` in its place, and their seed."""
+        own, seed = self.LANES[kind]()
+        build = (DiscreteSystem.from_lagrangian if kind == "lagrangian"
+                 else DiscreteSystem.from_hamiltonian)
+        return own, build(own.lagrangian or own.hamiltonian, own.dist,
+                          constraint_of(own.dist)), seed
+
+    def test_retraction_names_its_distribution(self):
+        dist = builtin.nonholonomic_particle(H).dist
+        assert retraction_constraint(dist).retracts is dist
+        assert by_hand(dist).retracts is None
+        assert DiscreteConstraint.unconstrained(3).retracts is None
+        assert retraction_constraint(KinematicDistribution.unconstrained(3)).retracts is None
+
+    @pytest.mark.parametrize("kind", ["lagrangian", "hamiltonian"])
+    def test_hand_written_retraction_gives_the_same_bits(self, monkeypatch, kind):
+        own, hand, seed = self.systems(kind, by_hand)
+        calls = counting_phi(monkeypatch, hand.constraint)
+        reference = run_trajectory(own, seed, 200)
+        assert trajectory_bytes(run_trajectory(hand, seed, 200)) == trajectory_bytes(reference)
+        assert len(calls) > 2 * 200  # the guarded path: two residuals a step at least
+        assert reference.max_constraint_residual <= SolverOptions().tol
+
+    @pytest.mark.parametrize("kind", ["lagrangian", "hamiltonian"])
+    def test_retraction_of_another_distribution_is_called(self, monkeypatch, kind):
+        # the same annihilator in a second distribution object: the run cannot
+        # know it is its own, so it calls phi, two residuals per step
+        twin = lambda dist: retraction_constraint(
+            KinematicDistribution(dist.n, dist.m, dist.annihilator))
+        own, other, seed = self.systems(kind, twin)
+        calls = counting_phi(monkeypatch, other.constraint)
+
+        def phi_calls(steps):
+            calls.clear()
+            traj = run_trajectory(other, seed, steps)
+            return len(calls), traj
+
+        (short, _), (long, traj) = phi_calls(20), phi_calls(40)
+        assert long - short == 2 * 20
+        assert trajectory_bytes(traj) == trajectory_bytes(run_trajectory(own, seed, 40))
+
+    def test_hand_written_sphere_retraction_reassembles_and_certifies(self, monkeypatch):
+        system, x0 = sphere_quartic_seed()
+        hand = DiscreteSystem.from_lagrangian(system.lagrangian, system.dist, by_hand(system.dist))
+        calls = counting_phi(monkeypatch, hand.constraint)
+        reference = run_trajectory(system, x0, 60)
+        traj = run_trajectory(hand, x0, 60)
+        assert trajectory_bytes(traj) == trajectory_bytes(reference)
+        assert calls
+        assert traj.total_jacobian_assemblies > 1
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        assert traj.max_constraint_residual <= SolverOptions().tol
+
+
 class TestEvaluationCounts:
     """A step evaluates each user callable only where no held value serves: a
     run carries the previous step's p_next as the next carried momentum, and
@@ -1707,10 +1795,12 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("lane, expected", [
         ("lagrangian", {"d1": 2, "d2": 1}),
         ("hamiltonian", {"dq": 2, "dp": 1}),
-        ("nonholonomic", {"d1": 2, "d2": 1, "phi": 2}),
-        # its residual completes q+ = dH/dp itself; the held matrix's border
-        # takes dH/dp at the predictor, which the first residual reuses
-        ("constrained-hamiltonian", {"dq": 2, "dp": 2, "phi": 2}),
+        # the retraction constraint of the system's own distribution: the run
+        # computes phi = A(q) (q+ - q) from its own A(q) and calls no phi
+        ("nonholonomic", {"d1": 2, "d2": 1, "phi": 0}),
+        # its residual completes q+ = dH/dp itself; the first residual takes
+        # dH/dp at the predictor, and the root's completion reuses the last
+        ("constrained-hamiltonian", {"dq": 2, "dp": 2, "phi": 0}),
     ])
     def test_run_evaluates_each_callable_once_per_step(self, monkeypatch, lane, expected):
         # one Newton iteration per step: two residuals (the predictor and the
@@ -1720,8 +1810,9 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("lane, expected", [
         ("lagrangian", {"d1": 3, "d2": 2}),
         ("hamiltonian", {"dq": 3, "dp": 2}),
-        ("nonholonomic", {"d1": 3, "d2": 2, "phi": 3}),
-        ("constrained-hamiltonian", {"dq": 3, "dp": 4, "phi": 3}),
+        # the fresh constraint residual of a retraction is A(q) (q+ - q) too
+        ("nonholonomic", {"d1": 3, "d2": 2, "phi": 0}),
+        ("constrained-hamiltonian", {"dq": 3, "dp": 4, "phi": 0}),
     ])
     def test_root_off_the_residuals_array_is_evaluated_afresh(self, monkeypatch, lane,
                                                              expected):
@@ -1747,6 +1838,22 @@ class TestEvaluationCounts:
         for a, b in zip(traj.curve, reference.curve):
             for u, v in ((a.q, b.q), (a.p, b.p), (a.qplus, b.qplus)):
                 assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("lane", ["nonholonomic", "constrained-hamiltonian"])
+    def test_a_constrained_step_looks_up_its_distribution_once(self, monkeypatch, lane):
+        # one memo entry, A(q) and its row basis, serves the residuals' phi
+        # and -A^T, the constraint block and the certificate's projection
+        lookups, validated = [], KinematicDistribution._validated
+        monkeypatch.setattr(KinematicDistribution, "_validated",
+                            lambda dist, q: lookups.append(1) or validated(dist, q))
+        system, seed = self.LANES[lane]()
+
+        def lookups_in(steps):
+            lookups.clear()
+            run_trajectory(system, seed, steps)
+            return len(lookups)
+
+        assert lookups_in(40) - lookups_in(20) == 20
 
     @staticmethod
     def per_assembly(monkeypatch, targets, run):
