@@ -286,27 +286,24 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     """Structure induced by a subspace and a skew form.
 
     Returns a basis of D = {(v, a) : v in delta, (a - omega.flat(v)) kills
-    delta}, computed as the kernel of the stacked linear map
-    (v, a) -> (P_off v, B^T (a - omega.flat(v))) where P_off projects off
-    delta and B is an orthonormal delta-basis: the right singular vectors
-    past its rank. The map is never zero (P_off or B is not), so its largest
-    singular value sets the relative cutoff. The result always has
-    dimension equal to the ambient dimension of V.
+    delta}, built in closed form. With B the orthonormal delta-basis (n x k)
+    and N the last n - k columns of the complete QR factor of B, an
+    orthonormal basis of the annihilator of delta, the members are
+    v = B c and a = omega B c + N d, and since omega B c - B (B^T omega B) c
+    kills delta, D is spanned by the k columns (B, B M), M = B^T omega B,
+    and the n - k columns (0, N). The two groups are orthogonal, so the
+    basis has singular values 1 and sqrt(1 + sigma^2(M)) and the result has
+    dimension n with no rank decision of its own; on a line M = 0, however
+    strong omega is.
     """
     n = delta.ambient_dim
     if omega.dim != n:
         raise DimensionMismatchError("subspace lives in dim %d, form in dim %d" % (n, omega.dim))
     b = delta.onb
-    p_off = np.eye(n) - b @ b.T
-    rows_v = np.hstack([p_off, np.zeros((n, n))])
-    rows_a = np.hstack([-(b.T @ omega.mat), b.T])
-    _, s, vh = np.linalg.svd(np.vstack([rows_v, rows_a]))
-    ker = vh[_rank(s.tolist()):].T
-    if ker.shape[1] != n:
-        raise RankDeficiencyError(
-            "induced structure came out with dimension %d, expected %d" % (ker.shape[1], n)
-        )
-    return LinSubspace(2 * n, ker)
+    k = b.shape[1]
+    ann = np.linalg.qr(b, mode="complete")[0][:, k:]
+    graph = np.vstack([b, b @ (b.T @ omega.mat @ b)])
+    return LinSubspace(2 * n, np.hstack([graph, np.vstack([np.zeros((n, n - k)), ann])]))
 
 
 def is_dirac(d: LinSubspace, n: int, tol: float = 1e-10) -> bool:

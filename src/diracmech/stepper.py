@@ -214,14 +214,6 @@ def _worst(column: np.ndarray) -> float:
     return float(np.max(column, initial=0.0))
 
 
-def _phase_state(q, p, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Validated float64 copies of a Hamiltonian state (q, p)."""
-    q, p = _vector(q, "q", n).copy(), _vector(p, "p", n).copy()
-    if not (_all_finite(q) and _all_finite(p)):
-        raise ValueError("q and p entries must all be finite")
-    return q, p
-
-
 def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """The solution of jm @ step = -fx; a 1x1 system solves in Python floats."""
     if jm.shape == (1, 1):
@@ -357,10 +349,12 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
                     "or a larger tol, remove" % (exc, noise),)
 
 
-def _seed_certificate(system: DiscreteSystem, x0: PontryaginPoint) -> Tuple[np.ndarray, float]:
+def _seed_certificate(system: DiscreteSystem, x0) -> Tuple[np.ndarray, float]:
     """The carried momentum d2 L(q0, q0+) of a Lagrangian seed and the certificate at (x0, it).
 
-    One d2 L and one d1 L call; the certificate is NaN when d2 L is not finite.
+    One d2 L and one d1 L call; the certificate is NaN when d2 L is not
+    finite. ``x0`` is a PontryaginPoint, or a run's engine, which holds its
+    checked seed as (q, p, qplus) before its first step.
     """
     lag = system.lagrangian
     p0 = lag.d2(x0.q, x0.qplus)
@@ -432,16 +426,25 @@ class _Run:
 
     Every step belongs to a run: a direct ``step_lagrangian`` or
     ``step_hamiltonian`` call is the first step of a fresh one. The engine
-    is built bound to its system and SolverOptions (the defaults for None),
-    and resolves at construction what every step reads from the system. A
-    Newton matrix differences the slope of a slot: the analytic slot
-    gradient itself, or else forward differences (n + 1 evaluations of L or
-    H, not 2n), since the matrix only steers the iteration. ``held`` is the
-    run's Newton matrix, None until ``_jacobian`` stores its first assembly,
-    and ``dhdp`` the dH/dp block C of a constrained Hamiltonian matrix.
-    ``q`` and ``qplus`` are the base point and q+ of the last step, and
-    ``carried`` is the next step's momentum, None before the first step;
-    ``lam`` is its multiplier guess, zero before the first step.
+    is built as ``_Run(system, opts, seed)``, bound to its system and
+    SolverOptions (the defaults for None), and resolves at construction
+    what every step reads from the system. It is the one place a seed is
+    checked: a Lagrangian seed must be a PontryaginPoint of the system's
+    dimension (UnsupportedOperationError, DimensionMismatchError), and a
+    Hamiltonian seed a (q0, p0) pair (UnsupportedOperationError) of real
+    (ValueError), length-n (DimensionMismatchError) and finite (ValueError)
+    vectors, which the run copies. A Newton matrix differences the slope of
+    a slot: the analytic slot gradient itself, or else forward differences
+    (n + 1 evaluations of L or H, not 2n), since the matrix only steers the
+    iteration. ``held`` is the run's Newton matrix, None until
+    ``_jacobian`` stores its first assembly, and ``dhdp`` the dH/dp block C
+    of a constrained Hamiltonian matrix. ``q``, ``p`` and ``qplus`` are
+    the point of the last step, and ``carried`` is the next step's
+    momentum; the seed stands in for a step before the first, as the point
+    (q, p, q+) with no carried momentum (None) for a Lagrangian run and as
+    (q+, carried) = (q0, p0) for a Hamiltonian one. ``k`` counts the steps
+    taken, so the first is the one with ``k`` 0; ``lam`` is the multiplier
+    guess, zero before the first step.
     A constrained step looks its distribution up once: ``a`` is that
     step's A(q) and ``basis`` the orthonormal basis of its rows, one memo
     entry of the distribution. ``retraction`` says, once per run, whether
@@ -461,9 +464,23 @@ class _Run:
     writes its row k there instead of returning a StepResult.
     """
 
-    def __init__(self, system: DiscreteSystem, opts: Optional[SolverOptions] = None):
+    def __init__(self, system: DiscreteSystem, opts: Optional[SolverOptions], seed):
         self.system, self.opts, self.momentum_balance = system, _options(opts), system.balance
         self.lagrangian, self.n, self.m = system.kind == LAGRANGIAN, system.n, system.m
+        self.held = self.dhdp = self.carried = self.history = self.rows = self.conf_key = None
+        # the run's one seed check, leaving the state a step before the first would
+        if self.lagrangian:
+            _check_dim(seed, self.n)
+            self.q, self.p, self.qplus = seed.q, seed.p, seed.qplus
+        else:
+            try:
+                q, p = seed
+            except (TypeError, ValueError):
+                raise UnsupportedOperationError("Hamiltonian trajectories start from a (q0, p0) pair")
+            self.qplus, self.carried = (_vector(q, "q", self.n).copy(),
+                                        _vector(p, "p", self.n).copy())
+            if not (_all_finite(self.qplus) and _all_finite(self.carried)):
+                raise ValueError("q and p entries must all be finite")
         slots = self.grad, self.complete = system.slots()
         self.dist, self.constraint = system.dist, system.constraint
         # one test per run: a retraction of this system's own distribution is
@@ -474,7 +491,6 @@ class _Run:
                        else functools.partial(provider.forward_gradient, block)
                        for block, slot in enumerate(slots)]
         self.extrapolate, self.k, self.lam, self.basis = True, 0, np.zeros(self.m), None
-        self.held = self.dhdp = self.carried = self.history = self.rows = self.conf_key = None
         self.incomplete = ("momentum update d2 L is not finite at the solved configuration"
                            if self.lagrangian else
                            "configuration update dH/dp is not finite at the solved momentum")
@@ -555,7 +571,8 @@ class _Run:
         accepted (q, q+) with central differences of phi(q, .), 2n calls of
         phi, and warns when they differ by more than 1e-4 * max(1,
         max|jac2|): a wrong jac2 only slows Newton down, so nothing else
-        reports it.
+        reports it. The retraction of the system's own distribution skips
+        this check, since the run calls neither its phi nor its jac2.
 
         Every Newton matrix has the exact -A^T multiplier columns and a zero
         multiplier block, so an undamped step from (y0, lambda0) reaches the
@@ -621,14 +638,14 @@ class _Run:
         if not _all_finite(c):
             raise EvaluationError(self.incomplete)
         qplus, p_next = (y, c) if lagrangian else (c, y)
-        if self.carried is None:
+        if not self.k:
             # once per run: a degenerate update when the first step converged at
-            # its predictor without a matrix, and a user jac2 against phi
+            # its predictor without a matrix, and a user jac2 that the run calls
             if self.held is None:
                 _check_regularity(self._slot_block(0, y), self.system.kind)
-            if self.constraint._jac2 is not None:
+            if self.constraint._jac2 is not None and not self.retraction:
                 _check_jac2(self.constraint, q, qplus)
-        # q and p come validated from the entry points, and q+ is finite by
+        # q and p come validated from the seed check, and q+ is finite by
         # Newton acceptance or by the check above; a held certificate reads
         # only the q and p of its point, which the engine holds
         cres = _norm_inf(self.last_phi if last else self._phi(qplus)) if m else 0.0
@@ -642,18 +659,51 @@ class _Run:
         if history is not None or iters > 1:
             self.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
             self.history = (y, base) + history[1:2] if history else (y, base)
-        self.qplus, self.carried, self.lam = qplus, p_next, lam
+        k = self.k
+        self.qplus, self.carried, self.lam, self.k = qplus, p_next, lam, k + 1
         if self.rows is None:
             return StepResult(res, inclusion, cres, lam, iters, self.assemblies,
                               next=PontryaginPoint._trusted(q, p, qplus), p_next=p_next)
-        k, (q_rows, p_rows, residual, inclusion_col, constraint, lams, iterations,
-            assemblies) = self.k, self.rows
+        q_rows, p_rows, residual, inclusion_col, constraint, lams, iterations, assemblies \
+            = self.rows
         q_rows[k], p_rows[k] = qplus, p if lagrangian else p_next
         residual[k], inclusion_col[k], constraint[k] = res, inclusion, cres
         iterations[k], assemblies[k] = iters, self.assemblies
         if m:
             lams[k] = lam
-        self.k = k + 1
+
+    def advance(self) -> Optional[StepResult]:
+        """Take the run's next step, of either kind, from the state its last step left.
+
+        The step starts from q+ and the carried momentum, at the predictor
+        (q+ + q+) - q, q+ continued at constant velocity, for a Lagrangian
+        run and at the carried p for a Hamiltonian one (``step`` replaces it
+        by its history's choice once the run has one). The first step of a
+        Lagrangian run has no carried momentum yet: it evaluates d2 L(q, q+)
+        and checks its seed with it, through the helper behind
+        ``check_initial_data``. A d2 L that is not finite raises
+        EvaluationError, and one warning is given when the certificate at
+        the seed exceeds 10 * tol, or when a constrained seed pair has
+        |phi(q, q+)|_inf above tol: the gates every accepted step meets.
+        """
+        q, carried = self.qplus, self.carried
+        if not self.lagrangian:
+            return self.step(q, carried, carried)
+        if not self.k:
+            # the seed check: check_initial_data with the carried momentum at
+            # hand; the engine holds the seed point as (q, p, q+)
+            carried, r0 = _seed_certificate(self.system, self)
+            if not _all_finite(carried):
+                raise EvaluationError("carried momentum d2 L is not finite at the seed")
+            gap = _norm_inf(self.constraint.value(self.q, q)) if self.m else 0.0
+            tol = self.opts.tol
+            if not (r0 <= 10.0 * tol and gap <= tol):
+                warnings.warn("seed point is inconsistent: initial-data residual %.3e (gate %.1e), "
+                              "discrete constraint residual %.3e (gate %.1e); the step still solves "
+                              "the inclusion at the next index" % (r0, 10.0 * tol, gap, tol),
+                              RuntimeWarning, stacklevel=3)
+        # q + q is 2 q exactly, without a scalar multiply
+        return self.step(q, carried, (q + q) - self.q)
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
@@ -673,48 +723,28 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
     construction.
 
-    A direct call is the first step of a fresh run under ``opts``.
+    A direct call is the first step of a fresh run under ``opts``, built
+    from the seed x, which must be a PontryaginPoint of the system's
+    dimension (see ``_Run``). The first step of a run evaluates the carried
+    momentum d2 L(q, q+) and checks its seed with it: a d2 L that is not
+    finite raises EvaluationError, and one warning is given when the
+    certificate at (x, d2 L(q, q+)) exceeds 10 * tol, or when a constrained
+    seed pair has |phi(q, q+)|_inf above tol (see ``_Run.advance``).
     ``run_trajectory`` passes its engine, which carries its own options,
-    through the private ``_run``, and x None after the first step, which
-    continues from the run's last (q+, qnew).
-    The first step of a run evaluates the carried momentum d2 L(q, q+) and
-    checks its seed with it, through the helper behind
-    ``check_initial_data``: a d2 L that is not finite raises
-    EvaluationError, and one warning is given when the certificate at
-    (x, d2 L(q, q+)) exceeds 10 * tol, or when a constrained seed pair has
-    |phi(q, q+)|_inf above tol. These are the gates every accepted step
-    meets. Every later step takes the previous step's ``p_next``, which is
-    that momentum, and the run's held matrix, multiplier guess and history
-    of solved configurations. On a constrained step the held matrix's -A^T
-    and constraint-Jacobian blocks are replaced by this step's, evaluated
-    at the predictor. The predictor is q+ continued at constant velocity
-    until the run has a history; from then on it is the history's
-    extrapolation or q+ itself, whichever the run's last step found closer
-    (see ``_Run``).
+    through the private ``_run``, and None for x: the step then continues
+    from the run's last (q+, qnew) and reads neither x nor ``opts``. Every
+    later step takes the previous step's ``p_next``, which is
+    the carried momentum, and the run's held matrix, multiplier guess and
+    history of solved configurations. On a constrained step the held
+    matrix's -A^T and constraint-Jacobian blocks are replaced by this
+    step's, evaluated at the predictor. The predictor is q+ continued at
+    constant velocity until the run has a history; from then on it is the
+    history's extrapolation or q+ itself, whichever the run's last step
+    found closer (see ``_Run``).
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
-    run = _run if _run is not None else _Run(system, opts)
-    if x is None and _run is not None:
-        q0, q1 = run.q, run.qplus
-    else:
-        _check_dim(x, system.n)
-        q0, q1 = x.q, x.qplus
-    carried = run.carried
-    if carried is None:
-        # the seed check: check_initial_data with the carried momentum at hand
-        carried, r0 = _seed_certificate(system, x)
-        if not _all_finite(carried):
-            raise EvaluationError("carried momentum d2 L is not finite at the seed")
-        gap = _norm_inf(system.constraint.value(x.q, q1)) if system.m else 0.0
-        tol = run.opts.tol
-        if not (r0 <= 10.0 * tol and gap <= tol):
-            warnings.warn("seed point is inconsistent: initial-data residual %.3e (gate %.1e), "
-                          "discrete constraint residual %.3e (gate %.1e); the step still solves "
-                          "the inclusion at the next index" % (r0, 10.0 * tol, gap, tol),
-                          RuntimeWarning, stacklevel=2)
-    # q1 + q1 is 2 q1 exactly, without a scalar multiply
-    return run.step(q1, carried, (q1 + q1) - q0)
+    return (_run or _Run(system, opts, x)).advance()
 
 
 def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
@@ -738,26 +768,21 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
 
     The certificate reuses dH/dq from Newton's last residual; its dp block
     dH/dp(q, pnew) - qnew is zero by construction. A direct call is the
-    first step of a fresh run under ``opts`` on copies of q and p.
-    ``run_trajectory`` hands over its own validated arrays and its run
-    engine, which carries its own options, with the private ``_run``, and
-    q and p None after the first step: the run then continues
-    from its last step's (qnew, pnew). The step works on those arrays
-    instead of on copies, and takes the run's held matrix and its dH/dp
-    block C, multiplier guess and history of solved momenta. A held
-    constrained matrix gets this step's -A^T and constraint block
-    J2(q, dH/dp(q, p0)) C at the predictor p0: the carried momentum p, or
-    its extrapolation from the history (see ``_Run``). The residual at p0
-    reuses that dH/dp(q, p0).
+    first step of a fresh run under ``opts``, built from the seed (q, p),
+    which the run checks and copies (see ``_Run``). ``run_trajectory``
+    passes its engine, which carries its own options, through the private
+    ``_run``, and None for q and p: the step then reads neither q, p nor
+    ``opts``, and continues from the run's last (qnew, pnew) on the
+    arrays the run solved, with the run's held matrix and its dH/dp block
+    C, multiplier guess and history of solved momenta. A held constrained
+    matrix gets this step's -A^T and constraint block J2(q, dH/dp(q, p0)) C
+    at the predictor p0: the carried momentum p, or its extrapolation from
+    the history (see ``_Run``). The residual at p0 reuses that
+    dH/dp(q, p0).
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")
-    if _run is None:
-        q, p = _phase_state(q, p, system.n)
-        _run = _Run(system, opts)
-    elif q is None:
-        q, p = _run.qplus, _run.carried
-    return _run.step(q, p, p)
+    return (_run or _Run(system, opts, (q, p))).advance()
 
 
 def run_trajectory(system: DiscreteSystem, seed, steps: int,
@@ -769,10 +794,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     Lagrangian seeds are complete PontryaginPoints (the curve then holds seed
     plus one point per step); Hamiltonian seeds are (q0, p0) pairs and need
     steps >= 1 to produce a curve point. On a failed step a StepFailureError
-    is raised carrying the failing index and the partial trajectory. A
-    Lagrangian seed of the wrong dimension raises DimensionMismatchError.
-    The run's first step checks a Lagrangian seed and warns on an
-    inconsistent one (see ``step_lagrangian``); a seed check that fails
+    is raised carrying the failing index and the partial trajectory. The
+    seed is checked where a direct step checks it, when the run's engine is
+    built (see ``_Run``), and raises the same typed errors before any
+    step. The run's first step checks a Lagrangian seed and warns on an
+    inconsistent one (see ``_Run.advance``); a seed check that fails
     (d1 L, d2 L, A(q) or phi at the seed, or a d2 L that is not finite)
     fails step 0 with the seed-only trajectory. A zero-step run evaluates nothing.
 
@@ -794,8 +820,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     Hamiltonian ``final_state`` is (Q[N], P[N]).
     """
     steps = _count(steps, "steps", 0)  # Trajectory.steps is a Python int for NumPy integers too
-    run = _Run(system, opts)
+    run = _Run(system, opts, seed)
     lagrangian, n, m = run.lagrangian, run.n, run.m
+    if not (lagrangian or steps):
+        raise ValueError("a Hamiltonian trajectory needs at least one step; "
+                         "no complete bundle point exists before the first solve")
     # rows of Q ahead of P: a Lagrangian run's seed point fills Q[1] too
     ahead = 1 if lagrangian else 0
     try:
@@ -805,20 +834,11 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
                    *np.empty((2, steps), dtype=np.int64))
     except (ValueError, MemoryError) as exc:  # numpy's own errors do not name steps
         raise ValueError("'steps' = %d is too many to allocate (%s)" % (steps, exc)) from exc
+    # the seed rows, from the state the engine holds before its first step
     if lagrangian:
-        _check_dim(seed, n)
-        x = seed
-        q_col[0], p_col[0], q_col[1] = seed.q, seed.p, seed.qplus
+        q_col[0], p_col[0], q_col[1] = run.q, run.p, run.qplus
     else:
-        try:
-            q, p = seed
-        except (TypeError, ValueError):
-            raise UnsupportedOperationError("Hamiltonian trajectories start from a (q0, p0) pair")
-        if steps == 0:
-            raise ValueError("a Hamiltonian trajectory needs at least one step; "
-                             "no complete bundle point exists before the first solve")
-        q, p = _phase_state(q, p, n)
-        q_col[0], p_col[0] = q, p
+        q_col[0], p_col[0] = run.qplus, run.carried
 
     def trajectory(done: int) -> Trajectory:
         points = done + ahead
@@ -831,11 +851,10 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     for k in range(steps):
         try:
             if lagrangian:
-                step_lagrangian(system, x, _run=run)
+                step_lagrangian(system, None, _run=run)
             else:
-                step_hamiltonian(system, q, p, _run=run)
+                step_hamiltonian(system, None, None, _run=run)
         except DiracMechError as exc:
             partial = trajectory(k) if k + ahead else None
             raise StepFailureError("step %d failed: %s" % (k, exc), k, partial) from exc
-        x = q = p = None  # later steps continue from the run's last pair
     return trajectory(steps)

@@ -204,21 +204,17 @@ class TestSingleColumn:
 
 
 class TestOneRankCount:
-    def test_spans_and_kernels_count_through_one_helper(self, monkeypatch):
+    def test_spans_count_through_one_helper(self, monkeypatch):
         calls, count = [], linalg._rank
         monkeypatch.setattr(linalg, "_rank", lambda s: calls.append(len(s)) or count(s))
         rng = np.random.default_rng(74)
         delta, omega = LinSubspace(3, rng.standard_normal((3, 2))), random_skew(rng, 3)
         assert calls == [2]
         d = induced_dirac(delta, omega)
-        # the 5 x 6 stacked map (3 rows off delta, 2 on it), then the span
-        # check of its 3-column kernel
-        assert calls == [2, 5, 3]
-        # the same bytes as the count on the numpy singular values
-        b = delta.onb
-        _, s, vh = np.linalg.svd(np.vstack([np.hstack([np.eye(3) - b @ b.T, np.zeros((3, 3))]),
-                                            np.hstack([-(b.T @ omega.mat), b.T])]))
-        assert d.basis.tobytes() == vh[int(np.sum(s > RANK_CUTOFF * s[0])):].T.tobytes()
+        # the closed-form basis counts no kernel: only the span check of its
+        # 3 columns
+        assert calls == [2, 3]
+        assert d.dim == 3 and is_dirac(d, 3)
 
     def test_one_vector_counts_through_the_same_helper(self, monkeypatch):
         calls, count = [], linalg._rank
@@ -313,15 +309,23 @@ class TestInducedDirac:
         with pytest.raises(DimensionMismatchError):
             induced_dirac(LinSubspace.full(2), SkewForm.zero(3))
 
-    def test_a_strong_form_on_a_line_is_a_rank_error(self):
-        # the stacked map has rank n = 2, but on the line span{e1} with
-        # omega = w (e1 ^ e2) its two nonzero singular values are about w and
-        # 1/w: from w = 1e5 the relative cutoff reads the small one as zero,
-        # so the kernel counts 3 and the error says so instead of returning it
+    @pytest.mark.parametrize("w", [1e3, 1e5, 1e12])
+    def test_a_strong_form_on_a_line_keeps_dimension_two(self, w, monkeypatch):
+        # on the line span{e1} with omega = w (e1 ^ e2), B^T omega B = 0: the
+        # basis is (e1, 0) and (0, e2*) however large w is. A kernel of the
+        # stacked map (P_off v, B^T (a - omega v)) has singular values about
+        # w and 1/w, which a relative cutoff misread as rank 1 from w = 1e5
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda m, *a, **kw: calls.append(m.shape) or svd(m, *a, **kw))
         line = LinSubspace(2, np.array([[1.0], [0.0]]))
-        assert induced_dirac(line, SkewForm([[0.0, 1e3], [-1e3, 0.0]])).dim == 2
-        with pytest.raises(RankDeficiencyError, match="dimension 3, expected 2"):
-            induced_dirac(line, SkewForm([[0.0, 1e5], [-1e5, 0.0]]))
+        d = induced_dirac(line, SkewForm([[0.0, w], [-w, 0.0]]))
+        assert d.dim == 2 and is_dirac(d, 2)
+        expected = np.zeros((4, 2))
+        expected[0, 0] = expected[3, 1] = 1.0
+        assert np.allclose(span_projector(d.basis), span_projector(expected), atol=1e-12)
+        # the one SVD is the span check of the returned 4 x 2 basis
+        assert calls == [(4, 2)]
 
 
 class TestIsDirac:

@@ -164,22 +164,21 @@ def step_records(system, seed, steps):
     """
     lagrangian = system.kind == "lagrangian"
     points = [seed] if lagrangian else []
-    q, p = (None, None) if lagrangian else (np.array(x, dtype=float) for x in seed)
-    diagnostics, run = [], stepper._Run(system)
+    diagnostics, run = [], stepper._Run(system, None, seed)
     for _ in range(steps):
         try:
             if lagrangian:
-                r = step_lagrangian(system, points[-1], _run=run)
+                r = step_lagrangian(system, None, _run=run)
             else:
-                r = step_hamiltonian(system, q, p, _run=run)
+                r = step_hamiltonian(system, None, None, _run=run)
         except DiracMechError:
             break
         points.append(r.next)
         diagnostics.append(StepDiagnostics(r.residual, r.inclusion_residual,
                                            r.constraint_residual, r.multipliers,
                                            r.iterations, r.jacobian_assemblies))
-        q, p = r.next.qplus, r.p_next
-    return points, diagnostics, None if lagrangian else (q, p)
+    # a failed step leaves the run's last (q+, carried) as it was
+    return points, diagnostics, None if lagrangian else (run.qplus, run.carried)
 
 
 def assert_reads_as_records(system, seed, steps, traj):

@@ -410,8 +410,8 @@ class TestJacobianReuse:
         # m = 1, and the run record keeps its dH/dp block C next to it
         system = nonholonomic_hamiltonian()
         q, p = np.array([0.0, 0.5, 0.0]), np.array([1.0, 0.2, 0.3])
-        run = stepper._Run(system)
-        first = step_hamiltonian(system, q, p, _run=run)
+        run = stepper._Run(system, None, (q, p))
+        first = step_hamiltonian(system, None, None, _run=run)
         assert run.held.shape == (4, 4)
         assert run.dhdp.shape == (3, 3)
         assert first.jacobian_assemblies == 1
@@ -466,36 +466,38 @@ class TestPredictorHistory:
         system = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         default = run_trajectory(system, ([0.0], [1.0]), 300)
         assert max(default.diagnostics.iterations) <= 1
-        run = stepper._Run(system)
-        step_hamiltonian(system, np.array([0.0]), np.array([1.0]), _run=run)
+        run = stepper._Run(system, None, ([0.0], [1.0]))
+        step_hamiltonian(system, None, None, _run=run)
         assert run.history is None
 
     def test_history_starts_at_the_first_nonlinear_step(self):
         system = quartic_hamiltonian(4, H)
         q, p = np.full(4, 0.2), np.full(4, 0.1)
-        run = stepper._Run(system)
-        first = step_hamiltonian(system, q, p, _run=run)
+        run = stepper._Run(system, None, (q, p))
+        first = step_hamiltonian(system, None, None, _run=run)
         assert first.iterations > 1
         y, previous = run.history
         assert np.array_equal(y, first.p_next) and np.array_equal(previous, p)
-        second = step_hamiltonian(system, first.next.qplus, first.p_next, _run=run)
+        second = step_hamiltonian(system, None, None, _run=run)
+        assert np.array_equal(second.next.q, first.next.qplus)
         assert len(run.history) == 3
-        third = step_hamiltonian(system, second.next.qplus, second.p_next, _run=run)
+        third = step_hamiltonian(system, None, None, _run=run)
         assert len(run.history) == 3 and np.array_equal(run.history[0], third.p_next)
 
     def test_each_step_keeps_the_start_that_lay_closer(self):
         system = quartic_hamiltonian(4, H)
-        run = stepper._Run(system)
-        first = step_hamiltonian(system, np.full(4, 0.2), np.full(4, 0.1), _run=run)
+        run = stepper._Run(system, None, (np.full(4, 0.2), np.full(4, 0.1)))
+        step_hamiltonian(system, None, None, _run=run)
         assert run.extrapolate is True  # the step that switches the history on
+        # both starts are tried from the same state: the run's own, reset
+        state = run.qplus, run.carried, run.history
         for held in (True, False):
+            run.qplus, run.carried, run.history = state
             run.extrapolate = held
-            y1, y0 = run.history[:2]
+            y1 = run.history[0]
             ex = stepper._extrapolated(run.history)
-            step = step_hamiltonian(system, first.next.qplus, first.p_next, _run=run)
-            y = step.p_next
+            y = step_hamiltonian(system, None, None, _run=run).p_next
             assert run.extrapolate == (np.max(np.abs(y - ex)) <= np.max(np.abs(y - y1)))
-            run.history = (y1, y0)
 
 
 RUN_LANES = {
@@ -516,15 +518,12 @@ class TestRunRecord:
         system, seed = RUN_LANES[lane]()
         steps, lagrangian = 12, system.kind == "lagrangian"
         traj = run_trajectory(system, seed, steps)
-        run, records = stepper._Run(system), []
-        x, (q, p) = seed, (None, None) if lagrangian else map(np.asarray, seed)
+        run, records = stepper._Run(system, None, seed), []
         for _ in range(steps):
             if lagrangian:
-                r = step_lagrangian(system, x, _run=run)
-                x = r.next
+                r = step_lagrangian(system, None, _run=run)
             else:
-                r = step_hamiltonian(system, q, p, _run=run)
-                q, p = r.next.qplus, r.p_next
+                r = step_hamiltonian(system, None, None, _run=run)
             records.append(r)
         assert traj.diagnostics == tuple(records)  # every field, bit for bit
         for r, point in zip(records, list(traj.curve)[lagrangian:], strict=True):
@@ -812,12 +811,13 @@ class TestLagrangianStep:
         # of the engine's residual
         ham = builtin.harmonic_oscillator_hamiltonian(H, LAM)
         for system, x in (oscillator_seed(), nonholonomic_seed(), (ham, None)):
-            run = stepper._Run(system)
             if x is None:
-                result = step_hamiltonian(ham, [0.2], [0.8], _run=run)
+                run = stepper._Run(ham, None, ([0.2], [0.8]))
+                result = step_hamiltonian(ham, None, None, _run=run)
                 y0 = np.array([0.8])
             else:
-                result = step_lagrangian(system, x, _run=run)
+                run = stepper._Run(system, None, x)
+                result = step_lagrangian(system, None, _run=run)
                 y0 = (x.qplus + x.qplus) - x.q
             assert result.jacobian_assemblies == 1
             z0 = np.concatenate([y0, np.zeros(system.m)])
@@ -1732,6 +1732,24 @@ class TestRetraction:
         assert long - short == 2 * 20
         assert trajectory_bytes(traj) == trajectory_bytes(run_trajectory(own, seed, 40))
 
+    @pytest.mark.parametrize("kind", ["lagrangian", "hamiltonian"])
+    def test_own_retraction_jac2_is_never_called(self, monkeypatch, kind):
+        # the run's J2 is its own A(q), so it neither calls nor checks the
+        # retraction's jac2; a Lagrangian run's seed check is its one phi
+        own, _, seed = self.systems(kind, by_hand)
+        jac2_calls, jac2 = [], own.constraint._jac2
+        monkeypatch.setattr(own.constraint, "_jac2",
+                            lambda q, qp: jac2_calls.append(1) or jac2(q, qp))
+        phi_calls = counting_phi(monkeypatch, own.constraint)
+        traj = run_trajectory(own, seed, 20)
+        assert traj.max_constraint_residual <= SolverOptions().tol
+        if kind == "lagrangian":
+            step_lagrangian(own, seed)
+        else:
+            step_hamiltonian(own, *seed)
+        assert jac2_calls == []
+        assert len(phi_calls) == (2 if kind == "lagrangian" else 0)
+
     def test_hand_written_sphere_retraction_reassembles_and_certifies(self, monkeypatch):
         system, x0 = sphere_quartic_seed()
         hand = DiscreteSystem.from_lagrangian(system.lagrangian, system.dist, by_hand(system.dist))
@@ -1954,12 +1972,17 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("lane", ["nonholonomic", "constrained-hamiltonian"])
     def test_user_jac2_check_costs_2n_phi_calls_in_the_first_step(self, monkeypatch, lane):
         # central differences of phi(q, .) at the first step's (q, q+), read
-        # outside the Newton matrices; later steps do not repeat it
+        # outside the Newton matrices; later steps do not repeat it. The lane
+        # is the particle with its retraction written out as user phi and jac2:
+        # the run checks a jac2 it calls, never its own retraction's
         check_jac2 = stepper._check_jac2
 
         def phi_calls(check, steps):
             monkeypatch.setattr(stepper, "_check_jac2", check)
-            system, seed = self.LANES[lane]()
+            own, seed = self.LANES[lane]()
+            build = (DiscreteSystem.from_lagrangian if own.kind == "lagrangian"
+                     else DiscreteSystem.from_hamiltonian)
+            system = build(own.lagrangian or own.hamiltonian, own.dist, by_hand(own.dist))
             counts = self.count(monkeypatch, system)
             run_trajectory(system, seed, steps)
             return counts["phi"]

@@ -34,6 +34,7 @@ from diracmech import (
     is_dirac,
     run_trajectory,
     step_hamiltonian,
+    step_lagrangian,
 )
 from diracmech.cli import parse_config
 from diracmech.errors import ConfigError
@@ -207,7 +208,39 @@ GUARDS = [
     ("systems.point-dimension",
      lambda: check_initial_data(_OSC, PontryaginPoint([0.0, 1.0], [0.0, 0.0], [0.1, 1.0])),
      DimensionMismatchError, "point dimension 2, system dimension 1"),
+    ("stepper.hamiltonian-seed-triple",
+     lambda: run_trajectory(_OSC_HAM, ([0.0], [1.0], [2.0]), 3),
+     UnsupportedOperationError, r"Hamiltonian trajectories start from a \(q0, p0\) pair"),
 ]
+
+
+def _seed_entries(lagrangian, seed):
+    """A run and a direct step of the oscillator of either kind, each from ``seed``."""
+    if lagrangian:
+        return [("run", lambda: run_trajectory(_OSC, seed, 3)),
+                ("step", lambda: step_lagrangian(_OSC, seed))]
+    return [("run", lambda: run_trajectory(_OSC_HAM, seed, 3)),
+            ("step", lambda: step_hamiltonian(_OSC_HAM, *seed))]
+
+
+# a bad seed is checked at one site, the run's engine, so every entry that
+# builds one raises the same typed error with the same message
+GUARDS += [
+    ("stepper.%s.%s" % (where, entry), call, error, message)
+    for where, lagrangian, seed, error, message in [
+        ("lagrangian-seed-type", True, ([0.0], [0.1]), UnsupportedOperationError,
+         "expected a PontryaginPoint, got tuple"),
+        ("lagrangian-seed-dimension", True,
+         PontryaginPoint([0.0, 1.0], [0.0, 0.0], [0.1, 1.0]), DimensionMismatchError,
+         "point dimension 2, system dimension 1"),
+        ("hamiltonian-seed-dimension", False, ([0.0, 1.0], [1.0]), DimensionMismatchError,
+         r"q has shape \(2,\), expected \(1,\)"),
+        ("hamiltonian-seed-nan", False, ([0.0], [np.nan]), ValueError,
+         "q and p entries must all be finite"),
+        ("hamiltonian-seed-inf", False, ([np.inf], [1.0]), ValueError,
+         "q and p entries must all be finite"),
+    ]
+    for entry, call in _seed_entries(lagrangian, seed)]
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -317,10 +350,12 @@ def test_a_constraint_result_that_is_not_real_fails_its_step(which, after, messa
     ("q0", lambda v: builtin.lagrangian_seed(_OSC, v, [0.31])),
     ("q1", lambda v: builtin.lagrangian_seed(_OSC, [0.3], v)),
     ("q", lambda v: run_trajectory(_OSC_HAM, (v, [0.1]), 3)),
+    ("p", lambda v: run_trajectory(_OSC_HAM, ([0.3], v), 3)),
+    ("q", lambda v: step_hamiltonian(_OSC_HAM, v, [0.1])),
     ("p", lambda v: step_hamiltonian(_OSC_HAM, [0.3], v)),
     ("qplus", lambda v: PontryaginPoint([0.3], [0.1], v)),
-], ids=["lagrangian_seed.q0", "lagrangian_seed.q1", "run_trajectory.q", "step_hamiltonian.p",
-        "PontryaginPoint.qplus"])
+], ids=["lagrangian_seed.q0", "lagrangian_seed.q1", "run_trajectory.q", "run_trajectory.p",
+        "step_hamiltonian.q", "step_hamiltonian.p", "PontryaginPoint.qplus"])
 def test_a_seed_that_is_not_real_is_named(name, call, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ComplexWarning)

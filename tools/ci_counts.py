@@ -32,11 +32,11 @@ COUNTS = [
     ("nonholonomic", "systems.user_evals_per_step", 3.0035, 1e-9),
     # calls of KinematicDistribution.matrix, the memo lookup the tracer wraps,
     # not A(q) evaluations (about one per step): a step reads its one memo
-    # entry without it, and its own retraction without phi or jac2, so what
-    # is left per 2000-step job is the seed check's phi (1) and the first
-    # step's jac2 check (jac2 once, phi 2n = 6 times). The row reads this
-    # until the tracer counts evaluations instead of lookups
-    ("nonholonomic", "bundle.annihilator.calls_per_step", 0.004, 1e-12),
+    # entry without it, and its own retraction without phi or jac2, whose
+    # jac2 the first step does not check either, so what is left per
+    # 2000-step job is the seed check's phi (1). The row reads this until
+    # the tracer counts evaluations instead of lookups
+    ("nonholonomic", "bundle.annihilator.calls_per_step", 0.0005, 1e-12),
     # the seed check adds no user evaluation to a CLI run: 10000 steps per
     # job, d1 L twice and d2 L once per step, plus the seed momentum, the
     # seed check and the first assembly
