@@ -122,13 +122,16 @@ class KinematicDistribution:
     of full row rank whose rows span the annihilator of the allowed
     velocities at q. m = 0 means no constraint. n must be a positive
     integer and m one from 0 to n (DimensionMismatchError otherwise); both
-    are kept as Python ints. With m = 0, ``matrix`` and ``project_ker``
-    still check the length of q.
+    are kept as Python ints.
 
     A(q) is evaluated and validated once per base point: the last validated
     q (by value), its A(q) and the orthonormal basis of its rows are kept in
     a one-slot memo that ``matrix``, ``project_ker`` and the inclusion
-    certificate share. Both arrays are private read-only copies.
+    certificate share. Both arrays are private read-only copies. Every q,
+    m = 0 included, goes through the same checks: it must be a vector of n
+    real numbers (ValueError, DimensionMismatchError). With m = 0, A(q) is
+    the (0, n) empty matrix, its row basis (n, 0), and ``project_ker``
+    returns a copy of w.
     """
 
     n: int
@@ -151,16 +154,14 @@ class KinematicDistribution:
         return cls(n, 0, None)
 
     def _validated(self, q) -> tuple:
-        """The memo entry for q, evaluating and validating A(q) on a miss."""
-        q = np.asarray(q, dtype=float)
+        """The memo entry for q, evaluating and validating A(q) on a miss (``_empty`` for m = 0)."""
+        q = _vector(q, "q", self.n)
         key = q.tobytes()
         memo = self._memo
-        # a q with the bytes of a validated one is that point; a miss checks its length
         if memo is not None and memo[0] == key:
             return memo
-        q = _vector(q, "q", self.n)
         try:
-            a = np.array(_real_array(self.annihilator(q)), ndmin=2)
+            a = np.array(_real_array(self.annihilator(q) if self.m else self._empty), ndmin=2)
         except Exception as exc:
             raise EvaluationError("annihilator evaluation failed at q=%s: %s"
                                   % (np.array2string(q), exc)) from exc
@@ -189,17 +190,11 @@ class KinematicDistribution:
 
     def matrix(self, q: np.ndarray) -> np.ndarray:
         """A(q), validated for shape, finiteness and row rank; read-only."""
-        if self.m == 0:
-            _vector(q, "q", self.n)
-            return self._empty
         return self._validated(q)[1]
 
     def project_ker(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Orthogonal projection of the covector ``w`` onto ker A(q)."""
         w = _vector(w, "w", self.n)
-        if self.m == 0:
-            _vector(q, "q", self.n)
-            return w
         rows = self._validated(q)[2]
         return w - rows @ (rows.T @ w)
 

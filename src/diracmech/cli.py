@@ -285,8 +285,8 @@ def run(config: RunConfig, quiet: bool = False) -> RunSummary:
     except StepFailureError as exc:
         wall = time.perf_counter() - start
         print(str(exc), file=sys.stderr)
-        if exc.trajectory is not None:
-            _emit(config, exc.trajectory, RunSummary.of(exc.trajectory, wall))
+        # a Lagrangian run's partial trajectory holds at least its seed point
+        _emit(config, exc.trajectory, RunSummary.of(exc.trajectory, wall))
         raise
     except ValueError as exc:  # what is left of a validated config: too many steps
         raise ConfigError(str(exc), field="steps") from exc

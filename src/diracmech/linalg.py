@@ -68,23 +68,29 @@ def _real(value, name: str, positive: bool = False) -> float:
     return x
 
 
-def _real_array(x) -> np.ndarray:
+def _real_array(x, name: Optional[str] = None) -> np.ndarray:
     """``x`` as a float64 array of any shape; a float64 array comes back as it is.
 
     Only real numbers convert: integers, floats and objects that float()
     takes. Complex, boolean, string and other entries raise TypeError, so
     no value is cut to its real part; an int beyond the float range raises
-    OverflowError, and a ragged nesting numpy's ValueError.
+    OverflowError, and a ragged nesting numpy's ValueError. With a ``name``,
+    each of these is a ValueError that names it.
     """
-    arr = np.asarray(x)
-    if arr.dtype == _F64:
-        return arr
-    kind = arr.dtype.kind
-    if kind not in "fiuO" or kind == "O" and any(
-            isinstance(v, (complex, np.complexfloating)) for v in arr.flat):
-        raise TypeError("%s entries are not real numbers"
-                        % ("complex" if kind == "O" else arr.dtype))
-    return arr.astype(float)
+    try:
+        arr = np.asarray(x)
+        if arr.dtype == _F64:
+            return arr
+        kind = arr.dtype.kind
+        if kind not in "fiuO" or kind == "O" and any(
+                isinstance(v, (complex, np.complexfloating)) for v in arr.flat):
+            raise TypeError("%s entries are not real numbers"
+                            % ("complex" if kind == "O" else arr.dtype))
+        return arr.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if name is None:
+            raise
+        raise ValueError("%r must be real numbers: %s" % (name, exc)) from exc
 
 
 def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
@@ -291,10 +297,11 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     orthonormal basis of the annihilator of delta, the members are
     v = B c and a = omega B c + N d, and since omega B c - B (B^T omega B) c
     kills delta, D is spanned by the k columns (B, B M), M = B^T omega B,
-    and the n - k columns (0, N). The two groups are orthogonal, so the
-    basis has singular values 1 and sqrt(1 + sigma^2(M)) and the result has
-    dimension n with no rank decision of its own; on a line M = 0, however
-    strong omega is.
+    and the n - k columns (0, N). The two groups are orthogonal, with
+    singular values sqrt(1 + sigma^2(M)) and 1, so one reduced QR of the n
+    stacked columns gives an orthonormal basis of D: all its singular
+    values are 1, and the result has dimension n however strong omega is,
+    with no rank decision of its own.
     """
     n = delta.ambient_dim
     if omega.dim != n:
@@ -303,7 +310,8 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     k = b.shape[1]
     ann = np.linalg.qr(b, mode="complete")[0][:, k:]
     graph = np.vstack([b, b @ (b.T @ omega.mat @ b)])
-    return LinSubspace(2 * n, np.hstack([graph, np.vstack([np.zeros((n, n - k)), ann])]))
+    basis = np.hstack([graph, np.vstack([np.zeros((n, n - k)), ann])])
+    return LinSubspace(2 * n, np.linalg.qr(basis)[0])
 
 
 def is_dirac(d: LinSubspace, n: int, tol: float = 1e-10) -> bool:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -75,7 +76,7 @@ class SolverOptions:
     defaults; any other object raises UnsupportedOperationError. Where Newton
     starts is not an option: a run picks it from its own history (see
     ``_Run``), and what a run checks once, such as a user constraint
-    Jacobian, it checks with no option (see ``_Run.step``).
+    Jacobian, it checks with no option (see ``_Run.advance``).
     """
 
     tol: float = 1e-10
@@ -126,12 +127,14 @@ class StepResult(StepDiagnostics):
 class DiagnosticColumns(Sequence):
     """The per-step diagnostics of a run as columns, read as StepDiagnostics records.
 
-    Each field of StepDiagnostics is one column of the same name: a length-N
-    array, or (N, m) for ``multipliers``. Record k is built on access.
+    Each field of StepDiagnostics is one column of the same name, in the
+    order of the dataclass, which is the one list of them: a length-N array,
+    or (N, m) for ``multipliers``. Record k is built on access from row k of
+    each column, a Python number (``.item()``) of a 1-d column and the row
+    itself of ``multipliers``.
     """
 
-    __slots__ = _FIELDS = ("residual", "inclusion_residual", "constraint_residual",
-                           "multipliers", "iterations", "jacobian_assemblies")
+    __slots__ = _FIELDS = tuple(f.name for f in fields(StepDiagnostics))
 
     def __init__(self, *columns):
         for name, column in zip(self._FIELDS, columns, strict=True):
@@ -148,9 +151,8 @@ class DiagnosticColumns(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(len(self))[k]))
-        return StepDiagnostics(float(self.residual[k]), float(self.inclusion_residual[k]),
-                               float(self.constraint_residual[k]), self.multipliers[k],
-                               int(self.iterations[k]), int(self.jacobian_assemblies[k]))
+        columns = map(self.__getattribute__, self._FIELDS)
+        return StepDiagnostics(*(c[k] if c.ndim > 1 else c[k].item() for c in columns))
 
     def __eq__(self, other):
         if isinstance(other, tuple) and all(isinstance(d, StepDiagnostics) for d in other):
@@ -255,16 +257,18 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     damped line search (halving down to MIN_STEP) runs only on a
     freshly assembled matrix; when it stalls near the round-off floor (see
     ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
-    gives its value. Every residual must have one entry per unknown, and an
-    assembled matrix must be square with one row per unknown; any other
-    shape raises DimensionMismatchError.
+    gives its value. x0, every residual and every matrix from ``jac`` must
+    be real numbers (see ``_real_array``; a ValueError names 'x0',
+    'residual' or 'jac(x)' otherwise). Every residual must have one entry
+    per unknown, and an assembled matrix must be square with one row per
+    unknown; any other shape raises DimensionMismatchError.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
     """
     # a run's engine passes its own SolverOptions on every step: one type test
     opts = opts if type(opts) is SolverOptions else _options(opts)
-    x = np.asarray(x0, dtype=float).copy()
+    x = _vector(x0, "x0").copy()
     fx = _vector(f(x), "residual", x.size)
     res = _norm_inf(fx)
     iters = 0
@@ -280,7 +284,7 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
             )
         fresh = held is None
         if fresh:
-            held = np.asarray(jac(x), dtype=float) if jac is not None else jacobian_columns(f, x)
+            held = _real_array(jac(x), "jac(x)") if jac is not None else jacobian_columns(f, x)
         if held.shape != (x.size, x.size):
             raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
                                          % (held.shape, (x.size, x.size)))
@@ -392,16 +396,21 @@ def _condition(m: np.ndarray) -> float:
     return float(np.linalg.cond(m))
 
 
+def _warn(message: str) -> None:
+    """A RuntimeWarning attributed to the first calling frame outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def _check_regularity(cross: np.ndarray, kind: str) -> None:
     if not _all_finite(cross):
         return  # the Newton solve reports a non-finite matrix as singular
     cond = _condition(cross)
     if cond > CROSS_BLOCK_COND_LIMIT:
-        warnings.warn(
-            "cross-derivative block of the %s is near singular (condition estimate %.3e); "
-            "the implicit update may not be well defined" % (kind.capitalize(), cond),
-            RuntimeWarning, stacklevel=3,
-        )
+        _warn("cross-derivative block of the %s is near singular (condition estimate %.3e); "
+              "the implicit update may not be well defined" % (kind.capitalize(), cond))
 
 
 def _check_jac2(constraint, q: np.ndarray, qplus: np.ndarray) -> None:
@@ -411,8 +420,8 @@ def _check_jac2(constraint, q: np.ndarray, qplus: np.ndarray) -> None:
     fd = np.column_stack(_differences(lambda v: constraint.value(q, v), qplus, True))
     gap = float(np.max(np.abs(jac - fd))) / max(1.0, float(np.max(np.abs(jac))))
     if not (gap <= 1e-4):
-        warnings.warn("constraint Jacobian jac2 deviates from central differences of phi by "
-                      "%.3e (relative) at (q, q+)" % gap, RuntimeWarning, stacklevel=3)
+        _warn("constraint Jacobian jac2 deviates from central differences of phi by "
+              "%.3e (relative) at (q, q+)" % gap)
 
 
 def _extrapolated(history: tuple) -> np.ndarray:
@@ -425,7 +434,8 @@ class _Run:
     """The engine of one run: what its steps share, resolved once, and what each hands on.
 
     Every step belongs to a run: a direct ``step_lagrangian`` or
-    ``step_hamiltonian`` call is the first step of a fresh one. The engine
+    ``step_hamiltonian`` call is the first step of a fresh one, and
+    ``advance`` is the one method that takes a step. The engine
     is built as ``_Run(system, opts, seed)``, bound to its system and
     SolverOptions (the defaults for None), and resolves at construction
     what every step reads from the system. It is the one place a seed is
@@ -458,7 +468,7 @@ class _Run:
     newest first, and ``extrapolate`` says where the next step starts
     Newton: at the extrapolation of the history (True, as every run begins)
     or at the previous unknown. Each step sets it by which of the two lay
-    closer to its own solution (see ``step``). ``rows`` is None unless
+    closer to its own solution (see ``advance``). ``rows`` is None unless
     ``run_trajectory`` sets it to the run's columns, Q and P from the first
     row each step fills, then the DiagnosticColumns fields; step ``k`` then
     writes its row k there instead of returning a StepResult.
@@ -550,16 +560,17 @@ class _Run:
             self.dhdp = self._slot_block(1, y)
         return self._with_constraint_blocks(jm, y)
 
-    def step(self, q: np.ndarray, p: np.ndarray, y0: np.ndarray) -> Optional[StepResult]:
-        """Solve and certify one step of either kind from base point q and carried momentum p.
+    def advance(self) -> Optional[StepResult]:
+        """Solve and certify the run's next step, of either kind, from the state its last step left.
 
-        Every step solves z = (y, lambda), n + m unknowns. The unknown y is
-        q+ for a Lagrangian step and p+ for a Hamiltonian one; momentum
-        balance is p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T lambda
-        when constrained. A constrained step adds phi(q, conf(y)) = 0, where
-        conf is the identity for a Lagrangian step and dH/dp(q, .) for a
-        Hamiltonian one. Its matrix block is J2(q, conf(y)) C, with C = I or
-        the forward-difference Jacobian of dH/dp in p+. The step completes
+        The step's base point q is the last q+, and p is the carried
+        momentum. Every step solves z = (y, lambda), n + m unknowns. The
+        unknown y is q+ for a Lagrangian step and p+ for a Hamiltonian one;
+        momentum balance is p + d1 L(q, y) or p - dH/dq(q, y), less A(q)^T
+        lambda when constrained. A constrained step adds phi(q, conf(y)) = 0,
+        where conf is the identity for a Lagrangian step and dH/dp(q, .) for
+        a Hamiltonian one. Its matrix block is J2(q, conf(y)) C, with C = I
+        or the forward-difference Jacobian of dH/dp in p+. The step completes
         with q+ = y, p+ = d2 L(q, y) (Lagrangian) or q+ = dH/dp(q, y), p+ = y
         (Hamiltonian), and is certified with the inclusion residual at
         (q, p, q+) and p+. Every assembly of the Newton matrix checks the
@@ -574,15 +585,27 @@ class _Run:
         reports it. The retraction of the system's own distribution skips
         this check, since the run calls neither its phi nor its jac2.
 
-        Every Newton matrix has the exact -A^T multiplier columns and a zero
-        multiplier block, so an undamped step from (y0, lambda0) reaches the
-        same iterate for every lambda0; the guess only changes the start
-        residual. A held matrix of a constrained step gets this step's -A^T
-        and constraint block J2(q, conf(y0)) C. The step that switches the
-        history on records (y, b), with b the previous unknown (q for a
-        Lagrangian step, p for a Hamiltonian one), and every later step
-        records its own y in front, keeping three. Such a step computes ex =
-        ``_extrapolated`` of the history and starts Newton at ex while
+        The first step of a Lagrangian run has no carried momentum yet: it
+        evaluates d2 L(q, q+) of the seed and checks the seed with it,
+        through the helper behind ``check_initial_data``. A d2 L that is not
+        finite raises EvaluationError, and one warning is given when the
+        certificate at the seed exceeds 10 * tol, or when a constrained seed
+        pair has |phi(q, q+)|_inf above tol: the gates every accepted step
+        meets. Every warning of a step names the first calling frame outside
+        the package.
+
+        Newton starts at the predictor y0, picked in one place. Until the run
+        has a history it is (q+ + q+) - q, q+ continued at constant
+        velocity, for a Lagrangian step and the carried p for a Hamiltonian
+        one. Every Newton matrix has the exact -A^T multiplier columns and a
+        zero multiplier block, so an undamped step from (y0, lambda0)
+        reaches the same iterate for every lambda0; the guess only changes
+        the start residual. A held matrix of a constrained step gets this
+        step's -A^T and constraint block J2(q, conf(y0)) C. The step that
+        switches the history on records (y, b), with b the previous unknown
+        (q for a Lagrangian step, p for a Hamiltonian one), and every later
+        step records its own y in front, keeping three. Such a step computes
+        ex = ``_extrapolated`` of the history and starts Newton at ex while
         ``extrapolate`` is set, at b otherwise (Hairer, Lubich and Wanner,
         Geometric Numerical Integration, 2nd ed., VIII.6.1). After its solve
         it sets ``extrapolate`` to ||y - ex|| <= ||y - b||: the start that lay
@@ -606,12 +629,27 @@ class _Run:
         again; otherwise they are evaluated afresh.
         """
         lagrangian, n, m, opts = self.lagrangian, self.n, self.m, self.opts
-        self.q, self.p, self.assemblies = q, p, 0
+        q, p = self.qplus, self.carried
+        if lagrangian and not self.k:
+            # the seed check: check_initial_data with the carried momentum at
+            # hand; the engine holds the seed point as (q, p, q+)
+            p, r0 = _seed_certificate(self.system, self)
+            if not _all_finite(p):
+                raise EvaluationError("carried momentum d2 L is not finite at the seed")
+            gap = _norm_inf(self.constraint.value(self.q, q)) if m else 0.0
+            if not (r0 <= 10.0 * opts.tol and gap <= opts.tol):
+                _warn("seed point is inconsistent: initial-data residual %.3e (gate %.1e), "
+                      "discrete constraint residual %.3e (gate %.1e); the step still solves "
+                      "the inclusion at the next index" % (r0, 10.0 * opts.tol, gap, opts.tol))
         base = q if lagrangian else p
         history = self.history
         if history is not None:
             ex = _extrapolated(history)
             y0 = ex if self.extrapolate else base
+        else:
+            # q + q is 2 q exactly, without a scalar multiply
+            y0 = (q + q) - self.q if lagrangian else p
+        self.q, self.p, self.assemblies = q, p, 0
         if m:
             # the step's one distribution lookup: A(q) and its row basis. q
             # moves, so every dH/dp(q, y) the memo keeps is stale
@@ -672,39 +710,6 @@ class _Run:
         if m:
             lams[k] = lam
 
-    def advance(self) -> Optional[StepResult]:
-        """Take the run's next step, of either kind, from the state its last step left.
-
-        The step starts from q+ and the carried momentum, at the predictor
-        (q+ + q+) - q, q+ continued at constant velocity, for a Lagrangian
-        run and at the carried p for a Hamiltonian one (``step`` replaces it
-        by its history's choice once the run has one). The first step of a
-        Lagrangian run has no carried momentum yet: it evaluates d2 L(q, q+)
-        and checks its seed with it, through the helper behind
-        ``check_initial_data``. A d2 L that is not finite raises
-        EvaluationError, and one warning is given when the certificate at
-        the seed exceeds 10 * tol, or when a constrained seed pair has
-        |phi(q, q+)|_inf above tol: the gates every accepted step meets.
-        """
-        q, carried = self.qplus, self.carried
-        if not self.lagrangian:
-            return self.step(q, carried, carried)
-        if not self.k:
-            # the seed check: check_initial_data with the carried momentum at
-            # hand; the engine holds the seed point as (q, p, q+)
-            carried, r0 = _seed_certificate(self.system, self)
-            if not _all_finite(carried):
-                raise EvaluationError("carried momentum d2 L is not finite at the seed")
-            gap = _norm_inf(self.constraint.value(self.q, q)) if self.m else 0.0
-            tol = self.opts.tol
-            if not (r0 <= 10.0 * tol and gap <= tol):
-                warnings.warn("seed point is inconsistent: initial-data residual %.3e (gate %.1e), "
-                              "discrete constraint residual %.3e (gate %.1e); the step still solves "
-                              "the inclusion at the next index" % (r0, 10.0 * tol, gap, tol),
-                              RuntimeWarning, stacklevel=3)
-        # q + q is 2 q exactly, without a scalar multiply
-        return self.step(q, carried, (q + q) - self.q)
-
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
                     opts: Optional[SolverOptions] = None, *,
@@ -740,7 +745,7 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
     step's, evaluated at the predictor. The predictor is q+ continued at
     constant velocity until the run has a history; from then on it is the
     history's extrapolation or q+ itself, whichever the run's last step
-    found closer (see ``_Run``).
+    found closer (see ``_Run.advance``). Its warnings name the caller's line.
     """
     if system.kind != LAGRANGIAN:
         raise UnsupportedOperationError("step_lagrangian needs a Lagrangian-kind system")
@@ -777,8 +782,8 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     C, multiplier guess and history of solved momenta. A held constrained
     matrix gets this step's -A^T and constraint block J2(q, dH/dp(q, p0)) C
     at the predictor p0: the carried momentum p, or its extrapolation from
-    the history (see ``_Run``). The residual at p0 reuses that
-    dH/dp(q, p0).
+    the history (see ``_Run.advance``). The residual at p0 reuses that
+    dH/dp(q, p0). Its warnings name the caller's line.
     """
     if system.kind != HAMILTONIAN:
         raise UnsupportedOperationError("step_hamiltonian needs a Hamiltonian-kind system")

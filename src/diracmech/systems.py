@@ -29,7 +29,7 @@ from .errors import DimensionMismatchError, EvaluationError, UnsupportedOperatio
 # orthonormal_columns is not called here since the certificate projects
 # through the distribution's memo; bench/tracing.py still wraps this module
 # attribute by name
-from .linalg import _F64, _count, _real_array, _vector, orthonormal_columns  # noqa: F401
+from .linalg import _F64, _count, _norm_inf, _real_array, _vector, orthonormal_columns  # noqa: F401
 
 # Finite-difference step base, central and forward: the step along
 # component i is FD_SCALE * max(1, |x_i|).
@@ -89,11 +89,12 @@ def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     """Jacobian of a vector-valued function by forward differences, one column per input.
 
     It is first-order (central for a single input, at the same cost) and
-    costs n + 1 calls of ``fun``. The stepper uses it only for Newton
-    iteration matrices, which steer the iteration but decide nothing:
-    acceptance and the certificate use true residuals.
+    costs n + 1 calls of ``fun``, each of which must give a vector of real
+    numbers (ValueError naming the 'residual' otherwise). The stepper uses
+    it only for Newton iteration matrices, which steer the iteration but
+    decide nothing: acceptance and the certificate use true residuals.
     """
-    cols = _differences(lambda v: np.asarray(fun(v), dtype=float), np.asarray(x, dtype=float))
+    cols = _differences(lambda v: _vector(fun(v), "residual"), np.asarray(x, dtype=float))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
@@ -156,8 +157,13 @@ class DerivativeProvider:
                                   % (block, exc)) from exc
 
     def max_fd_deviation(self, probes: Sequence[Sequence[np.ndarray]]) -> float:
-        """Worst relative gap between analytic and finite-difference gradients."""
-        worst = 0.0
+        """Worst relative gap between analytic and finite-difference gradients.
+
+        The gap of one block at one probe is max|analytic - FD| / max(1,
+        max|FD|). A NaN gap sticks, as in ``_norm_inf``, whichever block
+        and probe it comes from, so validation fails on it.
+        """
+        gaps = []
         for args in probes:
             for block, g in enumerate(self.grads):
                 if g is None:
@@ -165,9 +171,8 @@ class DerivativeProvider:
                 ana = self.bound(block)(*args)
                 num = self.fd_gradient(block, *args)
                 scale = max(1.0, float(np.max(np.abs(num))) if num.size else 0.0)
-                gap = float(np.max(np.abs(ana - num))) / scale if ana.size else 0.0
-                worst = max(worst, gap)
-        return worst
+                gaps.append(float(np.max(np.abs(ana - num))) / scale if ana.size else 0.0)
+        return _norm_inf(np.array(gaps))
 
 
 def _standard_probes(block_dims: Sequence[int], count: int = _VALIDATION_PROBES):

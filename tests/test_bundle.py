@@ -112,6 +112,18 @@ class TestAnnihilatorMemo:
         with pytest.raises(DimensionMismatchError, match=r"q has shape \(1,\), expected \(3,\)"):
             KinematicDistribution.unconstrained(3).project_ker([0.0], q)
 
+    def test_an_unconstrained_distribution_takes_the_memo_path(self):
+        # m = 0 runs the checks and the memo of every other m: A(q) is the
+        # read-only (0, n) matrix, its row basis (n, 0), and w comes back whole
+        dist = KinematicDistribution.unconstrained(3)
+        q, w = np.array([0.1, 0.2, 0.3]), np.array([1.0, -2.0, 3.0])
+        a = dist.matrix(q)
+        assert a.shape == (0, 3) and not a.flags.writeable
+        key, memo_a, rows = dist._memo
+        assert key == q.tobytes() and memo_a is a and rows.shape == (3, 0)
+        assert np.array_equal(dist.project_ker(q.copy(), w), w)
+        assert dist._memo[1] is a
+
     def test_one_evaluation_per_base_point(self, monkeypatch):
         calls = []
         dist = KinematicDistribution(4, 2, tilted_rows(calls))

@@ -327,6 +327,25 @@ class TestInducedDirac:
         # the one SVD is the span check of the returned 4 x 2 basis
         assert calls == [(4, 2)]
 
+    @pytest.mark.parametrize("w", [1e3, 1e9, 1e11, 1e12])
+    def test_a_strong_form_on_a_plane_keeps_dimension_three(self, w):
+        # on span{e1, e2} in R^3 with omega = w (e1 ^ e2), the columns (B, B M)
+        # have singular values sqrt(1 + w^2) against 1 for (0, e3*): from
+        # w = 1e11 their ratio fell under RANK_CUTOFF, and the span check
+        # rejected a basis that is orthogonal by construction
+        mat = np.zeros((3, 3))
+        mat[0, 1], mat[1, 0] = w, -w
+        d = induced_dirac(LinSubspace(3, np.eye(3)[:, :2]), SkewForm(mat))
+        assert d.dim == 3 and is_dirac(d, 3)
+        assert np.allclose(np.linalg.svd(d.basis, compute_uv=False), 1.0, atol=1e-12)
+        # (e1, -w e2*), (e2, w e1*) and (0, e3*), normalized
+        s = np.sqrt(1.0 + w * w)
+        expected = np.zeros((6, 3))
+        expected[0, 0], expected[4, 0] = 1.0 / s, -w / s
+        expected[1, 1], expected[3, 1] = 1.0 / s, w / s
+        expected[5, 2] = 1.0
+        assert np.allclose(span_projector(d.basis), span_projector(expected), atol=1e-12)
+
 
 class TestIsDirac:
     def test_graphs_of_skew_forms(self):

@@ -878,6 +878,34 @@ class TestLagrangianStep:
             with pytest.raises(SingularJacobianError):
                 step_lagrangian(system, x)
 
+    @pytest.mark.parametrize("entry", ["step_lagrangian", "run_trajectory"])
+    @pytest.mark.parametrize("which, message", [
+        ("regularity", "cross-derivative block"), ("jac2", "jac2 deviates"),
+        ("seed", "seed point is inconsistent")])
+    def test_a_step_warning_names_the_calling_file(self, which, message, entry):
+        # each warning is attributed to the first frame outside the package,
+        # here this file, not to a line of the stepper, for a run as for a step
+        if which == "regularity":
+            lag = DiscreteLagrangian(2, lambda q, qp: float(q @ q + qp @ qp))
+            system = DiscreteSystem.from_lagrangian(lag)
+            seed = PontryaginPoint([0.1, 0.2], [-0.2, -0.4], [0.2, 0.3])
+        elif which == "jac2":
+            system, seed = self.wrong_jac2_lane(True)
+        else:
+            system, x0 = oscillator_seed()
+            seed = PontryaginPoint(x0.q, x0.p + 0.5, x0.qplus)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            try:
+                if entry == "step_lagrangian":
+                    step_lagrangian(system, seed)
+                else:
+                    run_trajectory(system, seed, 3)
+            except (SingularJacobianError, StepFailureError):
+                assert which == "regularity"  # D2 D1 L = 0: the Newton solve is singular
+        found = [w for w in record if message in str(w.message)]
+        assert found and [w.filename for w in found] == [__file__] * len(found)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("block, warns", [([[0.0]], True), ([[1e-300]], False),
                                               ([[np.nan]], False)],

@@ -4,6 +4,7 @@ result that is not real numbers ends in a typed error."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -32,6 +33,7 @@ from diracmech import (
     builtin,
     check_initial_data,
     is_dirac,
+    newton_solve,
     run_trajectory,
     step_hamiltonian,
     step_lagrangian,
@@ -363,3 +365,29 @@ def test_a_seed_that_is_not_real_is_named(name, call, bad):
                            match="'%s' must be a vector of real numbers" % name) as info:
             call(bad)
     assert type(info.value) is ValueError
+
+
+# a one-row distribution on the line, whose q is checked before A(q) is evaluated
+_LINE = KinematicDistribution(1, 1, lambda q: np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("name, call", [
+    ("x0", lambda v: newton_solve(lambda x: x - 1.0, None, v)),
+    ("jac(x)", lambda v: newton_solve(lambda x: x - 1.0, lambda x: v, np.zeros(1))),
+    # real at x0, and not real where its forward-difference Jacobian evaluates it
+    ("residual", lambda v: newton_solve(_turning(lambda x: x - 1.0, v, 1), None, np.zeros(1))),
+    ("q", lambda v: _LINE.matrix(v)),
+    ("q", lambda v: _LINE.project_ker(v, [1.0])),
+], ids=["newton_solve.x0", "newton_solve.jac", "newton_solve.fd-residual",
+        "KinematicDistribution.matrix.q", "KinematicDistribution.project_ker.q"])
+def test_a_solver_or_distribution_input_that_is_not_real_is_named(name, call, bad):
+    # none is cast to float: a complex value would be cut to its real part, a
+    # bool read as 0 or 1, and a complex list would escape as a raw TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        with pytest.raises(ValueError, match="'%s' must be (a vector of )?real numbers"
+                           % re.escape(name)) as info:
+            call(bad)
+    assert type(info.value) is ValueError
+    assert _LINE._memo is None

@@ -102,6 +102,19 @@ class TestDerivatives:
         with pytest.raises(ValueError, match="central differences"):
             DiscreteLagrangian(1, Ld, bad_d1)
 
+    def test_a_nan_gradient_fails_validation(self):
+        # a NaN gap of the first block must not be dropped when the correct
+        # second block's gap is folded in after it
+        Ld = lambda q, qp: float(q @ qp + qp @ qp)
+        nan_d1 = lambda q, qp: np.full(2, np.nan)
+        d2 = lambda q, qp: q + 2.0 * qp
+        with pytest.raises(ValueError, match=r"relative deviation nan.*pass validate=False"):
+            DiscreteLagrangian(2, Ld, d1=nan_d1, d2=d2)
+        provider = DiscreteLagrangian(2, Ld, nan_d1, d2, validate=False).provider
+        probes = [(np.ones(2), np.zeros(2)), (np.zeros(2), np.ones(2))]
+        assert np.isnan(provider.max_fd_deviation(probes))
+        assert DiscreteLagrangian(2, Ld, d2=d2).provider.max_fd_deviation(probes) < 1e-5
+
     def test_validation_can_be_disabled(self):
         Ld = lambda q, qp: float(q[0] ** 2 + qp[0] ** 2)
         bad_d1 = lambda q, qp: np.array([3.0 * q[0]])
