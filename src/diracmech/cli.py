@@ -160,7 +160,7 @@ def _validate(raw: dict) -> RunConfig:
     seed = _required(raw, "seed")
     if not isinstance(seed, list):
         raise ConfigError("field 'seed' must be a flat list of numbers", field="seed")
-    seed = np.array([_checked("seed", _real, x, "seed") for x in seed], dtype=float)
+    seed = np.array([_checked("seed", _real, x, "seed") for x in seed])
     if seed.shape != (2 * n,):
         raise ConfigError("seed for %r must hold [q0, q1], 2 * %d numbers, got %d"
                           % (system, n, seed.shape[0]), field="seed")

@@ -24,6 +24,11 @@ RANK_CUTOFF = 1e-10
 
 _F64 = np.dtype(float)
 
+# The types of entries that are not real numbers, though numpy would read a
+# bool among numbers as one of them and an object array's strings as floats.
+_NOT_REAL = frozenset({bool, np.bool_, complex, np.complex64, np.complex128, np.clongdouble,
+                       str, np.str_, bytes, np.bytes_})
+
 # Arrays of up to this many entries take the pure-Python paths of _norm_inf
 # and _all_finite.
 _SMALL = 8
@@ -71,22 +76,28 @@ def _real(value, name: str, positive: bool = False) -> float:
 def _real_array(x, name: Optional[str] = None) -> np.ndarray:
     """``x`` as a float64 array of any shape; a float64 array comes back as it is.
 
-    Only real numbers convert: integers, floats and objects that float()
-    takes. Complex, boolean, string and other entries raise TypeError, so
-    no value is cut to its real part; an int beyond the float range raises
-    OverflowError, and a ragged nesting numpy's ValueError. With a ``name``,
-    each of these is a ValueError that names it.
+    This is the package's one way in for arrays: every array that a caller
+    passes or a user callable returns is read here, or by ``_vector`` on top
+    of it, and nowhere else is cast to float. Only real numbers convert:
+    integers, floats and objects that float() takes. Complex, boolean and
+    string entries raise TypeError, so no value is cut to its real part and
+    no bool reads as 0 or 1. Any input other than a NumPy array of numbers
+    (a list, a scalar, an object array) is checked entry by entry before it
+    is converted, since numpy would promote a bool among numbers to their
+    type. An int beyond the float range raises OverflowError, and a ragged
+    nesting numpy's ValueError. With a ``name``, each of these is a
+    ValueError that names it.
     """
     try:
         arr = np.asarray(x)
-        if arr.dtype == _F64:
+        if arr.dtype == _F64 and arr is x:
             return arr
         kind = arr.dtype.kind
-        if kind not in "fiuO" or kind == "O" and any(
-                isinstance(v, (complex, np.complexfloating)) for v in arr.flat):
-            raise TypeError("%s entries are not real numbers"
-                            % ("complex" if kind == "O" else arr.dtype))
-        return arr.astype(float)
+        flat = arr.ndim == 1 and kind != "O"  # then x's own items are its entries
+        if kind not in "fiuO" or (arr is not x or kind == "O") and not _NOT_REAL.isdisjoint(
+                map(type, x if flat else np.asarray(x, dtype=object).flat)):
+            raise TypeError("complex, boolean or string entries are not real numbers")
+        return arr if arr.dtype == _F64 else arr.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         if name is None:
             raise
@@ -163,9 +174,10 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     rank 1; its basis is a / ||a||_2. A finite column whose norm overflows
     is first divided by its largest absolute entry, which keeps its span. A
     column with a NaN or infinite entry, and every wider matrix, goes
-    through the SVD.
+    through the SVD. ``mat`` is read by ``_real_array`` (a ValueError
+    names it when its entries are not real numbers).
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = _real_array(mat, "mat")
     if mat.ndim != 2:
         raise DimensionMismatchError("expected a 2-d matrix, got shape %r" % (mat.shape,))
     if mat.shape[1] == 0:
@@ -187,10 +199,10 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
 class LinSubspace:
     """A linear subspace stored as a basis matrix whose columns span it.
 
-    The basis must have finite entries (ValueError otherwise) and full
-    column rank, as ``orthonormal_columns`` decides it (smallest singular
-    value above RANK_CUTOFF relative to the largest); that orthonormalized
-    copy is kept in ``onb`` for projections.
+    The basis must have finite real entries (see ``_real_array``; ValueError
+    otherwise) and full column rank, as ``orthonormal_columns`` decides it
+    (smallest singular value above RANK_CUTOFF relative to the largest);
+    that orthonormalized copy is kept in ``onb`` for projections.
     """
 
     ambient_dim: int
@@ -200,7 +212,7 @@ class LinSubspace:
     def __post_init__(self):
         object.__setattr__(self, "ambient_dim",
                            _count(self.ambient_dim, "ambient_dim", 1, error=DimensionMismatchError))
-        basis = np.asarray(self.basis, dtype=float)
+        basis = _real_array(self.basis, "basis")
         if basis.ndim == 1:
             basis = basis.reshape(-1, 1)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
@@ -249,12 +261,17 @@ class PairedVector:
 
 @dataclass(frozen=True)
 class SkewForm:
-    """A two-form as a finite skew-symmetric matrix; value(v, w) = (mat @ v) . w."""
+    """A two-form as a finite skew-symmetric matrix; value(v, w) = (mat @ v) . w.
+
+    ``mat`` is read by ``_real_array``, and v and w by ``_vector``: entries
+    that are not real numbers raise ValueError, and a v or w whose length is
+    not ``dim`` raises DimensionMismatchError, each naming its argument.
+    """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
+        mat = _real_array(self.mat, "mat")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("two-form matrix must be square, got %r" % (mat.shape,))
         if not _all_finite(mat):
@@ -275,10 +292,10 @@ class SkewForm:
 
     def flat(self, v: np.ndarray) -> np.ndarray:
         """The covector value(v, .) as a plain array."""
-        return self.mat @ np.asarray(v, dtype=float)
+        return self.mat @ _vector(v, "v", self.dim)
 
     def value(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(self.flat(v) @ np.asarray(w, dtype=float))
+        return float(self.flat(v) @ _vector(w, "w", self.dim))
 
 
 def pairing(x: PairedVector, y: PairedVector) -> float:

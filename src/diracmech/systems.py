@@ -68,8 +68,12 @@ def _differences(fun: Callable[[np.ndarray], object], x: np.ndarray,
 
 def _block_gradient(f: Callable[..., float], args: Sequence[np.ndarray], block: int,
                     central: bool) -> np.ndarray:
-    """Gradient of the scalar f with respect to args[block], the other blocks held."""
-    work = [np.asarray(a, dtype=float) for a in args]
+    """Gradient of the scalar f with respect to args[block], the other blocks held.
+
+    Each of ``args`` is read by ``_real_array`` (a ValueError names 'args'
+    when it is not real numbers), and so are the quotients.
+    """
+    work = [_real_array(a, "args") for a in args]
     x = work[block]
 
     def along(xb):
@@ -81,7 +85,10 @@ def _block_gradient(f: Callable[..., float], args: Sequence[np.ndarray], block: 
 
 def central_difference(f: Callable[..., float], args: Sequence[np.ndarray],
                        block: int) -> np.ndarray:
-    """Gradient of the scalar f with respect to args[block], central differences: 2n calls."""
+    """Gradient of the scalar f with respect to args[block], central differences: 2n calls.
+
+    ``args`` must be real numbers (see ``_block_gradient``).
+    """
     return _block_gradient(f, args, block, True)
 
 
@@ -89,12 +96,13 @@ def jacobian_columns(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     """Jacobian of a vector-valued function by forward differences, one column per input.
 
     It is first-order (central for a single input, at the same cost) and
-    costs n + 1 calls of ``fun``, each of which must give a vector of real
-    numbers (ValueError naming the 'residual' otherwise). The stepper uses
-    it only for Newton iteration matrices, which steer the iteration but
-    decide nothing: acceptance and the certificate use true residuals.
+    costs n + 1 calls of ``fun``. x must be a vector of real numbers, and so
+    must each result of ``fun`` (see ``_vector``; a ValueError names 'x' or
+    the 'residual' otherwise). The stepper uses it only for Newton iteration
+    matrices, which steer the iteration but decide nothing: acceptance and
+    the certificate use true residuals.
     """
-    cols = _differences(lambda v: _vector(fun(v), "residual"), np.asarray(x, dtype=float))
+    cols = _differences(lambda v: _vector(fun(v), "residual"), _vector(x, "x"))
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
@@ -112,15 +120,15 @@ class DerivativeProvider:
     def bound(self, block: int) -> Callable[..., np.ndarray]:
         """A single-frame callable for one block's gradient (analytic or FD).
 
-        An analytic gradient must return real numbers (see ``_real_array``;
-        EvaluationError otherwise, as for a gradient that raises), one entry
-        per component of its block's argument (DimensionMismatchError
-        otherwise).
+        A finite-difference slot is ``fd_gradient`` with its block bound by
+        ``functools.partial``, which adds no frame. An analytic gradient must
+        return real numbers (see ``_real_array``; EvaluationError otherwise,
+        as for a gradient that raises), one entry per component of its
+        block's argument (DimensionMismatchError otherwise).
         """
         g = self.grads[block]
         if g is None:
-            fd_gradient = self.fd_gradient
-            return lambda *args: fd_gradient(block, *args)
+            return functools.partial(self.fd_gradient, block)
 
         def call(*args):
             try:
@@ -275,20 +283,18 @@ class DiscreteConstraint:
     def unconstrained(cls, n: int) -> "DiscreteConstraint":
         return cls(n, 0)
 
-    def _call(self, fn: Callable, q, qplus, shape: tuple) -> np.ndarray:
-        """fn(q, q+) on float64 arguments as a float64 array of ``shape``.
+    def _call(self, fn: Callable, q: np.ndarray, qplus: np.ndarray, shape: tuple) -> np.ndarray:
+        """fn(q, q+) on the float64 vectors that ``value`` or ``jacobian2`` read, as ``shape``.
 
-        This is phi for a 1-d shape and its Jacobian for a 2-d one. A float64
-        result of that ndim is taken as it comes; anything else is converted
-        (see ``_real_array``). A failure or a result that is not real numbers
-        ends in EvaluationError, and a wrong shape after it in
-        DimensionMismatchError.
+        This is phi for a 1-d shape and its Jacobian for a 2-d one. The result
+        is read by ``_real_array``, which takes a float64 array as it comes,
+        and then by ``atleast_1d`` or ``atleast_2d``. A failure or a result
+        that is not real numbers ends in EvaluationError, and a wrong shape
+        after it in DimensionMismatchError.
         """
         vector = len(shape) == 1
         try:
-            out = fn(np.asarray(q, dtype=float), np.asarray(qplus, dtype=float))
-            if not (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == len(shape)):
-                out = (np.atleast_1d if vector else np.atleast_2d)(_real_array(out))
+            out = (np.atleast_1d if vector else np.atleast_2d)(_real_array(fn(q, qplus)))
         except Exception as exc:
             raise EvaluationError("constraint %s failed: %s"
                                   % ("evaluation" if vector else "Jacobian", exc)) from exc
@@ -298,17 +304,24 @@ class DiscreteConstraint:
         return out
 
     def value(self, q, qplus) -> np.ndarray:
-        """phi(q, q+) as a float64 vector of length md; a float64 one is taken as it comes."""
-        if self.md == 0:
-            return np.zeros(0)
-        return self._call(self.phi, q, qplus, (self.md,))
+        """phi(q, q+) as a float64 vector of length md; a float64 one is taken as it comes.
+
+        q and q+ are read first, md = 0 included: each must be a vector of n
+        real numbers (see ``_vector``; ValueError or DimensionMismatchError,
+        naming 'q' or 'qplus', never EvaluationError).
+        """
+        q, qplus = _vector(q, "q", self.n), _vector(qplus, "qplus", self.n)
+        return self._call(self.phi, q, qplus, (self.md,)) if self.md else np.zeros(0)
 
     def jacobian2(self, q, qplus) -> np.ndarray:
-        """md x n Jacobian of phi in its second slot; a 2-d float64 one is taken as it comes."""
-        if self._jac2 is not None:
-            return self._call(self._jac2, q, qplus, (self.md, self.n))
-        q = np.asarray(q, dtype=float)
-        return jacobian_columns(lambda qp: self.value(q, qp), qplus)
+        """md x n Jacobian of phi in its second slot; a 2-d float64 one is taken as it comes.
+
+        q and q+ are read as in ``value``. Without a ``jac2`` it is
+        ``jacobian_columns`` of phi(q, .) at q+.
+        """
+        q, qplus = _vector(q, "q", self.n), _vector(qplus, "qplus", self.n)
+        return (jacobian_columns(lambda qp: self.value(q, qp), qplus) if self._jac2 is None
+                else self._call(self._jac2, q, qplus, (self.md, self.n)))
 
 
 def _generating(gen, *classes):
@@ -388,17 +401,18 @@ def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
     """Pair constraint phi(q, q+) = A(q) (q+ - q) induced by the identity-chart retraction.
 
     Its ``value`` and ``jacobian2`` evaluate A(q) (q+ - q) and A(q) through
-    ``dist``, and its ``retracts`` is ``dist``. A run whose system has this
-    very distribution computes both itself, with the same arithmetic, from
-    the A(q) it looks up once per step, and calls neither closure. A
-    retraction of any other distribution object, even one with the same
-    annihilator, is called like any pair constraint.
+    ``dist``, and its ``retracts`` is ``dist``. The closures cast nothing:
+    ``value`` and ``jacobian2`` hand them q and q+ already read. A run whose
+    system has this very distribution computes both itself, with the same
+    arithmetic, from the A(q) it looks up once per step, and calls neither
+    closure. A retraction of any other distribution object, even one with
+    the same annihilator, is called like any pair constraint.
     """
     if dist.m == 0:
         return DiscreteConstraint.unconstrained(dist.n)
 
     def phi(q, qplus):
-        return dist.matrix(q) @ (np.asarray(qplus, dtype=float) - np.asarray(q, dtype=float))
+        return dist.matrix(q) @ (qplus - q)
 
     def jac2(q, qplus):
         return dist.matrix(q)

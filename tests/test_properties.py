@@ -17,8 +17,8 @@ imply hold on unconstrained runs of both kinds: a rotation-invariant L or H
 conserves the angular momentum q x p (discrete Noether), and the step map
 is symplectic. A holonomic constraint is a particular case: the spherical
 pendulum, constrained through A(q) = Dg(q) and phi(q, q+) = g(q+), keeps its
-axial momentum and its sphere, and steps as closed-form SHAKE, for both
-kinds.
+axial momentum and its sphere, with analytic and with finite-difference
+slots, and steps as closed-form SHAKE, for both kinds.
 """
 
 import numpy as np
@@ -723,6 +723,58 @@ def test_the_spherical_pendulum_keeps_its_axial_momentum_and_its_sphere(pendulum
     drift = np.max(np.abs(axial - axial[0]))
     qmax, pmax = np.max(np.abs(q)), np.max(np.abs(p))
     bound = 2.0 * PENDULUM_STEPS * qmax * TOL + 8.0 * eps * qmax * pmax
+    assert drift <= bound, (drift, bound)
+    sphere = np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0))
+    assert sphere <= TOL + 8.0 * eps, sphere
+
+
+# the central-difference error of one slot gradient entry on the pendulum runs
+# below, derived in the docstring of the FD-only property
+FD_PENDULUM_DELTA = 100.0 * FD_SCALE ** 2
+
+
+@pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+@settings(max_examples=20)
+@given(pendulum=spherical_pendulums())
+def test_an_fd_only_spherical_pendulum_keeps_its_axial_momentum_and_its_sphere(
+        pendulum, lagrangian):
+    """The pendulum above with L and H built without analytic partials: every
+    slot gradient is a central difference, while phi and jac2 stay analytic.
+
+    Each slot entry is then off by at most delta. With step h_i = FD_SCALE
+    max(1, |x_i|) and FD_SCALE = eps^(1/3), a central quotient errs by its
+    truncation h_i^2 |f'''| / 6, by the round-off of the two values of f over
+    2 h_i, at most FD_SCALE^2 e_f / eps for e_f the error of one value, and by
+    the rounding of x_i +- h_i, at most FD_SCALE^2 |f'| (eps / h_i =
+    FD_SCALE^2 / max(1, |x_i|)). On these runs |q| = 1 to within tol, and
+    energy bounds |p|: V varies by at most 2a + |b| / 2 + c / 4 <= 4.75 on the
+    sphere and m |v|^2 / 2 <= 1, so |p|^2 <= 2m (5.75) <= 23 and |p|_inf <= 5
+    (checked). Then |f'''| <= h 6 c |q| <= 0.6 (L and H are quadratic in q+
+    and p+), |f'| <= |p| + h |grad V| + |q| <= 6.5, and the terms of L or H
+    sum to at most |q| |p+| + h |p|^2 / m + h |V| <= 8, each rounded a few
+    times, so e_f <= 64 eps. That gives delta <= (0.1 + 64 + 6.5) FD_SCALE^2,
+    below FD_PENDULUM_DELTA = 100 FD_SCALE^2 = 3.7e-9.
+
+    The drift then follows as for the analytic slots (Noether, with the
+    constraint force lambda q carrying no axial torque): a step moves L_z by
+    the axial part of q x (r + delta_1) and of the completion's error, q+ x
+    delta_2 for L (p+ = d2 L) and delta_2 x p+ for H (q+ = dH/dp), so by at
+    most 2 max|q|_inf (tol + delta) + 2 max|q or p|_inf delta, and N steps by
+    N times that, plus the round-off of the products compared. The sphere
+    bound is the analytic one: Newton accepts |g(q+)| <= tol whatever the
+    slots are.
+    """
+    lag, ham, *rest = pendulum
+    fd_only = (DiscreteLagrangian(3, lag.Ld), DiscreteHamiltonian(3, ham.Hd), *rest)
+    q, p = pendulum_run(fd_only, lagrangian, PENDULUM_STEPS)
+    eps = np.finfo(float).eps
+    qmax, pmax = np.max(np.abs(q)), np.max(np.abs(p))
+    assert pmax <= 5.0, pmax
+    axial = q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]
+    drift = np.max(np.abs(axial - axial[0]))
+    delta = FD_PENDULUM_DELTA
+    bound = (2.0 * PENDULUM_STEPS * (qmax * (TOL + delta) + (qmax if lagrangian else pmax) * delta)
+             + 8.0 * eps * qmax * pmax)
     assert drift <= bound, (drift, bound)
     sphere = np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0))
     assert sphere <= TOL + 8.0 * eps, sphere

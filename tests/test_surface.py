@@ -1,7 +1,9 @@
 """The package's public surface: every exported name resolves, once, every numeric
-argument keeps the one rule of its kind, every guard raises its typed error, and a user
-result that is not real numbers ends in a typed error."""
+argument keeps the one rule of its kind, every guard raises its typed error, a user
+result that is not real numbers ends in a typed error, and no module casts an array
+to float outside ``linalg._real_array``."""
 
+import ast
 import math
 import os
 import re
@@ -41,6 +43,7 @@ from diracmech import (
 from diracmech.cli import parse_config
 from diracmech.errors import ConfigError
 from diracmech.linalg import orthonormal_columns
+from diracmech.systems import central_difference, jacobian_columns
 
 ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
@@ -84,6 +87,29 @@ def _ld(q, qp):
 
 def _rows(q):
     return np.array([[1.0, 0.0, 0.0]])
+
+
+def _phi(q, qp):
+    return np.array([qp[0] - q[0]])
+
+
+# pair constraints in the plane whose value and jacobian2 read q and q+ before
+# anything is called: with an analytic jac2, with a finite-difference one, and md = 0
+_PAIRS = {"analytic": DiscreteConstraint(2, 1, _phi, lambda q, qp: np.array([[1.0, 0.0]])),
+          "fd": DiscreteConstraint(2, 1, _phi), "md0": DiscreteConstraint(2, 0)}
+
+
+def _pair_call(con, method, name):
+    """con.<method>(q, q+) with the value in place of ``name`` and a good vector in the other."""
+    if name == "q":
+        return lambda v: getattr(con, method)(v, np.ones(2))
+    return lambda v: getattr(con, method)(np.zeros(2), v)
+
+
+# (where, argument, a call with the value in its place)
+_PAIR_CALLS = [("%s.%s.%s" % (kind, method, name), name, _pair_call(con, method, name))
+               for kind, con in _PAIRS.items() for method in ("value", "jacobian2")
+               for name in ("q", "qplus")]
 
 
 # (owner, argument, a call with the value in its place, what the argument is:
@@ -133,7 +159,11 @@ ARGUMENTS = [
      ValueError),
     (build.__name__ + "-shape", "mass", lambda v, build=build: build(H, 2, v),
      [[1.0, [2.0, 3.0]], [1.0, 2.0, 3.0]], ValueError),
-)]
+)] + [
+    ("Trajectory", "steps",
+     lambda v: Trajectory(DiscreteCurve([_SEED]), (), "x", v, SolverOptions()), (0, None),
+     ValueError),
+]
 
 
 def _bad_values(kind):
@@ -197,6 +227,9 @@ GUARDS = [
     ("stepper.trajectory-records",
      lambda: Trajectory(DiscreteCurve([_SEED]), (), "short", 1, SolverOptions()), ValueError,
      "expected 1 diagnostic records, got 0"),
+    ("stepper.trajectory-options",
+     lambda: Trajectory(DiscreteCurve([_SEED]), (), "x", 0, "not options"),
+     UnsupportedOperationError, "opts must be a SolverOptions or None, got str"),
     ("stepper.hamiltonian-seed",
      lambda: run_trajectory(_OSC_HAM, 0.5, 3),
      UnsupportedOperationError, r"Hamiltonian trajectories start from a \(q0, p0\) pair"),
@@ -213,6 +246,14 @@ GUARDS = [
     ("stepper.hamiltonian-seed-triple",
      lambda: run_trajectory(_OSC_HAM, ([0.0], [1.0], [2.0]), 3),
      UnsupportedOperationError, r"Hamiltonian trajectories start from a \(q0, p0\) pair"),
+    ("linalg.flat-length", lambda: SkewForm.zero(2).flat(np.ones(3)), DimensionMismatchError,
+     r"v has shape \(3,\), expected \(2,\)"),
+    ("linalg.value-length", lambda: SkewForm.zero(2).value(np.ones(2), [1.0]),
+     DimensionMismatchError, r"w has shape \(1,\), expected \(2,\)"),
+] + [
+    ("systems.constraint-length.%s" % where, lambda call=call: call(np.ones(3)),
+     DimensionMismatchError, r"%s has shape \(3,\), expected \(2,\)" % name)
+    for where, name, call in _PAIR_CALLS
 ]
 
 
@@ -265,6 +306,9 @@ NOT_REAL = [
     pytest.param(np.complex128(0.3), id="complex-scalar"),
     pytest.param(np.array([np.complex128(0.3)], dtype=object), id="complex-object"),
     pytest.param(np.array([True]), id="bool"),
+    # numpy promotes a bool among numbers to their type
+    pytest.param([0.5, True], id="bool-list"),
+    pytest.param(np.array([0.5, np.True_], dtype=object), id="bool-object"),
 ]
 
 
@@ -379,8 +423,21 @@ _LINE = KinematicDistribution(1, 1, lambda q: np.ones((1, 1)))
     ("residual", lambda v: newton_solve(_turning(lambda x: x - 1.0, v, 1), None, np.zeros(1))),
     ("q", lambda v: _LINE.matrix(v)),
     ("q", lambda v: _LINE.project_ker(v, [1.0])),
+] + [(name, call) for _, name, call in _PAIR_CALLS] + [
+    ("x", lambda v: jacobian_columns(lambda x: x, v)),
+    ("args", lambda v: central_difference(_ld, (v, np.ones(1)), 0)),
+    ("args", lambda v: central_difference(_ld, (np.zeros(1), v), 0)),
+    ("mat", lambda v: orthonormal_columns(v)),
+    ("basis", lambda v: LinSubspace(1, v)),
+    ("mat", lambda v: SkewForm(v)),
+    ("v", lambda v: SkewForm.zero(1).flat(v)),
+    ("w", lambda v: SkewForm.zero(1).value([0.0], v)),
 ], ids=["newton_solve.x0", "newton_solve.jac", "newton_solve.fd-residual",
-        "KinematicDistribution.matrix.q", "KinematicDistribution.project_ker.q"])
+        "KinematicDistribution.matrix.q", "KinematicDistribution.project_ker.q"] + [
+    "DiscreteConstraint.%s" % where for where, _, _ in _PAIR_CALLS] + [
+    "jacobian_columns.x", "central_difference.args-block", "central_difference.args-held",
+    "orthonormal_columns.mat", "LinSubspace.basis", "SkewForm.mat", "SkewForm.flat.v",
+    "SkewForm.value.w"])
 def test_a_solver_or_distribution_input_that_is_not_real_is_named(name, call, bad):
     # none is cast to float: a complex value would be cut to its real part, a
     # bool read as 0 or 1, and a complex list would escape as a raw TypeError
@@ -391,3 +448,30 @@ def test_a_solver_or_distribution_input_that_is_not_real_is_named(name, call, ba
             call(bad)
     assert type(info.value) is ValueError
     assert _LINE._memo is None
+
+
+_PACKAGE = Path(diracmech.__file__).resolve().parent
+_FLOAT_TYPES = {"float", "np.float64", "np.double", "numpy.float64"}
+
+
+def _float_casts(path: Path) -> list:
+    """Each ``dtype=float`` keyword and ``.astype(...)`` call of a module, outside
+    linalg._real_array, as 'module:line: source'."""
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = {id(inner) for node in ast.walk(tree) if path.name == "linalg.py"
+               and isinstance(node, ast.FunctionDef) and node.name == "_real_array"
+               for inner in ast.walk(node)}
+    return ["%s:%d: %s" % (path.name, node.lineno, ast.unparse(node))
+            for node in ast.walk(tree) if id(node) not in allowed and (
+                isinstance(node, ast.keyword) and node.arg == "dtype"
+                and ast.unparse(node.value) in _FLOAT_TYPES
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype")]
+
+
+def test_every_array_enters_through_one_rule():
+    # a cast beside _real_array would cut a complex entry to its real part and
+    # read a bool as 0 or 1, where _real_array raises
+    modules = sorted(_PACKAGE.glob("*.py"))
+    assert "linalg.py" in {m.name for m in modules}
+    assert [cast for m in modules for cast in _float_casts(m)] == []
