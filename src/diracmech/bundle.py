@@ -196,7 +196,7 @@ class KinematicDistribution:
         """Orthogonal projection of the covector ``w`` onto ker A(q)."""
         w = _vector(w, "w", self.n)
         rows = self._validated(q)[2]
-        return w - rows @ (rows.T @ w)
+        return w - rows.dot(rows.T.dot(w))
 
 
 def check_admissibility(curve: DiscreteCurve, tol: float = 1e-12) -> Optional[int]:

@@ -4,8 +4,10 @@ Subspaces of V and of V + V* are explicit basis matrices; every rank decision
 counts singular values above a relative cutoff so that near-degenerate inputs
 fail loudly instead of silently dropping dimensions. They come from an SVD,
 except for a single column, whose one singular value is its norm. A two-form
-is a skew matrix ``mat`` acting through its flat map v -> mat @ v, so the
-scalar value of the form is value(v, w) = (mat @ v) . w.
+is a skew matrix ``mat`` acting through its flat map v -> mat v, so the
+scalar value of the form is value(v, w) = (mat v) . w. Every product is
+``ndarray.dot``, as everywhere in the package: one kernel call, without the
+dispatch of the matmul ufunc.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ def _real_array(x, name: Optional[str] = None) -> np.ndarray:
     no bool reads as 0 or 1. Any input other than a NumPy array of numbers
     (a list, a scalar, an object array) is checked entry by entry before it
     is converted, since numpy would promote a bool among numbers to their
-    type. An int beyond the float range raises OverflowError, and a ragged
-    nesting numpy's ValueError. With a ``name``, each of these is a
-    ValueError that names it.
+    type; a 0-d array among the entries is checked by its item. An int
+    beyond the float range raises OverflowError, and a ragged nesting
+    numpy's ValueError. With a ``name``, each of these is a ValueError that
+    names it.
     """
     try:
         arr = np.asarray(x)
@@ -95,13 +98,25 @@ def _real_array(x, name: Optional[str] = None) -> np.ndarray:
         kind = arr.dtype.kind
         flat = arr.ndim == 1 and kind != "O"  # then x's own items are its entries
         if kind not in "fiuO" or (arr is not x or kind == "O") and not _NOT_REAL.isdisjoint(
-                map(type, x if flat else np.asarray(x, dtype=object).flat)):
+                _entry_types(x if flat else np.asarray(x, dtype=object).ravel())):
             raise TypeError("complex, boolean or string entries are not real numbers")
         return arr if arr.dtype == _F64 else arr.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         if name is None:
             raise
         raise ValueError("%r must be real numbers: %s" % (name, exc)) from exc
+
+
+def _entry_types(entries) -> set:
+    """The types of the entries of a list or object array, and of each 0-d array's item.
+
+    numpy reads ``np.array(True)`` among numbers as 1.0, as it reads
+    ``np.True_``, so both must show as the bool they are.
+    """
+    types = set(map(type, entries))
+    if np.ndarray in types:
+        types.update(type(e[()]) for e in entries if type(e) is np.ndarray)
+    return types
 
 
 def _vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
@@ -261,7 +276,7 @@ class PairedVector:
 
 @dataclass(frozen=True)
 class SkewForm:
-    """A two-form as a finite skew-symmetric matrix; value(v, w) = (mat @ v) . w.
+    """A two-form as a finite skew-symmetric matrix; value(v, w) = (mat v) . w.
 
     ``mat`` is read by ``_real_array``, and v and w by ``_vector``: entries
     that are not real numbers raise ValueError, and a v or w whose length is
@@ -292,17 +307,17 @@ class SkewForm:
 
     def flat(self, v: np.ndarray) -> np.ndarray:
         """The covector value(v, .) as a plain array."""
-        return self.mat @ _vector(v, "v", self.dim)
+        return self.mat.dot(_vector(v, "v", self.dim))
 
     def value(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(self.flat(v) @ _vector(w, "w", self.dim))
+        return float(self.flat(v).dot(_vector(w, "w", self.dim)))
 
 
 def pairing(x: PairedVector, y: PairedVector) -> float:
     """Symmetric pairing <<(v,a),(w,b)>> = a(w) + b(v) on V + V*."""
     if x.dim != y.dim:
         raise DimensionMismatchError("paired vectors of dimension %d and %d" % (x.dim, y.dim))
-    return float(x.a @ y.v + y.a @ x.v)
+    return float(x.a.dot(y.v) + y.a.dot(x.v))
 
 
 def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
@@ -326,7 +341,7 @@ def induced_dirac(delta: LinSubspace, omega: SkewForm) -> LinSubspace:
     b = delta.onb
     k = b.shape[1]
     ann = np.linalg.qr(b, mode="complete")[0][:, k:]
-    graph = np.vstack([b, b @ (b.T @ omega.mat @ b)])
+    graph = np.vstack([b, b.dot(b.T.dot(omega.mat).dot(b))])
     basis = np.hstack([graph, np.vstack([np.zeros((n, n - k)), ann])])
     return LinSubspace(2 * n, np.linalg.qr(basis)[0])
 
@@ -349,7 +364,7 @@ def is_dirac(d: LinSubspace, n: int, tol: float = 1e-10) -> bool:
         return False
     v_part = d.onb[:n, :]
     a_part = d.onb[n:, :]
-    gram = a_part.T @ v_part
+    gram = a_part.T.dot(v_part)
     pair = gram + gram.T
     return bool(pair.size == 0 or np.max(np.abs(pair)) < tol)
 
@@ -367,10 +382,10 @@ def membership_residual(x: PairedVector, delta: LinSubspace, omega: SkewForm) ->
             "paired vector dim %d, subspace dim %d, form dim %d" % (x.dim, n, omega.dim)
         )
     b = delta.onb
-    v_off = x.v - b @ (b.T @ x.v)
+    v_off = x.v - b.dot(b.T.dot(x.v))
     dist = float(np.linalg.norm(v_off))
     if b.shape[1]:
-        cond = float(np.linalg.norm(b.T @ (x.a - omega.mat @ x.v)))
+        cond = float(np.linalg.norm(b.T.dot(x.a - omega.mat.dot(x.v))))
     else:
         cond = 0.0
     return max(dist, cond)

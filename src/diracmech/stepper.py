@@ -89,13 +89,17 @@ class SolverOptions:
         object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter", 1))
 
 
-def _options(opts: Optional[SolverOptions]) -> SolverOptions:
-    """``opts``, or the default SolverOptions for None; UnsupportedOperationError otherwise."""
+def _options(opts: Optional[SolverOptions], name: str = "opts") -> SolverOptions:
+    """``opts``, or the default SolverOptions for None; UnsupportedOperationError otherwise.
+
+    The error names the argument ``name``: 'opts' at every entry point,
+    'options' for the field of a Trajectory.
+    """
     if opts is None:
         return SolverOptions()
     if not isinstance(opts, SolverOptions):
-        raise UnsupportedOperationError("opts must be a SolverOptions or None, got %s"
-                                        % type(opts).__name__)
+        raise UnsupportedOperationError("%s must be a SolverOptions or None, got %s"
+                                        % (name, type(opts).__name__))
     return opts
 
 
@@ -187,7 +191,7 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _count(self.steps, "steps", 0))
-        object.__setattr__(self, "options", _options(self.options))
+        object.__setattr__(self, "options", _options(self.options, "options"))
         if check_admissibility(self.curve, 0.0) is not None:
             raise ValueError("trajectory curve violates the second-order condition")
         if not isinstance(self.diagnostics, DiagnosticColumns):
@@ -361,13 +365,15 @@ def _name_noise_floor(exc: ConvergenceError, system: DiscreteSystem, q: np.ndarr
 def _seed_certificate(system: DiscreteSystem, x0) -> Tuple[np.ndarray, float]:
     """The carried momentum d2 L(q0, q0+) of a Lagrangian seed and the certificate at (x0, it).
 
-    One d2 L and one d1 L call; the certificate is NaN when d2 L is not
-    finite. ``x0`` is a PontryaginPoint, or a run's engine, which holds its
-    checked seed as (q, p, qplus) before its first step.
+    One d2 L and one d1 L call, and one momentum balance p0 + d1 L, which
+    the certificate takes as its held balance; the certificate is NaN when
+    d2 L is not finite. ``x0`` is a PontryaginPoint, or a run's engine,
+    which holds its checked seed as (q, p, qplus) before its first step.
     """
     lag = system.lagrangian
     p0 = lag.d2(x0.q, x0.qplus)
-    r0 = dirac_inclusion_residual(system, x0, p0, _held=(lag.d1(x0.q, x0.qplus), None))
+    balance = system.balance(x0.p, lag.d1(x0.q, x0.qplus))
+    r0 = dirac_inclusion_residual(system, x0, p0, _held=(balance, None))
     # the held form reads the q+ block p0 - d2 L as zero, which it is only
     # for a finite p0
     return p0, (r0 if _all_finite(p0) else math.nan)
@@ -473,7 +479,10 @@ class _Run:
     (its ``retracts`` is ``system.dist``); the run then computes phi =
     A(q) (q+ - q) and J2 = A(q) from ``a`` and calls neither closure. Any
     other constraint, a retraction of another distribution object included,
-    is called through its guarded path.
+    is called through its guarded path. Each residual keeps its argument
+    in ``last_z`` and its momentum balance in ``last_balance``, the one
+    place the balance is computed during a step: the held certificate reads
+    it from there.
     ``history`` stays None until a step of the run needs a second Newton
     iteration; from then on it holds the last two or three solved unknowns,
     newest first, and ``extrapolate`` says where the next step starts
@@ -524,17 +533,18 @@ class _Run:
         return self.conf_value
 
     def _balance(self, y):
-        self.last_z, self.last_g = y, self.grad(self.q, y)
-        return self.momentum_balance(self.p, self.last_g)
+        self.last_z = y
+        self.last_balance = self.momentum_balance(self.p, self.grad(self.q, y))
+        return self.last_balance
 
     def _phi(self, conf):
         # a retraction's A(q) (conf - q), as its own phi computes it; any other phi is called
-        return self.a @ (conf - self.q) if self.retraction else self.constraint.value(self.q, conf)
+        return self.a.dot(conf - self.q) if self.retraction else self.constraint.value(self.q, conf)
 
     def _constrained(self, z):
         n = self.n
         y = z[:n]
-        r = self._balance(y) - self.a.T @ z[n:]
+        r = self._balance(y) - self.a.T.dot(z[n:])
         conf = y if self.lagrangian else self._conf(y)
         self.last_z, self.last_phi = z, self._phi(conf)
         return np.concatenate([r, self.last_phi])
@@ -547,7 +557,7 @@ class _Run:
         jm[:n, n:] = -self.a.T
         j2 = self.a if self.retraction else self.constraint.jacobian2(
             self.q, y if self.lagrangian else self._conf(y))
-        jm[n:, :n] = j2 if c is None else j2 @ c
+        jm[n:, :n] = j2 if c is None else j2.dot(c)
         return jm
 
     def _slot_block(self, block, y):
@@ -631,9 +641,9 @@ class _Run:
         (conf - q) and the constraint block J2 = A(q), with the arithmetic of
         the retraction's own phi and jac2, so the step calls neither; any
         other constraint is evaluated through ``DiscreteConstraint``. The
-        residual keeps the gradient and phi of its last call. ``_conf``
-        keeps the last dH/dp(q, y) it evaluated, keyed on the bytes of y,
-        for the held matrix's constraint block at the predictor, the
+        residual keeps the momentum balance and phi of its last call.
+        ``_conf`` keeps the last dH/dp(q, y) it evaluated, keyed on the bytes
+        of y, for the held matrix's constraint block at the predictor, the
         residuals, the assemblies and q+ of the step. When Newton returns the
         very array of the residual's last call, q+, the constraint residual
         and the certificate read those values instead of evaluating them
@@ -700,7 +710,7 @@ class _Run:
         cres = _norm_inf(self.last_phi if last else self._phi(qplus)) if m else 0.0
         inclusion = dirac_inclusion_residual(
             self.system, self if last else PontryaginPoint._trusted(q, p, qplus), p_next,
-            _held=(self.last_g, self.basis) if last else None)
+            _held=(self.last_balance, self.basis) if last else None)
         if not (inclusion <= 10.0 * opts.tol):
             raise CertificationError("accepted step fails the inclusion residual gate (%.3e > "
                                      "10 * %.1e)" % (inclusion, opts.tol),
@@ -735,9 +745,9 @@ def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
 
     A step evaluates d1 L once per Newton residual and d2 L once, for the
     new momentum p_next = d2 L(q+, qnew), which must be finite
-    (EvaluationError otherwise). The certificate reuses d1 L from Newton's
-    last residual; its q+ block p_next - d2 L(q+, qnew) is zero by
-    construction.
+    (EvaluationError otherwise). The certificate reuses the momentum
+    balance p + d1 L of Newton's last residual; its q+ block p_next -
+    d2 L(q+, qnew) is zero by construction.
 
     A direct call is the first step of a fresh run under ``opts``, built
     from the seed x, which must be a PontryaginPoint of the system's
@@ -782,10 +792,11 @@ def step_hamiltonian(system: DiscreteSystem, q: np.ndarray, p: np.ndarray,
     none, so a later step solved on its run's held matrix, or without one,
     skips it, constrained or not.
 
-    The certificate reuses dH/dq from Newton's last residual; its dp block
-    dH/dp(q, pnew) - qnew is zero by construction. A direct call is the
-    first step of a fresh run under ``opts``, built from the seed (q, p),
-    which the run checks and copies (see ``_Run``). ``run_trajectory``
+    The certificate reuses the momentum balance p - dH/dq of Newton's last
+    residual; its dp block dH/dp(q, pnew) - qnew is zero by construction.
+    A direct call is the first step of a fresh run under ``opts``, built
+    from the seed (q, p), which the run checks and copies (see ``_Run``).
+    ``run_trajectory``
     passes its engine, which carries its own options, through the private
     ``_run``, and None for q and p: the step then reads neither q, p nor
     ``opts``, and continues from the run's last (qnew, pnew) on the

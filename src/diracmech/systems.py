@@ -412,7 +412,7 @@ def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
         return DiscreteConstraint.unconstrained(dist.n)
 
     def phi(q, qplus):
-        return dist.matrix(q) @ (qplus - q)
+        return dist.matrix(q).dot(qplus - q)
 
     def jac2(q, qplus):
         return dist.matrix(q)
@@ -426,7 +426,7 @@ def _sq_norm(v: np.ndarray) -> float:
     if v.shape[0] == 1:
         t = float(v[0])
         return t * t
-    return float(v @ v)
+    return float(v.dot(v))
 
 
 def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
@@ -451,15 +451,16 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
     dp block of a Hamiltonian one. Norms do not see the signs.
 
     A stepper certifies from the values its step already holds through the
-    private ``_held = (g, rows)``: g is d1 L(q, q+) or dH/dq(q, p_next) at
-    exactly these arrays, and rows the orthonormal row basis of A(q) from
-    the step's own distribution lookup, or None to look it up here. The
-    second block is then zero by construction and is not computed: a
-    Lagrangian step's p_next is d2 L(q, q+), and a Hamiltonian step's q+ is
-    dH/dp(q, p_next), both finite. The result equals a fresh evaluation.
-    The held path reads only x.q and x.p, so a run's engine, which holds
-    its step's q and p, passes itself as x. They come validated, so the held
-    path does not check dimensions again.
+    private ``_held = (balance, rows)``: balance is the momentum balance
+    p + d1 L(q, q+) or p - dH/dq(q, p_next) at exactly these arrays, as the
+    step's last Newton residual computed it, and rows the orthonormal row
+    basis of A(q) from the step's own distribution lookup, or None to look
+    it up here. The second block is then zero by construction and is not
+    computed: a Lagrangian step's p_next is d2 L(q, q+), and a Hamiltonian
+    step's q+ is dH/dp(q, p_next), both finite. The result equals a fresh
+    evaluation. The held path reads x.q only, for the lookup when rows is
+    None, so a run's engine, which holds its step's q, passes itself as x.
+    It comes validated, so the held path does not check dimensions again.
     """
     # The lifted vector v is the vertical lift (0, p, 0): its dq block vanishes,
     # so its projection off the lifted distribution is identically zero (part
@@ -470,12 +471,11 @@ def dirac_inclusion_residual(system: DiscreteSystem, x: PontryaginPoint,
         p_next = _vector(p_next, "p_next", system.n)
         y, other = (x.qplus, p_next) if system.kind == LAGRANGIAN else (p_next, x.qplus)
         grad, complete = system.slots()
-        g, c, rows = grad(x.q, y), complete(x.q, y), None
+        beta_q, c, rows = system.balance(x.p, grad(x.q, y)), complete(x.q, y), None
     else:
-        (g, rows), c = _held, None
-    beta_q = system.balance(x.p, g)
+        (beta_q, rows), c = _held, None
     if system.m:
         beta_q = (system.dist.project_ker(x.q, beta_q) if rows is None
-                  else beta_q - rows @ (rows.T @ beta_q))
+                  else beta_q - rows.dot(rows.T.dot(beta_q)))
     sq = _sq_norm(beta_q)
     return math.sqrt(sq if c is None else sq + _sq_norm(c - other))

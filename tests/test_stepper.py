@@ -1885,6 +1885,18 @@ class TestEvaluationCounts:
             for u, v in ((a.q, b.q), (a.p, b.p), (a.qplus, b.qplus)):
                 assert np.array_equal(u, v)
 
+    @pytest.mark.parametrize("lane", sorted(LANES))
+    def test_the_momentum_balance_is_computed_once_per_residual(self, monkeypatch, lane):
+        # the engine binds system.balance when it is built; the held certificate
+        # reads the balance of Newton's last residual and computes none, so a
+        # step makes iterations + 1 calls, and a Lagrangian seed check one more
+        system, seed = self.LANES[lane]()
+        calls, balance = [], system.balance
+        monkeypatch.setattr(system, "balance", lambda p, g: calls.append(1) or balance(p, g))
+        traj = run_trajectory(system, seed, 50)
+        assert traj.total_iterations >= 49  # about one Newton iteration per step
+        assert len(calls) == traj.total_iterations + 50 + (system.kind == "lagrangian")
+
     @pytest.mark.parametrize("lane", ["nonholonomic", "constrained-hamiltonian"])
     def test_a_constrained_step_looks_up_its_distribution_once(self, monkeypatch, lane):
         # one memo entry, A(q) and its row basis, serves the residuals' phi

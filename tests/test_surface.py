@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, once, every numeric
 argument keeps the one rule of its kind, every guard raises its typed error, a user
 result that is not real numbers ends in a typed error, and no module casts an array
-to float outside ``linalg._real_array``."""
+to float outside ``linalg._real_array`` or multiplies with ``@``."""
 
 import ast
 import math
@@ -227,9 +227,16 @@ GUARDS = [
     ("stepper.trajectory-records",
      lambda: Trajectory(DiscreteCurve([_SEED]), (), "short", 1, SolverOptions()), ValueError,
      "expected 1 diagnostic records, got 0"),
+    # the one options rule names the argument it reads: the field of a
+    # Trajectory, and the parameter of every entry point
     ("stepper.trajectory-options",
      lambda: Trajectory(DiscreteCurve([_SEED]), (), "x", 0, "not options"),
-     UnsupportedOperationError, "opts must be a SolverOptions or None, got str"),
+     UnsupportedOperationError, "^options must be a SolverOptions or None, got str$"),
+    ("stepper.run-trajectory-opts", lambda: run_trajectory(_OSC, _SEED, 3, "not options"),
+     UnsupportedOperationError, "^opts must be a SolverOptions or None, got str$"),
+    ("stepper.newton-solve-opts",
+     lambda: newton_solve(lambda x: x - 1.0, None, np.zeros(1), "not options"),
+     UnsupportedOperationError, "^opts must be a SolverOptions or None, got str$"),
     ("stepper.hamiltonian-seed",
      lambda: run_trajectory(_OSC_HAM, 0.5, 3),
      UnsupportedOperationError, r"Hamiltonian trajectories start from a \(q0, p0\) pair"),
@@ -309,6 +316,8 @@ NOT_REAL = [
     # numpy promotes a bool among numbers to their type
     pytest.param([0.5, True], id="bool-list"),
     pytest.param(np.array([0.5, np.True_], dtype=object), id="bool-object"),
+    # a 0-d array is read by its item, as numpy reads it
+    pytest.param([0.5, np.array(True)], id="bool-0d-in-list"),
 ]
 
 
@@ -475,3 +484,18 @@ def test_every_array_enters_through_one_rule():
     modules = sorted(_PACKAGE.glob("*.py"))
     assert "linalg.py" in {m.name for m in modules}
     assert [cast for m in modules for cast in _float_casts(m)] == []
+
+
+def _matmuls(path: Path) -> list:
+    """Each ``@`` of a module, as 'module:line: source'."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+
+
+def test_every_product_is_one_kernel_call():
+    # on the few-entry operands of a step, the matmul ufunc's dispatch costs
+    # about as much again as ndarray.dot's one BLAS call, for the same bits
+    modules = sorted(_PACKAGE.glob("*.py"))
+    assert "stepper.py" in {m.name for m in modules}
+    assert [product for m in modules for product in _matmuls(m)] == []
