@@ -34,11 +34,11 @@ def harmonic_oscillator(h: float, lam: float = 1.0) -> DiscreteSystem:
     # gradients work on Python floats: a stepper calls them several times a
     # step, and numpy scalar arithmetic costs several times more
     def d1(q, qp):
-        q0 = float(q[0])
-        return np.array([-(float(qp[0]) - q0) / h - h * lam * q0])
+        q0 = q.item()
+        return np.array([-(qp.item() - q0) / h - h * lam * q0])
 
     def d2(q, qp):
-        return np.array([(float(qp[0]) - float(q[0])) / h])
+        return np.array([(qp.item() - q.item()) / h])
 
     lag = DiscreteLagrangian(1, Ld, d1, d2)
     return DiscreteSystem.from_lagrangian(lag, label="harmonic_oscillator")
@@ -52,10 +52,10 @@ def harmonic_oscillator_hamiltonian(h: float, lam: float = 1.0) -> DiscreteSyste
         return q[0] * pp[0] + 0.5 * h * pp[0] * pp[0] + 0.5 * h * lam * q[0] * q[0]
 
     def dq(q, pp):
-        return np.array([float(pp[0]) + h * lam * float(q[0])])
+        return np.array([pp.item() + h * lam * q.item()])
 
     def dp(q, pp):
-        return np.array([float(q[0]) + h * float(pp[0])])
+        return np.array([q.item() + h * pp.item()])
 
     ham = DiscreteHamiltonian(1, Hd, dq, dp)
     return DiscreteSystem.from_hamiltonian(ham, label="harmonic_oscillator_hamiltonian")

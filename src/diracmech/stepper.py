@@ -225,19 +225,22 @@ def _worst(column: np.ndarray) -> float:
     return float(np.max(column, initial=0.0))
 
 
-def _newton_step(jm: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """The solution of jm @ step = -fx; a 1x1 system solves in Python floats."""
+def _newton_step(jm: np.ndarray, fx: np.ndarray, x: np.ndarray) -> tuple:
+    """(step, x + step) for the solution of jm @ step = -fx.
+
+    A 1x1 system solves in Python floats and returns its step as a float.
+    """
     if jm.shape == (1, 1):
-        pivot = float(jm[0, 0])
+        pivot = jm.item()
         if pivot != 0.0 and math.isfinite(pivot):
-            s0 = -float(fx[0]) / pivot
+            s0 = -fx.item() / pivot
             if math.isfinite(s0):
-                return np.array([s0])
+                return s0, np.array([x.item() + s0])
     else:
         try:
             step = np.linalg.solve(jm, -fx)
             if _all_finite(step):
-                return step
+                return step, x + step
         except np.linalg.LinAlgError:
             pass
     # the SVD behind cond() fails on non-finite entries
@@ -298,13 +301,12 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
             raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
                                          % (held.shape, (x.size, x.size)))
         try:
-            step = _newton_step(held, fx)
+            step, xt = _newton_step(held, fx, x)
         except SingularJacobianError:
             if fresh:
                 raise
             held = None
             continue
-        xt = x + step
         ft = _vector(f(xt), "residual", x.size)
         rt = _norm_inf(ft)
         if not fresh:

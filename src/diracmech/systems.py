@@ -53,13 +53,13 @@ def _differences(fun: Callable[[np.ndarray], object], x: np.ndarray,
     central = central or x.shape[0] == 1
     base = None if central else fun(x)
     out = []
-    for i in range(x.shape[0]):
-        h = FD_SCALE * max(1.0, abs(x[i]))
+    for i, xi in enumerate(x.tolist()):
+        h = FD_SCALE * max(1.0, abs(xi))
         xp = x.copy()
-        xp[i] += h
+        xp[i] = xi + h
         if central:
             xm = x.copy()
-            xm[i] -= h
+            xm[i] = xi - h
             out.append((fun(xp) - fun(xm)) / (2.0 * h))
         else:
             out.append((fun(xp) - base) / h)
@@ -424,7 +424,7 @@ def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
 
 def _sq_norm(v: np.ndarray) -> float:
     if v.shape[0] == 1:
-        t = float(v[0])
+        t = v.item()
         return t * t
     return float(v.dot(v))
 

@@ -18,7 +18,9 @@ conserves the angular momentum q x p (discrete Noether), and the step map
 is symplectic. A holonomic constraint is a particular case: the spherical
 pendulum, constrained through A(q) = Dg(q) and phi(q, q+) = g(q+), keeps its
 axial momentum and its sphere, with analytic and with finite-difference
-slots, and steps as closed-form SHAKE, for both kinds.
+slots, and steps as closed-form SHAKE, for both kinds. The built-in
+oscillator, of both kinds, converges at order 2 and the built-in
+nonholonomic particle at order 1.
 """
 
 import numpy as np
@@ -820,3 +822,42 @@ def test_the_spherical_pendulum_steps_as_closed_form_shake(pendulum, lagrangian)
         gap_q, gap_p = np.max(np.abs(q[k + 1] - qplus)), np.max(np.abs(p[k + 1] - pplus))
         assert gap_q <= 2.0 * TOL + 16.0 * eps, (k, gap_q)
         assert gap_p <= mass / h * (2.0 * TOL + 16.0 * eps), (k, gap_p)
+
+
+ORDER_T, ORDER_H_REF, ORDER_HS = 2.0, 5e-4, (0.04, 0.02, 0.01)
+
+
+def order_final_configuration(lane, h):
+    """The configuration at ORDER_T of a built-in lane stepped at h.
+
+    The oscillator starts on q = cos t, with q1 = cos h; its Hamiltonian kind
+    takes (q0, p0) of that Lagrangian seed, the right-Legendre pair's seed, so
+    both kinds step one curve. The particle starts at q0 with an admissible
+    velocity, q1 = q0 + h v.
+    """
+    steps = round(ORDER_T / h)
+    if lane == "nonholonomic_particle":
+        system = builtin.nonholonomic_particle(h)
+        q0 = np.array([0.0, 0.5, 0.0])
+        seed = builtin.lagrangian_seed(system, q0, q0 + h * np.array([1.0, 0.2, 0.5]))
+    else:
+        lagrangian = builtin.harmonic_oscillator(h)
+        seed = builtin.lagrangian_seed(lagrangian, [1.0], [np.cos(h)])
+        system = getattr(builtin, lane)(h)
+        if lane == "harmonic_oscillator_hamiltonian":
+            seed = (seed.q, seed.p)
+    return run_trajectory(system, seed, steps).curve.qplus[steps - 1]
+
+
+@pytest.mark.parametrize("lane, order", [("harmonic_oscillator", 2.0),
+                                         ("harmonic_oscillator_hamiltonian", 2.0),
+                                         ("nonholonomic_particle", 1.0)])
+def test_each_built_in_converges_at_its_order(lane, order):
+    """The slope of log error against log h, over three step sizes, against a
+    run at h = ORDER_H_REF, is the lane's order within 0.15: the oscillator is
+    Stormer-Verlet in its configurations, and the particle's constraint reads
+    A at the left point only."""
+    reference = order_final_configuration(lane, ORDER_H_REF)
+    errors = [np.max(np.abs(order_final_configuration(lane, h) - reference)) for h in ORDER_HS]
+    slope = np.polyfit(np.log(ORDER_HS), np.log(errors), 1)[0]
+    assert abs(slope - order) <= 0.15, (errors, slope)

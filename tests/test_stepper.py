@@ -137,6 +137,14 @@ class TestNewton:
             newton_solve(f, lambda x: np.array([[2.0 * x[0]]]), np.array([3.0]))
         assert info.value.residual >= 1.0
 
+    @pytest.mark.parametrize("held", [None, -np.eye(1)], ids=["fresh", "held"])
+    def test_overflowing_one_by_one_update_fails_typed(self, held):
+        # the matrix doubles x: its step is finite, but x + step overflows. The
+        # 1x1 update adds in Python floats, so the overflow is an infinite trial
+        # residual (not numpy's RuntimeWarning) and the halved steps stall
+        with pytest.raises(ConvergenceError, match="line search stalled"):
+            newton_solve(lambda x: x, lambda x: -np.eye(1), np.array([-1e308]), held=held)
+
     def test_max_iter_exhaustion(self):
         # the root of x^9 has multiplicity 9: each damped step is a full one
         # and cuts x by only 1/9, so 10 iterations leave |f| near 2.5e-5
@@ -926,10 +934,10 @@ class TestLagrangianStep:
 
     def test_overflowing_one_by_one_step_reports_its_condition(self):
         with pytest.raises(SingularJacobianError) as info:
-            stepper._newton_step(np.array([[1e-300]]), np.array([1e300]))
+            stepper._newton_step(np.array([[1e-300]]), np.array([1e300]), np.zeros(1))
         assert info.value.condition == 1.0
         with pytest.raises(SingularJacobianError) as info:
-            stepper._newton_step(np.array([[0.0]]), np.array([1.0]))
+            stepper._newton_step(np.array([[0.0]]), np.array([1.0]), np.zeros(1))
         assert info.value.condition == np.inf
 
     def test_non_finite_momentum_update_fails_the_step(self):

@@ -499,3 +499,20 @@ def test_every_product_is_one_kernel_call():
     modules = sorted(_PACKAGE.glob("*.py"))
     assert "stepper.py" in {m.name for m in modules}
     assert [product for m in modules for product in _matmuls(m)] == []
+
+
+def _subscript_floats(path: Path) -> list:
+    """Each ``float(<subscript>)`` call of a module, as 'module:line: source'."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Subscript)]
+
+
+def test_every_scalar_leaves_its_array_in_one_call():
+    # float(v[0]) builds a numpy scalar before the Python float; v.item() (or
+    # one tolist() per loop) builds the float in one C call, for the same bits
+    modules = sorted(_PACKAGE.glob("*.py"))
+    assert "builtin.py" in {m.name for m in modules}
+    assert [read for m in modules for read in _subscript_floats(m)] == []

@@ -1,6 +1,7 @@
-"""The summary of tools/bench_pairs.py, on canned result lines: no subprocess runs."""
+"""The summaries of tools/bench_pairs.py and tools/bench_layers.py, on canned input: no subprocess runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,78 @@ def test_summary_reports_medians_iqr_ratio_wins_and_failures():
 def test_summary_needs_paired_runs():
     with pytest.raises(ValueError, match="same positive number"):
         bench_pairs.summarize(METRICS, _runs([1.0], [1.0], [0]), [])
+
+
+def test_compare_keeps_each_sides_values_with_the_summary():
+    parent = _runs([100.0, 110.0, 90.0], [10.0, 11.0, 9.0], [0, 0, 1])
+    change = _runs([120.0, 100.0, 95.0], [9.0, 9.0, 9.0], [0, 0, 0])
+    report = bench_pairs.compare(METRICS, parent, change)
+    rate = report["metrics"]["steps_per_s"]
+    assert rate["parent"] == [100.0, 110.0, 90.0] and rate["change"] == [120.0, 100.0, 95.0]
+    assert rate["parent_quartiles"] == [95.0, 100.0, 105.0]
+    assert rate["change_quartiles"] == [97.5, 100.0, 110.0]
+    assert (rate["parent_iqr"], rate["ratio"], rate["wins"]) == (10.0, 1.0, 2)
+    assert report["metrics"]["job_ms.tail"]["wins"] == 2
+    assert report["failed"] == {"parent": 1, "change": 0}
+
+
+def test_out_file_collects_one_record_per_call(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    parent, change = _runs([1.0], [2.0], [0]), _runs([2.0], [1.0], [0])
+    for workload in ("osc-ham", "nonholonomic"):
+        bench_pairs.append_record(out, {"workload": workload,
+                                        **bench_pairs.compare(METRICS, parent, change)})
+    records = json.loads(out.read_text())
+    assert [r["workload"] for r in records] == ["osc-ham", "nonholonomic"]
+    assert records[1]["metrics"]["steps_per_s"]["ratio"] == 2.0
+
+
+def test_source_digest_reads_the_package_sources(tmp_path):
+    (tmp_path / "src" / "diracmech").mkdir(parents=True)
+    source = tmp_path / "src" / "diracmech" / "core.py"
+    source.write_text("x = 1\n")
+    first = bench_pairs.source_digest(tmp_path)
+    (tmp_path / "notes.txt").write_text("not a source")
+    assert bench_pairs.source_digest(tmp_path) == first and len(first) == 64
+    source.write_text("x = 2\n")
+    assert bench_pairs.source_digest(tmp_path) != first
+
+
+_LAYERS_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+_LAYERS_SPEC = importlib.util.spec_from_file_location("bench_layers", _LAYERS_PATH)
+bench_layers = importlib.util.module_from_spec(_LAYERS_SPEC)
+_LAYERS_SPEC.loader.exec_module(bench_layers)
+
+
+def _layer_results(scale):
+    # every layer of every lane, less the A(q) lookup of the unconstrained lanes
+    return {lane: {layer: scale * (i + 1) for i, layer in
+                   enumerate(bench_layers.LAYERS + (bench_layers.CALLS,))
+                   if lane == "nonholonomic" or layer != "A(q) lookup"}
+            for lane in bench_layers.LANES}
+
+
+def test_layer_table_has_a_row_per_lane_and_layer_and_a_ratio_for_two_trees():
+    rows = len(bench_layers.LANES) * (len(bench_layers.LAYERS) + 1)
+    lines = bench_layers.table(["parent", "change"], [_layer_results(2.0), _layer_results(1.0)])
+    assert lines[:2] == ["tree 1: parent", "tree 2: change"]
+    assert lines[2].split() == ["lane", "layer", "tree", "1", "tree", "2", "ratio"]
+    body = lines[3:]
+    assert len(body) == rows
+    first = body[0].split()
+    assert first == ["osc-L", "residual", "2.000", "1.000", "0.500"]
+    lookups = [line.split() for line in body if "A(q) lookup" in line]
+    assert [cells[0] for cells in lookups] == list(bench_layers.LANES)
+    assert lookups[0][-3:] == ["-", "-", "-"] and lookups[-1][-1] == "0.500"
+    assert body[-1].startswith("nonholonomic  py calls / step")
+    # one tree: no ratio column
+    lines = bench_layers.table(["tree"], [_layer_results(1.0)])
+    assert lines[1].split() == ["lane", "layer", "tree", "1"] and len(lines) == 2 + rows
+
+
+def test_layer_figures_are_the_best_over_rounds():
+    slow, fast = _layer_results(3.0), _layer_results(1.0)
+    slow["osc-H"]["newton"] = 0.5
+    best = bench_layers.best_of([slow, fast])
+    assert best["osc-H"]["newton"] == 0.5 and best["osc-L"]["newton"] == fast["osc-L"]["newton"]
+    assert "A(q) lookup" not in best["osc-H"]
