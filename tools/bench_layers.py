@@ -1,13 +1,12 @@
 """Time each layer of a lane's step engine at a fixed state, in one or two trees.
 
-TREE is a checkout of this repository; each round measures every tree given,
-in a fresh interpreter that imports diracmech from TREE/src, and with two
-trees the order alternates between rounds, so that a slow phase of the host
-falls on both alike. A lane is a built-in system at h = 0.1, stepped 50
-times by its run engine (``stepper._Run``) from a fixed seed; one more step
-is then taken with the engine's calls of ``newton_solve`` and
-``dirac_inclusion_residual`` recorded, and every layer is timed at that
-step's state with ``timeit`` (GC off), best of REPEAT:
+TREE is a checkout of this repository; each of ROUNDS rounds measures every
+tree given, in a fresh interpreter that imports diracmech from TREE/src, and
+with two trees the order alternates between rounds, so that a slow phase of
+the host falls on both alike. A lane is a built-in system at h = 0.1 and a
+fixed seed, run by ``run_trajectory`` for WARM + 1 steps with the last step's calls
+of ``newton_solve`` and ``dirac_inclusion_residual`` recorded; every layer is
+timed at that step's state with ``timeit`` (GC off), best of REPEAT:
 
 - residual: one Newton residual at the step's predictor;
 - assembly: one assembly of the Newton matrix there;
@@ -16,9 +15,8 @@ step's state with ``timeit`` (GC off), best of REPEAT:
   lanes only; two base points alternate);
 - certificate held / fresh: the step's certificate from the values of its
   last residual, and from the point alone;
-- row write: the stores of one step's row into the run's columns, the
-  statements ``_Run.advance`` runs;
-- advance: one whole step, the mean over 200 steps from the state before it.
+- advance: one step, the mean per step of a 200-step ``run_trajectory``
+  from the seed.
 
 Each figure is the best over all rounds, in µs per call. The last row of a
 lane counts the Python-level calls (``sys.setprofile`` "call" events) of one
@@ -26,7 +24,7 @@ step of ``run_trajectory``, over 200 steps: a noise-free companion of the
 times, which numpy versions move. With two trees the table gives their
 ratio, second over first.
 
-Usage: python tools/bench_layers.py TREE [TREE] [--rounds R] [--repeat K]
+Usage: python tools/bench_layers.py TREE [TREE]
 """
 
 from __future__ import annotations
@@ -42,10 +40,10 @@ import numpy as np
 
 LANES = ("osc-L", "osc-H", "nonholonomic")
 LAYERS = ("residual", "assembly", "newton", "A(q) lookup", "certificate held",
-          "certificate fresh", "row write", "advance")
+          "certificate fresh", "advance")
 CALLS = "py calls / step"
 H = 0.1
-WARM, STEPS, NUMBER = 50, 200, 2000
+WARM, STEPS, NUMBER, REPEAT, ROUNDS = 50, 200, 2000, 7, 6
 
 
 def _lane(diracmech, lane):
@@ -61,20 +59,15 @@ def _lane(diracmech, lane):
     return system, builtin.lagrangian_seed(system, q0, q0 + H * np.array([1.0, 0.2, 0.5]))
 
 
-def _best(stmt, number, repeat, setup="pass", names=None):
-    """The best µs per call of ``stmt`` over ``repeat`` runs of ``number`` calls, GC off."""
-    return min(timeit.repeat(stmt, setup, number=number, repeat=repeat, globals=names)) \
-        / number * 1e6
+def _best(stmt, number):
+    """The best µs per call of ``stmt`` over REPEAT runs of ``number`` calls, GC off."""
+    return min(timeit.repeat(stmt, number=number, repeat=REPEAT)) / number * 1e6
 
 
-def measure_lane(diracmech, lane, repeat):
+def measure_lane(diracmech, lane):
     """{layer: µs per call} of one lane, with its Python-level calls per step under CALLS."""
     stepper = diracmech.stepper
     system, seed = _lane(diracmech, lane)
-    run = stepper._Run(system, None, seed)
-    for _ in range(WARM):
-        run.advance()
-    before = dict(vars(run))
     calls = {}
     solve, certify = stepper.newton_solve, stepper.dirac_inclusion_residual
 
@@ -87,43 +80,24 @@ def measure_lane(diracmech, lane, repeat):
     stepper.newton_solve = record("newton", solve)
     stepper.dirac_inclusion_residual = record("certificate", certify)
     try:
-        step = run.advance()
+        # the last step's point is the curve's last one, for both kinds
+        point = stepper.run_trajectory(system, seed, WARM + 1).curve[-1]
     finally:
         stepper.newton_solve, stepper.dirac_inclusion_residual = solve, certify
     (f, jac, z0, opts, held), _ = calls["newton"]
     cert_args, cert_kwargs = calls["certificate"]
-    held, point = held.copy(), step.next
+    held, p_next = held.copy(), cert_args[2]
     times = {
-        "residual": _best(lambda: f(z0), NUMBER, repeat),
-        "assembly": _best(lambda: jac(z0), NUMBER // 10, repeat),
-        "newton": _best(lambda: solve(f, jac, z0, opts, held), NUMBER, repeat),
-        "certificate held": _best(lambda: certify(*cert_args, **cert_kwargs), NUMBER, repeat),
-        "certificate fresh": _best(lambda: certify(system, point, step.p_next), NUMBER, repeat),
+        "residual": _best(lambda: f(z0), NUMBER),
+        "assembly": _best(lambda: jac(z0), NUMBER // 10),
+        "newton": _best(lambda: solve(f, jac, z0, opts, held), NUMBER),
+        "certificate held": _best(lambda: certify(*cert_args, **cert_kwargs), NUMBER),
+        "certificate fresh": _best(lambda: certify(system, point, p_next), NUMBER),
+        "advance": _best(lambda: stepper.run_trajectory(system, seed, STEPS), 1) / STEPS,
     }
-    if run.m:
-        lookup, other = run.dist._validated, point.qplus
-        times["A(q) lookup"] = _best(lambda: (lookup(point.q), lookup(other)), NUMBER,
-                                     repeat) / 2.0
-    columns = (np.empty((1, run.n)), np.empty((1, run.n)), *np.empty((3, 1)),
-               np.empty((1, run.m)), *np.empty((2, 1), dtype=np.int64))
-    names = dict(zip(("q_rows", "p_rows", "residual", "inclusion_col", "constraint", "lams",
-                      "iterations", "assemblies"), columns),
-                 k=0, qplus=point.qplus, p=point.p, res=step.residual,
-                 inclusion=step.inclusion_residual, cres=step.constraint_residual,
-                 lam=step.multipliers, iters=step.iterations, asm=step.jacobian_assemblies)
-    write = ("q_rows[k], p_rows[k] = qplus, p\n"
-             "residual[k], inclusion_col[k], constraint[k] = res, inclusion, cres\n"
-             "iterations[k], assemblies[k] = iters, asm\n" + ("lams[k] = lam\n" if run.m else ""))
-    times["row write"] = _best(write, NUMBER, repeat, names=names)
-
-    def restore():
-        vars(run).clear()
-        vars(run).update(before)
-        run.rows = (np.empty((run.k + STEPS, run.n)), np.empty((run.k + STEPS, run.n)),
-                    *np.empty((3, run.k + STEPS)), np.empty((run.k + STEPS, run.m)),
-                    *np.empty((2, run.k + STEPS), dtype=np.int64))
-
-    times["advance"] = _best(run.advance, STEPS, repeat, setup=restore)
+    if system.m:
+        lookup, other = system.dist._validated, point.qplus
+        times["A(q) lookup"] = _best(lambda: (lookup(point.q), lookup(other)), NUMBER) / 2.0
     times[CALLS] = _calls_per_step(stepper, system, seed)
     return times
 
@@ -143,12 +117,12 @@ def _calls_per_step(stepper, system, seed):
     return count[0] / STEPS
 
 
-def measure(tree: Path, repeat: int) -> dict:
+def measure(tree: Path) -> dict:
     """{lane: {layer: µs, CALLS: count}} of the diracmech in ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     import diracmech.builtin
     import diracmech.stepper  # noqa: F401
-    return {lane: measure_lane(diracmech, lane, repeat) for lane in LANES}
+    return {lane: measure_lane(diracmech, lane) for lane in LANES}
 
 
 def table(trees, results) -> list:
@@ -181,22 +155,19 @@ def best_of(rounds) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", type=Path, nargs="+")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     trees = [t.resolve() for t in args.trees]
     if args.child:
-        print(json.dumps(measure(trees[0], args.repeat)))
+        print(json.dumps(measure(trees[0])))
         return 0
     if len(trees) > 2:
         parser.error("give one or two trees")
     rounds = [[] for _ in trees]
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
-            out = subprocess.run([sys.executable, __file__, str(trees[i]), "--child",
-                                  "--repeat", str(args.repeat)], check=True,
-                                 capture_output=True, text=True).stdout
+            out = subprocess.run([sys.executable, __file__, str(trees[i]), "--child"],
+                                 check=True, capture_output=True, text=True).stdout
             rounds[i].append(json.loads(out))
     print("\n".join(table([str(t) for t in trees], [best_of(r) for r in rounds])))
     return 0
