@@ -18,7 +18,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -230,19 +229,18 @@ def _write_csv(path: Path, columns, table: np.ndarray):
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _write_json(path: Path, columns, table: np.ndarray, metadata,
-                summary: Optional[RunSummary]):
+def _write_json(path: Path, columns, table: np.ndarray, metadata, summary: RunSummary):
     doc = {
         "metadata": dict(metadata, columns=columns),
         "rows": [[k] + row[1:] for k, row in enumerate(table.tolist())],
-        "summary": None if summary is None else asdict(summary),
+        "summary": asdict(summary),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def _emit(config: RunConfig, trajectory: Trajectory, summary: Optional[RunSummary]):
+def _emit(config: RunConfig, trajectory: Trajectory, summary: RunSummary):
     columns, table = _table(trajectory, config.diagnostics)
     metadata = {
         "system": config.system,

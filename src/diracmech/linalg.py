@@ -204,10 +204,7 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
         if math.isfinite(norm):
             return mat / norm if _rank([norm]) else np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    s = s.tolist()
-    if s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0))
-    return u[:, :_rank(s)]
+    return u[:, :_rank(s.tolist())]
 
 
 @dataclass(frozen=True)
@@ -354,8 +351,6 @@ def is_dirac(d: LinSubspace, n: int, tol: float = 1e-10) -> bool:
     is equivalent to d equaling its own pairing-orthogonal complement.
     """
     n = _count(n, "n", 1, error=DimensionMismatchError)
-    if d.ambient_dim % 2 != 0:
-        raise DimensionMismatchError("ambient dimension %d is odd; expected 2n" % d.ambient_dim)
     if d.ambient_dim != 2 * n:
         raise DimensionMismatchError(
             "ambient dimension %d does not match 2n = %d" % (d.ambient_dim, 2 * n)
@@ -366,7 +361,7 @@ def is_dirac(d: LinSubspace, n: int, tol: float = 1e-10) -> bool:
     a_part = d.onb[n:, :]
     gram = a_part.T.dot(v_part)
     pair = gram + gram.T
-    return bool(pair.size == 0 or np.max(np.abs(pair)) < tol)
+    return bool(np.max(np.abs(pair)) < tol)
 
 
 def membership_residual(x: PairedVector, delta: LinSubspace, omega: SkewForm) -> float:
@@ -384,8 +379,5 @@ def membership_residual(x: PairedVector, delta: LinSubspace, omega: SkewForm) ->
     b = delta.onb
     v_off = x.v - b.dot(b.T.dot(x.v))
     dist = float(np.linalg.norm(v_off))
-    if b.shape[1]:
-        cond = float(np.linalg.norm(b.T.dot(x.a - omega.mat.dot(x.v))))
-    else:
-        cond = 0.0
+    cond = float(np.linalg.norm(b.T.dot(x.a - omega.mat.dot(x.v))))
     return max(dist, cond)

@@ -573,12 +573,10 @@ class _Run:
         y = z[:n]
         cross = self._slot_block(0, y)
         _check_regularity(cross, self.system.kind)
-        top = cross if lagrangian else -cross
-        if not m:
-            self.held = top
-            return top
         jm = self.held = np.zeros((n + m, n + m))
-        jm[:n, :n] = top
+        jm[:n, :n] = cross if lagrangian else -cross
+        if not m:
+            return jm
         if not lagrangian:
             self.dhdp = self._slot_block(1, y)
         return self._with_constraint_blocks(jm, y)
@@ -659,7 +657,7 @@ class _Run:
             p, r0 = _seed_certificate(self.system, self)
             if not _all_finite(p):
                 raise EvaluationError("carried momentum d2 L is not finite at the seed")
-            gap = _norm_inf(self.constraint.value(self.q, q)) if m else 0.0
+            gap = _norm_inf(self.constraint.value(self.q, q))
             if not (r0 <= 10.0 * opts.tol and gap <= opts.tol):
                 _warn("seed point is inconsistent: initial-data residual %.3e (gate %.1e), "
                       "discrete constraint residual %.3e (gate %.1e); the step still solves "
