@@ -64,6 +64,10 @@ ROUNDOFF_MARGIN = 10.0
 MIN_STEP = 2.0 ** -20
 _EPS = float(np.finfo(float).eps)
 
+# Where every entry of x and of a step lies below this, no entry of x + step
+# can overflow.
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -225,8 +229,22 @@ def _worst(column: np.ndarray) -> float:
     return float(np.max(column, initial=0.0))
 
 
+def _trial(x: np.ndarray, step: np.ndarray) -> Optional[np.ndarray]:
+    """The trial iterate x + step, or None when the step is not finite.
+
+    An entry that overflows reads inf, as in Python floats, and numpy does
+    not warn: below _HALF_MAX in every entry (math.hypot does not square,
+    and it fails the test on NaN or inf) numpy adds, and otherwise Python
+    floats do.
+    """
+    xs, ss = x.tolist(), step.tolist()
+    if math.hypot(*xs, *ss) < _HALF_MAX:
+        return x + step
+    return np.array([a + b for a, b in zip(xs, ss)]) if all(map(math.isfinite, ss)) else None
+
+
 def _newton_step(jm: np.ndarray, fx: np.ndarray, x: np.ndarray) -> tuple:
-    """(step, x + step) for the solution of jm @ step = -fx.
+    """(step, x + step) for the solution of jm @ step = -fx; see ``_trial``.
 
     A 1x1 system solves in Python floats and returns its step as a float.
     """
@@ -239,8 +257,9 @@ def _newton_step(jm: np.ndarray, fx: np.ndarray, x: np.ndarray) -> tuple:
     else:
         try:
             step = np.linalg.solve(jm, -fx)
-            if _all_finite(step):
-                return step, x + step
+            xt = _trial(x, step)
+            if xt is not None:
+                return step, xt
         except np.linalg.LinAlgError:
             pass
     # the SVD behind cond() fails on non-finite entries
@@ -320,7 +339,8 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                 alpha *= 0.5
                 if alpha < MIN_STEP:
                     raise _stall_error(held, x, res, opts, iters + 1)
-                xt = x + alpha * step
+                # a 1x1 solve's step is a float
+                xt = _trial(x, alpha * np.atleast_1d(step))
                 ft = _vector(f(xt), "residual", x.size)
                 rt = _norm_inf(ft)
         x, fx, res = xt, ft, rt

@@ -145,6 +145,21 @@ class TestNewton:
         with pytest.raises(ConvergenceError, match="line search stalled"):
             newton_solve(lambda x: x, lambda x: -np.eye(1), np.array([-1e308]), held=held)
 
+    @pytest.mark.parametrize("n, jac, held", [
+        (2, -np.eye(2), -np.eye(2)),
+        (2, -np.eye(2), None),
+        (2, -3.0 * np.eye(2), None),
+        (1, -np.eye(1), None),
+    ], ids=["2x2-held-minus-I", "2x2-fresh-minus-I", "2x2-fresh-minus-3I", "1x1-fresh-minus-I"])
+    def test_overflowing_update_or_damped_trial_fails_typed(self, n, jac, held):
+        # f(x) = x near the largest double: each full step doubles x (4/3 x for
+        # -3I) and overflows, and so do the first halved steps of the line
+        # search (for n = 1 too, where the full step adds in Python floats).
+        # Each overflow is an infinite trial residual, under the suite's
+        # error::RuntimeWarning filter, not numpy's warning
+        with pytest.raises(ConvergenceError, match="line search stalled"):
+            newton_solve(lambda x: x, lambda x: jac, np.full(n, -1.5e308), held=held)
+
     def test_max_iter_exhaustion(self):
         # the root of x^9 has multiplicity 9: each damped step is a full one
         # and cuts x by only 1/9, so 10 iterations leave |f| near 2.5e-5
