@@ -634,23 +634,17 @@ def test_the_step_map_is_symplectic(pair, lagrangian):
     assert gap <= bound, (gap, bound)
 
 
-@st.composite
-def spherical_pendulums(draw):
+def spherical_pendulum(h, mass, a, b, c, q0, v):
     """(L, H, dist, constraint, h, mass, grad V, q0, v): a spherical pendulum.
 
     The holonomic constraint g(q) = (|q|^2 - 1) / 2 enters as A(q) = Dg(q) =
     q^T and as the pair constraint phi(q, q+) = g(q+), with its analytic
     Jacobian q+^T: not a retraction, so every run calls phi and jac2 through
     their guarded path. L(q, q+) = m |q+ - q|^2 / 2h - h V(q) and H(q, p+) =
-    q . p+ + h |p+|^2 / 2m + h V(q), with m in [0.5, 2] and an axisymmetric
-    V(q) = a q3 + b q3^2 / 2 + c (q1^2 + q2^2)^2 / 4, every slot analytic.
-    q0 lies on the sphere and v is tangent there, with |v| in [0.1, 1].
+    q . p+ + h |p+|^2 / 2m + h V(q), with an axisymmetric V(q) = a q3 +
+    b q3^2 / 2 + c (q1^2 + q2^2)^2 / 4, every slot analytic. q0 lies on the
+    sphere and v is tangent there.
     """
-    h = draw(st.sampled_from([0.05, 0.1]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    mass, a = rng.uniform(0.5, 2.0, 2)
-    b = draw(st.booleans()) * rng.uniform(-1.0, 1.0)
-    c = draw(st.booleans()) * rng.uniform(0.0, 1.0)
 
     def potential(q):
         s = q[0] ** 2 + q[1] ** 2
@@ -669,12 +663,24 @@ def spherical_pendulums(draw):
     dist = KinematicDistribution(3, 1, lambda q: q.reshape(1, 3))
     constraint = DiscreteConstraint(3, 1, lambda q, qp: np.array([0.5 * (qp @ qp - 1.0)]),
                                     lambda q, qp: qp.reshape(1, 3))
+    return lag, ham, dist, constraint, h, mass, grad, q0, v
+
+
+@st.composite
+def spherical_pendulums(draw):
+    """A ``spherical_pendulum`` with h in {0.05, 0.1}, m and a in [0.5, 2],
+    b and c each zero or drawn, and |v| in [0.1, 1]."""
+    h = draw(st.sampled_from([0.05, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass, a = rng.uniform(0.5, 2.0, 2)
+    b = draw(st.booleans()) * rng.uniform(-1.0, 1.0)
+    c = draw(st.booleans()) * rng.uniform(0.0, 1.0)
     q0 = rng.standard_normal(3)
     q0 /= np.linalg.norm(q0)
     v = rng.standard_normal(3)
     v -= (v @ q0) * q0
     v *= rng.uniform(0.1, 1.0) / np.linalg.norm(v)
-    return lag, ham, dist, constraint, h, mass, grad, q0, v
+    return spherical_pendulum(h, mass, a, b, c, q0, v)
 
 
 def pendulum_run(pendulum, lagrangian, steps):
@@ -828,15 +834,28 @@ ORDER_T, ORDER_H_REF, ORDER_HS = 2.0, 5e-4, (0.04, 0.02, 0.01)
 
 
 def order_final_configuration(lane, h):
-    """The configuration at ORDER_T of a built-in lane stepped at h.
+    """The configuration at ORDER_T of a lane stepped at h.
 
     The oscillator starts on q = cos t, with q1 = cos h; its Hamiltonian kind
     takes (q0, p0) of that Lagrangian seed, the right-Legendre pair's seed, so
     both kinds step one curve. The particle starts at q0 with an admissible
-    velocity, q1 = q0 + h v.
+    velocity, q1 = q0 + h v. The constrained Hamiltonian particle is the
+    free-particle H on the particle's distribution and retraction, from
+    (q0, p0) = ([0, 0.5, 0], [1, 0.2, 0.7]). The spherical pendulum, of either
+    kind, is the property fixture's with m = 1 and V = q3, from q0 = (0.6, 0,
+    -0.8) with v = (0, 0.7, 0).
     """
     steps = round(ORDER_T / h)
-    if lane == "nonholonomic_particle":
+    if lane.startswith("spherical_pendulum"):
+        pendulum = spherical_pendulum(h, 1.0, 1.0, 0.0, 0.0, np.array([0.6, 0.0, -0.8]),
+                                      np.array([0.0, 0.7, 0.0]))
+        return pendulum_run(pendulum, lane == "spherical_pendulum", steps)[0][steps]
+    if lane == "constrained_hamiltonian_particle":
+        nh = builtin.nonholonomic_particle(h)
+        system = DiscreteSystem.from_hamiltonian(
+            builtin.free_particle_hamiltonian(h, 3).hamiltonian, nh.dist, nh.constraint)
+        seed = ([0.0, 0.5, 0.0], [1.0, 0.2, 0.7])
+    elif lane == "nonholonomic_particle":
         system = builtin.nonholonomic_particle(h)
         q0 = np.array([0.0, 0.5, 0.0])
         seed = builtin.lagrangian_seed(system, q0, q0 + h * np.array([1.0, 0.2, 0.5]))
@@ -851,12 +870,17 @@ def order_final_configuration(lane, h):
 
 @pytest.mark.parametrize("lane, order", [("harmonic_oscillator", 2.0),
                                          ("harmonic_oscillator_hamiltonian", 2.0),
-                                         ("nonholonomic_particle", 1.0)])
+                                         ("nonholonomic_particle", 1.0),
+                                         ("constrained_hamiltonian_particle", 1.0),
+                                         ("spherical_pendulum", 1.0),
+                                         ("spherical_pendulum_hamiltonian", 1.0)])
 def test_each_built_in_converges_at_its_order(lane, order):
     """The slope of log error against log h, over three step sizes, against a
     run at h = ORDER_H_REF, is the lane's order within 0.15: the oscillator is
-    Stormer-Verlet in its configurations, and the particle's constraint reads
-    A at the left point only."""
+    Stormer-Verlet in its configurations; the particle's constraint, on either
+    side, reads A at the left point only; and the pendulum's L = m |q+ - q|^2
+    / 2h - h V(q) evaluates V at the left point only, so it is first order,
+    though SHAKE with the symmetric h (V(q) + V(q+)) / 2 is second."""
     reference = order_final_configuration(lane, ORDER_H_REF)
     errors = [np.max(np.abs(order_final_configuration(lane, h) - reference)) for h in ORDER_HS]
     slope = np.polyfit(np.log(ORDER_HS), np.log(errors), 1)[0]
