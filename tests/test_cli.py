@@ -41,28 +41,6 @@ class TestParseConfig:
         assert config.output.name == "harmonic_oscillator_trajectory.csv"
         assert np.array_equal(config.seed, [0.0, 0.1])
 
-    def test_negative_steps(self):
-        with pytest.raises(ConfigError, match="steps"):
-            parse_config(json.dumps(dict(MINIMAL, steps=-1)))
-
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="frequency"):
-            parse_config(json.dumps(dict(MINIMAL, frequency=2.0)))
-
-    def test_unknown_system(self):
-        with pytest.raises(ConfigError, match="system"):
-            parse_config(json.dumps(dict(MINIMAL, system="double_pendulum")))
-
-    def test_missing_required_parameter(self):
-        doc = dict(MINIMAL)
-        del doc["h"]
-        with pytest.raises(ConfigError, match="'h'"):
-            parse_config(json.dumps(doc))
-
-    def test_nonpositive_h(self):
-        with pytest.raises(ConfigError, match="h"):
-            parse_config(json.dumps(dict(MINIMAL, h=0.0)))
-
     def test_non_finite_numbers_rejected(self):
         # 1e400 parses to inf, json also reads NaN and Infinity, and a repeated
         # key overrides the one in MINIMAL
@@ -74,10 +52,6 @@ class TestParseConfig:
                              (', "solver": {"tol": Infinity}}', "tol")):
             with pytest.raises(ConfigError, match=field):
                 parse_config(text + extra)
-
-    def test_seed_length(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(json.dumps(dict(MINIMAL, seed=[0.0, 0.1, 0.2])))
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -101,24 +75,6 @@ class TestParseConfig:
                "seed": [0, 0, 0.1, 0.2], "steps": 3}
         config = parse_config(json.dumps(doc))
         assert config.params["n"] == 2
-
-    def test_format_validation(self):
-        with pytest.raises(ConfigError, match="format"):
-            parse_config(json.dumps(dict(MINIMAL, format="xml")))
-
-    def test_mass_vector_validation(self):
-        doc = {"system": "free_particle", "h": 0.05, "n": 2, "seed": [0, 0, 0.1, 0.2],
-               "steps": 1}
-        with pytest.raises(ConfigError, match="mass"):
-            parse_config(json.dumps(dict(doc, mass=[1.0, 2.0, 3.0])))
-        with pytest.raises(ConfigError, match="mass"):
-            parse_config(json.dumps(dict(doc, mass=[1.0, "heavy"])))
-        with pytest.raises(ConfigError, match="mass"):
-            parse_config(json.dumps(dict(doc, mass=-2.0)))
-
-    def test_seed_must_be_finite(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(json.dumps(dict(MINIMAL, seed=[0.0, None])))
 
     @pytest.mark.parametrize("seed", [["0", "0.1"], [True, False], [[0], [0.1]], [0, [0.1]],
                                       "0 0.1", 0.1, {"q0": 0, "q1": 0.1}, [0, 10 ** 400]])
@@ -159,6 +115,7 @@ REJECTED = [
     (without(MINIMAL, "seed"), [], "seed", "missing required field 'seed'"),
     (dict(MINIMAL, seed=[0.0, 0.1, 0.2]), [], "seed", r"must hold \[q0, q1\]"),
     (dict(MINIMAL, seed="0 0.1"), [], "seed", "must be a flat list of numbers"),
+    (dict(MINIMAL, seed=[0.0, None]), [], "seed", "'seed' must be a number"),
     (dict(MINIMAL, solver=[]), [], "solver", "'solver' must be an object"),
     (dict(MINIMAL, solver={"verbose": True}), [], "verbose", "unknown solver key 'verbose'"),
     (dict(MINIMAL, solver={"tol": -1.0}), [], "tol", "'tol' must be positive and finite"),
