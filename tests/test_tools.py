@@ -1,12 +1,18 @@
-"""The summaries of tools/bench_pairs.py and tools/bench_layers.py, on canned input: no subprocess runs."""
+"""The summaries of tools/bench_pairs.py and tools/bench_layers.py, on canned input: no
+subprocess runs but git, which reads the commits that checked-in BENCH files name."""
 
 import importlib.util
+import io
 import json
+import shutil
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -85,7 +91,39 @@ def test_source_digest_reads_the_package_sources(tmp_path):
     assert bench_pairs.source_digest(tmp_path) != first
 
 
-_LAYERS_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+def _bench_sides():
+    for path in sorted(_ROOT.glob("BENCH_*.json")):
+        for k, record in enumerate(json.loads(path.read_text())):
+            for side in ("parent", "change"):
+                yield pytest.param(record[side], id="%s-%d-%s" % (path.stem, k, side))
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(_ROOT), *args], capture_output=True)
+
+
+@pytest.mark.parametrize("identity", list(_bench_sides()))
+def test_bench_records_name_commits_of_this_history_with_their_sources(identity, tmp_path):
+    """Each side of a checked-in BENCH record names a commit of this repository
+    whose package sources hash, by ``source_digest``'s rule, to its src_sha256."""
+    if shutil.which("git") is None or _git("rev-parse", "--git-dir").returncode:
+        pytest.skip("no git repository")
+    if _git("rev-parse", "--is-shallow-repository").stdout.strip() != b"false":
+        pytest.skip("the repository history is shallow")
+    commit = identity["commit"]
+    assert not _git("rev-parse", "--verify", "--quiet", commit + "^{commit}").returncode, commit
+    archive = _git("archive", "--format=tar", commit, "src/diracmech")
+    assert not archive.returncode, archive.stderr
+    package = tmp_path / "src" / "diracmech"
+    package.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        for member in tar.getmembers():
+            if member.isfile() and Path(member.name).parent == Path("src/diracmech"):
+                (package / Path(member.name).name).write_bytes(tar.extractfile(member).read())
+    assert bench_pairs.source_digest(tmp_path) == identity["src_sha256"], commit
+
+
+_LAYERS_PATH = _ROOT / "tools" / "bench_layers.py"
 _LAYERS_SPEC = importlib.util.spec_from_file_location("bench_layers", _LAYERS_PATH)
 bench_layers = importlib.util.module_from_spec(_LAYERS_SPEC)
 _LAYERS_SPEC.loader.exec_module(bench_layers)
