@@ -240,7 +240,7 @@ def _trial(x: np.ndarray, step: np.ndarray) -> Optional[np.ndarray]:
     xs, ss = x.tolist(), step.tolist()
     if math.hypot(*xs, *ss) < _HALF_MAX:
         return x + step
-    return np.array([a + b for a, b in zip(xs, ss)]) if all(map(math.isfinite, ss)) else None
+    return np.array([a + b for a, b in zip(xs, ss)]) if _all_finite(step) else None
 
 
 def _newton_step(jm: np.ndarray, fx: np.ndarray, x: np.ndarray) -> tuple:
