@@ -288,7 +288,7 @@ class SkewForm:
             raise DimensionMismatchError("two-form matrix must be square, got %r" % (mat.shape,))
         if not _all_finite(mat):
             raise ValueError("two-form matrix entries must all be finite")
-        if mat.size and np.max(np.abs(mat + mat.T)) >= 1e-12:
+        if np.max(np.abs(mat + mat.T), initial=0.0) >= 1e-12:
             raise ValueError("matrix is not skew-symmetric (max |mat + mat^T| = %g)"
                              % np.max(np.abs(mat + mat.T)))
         object.__setattr__(self, "mat", mat.copy())

@@ -40,6 +40,7 @@ from .systems import (
     LAGRANGIAN,
     DiscreteSystem,
     _check_dim,
+    _deviation,
     _differences,
     dirac_inclusion_residual,
     jacobian_columns,
@@ -457,7 +458,7 @@ def _check_jac2(constraint, q: np.ndarray, qplus: np.ndarray) -> None:
     # central differences of phi(q, .) read only, outside the Newton matrices
     jac = constraint.jacobian2(q, qplus)
     fd = np.column_stack(_differences(lambda v: constraint.value(q, v), qplus, True))
-    gap = float(np.max(np.abs(jac - fd))) / max(1.0, float(np.max(np.abs(jac))))
+    gap = _deviation(jac, fd)
     if not (gap <= 1e-4):
         _warn("constraint Jacobian jac2 deviates from central differences of phi by "
               "%.3e (relative) at (q, q+)" % gap)
@@ -619,12 +620,13 @@ class _Run:
         regularity; so does the first step of a run after its solve, when
         Newton converged at the predictor without assembling one. A run that
         never assembles is checked there only, once. The first step of a run
-        whose constraint has a user ``jac2`` also compares jac2(q, q+) at its
-        accepted (q, q+) with central differences of phi(q, .), 2n calls of
-        phi, and warns when they differ by more than 1e-4 * max(1,
-        max|jac2|): a wrong jac2 only slows Newton down, so nothing else
-        reports it. The retraction of the system's own distribution skips
-        this check, since the run calls neither its phi nor its jac2.
+        that calls a user ``jac2`` also compares jac2(q, q+) at its accepted
+        (q, q+) with central differences of phi(q, .), 2n calls of phi, and
+        warns when they differ by more than 1e-4 * max(1, max|jac2|) (see
+        ``systems._deviation``): a wrong jac2 only slows Newton down, so
+        nothing else reports it. A run with m = 0 calls no jac2, and neither
+        does a run whose constraint is the retraction of the system's own
+        distribution, so both skip this check.
 
         The first step of a Lagrangian run has no carried momentum yet: it
         evaluates d2 L(q, q+) of the seed and checks the seed with it,
@@ -722,7 +724,7 @@ class _Run:
             # its predictor without a matrix, and a user jac2 that the run calls
             if self.held is None:
                 _check_regularity(self._slot_block(0, y), self.system.kind)
-            if self.constraint._jac2 is not None and not self.retraction:
+            if m and self.constraint._jac2 is not None and not self.retraction:
                 _check_jac2(self.constraint, q, qplus)
         # q and p come validated from the seed check, and q+ is finite by
         # Newton acceptance or by the check above; a held certificate reads

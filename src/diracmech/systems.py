@@ -167,20 +167,21 @@ class DerivativeProvider:
     def max_fd_deviation(self, probes: Sequence[Sequence[np.ndarray]]) -> float:
         """Worst relative gap between analytic and finite-difference gradients.
 
-        The gap of one block at one probe is max|analytic - FD| / max(1,
-        max|FD|). A NaN gap sticks, as in ``_norm_inf``, whichever block
-        and probe it comes from, so validation fails on it.
+        The gap of one block at one probe is ``_deviation`` of its analytic
+        gradient from the FD one, over the analytic scale max(1,
+        max|analytic|). A NaN gap sticks, as in ``_norm_inf``, whichever
+        block and probe it comes from, so validation fails on it. With no
+        analytic block there is no gap, and the result is 0.0.
         """
-        gaps = []
-        for args in probes:
-            for block, g in enumerate(self.grads):
-                if g is None:
-                    continue
-                ana = self.bound(block)(*args)
-                num = self.fd_gradient(block, *args)
-                scale = max(1.0, float(np.max(np.abs(num))) if num.size else 0.0)
-                gaps.append(float(np.max(np.abs(ana - num))) / scale if ana.size else 0.0)
+        gaps = [_deviation(self.bound(block)(*args), self.fd_gradient(block, *args))
+                for args in probes for block, g in enumerate(self.grads) if g is not None]
         return _norm_inf(np.array(gaps))
+
+
+def _deviation(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """max|analytic - fd| / max(1, max|analytic|), 0.0 for empty blocks; a NaN sticks."""
+    gap = float(np.max(np.abs(analytic - fd), initial=0.0))
+    return gap / max(1.0, float(np.max(np.abs(analytic), initial=0.0)))
 
 
 def _standard_probes(block_dims: Sequence[int], count: int = _VALIDATION_PROBES):
@@ -189,8 +190,6 @@ def _standard_probes(block_dims: Sequence[int], count: int = _VALIDATION_PROBES)
 
 
 def _validate_provider(provider: DerivativeProvider, block_dims: Sequence[int], what: str):
-    if all(g is None for g in provider.grads):
-        return
     worst = provider.max_fd_deviation(_standard_probes(block_dims))
     if not worst < _VALIDATION_RTOL:
         raise ValueError(
@@ -406,11 +405,10 @@ def retraction_constraint(dist: KinematicDistribution) -> DiscreteConstraint:
     system has this very distribution computes both itself, with the same
     arithmetic, from the A(q) it looks up once per step, and calls neither
     closure. A retraction of any other distribution object, even one with
-    the same annihilator, is called like any pair constraint.
+    the same annihilator, is called like any pair constraint. An m = 0
+    distribution takes the same path: md = 0, ``value`` is empty without a
+    call of phi, and ``jacobian2`` is its (0, n) A(q).
     """
-    if dist.m == 0:
-        return DiscreteConstraint.unconstrained(dist.n)
-
     def phi(q, qplus):
         return dist.matrix(q).dot(qplus - q)
 
