@@ -165,7 +165,10 @@ class DiagnosticColumns(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, tuple) and all(isinstance(d, StepDiagnostics) for d in other):
-            other = DiagnosticColumns._stack(other)
+            try:
+                other = DiagnosticColumns._stack(other)
+            except ValueError:  # multipliers of unequal lengths stack to no run's columns
+                return False
         if not isinstance(other, DiagnosticColumns):
             return NotImplemented
         return len(self) == len(other) and (not len(self) or all(

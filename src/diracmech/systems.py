@@ -323,12 +323,12 @@ class DiscreteConstraint:
                 else self._call(self._jac2, q, qplus, (self.md, self.n)))
 
 
-def _generating(gen, *classes):
-    """``gen`` if it is an instance of one of ``classes``; UnsupportedOperationError otherwise."""
-    if not isinstance(gen, classes):
+def _instance(obj, *classes):
+    """``obj`` if it is an instance of one of ``classes``; UnsupportedOperationError otherwise."""
+    if not isinstance(obj, classes):
         raise UnsupportedOperationError("expected a %s, got %s" % (
-            " or a ".join(c.__name__ for c in classes), type(gen).__name__))
-    return gen
+            " or a ".join(c.__name__ for c in classes), type(obj).__name__))
+    return obj
 
 
 class DiscreteSystem:
@@ -338,9 +338,11 @@ class DiscreteSystem:
     Lagrangian-kind system and a DiscreteHamiltonian a Hamiltonian-kind one
     (any other object raises UnsupportedOperationError); it is also read as
     ``lagrangian`` or ``hamiltonian``, the other one None. The kinematic
-    distribution and the pair constraint are independent inputs, but their
-    coranks must agree so each step solves a square system (n + m unknowns
-    against n force-balance plus md constraint equations).
+    distribution and the pair constraint are independent inputs, a
+    KinematicDistribution and a DiscreteConstraint, or None for an
+    unconstrained one (any other object raises UnsupportedOperationError);
+    their coranks must agree so each step solves a square system (n + m
+    unknowns against n force-balance plus md constraint equations).
     ``balance(p, g)`` is the kind's momentum balance, p + g or p - g.
     ``slots()`` returns its (balance, completion) slot gradients, (d1 L, d2 L)
     or (dH/dq, dH/dp), as the generating function holds them. A run resolves
@@ -352,15 +354,17 @@ class DiscreteSystem:
                  dist: Optional[KinematicDistribution] = None,
                  constraint: Optional[DiscreteConstraint] = None,
                  label: Optional[str] = None):
-        self._generator = _generating(generator, DiscreteLagrangian, DiscreteHamiltonian)
+        self._generator = _instance(generator, DiscreteLagrangian, DiscreteHamiltonian)
         self.kind = kind = generator.kind
         self.lagrangian, self.hamiltonian = ((generator, None) if kind == LAGRANGIAN
                                              else (None, generator))
         self.balance = generator._balance
         self.slots = functools.partial(generator._slots, generator)
         self.n = n = generator.n
-        self.dist = dist if dist is not None else KinematicDistribution.unconstrained(n)
-        self.constraint = constraint if constraint is not None else DiscreteConstraint.unconstrained(n)
+        self.dist = (_instance(dist, KinematicDistribution) if dist is not None
+                     else KinematicDistribution.unconstrained(n))
+        self.constraint = (_instance(constraint, DiscreteConstraint) if constraint is not None
+                           else DiscreteConstraint.unconstrained(n))
         if self.dist.n != n or self.constraint.n != n:
             raise DimensionMismatchError(
                 "system dimension %d, distribution dimension %d, constraint dimension %d"
@@ -379,14 +383,14 @@ class DiscreteSystem:
                         dist: Optional[KinematicDistribution] = None,
                         constraint: Optional[DiscreteConstraint] = None,
                         label: Optional[str] = None) -> "DiscreteSystem":
-        return cls(_generating(lagrangian, DiscreteLagrangian), dist, constraint, label)
+        return cls(_instance(lagrangian, DiscreteLagrangian), dist, constraint, label)
 
     @classmethod
     def from_hamiltonian(cls, hamiltonian: DiscreteHamiltonian,
                          dist: Optional[KinematicDistribution] = None,
                          constraint: Optional[DiscreteConstraint] = None,
                          label: Optional[str] = None) -> "DiscreteSystem":
-        return cls(_generating(hamiltonian, DiscreteHamiltonian), dist, constraint, label)
+        return cls(_instance(hamiltonian, DiscreteHamiltonian), dist, constraint, label)
 
 
 def _check_dim(x: PontryaginPoint, n: int):

@@ -883,6 +883,24 @@ class TestLagrangianStep:
             else:
                 step_hamiltonian(system, *seed)
 
+    @pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
+    def test_md0_user_jac2_is_never_called(self, lagrangian):
+        # a run with m = 0 calls no jac2, so its first step checks none: an
+        # empty user jac2 neither runs nor breaks the check, and every step certifies
+        calls = []
+        constraint = DiscreteConstraint(1, 0, jac2=lambda q, qp: calls.append(1) or np.zeros((0, 1)))
+        osc = (builtin.harmonic_oscillator if lagrangian
+               else builtin.harmonic_oscillator_hamiltonian)(H, LAM)
+        system = DiscreteSystem(osc.lagrangian or osc.hamiltonian, constraint=constraint)
+        seed = oscillator_seed()[1]
+        seed = builtin.lagrangian_seed(system, seed.q, seed.qplus) if lagrangian else (seed.q, seed.p)
+        traj = run_trajectory(system, seed, 3)
+        assert traj.steps == 3
+        assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
+        result = step_lagrangian(system, seed) if lagrangian else step_hamiltonian(system, *seed)
+        assert result.inclusion_residual <= 10.0 * SolverOptions().tol
+        assert calls == []
+
     def test_inconsistent_seed_warns_but_steps(self):
         system, x0 = oscillator_seed()
         bad = PontryaginPoint(x0.q, x0.p + 0.5, x0.qplus)
@@ -1198,6 +1216,9 @@ class TestRunTrajectory:
         # anything that is not a diagnostics row or a tuple of them compares unequal
         assert traj.diagnostics != [records[0]]
         assert traj.diagnostics != 3 and not traj.diagnostics == (1.0, 2.0, 3.0)
+        # records whose multipliers differ in length compare unequal, without raising
+        assert traj.diagnostics != records[:2] + (
+            dataclasses.replace(records[2], multipliers=np.zeros(2)),)
 
     def test_structural_admissibility(self):
         system, x0 = oscillator_seed()

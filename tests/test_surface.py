@@ -247,6 +247,18 @@ GUARDS = [
                                             KinematicDistribution.unconstrained(2)),
      DimensionMismatchError,
      "system dimension 3, distribution dimension 2, constraint dimension 3"),
+    # a system reads its distribution and constraint by the rule that reads
+    # its generator, through the constructor and both named builders
+    ("systems.dist-type", lambda: DiscreteSystem(_OSC.lagrangian, dist="x"),
+     UnsupportedOperationError, "^expected a KinematicDistribution, got str$"),
+    ("systems.constraint-type", lambda: DiscreteSystem(_OSC.lagrangian, constraint=3),
+     UnsupportedOperationError, "^expected a DiscreteConstraint, got int$"),
+    ("systems.from-lagrangian-dist-type",
+     lambda: DiscreteSystem.from_lagrangian(_OSC.lagrangian, "x"),
+     UnsupportedOperationError, "^expected a KinematicDistribution, got str$"),
+    ("systems.from-hamiltonian-constraint-type",
+     lambda: DiscreteSystem.from_hamiltonian(_OSC_HAM.hamiltonian, constraint=3),
+     UnsupportedOperationError, "^expected a DiscreteConstraint, got int$"),
     ("systems.point-dimension",
      lambda: check_initial_data(_OSC, PontryaginPoint([0.0, 1.0], [0.0, 0.0], [0.1, 1.0])),
      DimensionMismatchError, "point dimension 2, system dimension 1"),
