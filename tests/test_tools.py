@@ -1,5 +1,6 @@
-"""The summaries of tools/bench_pairs.py and tools/bench_layers.py, on canned input: no
-subprocess runs but git, which reads the commits that checked-in BENCH files name."""
+"""The summaries of tools/bench_pairs.py, tools/bench_layers.py and tools/work_precision.py,
+on canned input: no subprocess runs but git, which reads the commits that checked-in BENCH
+files name."""
 
 import importlib.util
 import io
@@ -161,3 +162,20 @@ def test_layer_figures_are_the_best_over_rounds():
     best = bench_layers.best_of([slow, fast])
     assert best["osc-H"]["newton"] == 0.5 and best["osc-L"]["newton"] == fast["osc-L"]["newton"]
     assert "A(q) lookup" not in best["osc-H"]
+
+
+_WP_PATH = _ROOT / "tools" / "work_precision.py"
+_WP_SPEC = importlib.util.spec_from_file_location("work_precision", _WP_PATH)
+work_precision = importlib.util.module_from_spec(_WP_SPEC)
+_WP_SPEC.loader.exec_module(work_precision)
+
+
+def test_work_precision_table_has_a_row_per_lane_and_step_size_with_its_work():
+    rows = [(lane, h, round(work_precision.T / h), 1e-3 * h, 10.0)
+            for lane in work_precision.LANES for h in work_precision.HS]
+    lines = work_precision.table(rows)
+    assert lines[0].split() == ["lane", "h", "steps", "error", "us/step", "ms", "to", "T"]
+    assert len(lines) == 1 + len(work_precision.LANES) * len(work_precision.HS)
+    # 50 steps at 10 µs each take 0.5 ms to reach T
+    assert lines[1].split() == ["osc-L", "0.04", "50", "4.000e-05", "10.00", "0.50"]
+    assert lines[-1].split()[0] == "midpoint"
