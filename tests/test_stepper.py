@@ -885,15 +885,16 @@ class TestLagrangianStep:
 
     @pytest.mark.parametrize("lagrangian", [True, False], ids=["lagrangian", "hamiltonian"])
     def test_md0_user_jac2_is_never_called(self, lagrangian):
-        # a run with m = 0 calls no jac2, so its first step checks none: an
-        # empty user jac2 neither runs nor breaks the check, and every step certifies
+        # a run with m = 0 calls no jac2, so its first step checks none: the
+        # user jac2 of an md = 0 constraint is never called, and every step certifies
         calls = []
-        constraint = DiscreteConstraint(1, 0, jac2=lambda q, qp: calls.append(1) or np.zeros((0, 1)))
+        constraint = DiscreteConstraint(
+            1, 0, jac2=lambda q, qp: calls.append(1) or np.zeros((0, 1)))
         osc = (builtin.harmonic_oscillator if lagrangian
                else builtin.harmonic_oscillator_hamiltonian)(H, LAM)
         system = DiscreteSystem(osc.lagrangian or osc.hamiltonian, constraint=constraint)
-        seed = oscillator_seed()[1]
-        seed = builtin.lagrangian_seed(system, seed.q, seed.qplus) if lagrangian else (seed.q, seed.p)
+        x0 = oscillator_seed()[1]
+        seed = builtin.lagrangian_seed(system, x0.q, x0.qplus) if lagrangian else (x0.q, x0.p)
         traj = run_trajectory(system, seed, 3)
         assert traj.steps == 3
         assert traj.max_inclusion_residual <= 10.0 * SolverOptions().tol
