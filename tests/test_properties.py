@@ -951,10 +951,9 @@ def test_each_built_in_keeps_its_energy_within_c_h(lane):
 
 @pytest.mark.parametrize("lane", list(ENERGY_LANES))
 def test_each_built_in_energy_does_not_drift(lane):
-    """Over ten equal windows of a long run, the mean relative energy
-    deviation of every window lies within 0.1 times the largest deviation
-    from the first window's mean: the energy error oscillates and does not
-    grow."""
+    """Over ten equal windows of a long run, every window's mean relative
+    energy deviation differs from the first window's by at most 0.1 times
+    the largest deviation: the energy error oscillates and does not grow."""
     _, (T, h) = ENERGY_LANES[lane]
     deviation = energy_deviation(lane, h, T)
     means = np.array([w.mean() for w in np.array_split(deviation, 10)])
