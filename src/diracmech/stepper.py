@@ -33,7 +33,7 @@ from .errors import (
     StepFailureError,
     UnsupportedOperationError,
 )
-from .linalg import _all_finite, _count, _norm_inf, _real, _real_array, _vector
+from .linalg import _F64, _all_finite, _count, _norm_inf, _real, _real_array, _vector
 from .systems import (
     FD_SCALE,
     HAMILTONIAN,
@@ -151,8 +151,18 @@ class DiagnosticColumns(Sequence):
 
     @classmethod
     def _stack(cls, records) -> "DiagnosticColumns":
-        records = tuple(records)
-        return cls(*(np.array([getattr(d, name) for d in records]) for name in cls._FIELDS))
+        """The columns of ``records``; a ValueError names 'diagnostics' and a field that
+        does not stack, such as multipliers of unequal lengths."""
+        records, columns = tuple(records), []
+        for name in cls._FIELDS:
+            values = [getattr(d, name) for d in records]
+            try:
+                columns.append(np.array(values))
+            except ValueError as exc:
+                shapes = sorted(set(map(np.shape, values)))
+                raise ValueError("'diagnostics' must stack into columns, but their %s have "
+                                 "shapes %s" % (name, shapes)) from exc
+        return cls(*columns)
 
     def __len__(self) -> int:
         return self.residual.shape[0]
@@ -183,10 +193,12 @@ class Trajectory:
     ``final_state`` carries the (q_N, p_N) pair left over after the last
     step; Lagrangian runs store seed plus N points and leave it None.
     ``diagnostics`` may be given as any sequence of StepDiagnostics; it is
-    kept as DiagnosticColumns. ``steps`` must be a nonnegative integer
-    (ValueError otherwise; it is kept as a Python int), and ``options`` a
-    SolverOptions, None giving the defaults (UnsupportedOperationError
-    otherwise), by the rules of every entry point. The ``max_*`` aggregates
+    kept as DiagnosticColumns, and records that do not stack into columns
+    (multipliers of unequal lengths) raise ValueError naming 'diagnostics'.
+    ``steps`` must be a nonnegative integer (ValueError otherwise; it is kept
+    as a Python int), and ``options`` a SolverOptions, None giving the
+    defaults (UnsupportedOperationError otherwise), by the rules of every
+    entry point. The ``max_*`` aggregates
     are NaN as soon as any step's value is NaN.
     """
 
@@ -288,23 +300,34 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
     is singular (chord monitoring, Kelley, ch. 5). Such a step is kept if it
     still lowered the residual and discarded otherwise. A ``held`` matrix
     (not None) is used from the start; the solve writes to neither it nor
-    x0, and a caller that keeps its matrices keeps them in ``jac``. The
-    damped line search (halving down to MIN_STEP) runs only on a
+    x0, and a caller that keeps its matrices keeps them in ``jac``. f may
+    receive x0 itself, but the root is never the caller's array: every
+    iterate is a new one, and a solve that takes no iteration returns a copy
+    of x0. The damped line search (halving down to MIN_STEP) runs only on a
     freshly assembled matrix; when it stalls near the round-off floor (see
     ROUNDOFF_MARGIN) the error says that opts.tol is below that floor and
     gives its value. x0, every residual and every matrix from ``jac`` must
     be real numbers (see ``_real_array``; a ValueError names 'x0',
     'residual' or 'jac(x)' otherwise). Every residual must have one entry
-    per unknown, and an assembled matrix must be square with one row per
-    unknown; any other shape raises DimensionMismatchError.
+    per unknown, and a matrix must be square with one row per unknown; any
+    other shape raises DimensionMismatchError. A ``held`` matrix is checked
+    once, before the first residual, and an assembled one once, when it is
+    assembled.
 
     Convergence is ||f(x)||_inf <= opts.tol on true residuals; every gate
     fails on NaN. Returns (root, iterations, final residual).
     """
     # a run's engine passes its own SolverOptions on every step: one type test
     opts = opts if type(opts) is SolverOptions else _options(opts)
-    x = _vector(x0, "x0").copy()
-    fx = _vector(f(x), "residual", x.size)
+    x = _vector(x0, "x0")
+    shape = x.shape
+    square = shape * 2  # (n, n)
+    if held is not None and held.shape != square:
+        raise _shape_error(held, square)
+    fx = f(x)
+    # _vector's own fast test, inline: a residual as the engine returns it
+    if not (type(fx) is np.ndarray and fx.dtype == _F64 and fx.shape == shape):
+        fx = _vector(fx, "residual", shape[0])
     res = _norm_inf(fx)
     iters = 0
     while not (res <= opts.tol):
@@ -320,9 +343,8 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
         fresh = held is None
         if fresh:
             held = _real_array(jac(x), "jac(x)") if jac is not None else jacobian_columns(f, x)
-        if held.shape != (x.size, x.size):
-            raise DimensionMismatchError("Newton matrix has shape %r, expected %r"
-                                         % (held.shape, (x.size, x.size)))
+            if held.shape != square:
+                raise _shape_error(held, square)
         try:
             step, xt = _newton_step(held, fx, x)
         except SingularJacobianError:
@@ -330,7 +352,9 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                 raise
             held = None
             continue
-        ft = _vector(f(xt), "residual", x.size)
+        ft = f(xt)
+        if not (type(ft) is np.ndarray and ft.dtype == _F64 and ft.shape == shape):
+            ft = _vector(ft, "residual", shape[0])
         rt = _norm_inf(ft)
         if not fresh:
             if not (rt <= CONTRACTION * res or rt <= opts.tol):
@@ -345,11 +369,16 @@ def newton_solve(f: Callable[[np.ndarray], np.ndarray],
                     raise _stall_error(held, x, res, opts, iters + 1)
                 # a 1x1 solve's step is a float
                 xt = _trial(x, alpha * np.atleast_1d(step))
-                ft = _vector(f(xt), "residual", x.size)
+                ft = _vector(f(xt), "residual", shape[0])
                 rt = _norm_inf(ft)
         x, fx, res = xt, ft, rt
         iters += 1
-    return x, iters, res
+    # every iterate is a new array, so only a root that is x0 itself is the caller's
+    return x if iters else x.copy(), iters, res
+
+
+def _shape_error(jm: np.ndarray, square: tuple) -> DimensionMismatchError:
+    return DimensionMismatchError("Newton matrix has shape %r, expected %r" % (jm.shape, square))
 
 
 def _stall_error(jm: np.ndarray, x: np.ndarray, res: float, opts: SolverOptions,
@@ -670,9 +699,10 @@ class _Run:
         ``_conf`` keeps the last dH/dp(q, y) it evaluated, keyed on the bytes
         of y, for the held matrix's constraint block at the predictor, the
         residuals, the assemblies and q+ of the step. When Newton returns the
-        very array of the residual's last call, q+, the constraint residual
-        and the certificate read those values instead of evaluating them
-        again; otherwise they are evaluated afresh.
+        very array of the residual's last call, or takes no iteration and
+        returns a copy of z0, the one array the residual saw, q+, the
+        constraint residual and the certificate read those values instead of
+        evaluating them again; otherwise they are evaluated afresh.
         """
         lagrangian, n, m, opts = self.lagrangian, self.n, self.m, self.opts
         q, p = self.qplus, self.carried
@@ -713,8 +743,8 @@ class _Run:
             _name_noise_floor(exc, self.system, q, self.last_z[:n])
             raise
         # the residual's last values belong to the returned root only if its
-        # last call was made on this very array
-        last = z is self.last_z
+        # last call was made on this very array, or on z0 when the root is its copy
+        last = z is self.last_z or not iters
         y, lam = (z[:n], z[n:]) if m else (z, self.lam)
         # one completion for both kinds, d2 L(q, y) or dH/dp(q, y); the last
         # residual of a constrained Hamiltonian step has evaluated dH/dp there

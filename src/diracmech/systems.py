@@ -129,18 +129,22 @@ class DerivativeProvider:
         g = self.grads[block]
         if g is None:
             return functools.partial(self.fd_gradient, block)
+        name = "analytic gradient for block %d" % block
 
         def call(*args):
             try:
                 out = g(*args)
-                if not (type(out) is np.ndarray and out.dtype == _F64):
-                    out = _real_array(out)
             except Exception as exc:
-                raise EvaluationError("analytic gradient for block %d failed: %s"
-                                      % (block, exc)) from exc
-            if out.ndim == 1 and len(out) == len(args[block]):
+                raise EvaluationError("%s failed: %s" % (name, exc)) from exc
+            # one test on the fast path: a float64 vector of its block's length
+            if (type(out) is np.ndarray and out.dtype == _F64 and out.ndim == 1
+                    and len(out) == len(args[block])):
                 return out
-            return _vector(out, "analytic gradient for block %d" % block, np.size(args[block]))
+            try:
+                out = _real_array(out)
+            except Exception as exc:
+                raise EvaluationError("%s failed: %s" % (name, exc)) from exc
+            return _vector(out, name, np.size(args[block]))
 
         return call
 
@@ -315,10 +319,13 @@ class DiscreteConstraint:
     def jacobian2(self, q, qplus) -> np.ndarray:
         """md x n Jacobian of phi in its second slot; a 2-d float64 one is taken as it comes.
 
-        q and q+ are read as in ``value``. Without a ``jac2`` it is
-        ``jacobian_columns`` of phi(q, .) at q+.
+        q and q+ are read as in ``value``. With md = 0 it is the (0, n)
+        matrix, and no ``jac2`` is called, as ``value`` calls no phi. Without
+        a ``jac2`` it is ``jacobian_columns`` of phi(q, .) at q+.
         """
         q, qplus = _vector(q, "q", self.n), _vector(qplus, "qplus", self.n)
+        if not self.md:
+            return np.zeros((0, self.n))
         return (jacobian_columns(lambda qp: self.value(q, qp), qplus) if self._jac2 is None
                 else self._call(self._jac2, q, qplus, (self.md, self.n)))
 

@@ -20,9 +20,14 @@ pendulum, constrained through A(q) = Dg(q) and phi(q, q+) = g(q+), keeps its
 axial momentum and its sphere, with analytic and with finite-difference
 slots, and steps as closed-form SHAKE, for both kinds. The built-in
 oscillator, of both kinds, converges at order 2 and the built-in
-nonholonomic particle at order 1. Every lane's energy error is first order
-in h and does not drift over ten windows of a long run.
+nonholonomic particle at order 1; the particle with its constraint read at
+the midpoint, from tools/work_precision.py, converges at order 2. Every
+lane's energy error is first order in h and does not drift over ten windows
+of a long run.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +58,11 @@ from diracmech.systems import FD_SCALE  # noqa: E402
 
 H = 0.1
 TOL = SolverOptions().tol
+
+_WP_PATH = Path(__file__).resolve().parents[1] / "tools" / "work_precision.py"
+_WP_SPEC = importlib.util.spec_from_file_location("work_precision", _WP_PATH)
+work_precision = importlib.util.module_from_spec(_WP_SPEC)
+_WP_SPEC.loader.exec_module(work_precision)
 
 
 @st.composite
@@ -844,14 +854,17 @@ def order_final_configuration(lane, h):
     free-particle H on the particle's distribution and retraction, from
     (q0, p0) = ([0, 0.5, 0], [1, 0.2, 0.7]). The spherical pendulum, of either
     kind, is the property fixture's with m = 1 and V = q3, from q0 = (0.6, 0,
-    -0.8) with v = (0, 0.7, 0).
+    -0.8) with v = (0, 0.7, 0). The midpoint particle is ``lane_run("midpoint",
+    h)`` of tools/work_precision.py, whose T is ORDER_T.
     """
     steps = round(ORDER_T / h)
     if lane.startswith("spherical_pendulum"):
         pendulum = spherical_pendulum(h, 1.0, 1.0, 0.0, 0.0, np.array([0.6, 0.0, -0.8]),
                                       np.array([0.0, 0.7, 0.0]))
         return pendulum_run(pendulum, lane == "spherical_pendulum", steps)[0][steps]
-    if lane == "constrained_hamiltonian_particle":
+    if lane == "midpoint_particle":
+        system, seed, steps = work_precision.lane_run("midpoint", h)
+    elif lane == "constrained_hamiltonian_particle":
         nh = builtin.nonholonomic_particle(h)
         system = DiscreteSystem.from_hamiltonian(
             builtin.free_particle_hamiltonian(h, 3).hamiltonian, nh.dist, nh.constraint)
@@ -874,14 +887,17 @@ def order_final_configuration(lane, h):
                                          ("nonholonomic_particle", 1.0),
                                          ("constrained_hamiltonian_particle", 1.0),
                                          ("spherical_pendulum", 1.0),
-                                         ("spherical_pendulum_hamiltonian", 1.0)])
+                                         ("spherical_pendulum_hamiltonian", 1.0),
+                                         ("midpoint_particle", 2.0)])
 def test_each_built_in_converges_at_its_order(lane, order):
     """The slope of log error against log h, over three step sizes, against a
     run at h = ORDER_H_REF, is the lane's order within 0.15: the oscillator is
     Stormer-Verlet in its configurations; the particle's constraint, on either
-    side, reads A at the left point only; and the pendulum's L = m |q+ - q|^2
-    / 2h - h V(q) evaluates V at the left point only, so it is first order,
-    though SHAKE with the symmetric h (V(q) + V(q+)) / 2 is second."""
+    side, reads A at the left point only, and the midpoint particle's reads it
+    at (q + q+) / 2, which makes it second order; and the pendulum's L = m
+    |q+ - q|^2 / 2h - h V(q) evaluates V at the left point only, so it is
+    first order, though SHAKE with the symmetric h (V(q) + V(q+)) / 2 is
+    second."""
     reference = order_final_configuration(lane, ORDER_H_REF)
     errors = [np.max(np.abs(order_final_configuration(lane, h) - reference)) for h in ORDER_HS]
     slope = np.polyfit(np.log(ORDER_HS), np.log(errors), 1)[0]

@@ -26,6 +26,7 @@ from diracmech import (
     SingularJacobianError,
     SolverOptions,
     StepFailureError,
+    Trajectory,
     UnsupportedOperationError,
     check_admissibility,
     check_initial_data,
@@ -129,6 +130,16 @@ class TestNewton:
         c = np.array([1.0])
         x, iters, _ = newton_solve(lambda x: x - c, None, c.copy())
         assert iters == 0
+
+    @pytest.mark.parametrize("held", [None, np.eye(2)], ids=["fresh", "held"])
+    def test_a_solve_without_iterations_hands_back_a_copy_of_x0(self, held):
+        # the root is never the caller's array, and the solve writes to no x0
+        c = np.array([1.0, -2.0])
+        x0 = c.copy()
+        x, iters, res = newton_solve(lambda x: x - c, lambda x: np.eye(2), x0, held=held)
+        assert (iters, res) == (0, 0.0)
+        assert x is not x0 and not np.shares_memory(x, x0)
+        assert x.tobytes() == x0.tobytes() == c.tobytes()
 
     def test_line_search_stall_raises(self):
         # no real root: |x^2 + 1| is bounded below by 1
@@ -1220,6 +1231,19 @@ class TestRunTrajectory:
         # records whose multipliers differ in length compare unequal, without raising
         assert traj.diagnostics != records[:2] + (
             dataclasses.replace(records[2], multipliers=np.zeros(2)),)
+
+    def test_records_whose_multipliers_differ_in_length_are_named(self):
+        # numpy's own "inhomogeneous shape" error would name neither the
+        # argument nor the field
+        system, x0 = nonholonomic_seed()
+        traj = run_trajectory(system, x0, 2)
+        records = tuple(traj.diagnostics)
+        records = records[:1] + (dataclasses.replace(records[1], multipliers=np.zeros(2)),)
+        with pytest.raises(ValueError, match=r"^'diagnostics' .* multipliers have shapes "
+                                             r"\[\(1,\), \(2,\)\]$"):
+            Trajectory(traj.curve, records, traj.system_label, 2, traj.options)
+        assert Trajectory(traj.curve, tuple(traj.diagnostics), traj.system_label, 2,
+                          traj.options).diagnostics == traj.diagnostics
 
     def test_structural_admissibility(self):
         system, x0 = oscillator_seed()

@@ -285,6 +285,18 @@ class TestConstraintConversions:
         with pytest.raises(EvaluationError, match="constraint Jacobian failed: boom"):
             con.jacobian2(self.Q, self.QP)
 
+    def test_md0_calls_no_jac2(self):
+        # with md = 0 the Jacobian can only be the (0, n) matrix, so jacobian2
+        # calls no jac2, as value calls no phi; q and q+ are still read
+        calls = []
+        con = DiscreteConstraint(2, 0, jac2=lambda q, qp: calls.append(1) or np.zeros((0, 2)))
+        jac = con.jacobian2(self.Q, self.QP)
+        assert jac.dtype == np.float64 and jac.shape == (0, 2)
+        assert con.value(self.Q, self.QP).shape == (0,)
+        assert calls == []
+        with pytest.raises(DimensionMismatchError, match="qplus"):
+            con.jacobian2(self.Q, np.zeros(3))
+
     def test_unconvertible_output_ends_in_an_evaluation_error(self):
         con = DiscreteConstraint(2, 1, lambda q, qp: "x", lambda q, qp: [["x", 1.0]])
         with pytest.raises(EvaluationError):

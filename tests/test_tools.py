@@ -147,6 +147,9 @@ def test_layer_table_has_a_row_per_lane_and_layer_and_a_ratio_for_two_trees():
     assert len(body) == rows
     first = body[0].split()
     assert first == ["osc-L", "residual", "2.000", "1.000", "0.500"]
+    # the update sits beside the solve: newton - 2 residual - update reads off the table
+    assert [line.split()[1] for line in body[1:4]] == ["assembly", "update", "newton"]
+    assert body[2].split()[2:] == ["6.000", "3.000", "0.500"]
     lookups = [line.split() for line in body if "A(q) lookup" in line]
     assert [cells[0] for cells in lookups] == list(bench_layers.LANES)
     assert lookups[0][-3:] == ["-", "-", "-"] and lookups[-1][-1] == "0.500"

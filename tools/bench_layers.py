@@ -10,6 +10,8 @@ timed at that step's state with ``timeit`` (GC off), best of REPEAT:
 
 - residual: one Newton residual at the step's predictor;
 - assembly: one assembly of the Newton matrix there;
+- update: the step's Newton update on its held matrix, from the predictor
+  and its residual (``_newton_step``);
 - newton: the step's Newton solve, from the predictor with its held matrix;
 - A(q) lookup: one distribution lookup that misses the memo (constrained
   lanes only; two base points alternate);
@@ -18,11 +20,13 @@ timed at that step's state with ``timeit`` (GC off), best of REPEAT:
 - advance: one step, the mean per step of a 200-step ``run_trajectory``
   from the seed.
 
-Each figure is the best over all rounds, in µs per call. The last row of a
-lane counts the Python-level calls (``sys.setprofile`` "call" events) of one
-step of ``run_trajectory``, over 200 steps: a noise-free companion of the
-times, which numpy versions move. With two trees the table gives their
-ratio, second over first.
+Each figure is the best over all rounds, in µs per call. A solve that
+takes one held iteration makes two residuals and one update, so newton -
+2 residual - update is what the solve spends on its own bookkeeping. The
+last row of a lane counts the Python-level calls (``sys.setprofile`` "call"
+events) of one step of ``run_trajectory``, over 200 steps: a noise-free
+companion of the times, which numpy versions move. With two trees the table
+gives their ratio, second over first.
 
 Usage: python tools/bench_layers.py TREE [TREE]
 """
@@ -39,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 LANES = ("osc-L", "osc-H", "nonholonomic")
-LAYERS = ("residual", "assembly", "newton", "A(q) lookup", "certificate held",
-          "certificate fresh", "advance")
+LAYERS = ("residual", "assembly", "update", "newton", "A(q) lookup",
+          "certificate held", "certificate fresh", "advance")
 CALLS = "py calls / step"
 H = 0.1
 WARM, STEPS, NUMBER, REPEAT, ROUNDS = 50, 200, 2000, 7, 6
@@ -86,10 +90,11 @@ def measure_lane(diracmech, lane):
         stepper.newton_solve, stepper.dirac_inclusion_residual = solve, certify
     (f, jac, z0, opts, held), _ = calls["newton"]
     cert_args, cert_kwargs = calls["certificate"]
-    held, p_next = held.copy(), cert_args[2]
+    held, p_next, f0 = held.copy(), cert_args[2], f(z0)
     times = {
         "residual": _best(lambda: f(z0), NUMBER),
         "assembly": _best(lambda: jac(z0), NUMBER // 10),
+        "update": _best(lambda: stepper._newton_step(held, f0, z0), NUMBER),
         "newton": _best(lambda: solve(f, jac, z0, opts, held), NUMBER),
         "certificate held": _best(lambda: certify(*cert_args, **cert_kwargs), NUMBER),
         "certificate fresh": _best(lambda: certify(system, point, p_next), NUMBER),

@@ -49,6 +49,12 @@ COUNTS = [
     # held matrix serves its seven later steps
     ("fd-ham-20", "stepper.jac_fresh_per_step", 0.125, 1e-12),
     ("fd-ham-20", "stepper.jac_reuse_ratio", 0.875, 1e-12),
+    # one held Newton iteration per oscillator step, and three evaluations:
+    # two residuals and the completion; 10000 steps per job, plus the n + 1 = 2
+    # dH/dq calls of the first assembly. These pin that the solve saves its
+    # bookkeeping, not iterations or evaluations
+    ("osc-ham", "stepper.newton_iters_per_step", 1.0, 0.0),
+    ("osc-ham", "systems.user_evals_per_step", 3.0002, 1e-9),
 ] + [
     # one Jacobian assembly per 10,000-step job, seen through the wrapped
     # step functions
