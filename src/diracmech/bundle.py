@@ -12,13 +12,31 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateConstraintError, DimensionMismatchError, EvaluationError
 from .linalg import _all_finite, _blocks, _count, _real_array, _vector, orthonormal_columns
+
+
+def _fields_equal(self, other):
+    """``==`` of two records of one dataclass, field by field.
+
+    An array field compares by ``np.array_equal`` (False on unequal shapes),
+    as DiagnosticColumns does, and any other field by ``==``; a record of
+    another class gives NotImplemented, as the generated ``__eq__`` does.
+    Records that define it keep the hash the dataclass generates.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                else a == b):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -28,6 +46,8 @@ class PontryaginPoint:
     q: np.ndarray
     p: np.ndarray
     qplus: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if not all(map(_all_finite, _blocks(self, ("q", "p", "qplus")))):

@@ -16,13 +16,14 @@ import functools
 import math
 import sys
 import warnings
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bundle import DiscreteCurve, PontryaginPoint, check_admissibility
+from .bundle import DiscreteCurve, PontryaginPoint, _fields_equal, check_admissibility
 from .errors import (
     CertificationError,
     ConvergenceError,
@@ -119,6 +120,8 @@ class StepDiagnostics:
     iterations: int = 0
     jacobian_assemblies: int = 0
 
+    __eq__ = _fields_equal
+
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class StepResult(StepDiagnostics):
@@ -131,6 +134,8 @@ class StepResult(StepDiagnostics):
 
     next: PontryaginPoint
     p_next: np.ndarray
+
+    __eq__ = _fields_equal
 
 
 class DiagnosticColumns(Sequence):
@@ -149,11 +154,20 @@ class DiagnosticColumns(Sequence):
         for name, column in zip(self._FIELDS, columns, strict=True):
             setattr(self, name, column)
 
+    @staticmethod
+    def _empty(steps: int, m: int) -> tuple:
+        """Uninitialised columns for ``steps`` records of ``m`` multipliers: float64
+        residuals, an (N, m) float64 multiplier matrix and int64 counts."""
+        return (*np.empty((3, steps)), np.empty((steps, m)), *np.empty((2, steps), dtype=np.int64))
+
     @classmethod
     def _stack(cls, records) -> "DiagnosticColumns":
         """The columns of ``records``; a ValueError names 'diagnostics' and a field that
-        does not stack, such as multipliers of unequal lengths."""
+        does not stack, such as multipliers of unequal lengths. No records give
+        the columns of a zero-step run with m = 0."""
         records, columns = tuple(records), []
+        if not records:
+            return cls(*cls._empty(0, 0))
         for name in cls._FIELDS:
             values = [getattr(d, name) for d in records]
             try:
@@ -544,9 +558,11 @@ class _Run:
     Newton: at the extrapolation of the history (True, as every run begins)
     or at the previous unknown. Each step sets it by which of the two lay
     closer to its own solution (see ``advance``). ``rows`` is None unless
-    ``run_trajectory`` sets it to the run's columns, Q and P from the first
-    row each step fills, then the DiagnosticColumns fields; step ``k`` then
-    writes its row k there instead of returning a StepResult.
+    ``run_trajectory`` sets it to the appends of the run's buffers, bound
+    once per run, in the order Q, P, then the DiagnosticColumns fields: a
+    ``frombytes`` for each row of float64 entries (Q, P and the multipliers)
+    and an ``append`` for each scalar. Each step then appends its row there
+    instead of returning a StepResult.
     """
 
     def __init__(self, system: DiscreteSystem, opts: Optional[SolverOptions], seed):
@@ -773,18 +789,21 @@ class _Run:
         if history is not None or iters > 1:
             self.extrapolate = history is None or _norm_inf(y - ex) <= _norm_inf(y - base)
             self.history = (y, base) + history[1:2] if history else (y, base)
-        k = self.k
-        self.qplus, self.carried, self.lam, self.k = qplus, p_next, lam, k + 1
+        self.qplus, self.carried, self.lam, self.k = qplus, p_next, lam, self.k + 1
         if self.rows is None:
             return StepResult(res, inclusion, cres, lam, iters, self.assemblies,
                               next=PontryaginPoint._trusted(q, p, qplus), p_next=p_next)
-        q_rows, p_rows, residual, inclusion_col, constraint, lams, iterations, assemblies \
+        q_row, p_row, residual, inclusion_col, constraint, lam_row, iterations, assemblies \
             = self.rows
-        q_rows[k], p_rows[k] = qplus, p if lagrangian else p_next
-        residual[k], inclusion_col[k], constraint[k] = res, inclusion, cres
-        iterations[k], assemblies[k] = iters, self.assemblies
+        q_row(qplus.tobytes())
+        p_row((p if lagrangian else p_next).tobytes())
+        residual(res)
+        inclusion_col(inclusion)
+        constraint(cres)
+        iterations(iters)
+        assemblies(self.assemblies)
         if m:
-            lams[k] = lam
+            lam_row(lam.tobytes())
 
 
 def step_lagrangian(system: DiscreteSystem, x: PontryaginPoint,
@@ -894,12 +913,15 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     only by a reassembly. Convergence is still judged on exact residuals
     and every step is certified individually.
 
-    Each step writes its rows in place, with no per-step record, into
-    columns allocated once: configurations Q (N + 2 rows for a Lagrangian
-    run, N + 1 for a Hamiltonian one), momenta P (N + 1 rows) and the
-    DiagnosticColumns (residuals, multipliers, Newton iterations and matrix
-    assemblies). Point k of the curve is (Q[k], P[k], Q[k + 1]), and a
-    Hamiltonian ``final_state`` is (Q[N], P[N]).
+    The run's columns are allocated once, before any step: configurations
+    Q (N + 2 rows for a Lagrangian run, N + 1 for a Hamiltonian one),
+    momenta P (N + 1 rows) and the DiagnosticColumns (residuals,
+    multipliers, Newton iterations and matrix assemblies). Each step
+    appends its rows, with no per-step record, to one typed buffer
+    (``array.array``) per column; when the run ends or a step fails, each
+    column takes its buffer's rows in one copy. Point k of the curve is
+    (Q[k], P[k], Q[k + 1]), and a Hamiltonian ``final_state`` is (Q[N],
+    P[N]).
     """
     steps = _count(steps, "steps", 0)  # Trajectory.steps is a Python int for NumPy integers too
     run = _Run(system, opts, seed)
@@ -912,8 +934,7 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     try:
         q_col = np.empty((steps + 1 + ahead, n))
         p_col = np.empty((steps + 1, n))
-        columns = (*np.empty((3, steps)), np.empty((steps, m)),
-                   *np.empty((2, steps), dtype=np.int64))
+        columns = DiagnosticColumns._empty(steps, m)
     except (ValueError, MemoryError) as exc:  # numpy's own errors do not name steps
         raise ValueError("'steps' = %d is too many to allocate (%s)" % (steps, exc)) from exc
     # the seed rows, from the state the engine holds before its first step
@@ -922,14 +943,25 @@ def run_trajectory(system: DiscreteSystem, seed, steps: int,
     else:
         q_col[0], p_col[0] = run.qplus, run.carried
 
+    # each step appends its rows to typed buffers, one per column, through
+    # appends bound here; the columns take them in one copy when the run ends
+    targets = (q_col[1 + ahead:], p_col[1:], *columns)
+    buffers = (array("d"), array("d"), array("d"), array("d"), array("d"), array("d"),
+               array("q"), array("q"))
+    q_buf, p_buf, residual, inclusion, constraint, lams, iterations, assemblies = buffers
+    run.rows = (q_buf.frombytes, p_buf.frombytes, residual.append, inclusion.append,
+                constraint.append, lams.frombytes, iterations.append, assemblies.append)
+
     def trajectory(done: int) -> Trajectory:
+        for target, buffer in zip(targets, buffers):
+            rows = target[:done]
+            rows[...] = np.frombuffer(buffer, rows.dtype).reshape(rows.shape)
         points = done + ahead
         final = None if lagrangian else (q_col[done], p_col[done])
         return Trajectory(DiscreteCurve._stepped(q_col[:points + 1], p_col[:points]),
                           DiagnosticColumns(*(c[:done] for c in columns)), system.label, done,
                           run.opts, final)
 
-    run.rows = (q_col[1 + ahead:], p_col[1:], *columns)
     for k in range(steps):
         try:
             if lagrangian:

@@ -44,6 +44,19 @@ class TestPoints:
         assert pt.dim == 1
         assert pt.qplus[0] == 0.1
 
+    def test_points_compare_block_by_block(self):
+        # n = 3: the generated __eq__ compared the blocks as a tuple and raised
+        # numpy's ambiguous-truth-value ValueError
+        a = PontryaginPoint(np.zeros(3), np.ones(3), np.zeros(3))
+        assert a == PontryaginPoint(np.zeros(3), np.ones(3), np.zeros(3))
+        assert not a != PontryaginPoint(np.zeros(3), np.ones(3), np.zeros(3))
+        assert a != PontryaginPoint(np.zeros(3), np.ones(3), np.full(3, 0.1))
+        assert a != PontryaginPoint(np.zeros(2), np.ones(2), np.zeros(2))  # unequal shapes
+        assert a != (a.q, a.p, a.qplus)
+        assert a.__eq__((a.q, a.p, a.qplus)) is NotImplemented
+        with pytest.raises(TypeError):  # hashing stays the dataclass's, on unhashable arrays
+            hash(a)
+
 
 class TestLiftAnnihilator:
     """The lifted distribution's annihilator [A(q) | 0 | 0] has the row rank

@@ -105,6 +105,23 @@ def nonholonomic_hamiltonian():
     return DiscreteSystem.from_hamiltonian(free.hamiltonian, nh.dist, nh.constraint)
 
 
+def two_row_seed():
+    """An FD-only particle in R^3 under a coupled quadratic potential, its
+    velocities held on the line of two constant rows of A: m = 2."""
+    k = np.array([[2.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.5]])
+
+    def ld(q, qp):
+        d, mid = (qp - q) / H, 0.5 * (q + qp)
+        return float(H * (0.5 * d @ d - 0.5 * mid @ k @ mid))
+
+    rows = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+    dist = KinematicDistribution(3, 2, lambda q: rows)
+    system = DiscreteSystem.from_lagrangian(DiscreteLagrangian(3, ld), dist,
+                                            retraction_constraint(dist))
+    q0 = np.array([0.1, 0.2, 0.3])
+    return system, builtin.lagrangian_seed(system, q0, q0 + H * np.ones(3))
+
+
 class TestNewton:
     def test_linear_shift_in_one_iteration(self):
         c = np.array([2.0, -3.0])
@@ -545,7 +562,7 @@ RUN_LANES = {
 
 class TestRunRecord:
     """A run hands its engine, ``_Run``, to the module-level step functions;
-    the engine resolves the system once and writes each row in place."""
+    the engine resolves the system once and appends each row to the run's buffers."""
 
     @pytest.mark.parametrize("lane", list(RUN_LANES))
     def test_a_run_is_its_steps_chained_on_one_record(self, lane):
@@ -1232,6 +1249,58 @@ class TestRunTrajectory:
         assert traj.diagnostics != records[:2] + (
             dataclasses.replace(records[2], multipliers=np.zeros(2)),)
 
+    def test_records_of_two_multipliers_compare_by_value(self):
+        # m = 2: the generated __eq__ of a record compared its multipliers
+        # inside a tuple and raised numpy's ambiguous-truth-value ValueError
+        system, x0 = two_row_seed()
+        traj = run_trajectory(system, x0, 3)
+        records = tuple(traj.diagnostics)
+        assert traj.diagnostics.multipliers.shape == (3, 2)
+        assert np.all(traj.diagnostics.multipliers != 0.0)
+        assert traj.diagnostics[1:] == records[1:]
+        assert records[0] == dataclasses.replace(records[0])
+        assert records[0] != dataclasses.replace(records[0], multipliers=records[0].multipliers[:1])
+        assert records[0] != dataclasses.replace(records[0], multipliers=-records[0].multipliers)
+        run = stepper._Run(system, None, x0)
+        first = step_lagrangian(system, None, _run=run)
+        assert first == step_lagrangian(system, x0)
+        assert first != dataclasses.replace(first, p_next=first.p_next + 1.0)
+        assert first != dataclasses.replace(first, next=PontryaginPoint(
+            first.next.q, first.next.p, first.next.q))
+        # a StepResult is not a StepDiagnostics row, as with the generated __eq__
+        assert first != records[0] and records[0] != first
+        for record in (records[0], first):
+            with pytest.raises(TypeError):  # hashing stays the dataclass's
+                hash(record)
+
+    def test_zero_records_stack_like_a_zero_step_run(self):
+        # an empty stack gave float64 counts and a 1-d multipliers column,
+        # which the CLI table wrote as a bare 'lambda' column
+        system, x0 = oscillator_seed()
+        run = run_trajectory(system, x0, 0)
+        built = Trajectory(run.curve, (), run.system_label, 0, run.options)
+        for name in stepper.DiagnosticColumns._FIELDS:
+            a, b = getattr(built.diagnostics, name), getattr(run.diagnostics, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert built.diagnostics.iterations.dtype == np.int64
+        assert built.diagnostics.multipliers.shape == (0, 0)
+        header = cli._table(run, True)[0]
+        assert cli._table(built, True)[0] == header
+        assert header[-1] == "constraint_residual"
+
+    @pytest.mark.parametrize("make", [
+        oscillator_seed,
+        lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
+    ], ids=["lagrangian", "hamiltonian"])
+    def test_unallocatable_steps_raise_before_any_evaluation(self, monkeypatch, make):
+        system, seed = make()
+        counts = TestEvaluationCounts.count(monkeypatch, system)
+        with pytest.raises(ValueError, match=r"^'steps' = 10{30} is too many to allocate"):
+            run_trajectory(system, seed, 10 ** 30)
+        assert set(counts.values()) == {0}
+        run_trajectory(system, seed, 2)
+        assert all(counts.values())  # the counters do see a run's evaluations
+
     def test_records_whose_multipliers_differ_in_length_are_named(self):
         # numpy's own "inhomogeneous shape" error would name neither the
         # argument nor the field
@@ -1658,9 +1727,12 @@ class TestCertificateGate:
 
 
 class TestTrajectoryMemory:
-    """A run stores each step as one row of preallocated columns: at n = 1 a
-    configuration, a momentum and five diagnostic numbers, 56 bytes. A point
-    plus a diagnostics record per step retained about 480 bytes."""
+    """A run appends each step to typed buffers and fills its preallocated
+    columns from them once, when it ends: at n = 1 a configuration, a
+    momentum and five diagnostic numbers, 56 bytes per step retained. While
+    the columns fill, the buffers hold as much again, and they are freed
+    with the run. A point plus a diagnostics record per step retained about
+    480 bytes."""
 
     STEPS = 10000
 
@@ -1695,6 +1767,66 @@ class TestTrajectoryMemory:
         summary, _, peak = self.traced(lambda: cli.run(config, quiet=True))
         assert summary.steps_completed == self.STEPS
         assert peak <= 300 * self.STEPS
+
+
+class TestPartialRows:
+    """A failed run's partial trajectory holds exactly the first k rows of the
+    same run without the failure: each column is filled from its step buffer
+    once, at the end of the run or at the failed step."""
+
+    LANES = {
+        "lagrangian-constrained": nonholonomic_seed,
+        "hamiltonian": lambda: (builtin.harmonic_oscillator_hamiltonian(H, LAM), ([0.0], [1.0])),
+    }
+    STEPS = 9
+
+    @staticmethod
+    def failing_balance(system, fail_at):
+        """Wrap the balance slot gradient in a counter that raises EvaluationError on
+        call number ``fail_at`` (never for None); returns the list of calls made."""
+        gen = system.lagrangian if system.kind == "lagrangian" else system.hamiltonian
+        name = "d1" if system.kind == "lagrangian" else "dq"
+        original, calls = getattr(gen, name), []
+
+        def counted(*args):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise EvaluationError("balance gradient fails on call %d" % fail_at)
+            return original(*args)
+
+        setattr(gen, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("lane", sorted(LANES))
+    def test_failed_run_keeps_the_full_runs_first_rows(self, lane, k):
+        system, seed = self.LANES[lane]()
+        full = run_trajectory(system, seed, self.STEPS)
+        # the first call of step k is the one after all those of a k-step run
+        system, seed = self.LANES[lane]()
+        calls = self.failing_balance(system, None)
+        run_trajectory(system, seed, k)
+        system, seed = self.LANES[lane]()
+        self.failing_balance(system, len(calls) + 1)
+        with pytest.raises(StepFailureError) as info:
+            run_trajectory(system, seed, self.STEPS)
+        assert info.value.step_index == k
+        partial = info.value.trajectory
+        assert isinstance(info.value.__cause__, EvaluationError)
+        assert partial.steps == k
+        lagrangian = system.kind == "lagrangian"
+        points = k + lagrangian
+        for name in ("q", "p", "qplus"):
+            a, b = getattr(partial.curve, name), getattr(full.curve, name)[:points]
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        if lagrangian:
+            assert partial.final_state is None
+        else:
+            q, p = partial.final_state
+            assert np.array_equal(q, full.curve.q[k]) and np.array_equal(p, full.curve.p[k])
+        for name in stepper.DiagnosticColumns._FIELDS:
+            a, b = getattr(partial.diagnostics, name), getattr(full.diagnostics, name)[:k]
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
 
 
 class TestTracedDispatch:
